@@ -57,10 +57,12 @@ from .thermal_metric import (
     classical_integrand,
     mode_density_matrix,
     nonclassical_correction,
+    nonclassical_corrections,
     nonclassical_integrand,
     tensor_finite,
     tensor_oracle,
     tensor_thermodynamic,
+    tensors_thermodynamic,
 )
 
 __version__ = "0.1.0"

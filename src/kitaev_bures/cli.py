@@ -24,9 +24,10 @@ from .thermal_metric import (
     CLASSICAL_PAIRS,
     ParameterIndex,
     ThermoPoint,
-    nonclassical_correction,
+    nonclassical_corrections,
     tensor_finite,
     tensor_thermodynamic,
+    tensors_thermodynamic,
 )
 
 SCHEMA_VERSION = 1
@@ -291,6 +292,20 @@ def cmd_sweep(argv: list[str]) -> int:
 # scaling
 
 
+def _transverse_scale_warning(couplings: Couplings, gap: float, tmax: float) -> list[str]:
+    """The T^alpha e^{-gap/T} exponents need T small against every curvature
+    scale of the dispersion: s = min(gap, 2|J_b|, 2|J_c|), with J_b, J_c the
+    two couplings other than the dominant one."""
+    weak = sorted(abs(j) for j in couplings.as_array())[:2]
+    s = min(gap, 2.0 * weak[0], 2.0 * weak[1])
+    if tmax <= s / 3.0:
+        return []
+    return [
+        f"samples extend beyond the transverse curvature regime (max T {tmax:.3g} "
+        f"> s/3 = {s / 3.0:.3g}, s = min(gap, 2|J|) over the two weaker couplings)"
+    ]
+
+
 def cmd_scaling(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="kitaev-bures scaling")
     parser.add_argument("--jx", type=float)
@@ -334,13 +349,10 @@ def cmd_scaling(argv: list[str]) -> int:
             model = "log"
     grid = _grid_from(args)
     temps = np.geomspace(args.tmin, args.tmax, args.points)
+    points = [ThermoPoint.from_temperature(couplings, t) for t in temps]
     part_name = "classical" if part == "c" else "nonclassical"
     elements = [(part, mu, nu)]
-
-    def value_at(temp: float) -> float:
-        tp = ThermoPoint.from_temperature(couplings, temp)
-        return tensor_thermodynamic(tp, grid, elements=elements).element(part_name, mu, nu)
-
+    warnings: list[str] = []
     try:
         if model == "gapped-nc":
             gap = fermion_gap(couplings)
@@ -348,21 +360,23 @@ def cmd_scaling(argv: list[str]) -> int:
                 ThermoPoint.from_temperature(couplings, 0.0), grid, elements=elements
             ).element(part_name, mu, nu)
             corr = [
-                nonclassical_correction(
-                    ThermoPoint.from_temperature(couplings, t), grid, elements=elements
-                ).element("nonclassical", mu, nu)
-                for t in temps
+                t.element("nonclassical", mu, nu)
+                for t in nonclassical_corrections(points, grid, elements=elements)
             ]
             samples = np.stack([temps, np.array(corr)], axis=1)
             fit = scaling.fit_gapped_nonclassical(samples, gap, offset)
         else:
-            values = np.array([value_at(t) for t in temps])
+            values = np.array([
+                t.element(part_name, mu, nu)
+                for t in tensors_thermodynamic(points, grid, elements=elements)
+            ])
             samples = np.stack([temps, values], axis=1)
             if model == "gapped-c":
                 gap = fermion_gap(couplings)
                 fit = scaling.fit_gapped_classical(
                     np.stack([temps, np.abs(values)], axis=1), known_gap=gap
                 )
+                warnings += _transverse_scale_warning(couplings, gap, args.tmax)
             elif model == "log":
                 fit = scaling.fit_log_divergence(samples)
             else:
@@ -386,7 +400,7 @@ def cmd_scaling(argv: list[str]) -> int:
             "model": type(fit.model).__name__,
             "params": asdict(fit.model),
             "r_squared": fit.r_squared,
-            "warnings": list(fit.warnings),
+            "warnings": list(fit.warnings) + warnings,
         },
     }
     _write_text(args.out, json.dumps(doc, indent=2) + "\n")
@@ -441,6 +455,11 @@ def cmd_ratio_map(argv: list[str]) -> int:
             threads=args.threads,
         )
         if rmap.failures:
+            for (i, j), reason in rmap.failures:
+                sys.stderr.write(
+                    f"cell jz={_fmt(rmap.jz_values[j])} T={_fmt(rmap.temperatures[i])} "
+                    f"failed: {reason}\n"
+                )
             sys.stderr.write(f"{len(rmap.failures)} cells failed quadrature\n")
             return EXIT_NUMERICS
     lines = ["jz,temp,ratio"]

@@ -18,7 +18,12 @@ is why the split is smooth.
 Integrands are callables ``f(px, py)`` taking broadcastable float arrays and
 returning an array of shape ``lead + broadcast(px, py).shape``; the optional
 leading axes let one quadrature pass integrate a whole stack of components
-on shared evaluations.
+on shared evaluations.  The last leading axis holds the components of one
+integral; any axes before it index independent integrals (for instance one
+per temperature).  Each independent integral is judged against its own
+largest component and keeps the value of the doubling at which it
+converged, so it gets exactly the value, error and flag it would get if it
+were integrated alone on the same nodes.
 
 Determinism: all reductions run over fixed-size chunks in a fixed order
 (``compensated_sum``), so results are bit-identical regardless of how many
@@ -39,6 +44,10 @@ from .spectrum import wrap_angle
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 _ROW_CHUNK = 128  # fixed row blocking of the base grid (determinism contract)
 _SUM_CHUNK = 1 << 16
+# fixed node blocking of the refinement disks: bounds the integrand's memory,
+# and a whole number of sum chunks keeps the disk sums equal to
+# compensated_sum over the unblocked disk
+_DISK_BLOCK = 4 * _SUM_CHUNK
 
 __all__ = [
     "GridSpec",
@@ -96,12 +105,17 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    """Value(s) of an integral with an error estimate and evaluation count."""
+    """Value(s) of an integral with an error estimate and evaluation count.
+
+    ``converged`` is a bool for a single integral and a bool array over the
+    independent-integral axes for a batch; ``evaluations`` counts integrand
+    nodes, which every integral of a batch shares.
+    """
 
     value: float | np.ndarray
     error_estimate: float | np.ndarray
     evaluations: int
-    converged: bool = True
+    converged: bool | np.ndarray = True
 
 
 def compensated_sum(values, *, chunk: int = _SUM_CHUNK) -> float:
@@ -128,11 +142,25 @@ def _eval_on_block(f, px, py, tail) -> np.ndarray:
     return vals
 
 
-def _grid_mean(f, n: int) -> tuple[np.ndarray, float]:
+def _batch_ndim(lead_ndim: int) -> int:
+    """Number of leading axes that index independent integrals."""
+    return max(lead_ndim - 1, 0)
+
+
+def _per_integral_max(x: np.ndarray, nb: int) -> np.ndarray:
+    """Largest |x| over every axis after the first ``nb`` (one per integral)."""
+    x = np.abs(np.asarray(x, dtype=float))
+    if x.ndim == nb:
+        return x
+    return x.reshape(x.shape[:nb] + (-1,)).max(axis=-1)
+
+
+def _grid_mean(f, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean of f over the n x n periodic grid, blocked and compensated.
 
-    Also returns the largest |f| seen, which sets the absolute floor below
-    which a vanishing integral counts as converged."""
+    Also returns, per independent integral, the largest |f| seen, which sets
+    the absolute floor below which a vanishing integral counts as
+    converged."""
     xs = -math.pi + (2.0 * math.pi / n) * np.arange(n)
     block_sums = []
     fmax = 0.0
@@ -140,7 +168,7 @@ def _grid_mean(f, n: int) -> tuple[np.ndarray, float]:
         rows = xs[i : i + _ROW_CHUNK]
         vals = _eval_on_block(f, rows[:, None], xs[None, :], (rows.size, n))
         lead = vals.shape[:-2]
-        fmax = max(fmax, float(np.max(np.abs(vals))))
+        fmax = np.maximum(fmax, _per_integral_max(vals, _batch_ndim(len(lead))))
         block_sums.append(vals.reshape(lead + (-1,)).sum(axis=-1))
     stacked = np.stack(block_sums, axis=0)
     flat = stacked.reshape(stacked.shape[0], -1)
@@ -152,36 +180,51 @@ def _as_scalar_like(x: np.ndarray):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _as_flag(done: np.ndarray):
+    return bool(done) if np.ndim(done) == 0 else done
+
+
+def _freeze(mask: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """``new`` where the integral is still open, ``old`` where it froze."""
+    open_ = np.reshape(mask, np.shape(mask) + (1,) * (new.ndim - np.ndim(mask)))
+    return np.where(open_, new, old)
+
+
 def integrate_bz(f: Callable, grid: GridSpec) -> IntegrationResult:
     """Periodic trapezoid over the full zone with resolution doubling.
 
     The rule at base_n points per axis is compared against 2*base_n (and so
     on, up to ``max_doublings``); the difference of successive levels is the
-    reported error estimate.  Failure to meet ``target_rel_tol`` is reported
-    through ``converged=False``, never silently.
+    reported error estimate.  Each independent integral stops at the first
+    doubling that meets ``target_rel_tol`` against its own largest
+    component; the doubling continues while any integral is open.  Failure
+    to meet the tolerance is reported through ``converged=False``, never
+    silently.
     """
     n = grid.base_n
     prev, fmax = _grid_mean(f, n)
+    nb = _batch_ndim(prev.ndim)
     evaluations = n * n
-    value = err = None
+    value = err = np.zeros(prev.shape)
+    done = np.zeros(prev.shape[:nb], dtype=bool)
     for _ in range(grid.max_doublings):
         n *= 2
         cur, fmax_cur = _grid_mean(f, n)
-        fmax = max(fmax, fmax_cur)
+        fmax = np.maximum(fmax, fmax_cur)
         evaluations += n * n
-        value = FOUR_PI_SQ * cur
-        err = FOUR_PI_SQ * np.abs(cur - prev)
-        scale = max(float(np.max(np.abs(value))), 1e-300)
+        value = _freeze(~done, FOUR_PI_SQ * cur, value)
+        err = _freeze(~done, FOUR_PI_SQ * np.abs(cur - prev), err)
+        scale = np.maximum(_per_integral_max(value, nb), 1e-300)
         # a genuinely vanishing component can never satisfy a relative test;
         # errors at the round-off floor of the evaluations count as converged
         floor = 1e-13 * FOUR_PI_SQ * fmax
-        if float(np.max(err)) <= max(grid.target_rel_tol * scale, floor):
-            return IntegrationResult(
-                _as_scalar_like(value), _as_scalar_like(err), evaluations, True
-            )
+        bound = np.maximum(grid.target_rel_tol * scale, floor)
+        done = done | (_per_integral_max(err, nb) <= bound)
+        if np.all(done):
+            break
         prev = cur
     return IntegrationResult(
-        _as_scalar_like(value), _as_scalar_like(err), evaluations, False
+        _as_scalar_like(value), _as_scalar_like(err), evaluations, _as_flag(done)
     )
 
 
@@ -335,16 +378,31 @@ def _needle_disk_nodes(center, axis: float, radius: float, r_min: float,
 
 
 def _disk_integral(f, center, radius, r_min, grid, level, axis=None):
+    """Integral of f over one disk, evaluated in fixed node blocks.
+
+    Each block is reduced into ``_SUM_CHUNK`` partial sums that math.fsum
+    combines, which is exactly ``compensated_sum`` over the whole disk (a
+    disk of at most ``_SUM_CHUNK`` nodes is one plain fsum)."""
     if axis is None:
         px, py, wt = _disk_nodes(center, radius, r_min, grid, level)
     else:
         px, py, wt = _needle_disk_nodes(center, axis, radius, r_min, grid, level)
-    vals = _eval_on_block(f, px, py, (px.size,))
-    lead = vals.shape[:-1]
-    out = np.empty(lead)
-    for idx in np.ndindex(lead):
-        out[idx] = compensated_sum(vals[idx] * wt)
-    return out.reshape(lead), px.size
+    terms = []
+    for i in range(0, px.size, _DISK_BLOCK):
+        block = slice(i, i + _DISK_BLOCK)
+        vals = _eval_on_block(f, px[block], py[block], (wt[block].size,)) * wt[block]
+        if px.size <= _SUM_CHUNK:
+            terms.append(vals)
+        else:
+            terms += [
+                np.add.reduce(vals[..., j : j + _SUM_CHUNK], axis=-1)[..., None]
+                for j in range(0, vals.shape[-1], _SUM_CHUNK)
+            ]
+    stacked = np.concatenate(terms, axis=-1)
+    out = np.empty(stacked.shape[:-1])
+    for idx in np.ndindex(out.shape):
+        out[idx] = math.fsum(stacked[idx])
+    return out, px.size
 
 
 def integrate_bz_refined(
@@ -419,8 +477,9 @@ def integrate_bz_refined(
         evaluations += n_hi + n_lo
     # the base flag judged its error against the masked partial value only;
     # what matters is the combined error against the full integral
-    scale = max(float(np.max(np.abs(value))), 1e-300)
-    converged = bool(float(np.max(err)) <= grid.target_rel_tol * scale)
+    nb = _batch_ndim(value.ndim)
+    scale = np.maximum(_per_integral_max(value, nb), 1e-300)
+    converged = _per_integral_max(err, nb) <= grid.target_rel_tol * scale
     return IntegrationResult(
-        _as_scalar_like(value), _as_scalar_like(err), evaluations, converged
+        _as_scalar_like(value), _as_scalar_like(err), evaluations, _as_flag(converged)
     )

@@ -48,14 +48,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import bures
 from .quadrature import (
     GridSpec,
-    IntegrationResult,
     QuadratureConvergenceError,
     compensated_sum,
     integrate_bz,
@@ -76,6 +75,9 @@ THIRTY_TWO_PI_SQ = 32.0 * math.pi * math.pi
 
 CLASSICAL_MODE_CALIBRATION = 2.0
 NONCLASSICAL_MODE_CALIBRATION = 1.0
+# relative agreement the oracle's two classical routes must reach before the
+# analytic classical part is returned (see tensor_oracle)
+ORACLE_CLASSICAL_RTOL = 1e-3
 
 # gapped couplings closer to the boundary than this get local refinement
 # around the dispersion minimum, like gapless couplings do at their zeros
@@ -96,8 +98,10 @@ __all__ = [
     "mode_density_matrix",
     "tensor_finite",
     "tensor_thermodynamic",
+    "tensors_thermodynamic",
     "tensor_oracle",
     "nonclassical_correction",
+    "nonclassical_corrections",
     "CLASSICAL_MODE_CALIBRATION",
     "NONCLASSICAL_MODE_CALIBRATION",
 ]
@@ -441,22 +445,162 @@ def _needle_axis(couplings: Couplings, p: Momentum, ratio_cut: float = 0.05):
     return float(math.atan2(v[1, 0], v[0, 0]))
 
 
-def _refinement_plan(tp: ThermoPoint):
-    """Singular points/axes, feature width, and radius factor for quadrature."""
-    region = classify_phase(tp.couplings)
-    temp = tp.temperature
+def _refinement_plan(points: Sequence[ThermoPoint], grid: GridSpec):
+    """One refinement geometry for a batch of points sharing one coupling.
+
+    Returns the singular points, their soft axes, the feature width and the
+    grid carrying the disk radius factor.  Centres and axes depend on the
+    coupling only.  Each point has a width (its temperature, floored) and a
+    radius ``factor * width`` that always covers the integrand shoulder; the
+    batch takes the smallest width (so ``r_min`` resolves the coldest point)
+    and the largest radius.  A batch whose widths are all equal, in
+    particular a batch of one, keeps that width and the largest factor.
+    """
+    couplings = points[0].couplings
+    region = classify_phase(couplings)
     if region.is_gapped:
-        gap = fermion_gap(tp.couplings)
+        gap = fermion_gap(couplings)
         if gap >= NEAR_CRITICAL_GAP:
-            return [], [], 0.0, 0.0
-        centers = [_dispersion_minimum(tp.couplings)]
-        width = max(temp, gap / 8.0, 1e-6)
+            return [], [], 0.0, grid
+        centers = [_dispersion_minimum(couplings)]
+        floor = max(gap / 8.0, 1e-6)
     else:
-        centers = dirac_points(tp.couplings)
-        width = max(temp, 1e-6)
-    axes = [_needle_axis(tp.couplings, c) for c in centers]
-    factor = max(8.0, MIN_REFINE_RADIUS / width)
-    return centers, axes, width, factor
+        centers = dirac_points(couplings)
+        floor = 1e-6
+    axes = [_needle_axis(couplings, c) for c in centers]
+    widths = [max(tp.temperature, floor) for tp in points]
+    factors = [
+        max(grid.refine_radius_factor, max(8.0, MIN_REFINE_RADIUS / w)) for w in widths
+    ]
+    width = min(widths)
+    if all(w == width for w in widths):
+        factor = max(factors)
+    else:
+        factor = max(f * w for f, w in zip(factors, widths)) / width
+    return centers, axes, width, replace(grid, refine_radius_factor=factor)
+
+
+def _tanh_sq_ratio(tp: ThermoPoint, lam: np.ndarray) -> np.ndarray:
+    """Nonclassical thermal kernel tanh^2(beta lam / 2) (1 at T = 0)."""
+    if tp.zero_temperature:
+        return np.ones_like(lam)
+    return np.tanh(0.5 * tp.beta * lam) ** 2
+
+
+def _minus_sech_sq_ratio(tp: ThermoPoint, lam: np.ndarray) -> np.ndarray:
+    """Kernel of the correction g^nc(T) - g^nc(0): tanh^2(x/2) - 1 =
+    -sech^2(x/2) = -4 e^-x / (1 + e^-x)^2 with x = beta lam, exactly
+    representable where the difference of the two tensors would cancel."""
+    e = np.exp(-0.5 * tp.beta * lam)
+    sech_half = 2.0 * e / (1.0 + e * e)
+    return -(sech_half**2)
+
+
+def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
+    """Integrate the requested elements of every point in one quadrature pass.
+
+    The integrand evaluates the spectral fields once per node block and
+    applies each point's thermal kernels to them; its leading axes are
+    (point, component), so the quadrature judges and freezes every point on
+    its own.  Zero-temperature points of a mixed batch carry zero classical
+    components.
+    """
+    grid = grid or GridSpec()
+    points = list(points)
+    if not points:
+        raise ValueError("no thermal points given")
+    couplings = points[0].couplings
+    if any(tp.couplings != couplings for tp in points):
+        raise ValueError("a batch of thermal points must share one coupling")
+    stack_c = pairs_c if any(not tp.zero_temperature for tp in points) else []
+    if not stack_c and not pairs_nc:
+        raise ValueError("no tensor elements requested")
+    n_c = len(stack_c)
+
+    def f(px, py):
+        fields = spectral_arrays(px, py, couplings)
+        out = np.empty((len(points), n_c + len(pairs_nc)) + np.shape(fields.lam))
+        for k, tp in enumerate(points):
+            if tp.zero_temperature:
+                out[k, :n_c] = 0.0
+            elif stack_c:
+                weight = _inv_cosh_plus_one(tp.beta * fields.lam)
+                for i, (mu, nu) in enumerate(stack_c):
+                    out[k, i] = _classical_component(mu, nu, fields, tp.beta, weight)
+            if pairs_nc:
+                ratio = nc_kernel(tp, fields.lam)
+                for i, (a, b) in enumerate(pairs_nc, n_c):
+                    out[k, i] = _nonclassical_component(a, b, fields, ratio)
+        return out
+
+    centers, axes, width, gs = _refinement_plan(points, grid)
+    if centers:
+        result = integrate_bz_refined(f, centers, width, gs, axes=axes)
+    else:
+        result = integrate_bz(f, grid)
+    shape = (len(points), n_c + len(pairs_nc))
+    raw_errors = np.reshape(result.error_estimate, shape)
+    converged = np.reshape(result.converged, (len(points),))
+    if not np.all(converged):
+        failed = ", ".join(format(tp.temperature, ".6g")
+                           for tp, ok in zip(points, converged) if not ok)
+        raise QuadratureConvergenceError(
+            "zone quadrature did not reach the requested tolerance at "
+            f"T = {failed} (error estimate {np.max(raw_errors[~converged]):.3e})",
+            result,
+        )
+    values = np.reshape(result.value, shape) / THIRTY_TWO_PI_SQ
+    errors = raw_errors / THIRTY_TWO_PI_SQ
+    tensors = []
+    for tp, vals, errs in zip(points, values, errors):
+        if tp.zero_temperature:
+            c_vals = c_errs = [0.0 for _ in pairs_c]
+        else:
+            c_vals, c_errs = list(vals[:n_c]), list(errs[:n_c])
+        info = EvaluationInfo(
+            method=method,
+            details={
+                "grid": grid,
+                "temperature": tp.temperature,
+                "refinement_centers": [(c.px, c.py) for c in centers],
+                "evaluations": result.evaluations,
+                "error_classical": _assemble(pairs_c, c_errs),
+                "error_nonclassical": _assemble(pairs_nc, list(errs[n_c:])),
+            },
+        )
+        tensors.append(
+            BuresTensor(_assemble(pairs_c, c_vals), _assemble(pairs_nc, list(vals[n_c:])), info)
+        )
+    return tensors
+
+
+def tensors_thermodynamic(
+    points: Sequence[ThermoPoint], grid: GridSpec | None = None, *, elements=None
+) -> list[BuresTensor]:
+    """Per-site tensors in the thermodynamic limit, one per point, by zone
+    quadrature.
+
+    The points must share one coupling (typically a temperature sweep).  All
+    requested elements of all points share one quadrature pass: the spectral
+    fields, which dominate the cost and do not depend on temperature, are
+    evaluated once per node, and one refinement geometry serves the batch
+    (see ``_refinement_plan``).  Each point is judged against the grid's
+    tolerance on its own and keeps the value of the doubling at which it
+    converged; ``evaluations`` in each tensor's details counts the shared
+    nodes.  Raises QuadratureConvergenceError naming the temperatures whose
+    error estimate misses the tolerance.
+    """
+    pairs_c, pairs_nc = _select_pairs(elements)
+    if (
+        pairs_nc
+        and any(tp.zero_temperature for tp in points)
+        and not classify_phase(points[0].couplings).is_gapped
+    ):
+        raise ValueError(
+            "the nonclassical metric diverges in the thermodynamic limit at "
+            "T = 0 outside the gapped phase"
+        )
+    return _zone_tensors(points, grid, pairs_c, pairs_nc, _tanh_sq_ratio, "thermodynamic")
 
 
 def tensor_thermodynamic(
@@ -464,97 +608,31 @@ def tensor_thermodynamic(
 ) -> BuresTensor:
     """Per-site tensor in the thermodynamic limit by zone quadrature.
 
-    All requested elements share one quadrature pass (the spectral fields
-    dominate the cost).  Near dispersion zeros, and near the dispersion
-    minimum when the gap is small, the integration is locally refined.
-    Raises QuadratureConvergenceError if the error estimate misses the
-    grid's target tolerance.
+    A batch of one of ``tensors_thermodynamic``.  Near dispersion zeros, and
+    near the dispersion minimum when the gap is small, the integration is
+    locally refined.  Raises QuadratureConvergenceError if the error
+    estimate misses the grid's target tolerance.
     """
-    grid = grid or GridSpec()
-    pairs_c, pairs_nc = _select_pairs(elements)
-    region = classify_phase(tp.couplings)
-    if tp.zero_temperature and pairs_nc and not region.is_gapped:
-        raise ValueError(
-            "the nonclassical metric diverges in the thermodynamic limit at "
-            "T = 0 outside the gapped phase"
-        )
-    stack_c = [] if tp.zero_temperature else pairs_c
-    beta = tp.beta
-
-    def f(px, py):
-        fields = spectral_arrays(px, py, tp.couplings)
-        comps = []
-        if stack_c:
-            weight = _inv_cosh_plus_one(beta * fields.lam)
-            for mu, nu in stack_c:
-                comps.append(_classical_component(mu, nu, fields, beta, weight))
-        if pairs_nc:
-            if tp.zero_temperature:
-                ratio = np.ones_like(fields.lam)
-            else:
-                ratio = np.tanh(0.5 * beta * fields.lam) ** 2
-            for a, b in pairs_nc:
-                comps.append(_nonclassical_component(a, b, fields, ratio))
-        return np.stack(comps)
-
-    if not stack_c and not pairs_nc:
-        raise ValueError("no tensor elements requested")
-
-    centers, axes, width, factor = _refinement_plan(tp)
-    if centers:
-        gs = replace(grid, refine_radius_factor=max(grid.refine_radius_factor, factor))
-        result = integrate_bz_refined(f, centers, width, gs, axes=axes)
-    else:
-        result = integrate_bz(f, grid)
-    if not result.converged:
-        raise QuadratureConvergenceError(
-            "zone quadrature did not reach the requested tolerance "
-            f"(error estimate {np.max(np.atleast_1d(result.error_estimate)):.3e})",
-            result,
-        )
-    values = np.atleast_1d(np.asarray(result.value)) / THIRTY_TWO_PI_SQ
-    errors = np.atleast_1d(np.asarray(result.error_estimate)) / THIRTY_TWO_PI_SQ
-    n_c = len(stack_c)
-    nc_vals = list(values[n_c:])
-    nc_errs = list(errors[n_c:])
-    if tp.zero_temperature:
-        c_vals = [0.0 for _ in pairs_c]
-        c_errs = [0.0 for _ in pairs_c]
-    else:
-        c_vals = list(values[:n_c])
-        c_errs = list(errors[:n_c])
-    classical = _assemble(pairs_c, c_vals)
-    info = EvaluationInfo(
-        method="thermodynamic",
-        details={
-            "grid": grid,
-            "temperature": tp.temperature,
-            "refinement_centers": [(c.px, c.py) for c in centers],
-            "evaluations": result.evaluations,
-            "error_classical": _assemble(pairs_c, c_errs),
-            "error_nonclassical": _assemble(pairs_nc, nc_errs),
-        },
-    )
-    return BuresTensor(classical, _assemble(pairs_nc, nc_vals), info)
+    return tensors_thermodynamic([tp], grid, elements=elements)[0]
 
 
-def nonclassical_correction(
-    tp: ThermoPoint, grid: GridSpec | None = None, *, elements=None
-) -> BuresTensor:
-    """Finite-temperature correction g^nc(T) - g^nc(0), computed directly.
+def nonclassical_corrections(
+    points: Sequence[ThermoPoint], grid: GridSpec | None = None, *, elements=None
+) -> list[BuresTensor]:
+    """Finite-temperature corrections g^nc(T) - g^nc(0), one per point.
 
-    Algebraically tanh^2(x/2) - 1 = -sech^2(x/2) = -4 e^-x / (1 + e^-x)^2,
-    so the correction is a single zone integral with an exponentially small
-    but exactly representable integrand.  Subtracting two separately
-    computed tensors instead would lose the correction to float cancellation
-    as soon as it drops below ~1e-11 of g^nc(0), which in the gapped phase
-    happens while the temperature is still far from the asymptotic regime.
-    Returns a BuresTensor whose nonclassical part holds the (negative)
-    correction; the classical part is zero by construction.
+    The same batched zone integration as ``tensors_thermodynamic`` with the
+    nonclassical kernel tanh^2(x/2) - 1 = -sech^2(x/2): a single zone
+    integral with an exponentially small but exactly representable
+    integrand.  Subtracting two separately computed tensors instead would
+    lose the correction to float cancellation as soon as it drops below
+    ~1e-11 of g^nc(0), which in the gapped phase happens while the
+    temperature is still far from the asymptotic regime.  Each returned
+    tensor's nonclassical part holds the (negative) correction; the
+    classical part is zero by construction.
     """
-    if tp.zero_temperature:
+    if any(tp.zero_temperature for tp in points):
         raise ValueError("the thermal correction is defined for T > 0")
-    grid = grid or GridSpec()
     pairs_c, pairs_nc = _select_pairs(elements)
     if elements is None:
         pairs_c = []
@@ -562,39 +640,17 @@ def nonclassical_correction(
         raise ValueError("the thermal correction has no classical part")
     if not pairs_nc:
         raise ValueError("no nonclassical elements requested")
-    beta = tp.beta
-
-    def f(px, py):
-        fields = spectral_arrays(px, py, tp.couplings)
-        e = np.exp(-0.5 * beta * fields.lam)
-        sech_half = 2.0 * e / (1.0 + e * e)
-        ratio = -(sech_half**2)
-        return np.stack(
-            [_nonclassical_component(a, b, fields, ratio) for a, b in pairs_nc]
-        )
-
-    centers, axes, width, factor = _refinement_plan(tp)
-    if centers:
-        gs = replace(grid, refine_radius_factor=max(grid.refine_radius_factor, factor))
-        result = integrate_bz_refined(f, centers, width, gs, axes=axes)
-    else:
-        result = integrate_bz(f, grid)
-    if not result.converged:
-        raise QuadratureConvergenceError(
-            "zone quadrature of the thermal correction did not converge", result
-        )
-    values = np.atleast_1d(np.asarray(result.value)) / THIRTY_TWO_PI_SQ
-    errors = np.atleast_1d(np.asarray(result.error_estimate)) / THIRTY_TWO_PI_SQ
-    info = EvaluationInfo(
-        method="thermodynamic-correction",
-        details={
-            "grid": grid,
-            "temperature": tp.temperature,
-            "evaluations": result.evaluations,
-            "error_nonclassical": _assemble(pairs_nc, list(errors)),
-        },
+    return _zone_tensors(
+        points, grid, [], pairs_nc, _minus_sech_sq_ratio, "thermodynamic-correction"
     )
-    return BuresTensor(np.zeros((4, 4)), _assemble(pairs_nc, list(values)), info)
+
+
+def nonclassical_correction(
+    tp: ThermoPoint, grid: GridSpec | None = None, *, elements=None
+) -> BuresTensor:
+    """Finite-temperature correction g^nc(T) - g^nc(0) at one point: a batch
+    of one of ``nonclassical_corrections``."""
+    return nonclassical_corrections([tp], grid, elements=elements)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +747,24 @@ def tensor_oracle(tp: ThermoPoint, L: int, step: float = 1e-4) -> BuresTensor:
     constants (see module docstring).  The returned parts come from the
     analytic route; the finite-difference parts and the worst per-mode
     disagreement between the two routes are stored in evaluation.details.
+
+    The classical part is returned only where the finite-difference route
+    confirms it: the largest entrywise difference of the two classical
+    parts must stay within ``ORACLE_CLASSICAL_RTOL`` (1e-3) of the largest
+    analytic entry, or below the analytic route's rounding floor
+    ``(eps / h)^2``.  The analytic route differentiates the mode matrices by
+    central differences with step ``h = 1e-6``, so every eigenvalue
+    derivative carries a rounding error of about ``eps / h`` (eps the double
+    precision epsilon, the matrix entries being at most 1); a classical term
+    is quadratic in that derivative, so values below ``(eps / h)^2`` ~ 5e-20
+    are that rounding and are not compared.  At low temperature the small
+    mode eigenvalue ``~ e^{-beta lam}`` divides a squared derivative error
+    of the same order, and the analytic classical part grows far beyond the
+    true one; the check then raises ``bures.EigenvalueFloorError`` instead
+    of returning it.  The finite-difference route itself knows ``1 - F`` to
+    eps, so its parts carry about ``eps / step^2`` (~2e-8 at the default
+    step) of rounding: it confirms classical parts down to about 1e-5 per
+    site, and the oracle refuses smaller ones above the floor.
     """
     if tp.zero_temperature:
         raise ValueError("the per-mode oracle requires a finite temperature")
@@ -729,6 +803,16 @@ def tensor_oracle(tp: ThermoPoint, L: int, step: float = 1e-4) -> BuresTensor:
     )
     an_nc, residual_an = _zero_beta_row(an_nc)
     fd_nc, residual_fd = _zero_beta_row(fd_nc)
+    route_gap = float(np.max(np.abs(an_c - fd_c)))
+    classical_scale = float(np.max(np.abs(an_c)))
+    rounding_floor = (np.finfo(float).eps / h) ** 2
+    if route_gap > max(ORACLE_CLASSICAL_RTOL * classical_scale, rounding_floor):
+        raise bures.EigenvalueFloorError(
+            f"oracle classical routes disagree by {route_gap:.3e} against a classical "
+            f"part of {classical_scale:.3e} at T = {tp.temperature:.6g}: "
+            "the exponentially small mode eigenvalues are below what the "
+            "finite-difference derivatives resolve"
+        )
 
     per_mode_gap = np.max(np.abs(g_total_fd - md.total))
     mode_scale = max(float(np.max(np.abs(g_total_fd))), 1e-300)

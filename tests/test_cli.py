@@ -167,6 +167,28 @@ def test_scaling_auto_dispatch_gapped_classical(tmp_path, capsys):
     assert len(doc["samples"]) == 8
 
 
+def test_scaling_gapped_classical_warns_past_transverse_scale(tmp_path, capsys):
+    # at (0.1, 0.1, 0.8) the gap is 1.2 but the weak couplings set the
+    # curvature scale s = min(gap, 2|jx|, 2|jy|) = 0.2; [0.04, 0.12] reaches
+    # past s/3 (its exponents are off by up to 0.7) while [0.005, 0.015]
+    # stays inside it
+    warned = {}
+    for tmin, tmax in (("0.04", "0.12"), ("0.005", "0.015")):
+        path = tmp_path / f"fit-{tmin}.json"
+        code, _, _ = run(
+            capsys,
+            ["scaling", "--jx", "0.1", "--jy", "0.1", "--jz", "0.8",
+             "--tmin", tmin, "--tmax", tmax, "--points", "6",
+             "--element", "c:jz-jz", "--grid-n", "32", "--out", str(path)],
+        )
+        assert code == 0
+        doc = json.loads(path.read_text())
+        assert doc["params"]["model"] == "gapped-c"
+        warned[tmax] = [w for w in doc["fit"]["warnings"] if "transverse" in w]
+    assert len(warned["0.12"]) == 1 and "s/3 = 0.0667" in warned["0.12"][0]
+    assert warned["0.015"] == []
+
+
 def test_scaling_auto_dispatch_log_at_gapless(tmp_path, capsys):
     path = tmp_path / "fit.json"
     code, _, _ = run(
@@ -240,6 +262,25 @@ def test_ratio_map_real_cells(tmp_path, capsys):
     assert len(lines) == 1 + 64
     ratios = np.array([float(l.split(",")[2]) for l in lines[1:]])
     assert np.all(ratios >= 0.0) and np.all(np.isfinite(ratios))
+
+
+def test_ratio_map_names_failed_cells(tmp_path, capsys):
+    # a 1e-12 tolerance on a 16-point base grid fails the refined
+    # near-critical column jz = 0.62 (gap 0.48)
+    code, _, err = run(
+        capsys,
+        ["ratio-map", "--jz-min", "0.62", "--jz-max", "0.7", "--t-min", "0.5",
+         "--t-max", "1.0", "--res", "8x8", "--grid-n", "16", "--tol", "1e-12",
+         "--threads", "2", "--out", str(tmp_path / "map.csv")],
+    )
+    assert code == 3
+    lines = err.strip().splitlines()
+    named = [line for line in lines if line.startswith("cell jz=")]
+    assert lines[-1] == f"{len(named)} cells failed quadrature"
+    assert named
+    for line in named:
+        assert line.startswith("cell jz=0.62 T=")
+        assert "did not reach the requested tolerance at T = " in line
 
 
 def test_scaling_critical_power_dispatch(tmp_path, capsys):

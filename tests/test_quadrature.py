@@ -154,3 +154,69 @@ def test_singular_point_dedup_and_momentum_objects():
         f, [Momentum(0.3, -1.1), (0.3 + 2 * math.pi, -1.1)], 0.1, TIGHT
     )
     assert abs(ref.value - plain.value) / abs(plain.value) < 1e-12
+
+
+def test_batched_integrals_match_standalone_bit_for_bit():
+    # leading axes before the component axis index independent integrals:
+    # each keeps the value, error and flag it gets alone on the same nodes,
+    # although the smooth one converges doublings before the sharp one
+    smooth = lambda px, py: np.stack(
+        [np.exp(np.cos(px)) + 0 * py, 0.5 + np.sin(py) ** 2 + 0 * px]
+    )
+    sharp = lambda px, py: np.stack(
+        [1.0 / (1.05 - np.cos(px) * np.cos(py)), np.cos(px) ** 2 + 0 * py]
+    )
+    batch = lambda px, py: np.stack([smooth(px, py), sharp(px, py)])
+    grid = GridSpec(base_n=16, target_rel_tol=1e-10, max_doublings=4)
+    res = integrate_bz(batch, grid)
+    assert res.value.shape == (2, 2) and res.converged.shape == (2,)
+    for k, f in enumerate((smooth, sharp)):
+        alone = integrate_bz(f, grid)
+        assert np.array_equal(res.value[k], alone.value)
+        assert np.array_equal(res.error_estimate[k], alone.error_estimate)
+        assert res.converged[k] == alone.converged
+    assert res.evaluations == integrate_bz(sharp, grid).evaluations
+    assert res.evaluations > integrate_bz(smooth, grid).evaluations
+    # a tolerance only the smooth integral meets fails the sharp one alone
+    tight = GridSpec(base_n=16, target_rel_tol=1e-12, max_doublings=1)
+    mixed = integrate_bz(batch, tight)
+    assert mixed.converged.tolist() == [True, False]
+    # the refined rule judges each integral against its own largest component
+    refined = integrate_bz_refined(batch, [(0.0, 0.0)], 0.05, grid)
+    for k, f in enumerate((smooth, sharp)):
+        alone = integrate_bz_refined(f, [(0.0, 0.0)], 0.05, grid)
+        assert np.array_equal(refined.value[k], alone.value)
+        assert refined.converged[k] == alone.converged
+
+
+@pytest.mark.parametrize(
+    "axis, level, blocks",
+    [(0.4, 4, 3), (0.4, 3, 1), (None, 1, 1)],
+)
+def test_blocked_disk_sum_equals_compensated_sum(axis, level, blocks):
+    from kitaev_bures.quadrature import (
+        _DISK_BLOCK,
+        _SUM_CHUNK,
+        _disk_integral,
+        _disk_nodes,
+        _needle_disk_nodes,
+    )
+
+    grid = GridSpec(angular_base=8 if axis is None else 64)
+    center, radius, r_min = (0.3, -1.2), 0.3, 1e-5
+    if axis is None:
+        px, py, wt = _disk_nodes(center, radius, r_min, grid, level)
+        assert px.size < _SUM_CHUNK
+    else:
+        px, py, wt = _needle_disk_nodes(center, axis, radius, r_min, grid, level)
+        assert px.size > _SUM_CHUNK
+    assert -(-px.size // _DISK_BLOCK) == blocks
+
+    def f(qx, qy):
+        return np.stack([np.exp(np.cos(qx) - np.sin(qy)), 1.0 / (1.0 + qx * qx + qy * qy)])
+
+    got, n = _disk_integral(f, center, radius, r_min, grid, level, axis)
+    vals = f(px, py)  # the whole disk at once
+    assert n == px.size
+    for c in range(2):
+        assert got[c] == compensated_sum(vals[c] * wt)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import entrywise_close, max_rel_dev, random_couplings
-from kitaev_bures.bures import validate_density_matrix
-from kitaev_bures.quadrature import GridSpec
+from kitaev_bures.bures import EigenvalueFloorError, validate_density_matrix
+from kitaev_bures.quadrature import GridSpec, QuadratureConvergenceError
 from kitaev_bures.spectrum import Couplings, Momentum, classify_phase
 from kitaev_bures.thermal_metric import (
     CLASSICAL_PAIRS,
@@ -19,6 +19,7 @@ from kitaev_bures.thermal_metric import (
     tensor_finite,
     tensor_oracle,
     tensor_thermodynamic,
+    tensors_thermodynamic,
 )
 
 SYM = Couplings(1 / 3, 1 / 3, 1 / 3)
@@ -295,6 +296,60 @@ def test_nonclassical_correction_matches_measurable_subtraction():
 
 
 # ---------------------------------------------------------------------------
+# temperature batches
+
+
+def test_batch_of_one_is_tensor_thermodynamic():
+    tp = ThermoPoint.from_temperature(Couplings(0.25, 0.25, 0.5), 0.05)
+    grid = GridSpec(base_n=64, target_rel_tol=1e-5)
+    (batched,) = tensors_thermodynamic([tp], grid)
+    alone = tensor_thermodynamic(tp, grid)
+    assert np.array_equal(batched.classical, alone.classical)
+    assert np.array_equal(batched.nonclassical, alone.nonclassical)
+    for key in ("error_classical", "error_nonclassical"):
+        assert np.array_equal(batched.evaluation.details[key], alone.evaluation.details[key])
+
+
+def test_batch_members_match_standalone_and_finite_sums():
+    # near-critical gapped coupling: refined quadrature, while the finite
+    # sums of its smooth integrands converge exponentially in L
+    j = Couplings(0.22, 0.22, 0.56)
+    grid = GridSpec(target_rel_tol=1e-6)
+    els = [("c", P.BETA, P.JZ), ("c", P.JZ, P.JZ), ("nc", P.JX, P.JZ), ("nc", P.JZ, P.JZ)]
+    points = [ThermoPoint.from_temperature(j, t) for t in (0.01, 0.03, 0.1)]
+    batch = tensors_thermodynamic(points, grid, elements=els)
+    for tp, member in zip(points, batch):
+        alone = tensor_thermodynamic(tp, grid, elements=els)
+        fin = tensor_finite(tp, 1001, elements=els)
+        assert member.evaluation.details["temperature"] == tp.temperature
+        for part in ("classical", "nonclassical"):
+            got = getattr(member, part)
+            scale = float(np.max(np.abs(getattr(alone, part))))
+            assert float(np.max(np.abs(got - getattr(alone, part)))) <= 1e-6 * scale
+            assert float(np.max(np.abs(got - getattr(fin, part)))) <= 1e-6 * scale
+
+
+def test_batch_failure_names_only_the_failing_temperature():
+    # a coarse shared geometry resolves T = 0.002 to 4e-4 but T = 0.3 only
+    # to 2e-3 of its value, so a 1e-3 tolerance fails the warm point alone
+    grid = GridSpec(base_n=32, max_doublings=1, target_rel_tol=1e-3, refine_levels=1)
+    points = [ThermoPoint.from_temperature(SYM, t) for t in (0.3, 0.002)]
+    with pytest.raises(QuadratureConvergenceError) as info:
+        tensors_thermodynamic(points, grid, elements=[("nc", P.JZ, P.JZ)])
+    message = str(info.value)
+    assert "T = 0.3 " in message and "0.002" not in message
+    assert info.value.result.converged.tolist() == [False, True]
+
+
+def test_batch_requires_one_coupling():
+    points = [ThermoPoint(SYM, 1.0), ThermoPoint(GAPPED, 1.0)]
+    with pytest.raises(ValueError):
+        tensors_thermodynamic(points)
+    with pytest.raises(ValueError):
+        tensors_thermodynamic([])
+
+
+# ---------------------------------------------------------------------------
 # the per-mode oracle
 
 
@@ -338,6 +393,16 @@ def test_oracle_decoupled_closed_forms():
 def test_oracle_classical_part_dies_at_low_temperature():
     orc = tensor_oracle(ThermoPoint.from_temperature(GAPPED, 1e-3), 21)
     assert float(np.max(np.abs(orc.classical))) < 1e-8
+
+
+def test_oracle_refuses_unresolved_classical_part():
+    # at T = 0.04 the analytic classical part is ~50x the true one (a
+    # squared derivative rounding divided by a ~e^-30 eigenvalue), and the
+    # finite-difference route cannot resolve it either
+    tp = ThermoPoint.from_temperature(GAPPED, 0.04)
+    assert float(np.max(np.abs(tensor_finite(tp, 41).classical))) < 1e-11
+    with pytest.raises(EigenvalueFloorError):
+        tensor_oracle(tp, 41)
 
 
 def test_stable_mode_fidelity_matches_matrix_route(rng):
