@@ -43,12 +43,10 @@ from .spectrum import (
     Couplings,
     Momentum,
     PhaseRegion,
-    SpectralPoint,
     classify_phase,
     dirac_points,
     fermion_gap,
     spectral_arrays,
-    spectral_point,
 )
 from .thermal_metric import (
     BuresTensor,

@@ -11,18 +11,12 @@ metric splits into a classical part (Fisher information of the eigenvalue
 distribution) and a nonclassical part (eigenvector rotation):
 
     g^c_{mu,nu}  = (1/4) sum_i  (d_mu p_i)(d_nu p_i) / p_i
-    g^nc_{mu,nu} = (1/2) sum_{i != j} w(<i|d_mu rho|j>, <i|d_nu rho|j>) / (p_i + p_j)
+    g^nc_{mu,nu} = (1/2) sum_{i != j} Re(<i|d_mu rho|j><j|d_nu rho|i>) / (p_i + p_j)
 
-where the pair weight ``w`` is either the product of moduli
-|<i|d_mu rho|j>| |<i|d_nu rho|j>| (convention ``"modulus"``, the default) or
-Re(<i|d_mu rho|j><j|d_nu rho|i>) (convention ``"real"``).  The two agree on
-diagonal elements and whenever the matrix-element phases align across
-parameters; on generic families they differ in off-diagonal elements, and the
-finite-difference fidelity oracle singles out ``"real"`` as the one equal to
-the true Bures metric (see the test suite).  Callers that need agreement with
-the fidelity oracle on off-diagonals should request ``convention="real"``
-explicitly; the default is kept as the modulus form and is never switched
-silently.
+This real (polarised) pair weight is the Bures metric (Hubner, Phys. Lett. A
+163, 239 (1992)); the finite-difference fidelity oracle in the test suite
+confirms it entry by entry.  A product of moduli in its place agrees on the
+diagonal only.
 
 The rewritten pair weight uses <i|d rho|j> = (p_j - p_i) <i|d j>, so the sum
 is finite at degenerate eigenvalue pairs without special-casing.
@@ -222,7 +216,6 @@ def analytic_metric(
     decomp: SpectralDecomposition,
     drho: Sequence[np.ndarray],
     *,
-    convention: str = "modulus",
     eigenvalue_floor: float = EIGENVALUE_FLOOR,
     derivative_floor: float = DERIVATIVE_FLOOR,
     check_inputs: bool = True,
@@ -233,9 +226,6 @@ def analytic_metric(
         decomp: spectral decomposition of rho at the evaluation point.
         drho: sequence of k Hermitian, traceless parameter derivatives of
             rho, each possibly stacked ``(..., d, d)``.
-        convention: ``"modulus"`` (pair weight |A_mu| |A_nu|, as the closed
-            form is usually written) or ``"real"`` (Re(A_mu conj(A_nu)), the
-            form that matches the fidelity oracle on off-diagonals).
 
     Eigenvalues below ``eigenvalue_floor`` are admitted in the classical sum
     only when the matching derivative is below ``derivative_floor`` (the term
@@ -246,8 +236,6 @@ def analytic_metric(
     """
     p = np.asarray(decomp.eigenvalues, dtype=float)
     v = np.asarray(decomp.eigenvectors, dtype=complex)
-    if convention not in ("modulus", "real"):
-        raise ValueError(f"unknown convention {convention!r}")
     k = len(drho)
     if k == 0:
         raise ValueError("drho must contain at least one direction")
@@ -292,12 +280,8 @@ def analytic_metric(
                 )
     safe = np.where(off & ~psum_small, psum, 1.0)
     weight = np.where(off & ~psum_small, 1.0 / safe, 0.0)
-    if convention == "modulus":
-        mod = np.abs(a)
-        nonclassical = 0.5 * np.einsum("m...ij,n...ij,...ij->...mn", mod, mod, weight)
-    else:
-        prod = np.einsum("m...ij,n...ij->mn...ij", a, a.conj()).real
-        nonclassical = 0.5 * np.einsum("mn...ij,...ij->...mn", prod, weight)
+    prod = np.einsum("m...ij,n...ij->mn...ij", a, a.conj()).real
+    nonclassical = 0.5 * np.einsum("mn...ij,...ij->...mn", prod, weight)
     # enforce exact symmetry against fp round-off
     classical = 0.5 * (classical + classical.swapaxes(-1, -2))
     nonclassical = 0.5 * (nonclassical + nonclassical.swapaxes(-1, -2))

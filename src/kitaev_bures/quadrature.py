@@ -25,9 +25,10 @@ largest component and keeps the value of the doubling at which it
 converged, so it gets exactly the value, error and flag it would get if it
 were integrated alone on the same nodes.
 
-Determinism: all reductions run over fixed-size chunks in a fixed order
-(``compensated_sum``), so results are bit-identical regardless of how many
-workers evaluate chunks.
+Determinism: all reductions run over fixed-size blocks in a fixed order
+(``_ROW_CHUNK`` grid rows, ``_SUM_CHUNK`` disk nodes) whose partial sums
+math.fsum combines, so results are bit-identical regardless of how many
+workers evaluate blocks.
 """
 
 from __future__ import annotations
@@ -155,13 +156,14 @@ def _per_integral_max(x: np.ndarray, nb: int) -> np.ndarray:
     return x.reshape(x.shape[:nb] + (-1,)).max(axis=-1)
 
 
-def _grid_mean(f, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of f over the n x n periodic grid, blocked and compensated.
+def _grid_mean(f, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of f over the grid ``xs x xs``, blocked and compensated.
 
-    Also returns, per independent integral, the largest |f| seen, which sets
-    the absolute floor below which a vanishing integral counts as
-    converged."""
-    xs = -math.pi + (2.0 * math.pi / n) * np.arange(n)
+    Rows are evaluated and summed in fixed blocks of ``_ROW_CHUNK``, so the
+    integrand's memory grows with one grid row, not the whole grid.  Also
+    returns, per independent integral, the largest |f| seen, which sets the
+    absolute floor below which a vanishing integral counts as converged."""
+    n = xs.size
     block_sums = []
     fmax = 0.0
     for i in range(0, n, _ROW_CHUNK):
@@ -174,6 +176,11 @@ def _grid_mean(f, n: int) -> tuple[np.ndarray, np.ndarray]:
     flat = stacked.reshape(stacked.shape[0], -1)
     total = np.array([math.fsum(flat[:, j]) for j in range(flat.shape[1])])
     return total.reshape(stacked.shape[1:]) / float(n * n), fmax
+
+
+def _zone_axis(n: int) -> np.ndarray:
+    """The n nodes -pi + 2 pi k / n of the periodic trapezoid on one axis."""
+    return -math.pi + (2.0 * math.pi / n) * np.arange(n)
 
 
 def _as_scalar_like(x: np.ndarray):
@@ -202,14 +209,14 @@ def integrate_bz(f: Callable, grid: GridSpec) -> IntegrationResult:
     silently.
     """
     n = grid.base_n
-    prev, fmax = _grid_mean(f, n)
+    prev, fmax = _grid_mean(f, _zone_axis(n))
     nb = _batch_ndim(prev.ndim)
     evaluations = n * n
     value = err = np.zeros(prev.shape)
     done = np.zeros(prev.shape[:nb], dtype=bool)
     for _ in range(grid.max_doublings):
         n *= 2
-        cur, fmax_cur = _grid_mean(f, n)
+        cur, fmax_cur = _grid_mean(f, _zone_axis(n))
         fmax = np.maximum(fmax, fmax_cur)
         evaluations += n * n
         value = _freeze(~done, FOUR_PI_SQ * cur, value)
@@ -239,18 +246,17 @@ def _point_xy(p) -> tuple[float, float]:
     return float(x), float(y)
 
 
-def _dedupe_points(points) -> list[tuple[float, float]]:
-    out: list[tuple[float, float]] = []
-    for p in points:
-        x, y = _point_xy(p)
-        x = float(wrap_angle(x))
-        y = float(wrap_angle(y))
+def _dedupe_points(points, axes) -> list[tuple[tuple[float, float], float | None]]:
+    """Wrapped centres with their axes, each centre kept once (first wins)."""
+    out: list[tuple[tuple[float, float], float | None]] = []
+    for p, axis in zip(points, axes):
+        x, y = (float(wrap_angle(v)) for v in _point_xy(p))
         if any(
             abs(float(wrap_angle(x - qx))) < 1e-8 and abs(float(wrap_angle(y - qy))) < 1e-8
-            for qx, qy in out
+            for (qx, qy), _ in out
         ):
             continue
-        out.append((x, y))
+        out.append(((x, y), axis))
     return out
 
 
@@ -426,23 +432,11 @@ def integrate_bz_refined(
     points this is exactly ``integrate_bz``.
     """
     raw = list(singular_pts)
-    if axes is None:
-        axes_list: list[float | None] = [None] * len(raw)
-    else:
-        axes_list = list(axes)
-        if len(axes_list) != len(raw):
-            raise ValueError("axes must parallel singular_pts")
-    points = _dedupe_points(raw)
-    point_axes = []
-    for x, y in points:
-        for p, ax in zip(raw, axes_list):
-            qx, qy = _point_xy(p)
-            if (
-                abs(float(wrap_angle(qx - x))) < 1e-8
-                and abs(float(wrap_angle(qy - y))) < 1e-8
-            ):
-                point_axes.append(ax)
-                break
+    axes_list = [None] * len(raw) if axes is None else list(axes)
+    if len(axes_list) != len(raw):
+        raise ValueError("axes must parallel singular_pts")
+    disks = _dedupe_points(raw, axes_list)
+    points = [center for center, _ in disks]
     if not points:
         return integrate_bz(f, grid)
     if not width > 0:
@@ -469,7 +463,7 @@ def integrate_bz_refined(
     err = np.asarray(base.error_estimate, dtype=float).copy()
     evaluations = base.evaluations
     level = max(1, grid.refine_levels)
-    for center, axis in zip(points, point_axes):
+    for center, axis in disks:
         lo, n_lo = _disk_integral(f, center, radius, r_min, grid, level, axis)
         hi, n_hi = _disk_integral(f, center, radius, r_min, grid, level + 1, axis)
         value = value + hi

@@ -40,12 +40,10 @@ TWO_PI = 2.0 * math.pi
 __all__ = [
     "Couplings",
     "Momentum",
-    "SpectralPoint",
     "SpectralArrays",
     "PhaseRegion",
     "wrap_angle",
     "spectral_arrays",
-    "spectral_point",
     "classify_phase",
     "fermion_gap",
     "dirac_points",
@@ -113,7 +111,14 @@ class PhaseRegion(Enum):
 
 
 class SpectralArrays(NamedTuple):
-    """Vectorized spectral fields on a batch of momenta (see module docstring)."""
+    """Spectral fields on a batch of momenta (see module docstring).
+
+    Each field has the broadcast shape of the momenta: 0-d at a single
+    momentum.  ``theta`` lies in (-pi, pi]; at an exact zero of the
+    dispersion it is undefined and is 0 by convention (the thermal
+    integrands vanish there, and odd L momentum grids avoid such zeros in
+    the gapless interior).
+    """
 
     epsilon: np.ndarray
     delta: np.ndarray
@@ -125,33 +130,6 @@ class SpectralArrays(NamedTuple):
     theta_x: np.ndarray
     theta_y: np.ndarray
     theta_z: np.ndarray
-
-
-@dataclass(frozen=True)
-class SpectralPoint:
-    """All momentum-local quantities at a single (p, J) point.
-
-    ``lam`` is the quasiparticle energy (lam^2 = epsilon^2 + delta^2) and
-    ``theta`` = arg(epsilon + i delta) in (-pi, pi].  At an exact zero of the
-    dispersion theta is undefined; we return 0 there by convention (the
-    thermal integrands never evaluate at dispersion zeros, and odd L momentum
-    grids avoid them in the gapless interior).
-    """
-
-    epsilon: float
-    delta: float
-    lam: float
-    theta: float
-    omega_x: float
-    omega_y: float
-    theta_x: float
-    theta_y: float
-    theta_z: float
-
-    @property
-    def omega_z(self) -> float:
-        """z-row of omega_a = lam * d(lam)/dJ_a, which reduces to 2 epsilon."""
-        return 2.0 * self.epsilon
 
 
 def spectral_arrays(px, py, couplings: Couplings) -> SpectralArrays:
@@ -176,22 +154,6 @@ def spectral_arrays(px, py, couplings: Couplings) -> SpectralArrays:
     theta_z = -2.0 * delta
     return SpectralArrays(
         epsilon, delta, lam, theta, omega_x, omega_y, omega_z, theta_x, theta_y, theta_z
-    )
-
-
-def spectral_point(p: Momentum, couplings: Couplings) -> SpectralPoint:
-    """Evaluate the spectral fields at a single momentum."""
-    f = spectral_arrays(p.px, p.py, couplings)
-    return SpectralPoint(
-        epsilon=float(f.epsilon),
-        delta=float(f.delta),
-        lam=float(f.lam),
-        theta=float(f.theta),
-        omega_x=float(f.omega_x),
-        omega_y=float(f.omega_y),
-        theta_x=float(f.theta_x),
-        theta_y=float(f.theta_y),
-        theta_z=float(f.theta_z),
     )
 
 
@@ -284,7 +246,7 @@ def dirac_points(
     for sx in (1.0, -1.0):
         for sy in (1.0, -1.0):
             cand = Momentum(math.pi + sx * ux, math.pi + sy * uy)
-            if spectral_point(cand, couplings).lam >= lambda_tol * scale:
+            if spectral_arrays(cand.px, cand.py, couplings).lam >= lambda_tol * scale:
                 continue
             if any(
                 abs(wrap_angle(cand.px - q.px)) < 1e-8

@@ -14,9 +14,13 @@ with the closed-form integrands (no prefactor) given by
                    (coupling rows only; eigenvectors do not depend on beta)
 
 where omega_a, theta_a are the coupling responses from `spectrum`
-(omega_z = 2 epsilon unifies the z row).  ``tensor_finite`` evaluates the
-same integrands as a row-major compensated sum over the L x L momentum grid
-p = 2 pi n / L (L odd), normalized by 4 pi^2 / (32 pi^2 L^2) = 1 / (8 L^2).
+(omega_z = 2 epsilon unifies the z row).  One builder, ``_integrand``,
+assembles them for the zone quadrature, the finite sums and the pointwise
+``classical_integrand``/``nonclassical_integrand``.  ``tensor_finite`` takes
+the mean of the same integrands over the L x L momentum grid p = 2 pi n / L
+(L odd), the periodic trapezoid rule on the lattice's own grid, reduced in
+the quadrature's fixed row blocks; normalized per site, the momentum sum is
+4 pi^2 / (32 pi^2 L^2) = 1 / (8 L^2) times the sum, i.e. the mean over 8.
 
 Oracle and normalization calibration
 ------------------------------------
@@ -54,8 +58,10 @@ import numpy as np
 
 from . import bures
 from .quadrature import (
+    _ROW_CHUNK,
     GridSpec,
     QuadratureConvergenceError,
+    _grid_mean,
     compensated_sum,
     integrate_bz,
     integrate_bz_refined,
@@ -240,17 +246,65 @@ def _nonclassical_component(a, b, fields, ratio):
     return np.where(lam4 > 0.0, val, 0.0)
 
 
+def _tanh_sq_ratio(tp: ThermoPoint, lam: np.ndarray) -> np.ndarray:
+    """Nonclassical thermal kernel tanh^2(beta lam / 2) (1 at T = 0)."""
+    if tp.zero_temperature:
+        return np.ones_like(lam)
+    return np.tanh(0.5 * tp.beta * lam) ** 2
+
+
+def _minus_sech_sq_ratio(tp: ThermoPoint, lam: np.ndarray) -> np.ndarray:
+    """Kernel of the correction g^nc(T) - g^nc(0): tanh^2(x/2) - 1 =
+    -sech^2(x/2) = -4 e^-x / (1 + e^-x)^2 with x = beta lam, exactly
+    representable where the difference of the two tensors would cancel."""
+    e = np.exp(-0.5 * tp.beta * lam)
+    sech_half = 2.0 * e / (1.0 + e * e)
+    return -(sech_half**2)
+
+
+def _integrand(points, pairs_c, pairs_nc, nc_kernel):
+    """The closed-form integrands of a batch of points sharing one coupling.
+
+    Returns ``f(px, py)`` with leading axes (point, component): the classical
+    pairs, then the nonclassical pairs under ``nc_kernel(tp, lam)``.  The
+    spectral fields are evaluated once per call and every point's thermal
+    kernels applied to them.  A zero-temperature point has zero classical
+    components (frozen eigenvalues); its nonclassical kernel is the
+    kernel's T = 0 value.
+    """
+    couplings = points[0].couplings
+    n_c = len(pairs_c)
+
+    def f(px, py):
+        fields = spectral_arrays(px, py, couplings)
+        out = np.empty((len(points), n_c + len(pairs_nc)) + np.shape(fields.lam))
+        for k, tp in enumerate(points):
+            if tp.zero_temperature:
+                out[k, :n_c] = 0.0
+            elif pairs_c:
+                weight = _inv_cosh_plus_one(tp.beta * fields.lam)
+                for i, (mu, nu) in enumerate(pairs_c):
+                    out[k, i] = _classical_component(mu, nu, fields, tp.beta, weight)
+            if pairs_nc:
+                ratio = nc_kernel(tp, fields.lam)
+                for i, (a, b) in enumerate(pairs_nc, n_c):
+                    out[k, i] = _nonclassical_component(a, b, fields, ratio)
+        return out
+
+    return f
+
+
+def _integrand_at(p: Momentum, tp: ThermoPoint, element) -> float:
+    pairs_c, pairs_nc = _select_pairs([element])
+    return float(_integrand([tp], pairs_c, pairs_nc, _tanh_sq_ratio)(p.px, p.py)[0, 0])
+
+
 def classical_integrand(
     mu: ParameterIndex, nu: ParameterIndex, p: Momentum, tp: ThermoPoint
 ) -> float:
     """Classical closed-form integrand at one momentum, without the
     1/(32 pi^2) prefactor.  Zero temperature returns 0 (frozen eigenvalues)."""
-    mu, nu = ParameterIndex(mu), ParameterIndex(nu)
-    if tp.zero_temperature:
-        return 0.0
-    fields = spectral_arrays(p.px, p.py, tp.couplings)
-    weight = _inv_cosh_plus_one(tp.beta * fields.lam)
-    return float(_classical_component(mu, nu, fields, tp.beta, weight))
+    return _integrand_at(p, tp, ("c", mu, nu))
 
 
 def nonclassical_integrand(
@@ -261,15 +315,7 @@ def nonclassical_integrand(
     Only coupling indices are admitted; the beta row of the nonclassical
     part vanishes identically.
     """
-    a, b = ParameterIndex(a), ParameterIndex(b)
-    if a is ParameterIndex.BETA or b is ParameterIndex.BETA:
-        raise ValueError("nonclassical elements exist only for coupling indices")
-    fields = spectral_arrays(p.px, p.py, tp.couplings)
-    if tp.zero_temperature:
-        ratio = np.ones_like(fields.lam)
-    else:
-        ratio = np.tanh(0.5 * tp.beta * fields.lam) ** 2
-    return float(_nonclassical_component(a, b, fields, ratio))
+    return _integrand_at(p, tp, ("nc", a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -353,53 +399,50 @@ def _momentum_axis(L: int) -> np.ndarray:
     return (2.0 * math.pi / L) * np.arange(-half, half + 1)
 
 
+def _min_lam(couplings: Couplings, xs: np.ndarray) -> float:
+    """Smallest quasiparticle energy on the grid ``xs x xs``, by row blocks."""
+    return min(
+        float(np.min(spectral_arrays(xs[i : i + _ROW_CHUNK, None], xs[None, :], couplings).lam))
+        for i in range(0, xs.size, _ROW_CHUNK)
+    )
+
+
 def tensor_finite(tp: ThermoPoint, L: int, *, elements=None) -> BuresTensor:
     """Per-site tensor from the L x L momentum grid (L odd, >= 3).
 
-    Sums the closed-form integrands over p = 2 pi n / L in fixed row-major
-    order with compensated summation, normalized by 1 / (8 L^2).  At the
-    zero-temperature flag the grid is checked against dispersion zeros
-    (odd L avoids them in the gapless interior, but not on special
-    commensurate couplings) and the classical part is exactly zero.
+    The closed-form integrands summed over p = 2 pi n / L and normalized by
+    1 / (8 L^2): the periodic trapezoid rule on the lattice's own grid,
+    reduced in the same fixed row blocks as the zone quadrature's base grid,
+    so memory grows with L, not L^2.  At the zero-temperature flag the grid
+    is checked against dispersion zeros (odd L avoids them in the gapless
+    interior, but not on special commensurate couplings) and the classical
+    part is exactly zero.
     """
     L = int(L)
     if L < 3 or L % 2 == 0:
         raise ValueError(f"L must be odd and >= 3, got {L}")
     pairs_c, pairs_nc = _select_pairs(elements)
+    if not pairs_c and not pairs_nc:
+        raise ValueError("no tensor elements requested")
     xs = _momentum_axis(L)
-    px = xs[:, None]
-    py = xs[None, :]
-    fields = spectral_arrays(px, py, tp.couplings)
-    scale = max(1.0, 2.0 * sum(abs(j) for j in tp.couplings.as_array()))
-    if tp.zero_temperature:
-        if pairs_nc and float(np.min(fields.lam)) < 1e-12 * scale:
+    if tp.zero_temperature and pairs_nc:
+        scale = max(1.0, 2.0 * sum(abs(j) for j in tp.couplings.as_array()))
+        if _min_lam(tp.couplings, xs) < 1e-12 * scale:
             raise ValueError(
                 "momentum grid hits a dispersion zero at zero temperature; "
                 "the nonclassical sum is undefined there (choose a different L)"
             )
-        weight = None
-        ratio = np.ones_like(fields.lam)
-    else:
-        x = tp.beta * fields.lam
-        weight = _inv_cosh_plus_one(x)
-        ratio = np.tanh(0.5 * x) ** 2
-    norm = 1.0 / (8.0 * L * L)
-    if tp.zero_temperature:
-        c_values = [0.0 for _ in pairs_c]
-    else:
-        c_values = [
-            norm * compensated_sum(_classical_component(mu, nu, fields, tp.beta, weight))
-            for (mu, nu) in pairs_c
-        ]
-    nc_values = [
-        norm * compensated_sum(_nonclassical_component(a, b, fields, ratio))
-        for (a, b) in pairs_nc
-    ]
+    mean, _ = _grid_mean(_integrand([tp], pairs_c, pairs_nc, _tanh_sq_ratio), xs)
+    # (1 / (8 L^2)) * sum = mean / 8
+    values = list(mean[0] / 8.0)
     info = EvaluationInfo(
         method="finite",
         details={"L": L, "sites": 2 * L * L, "temperature": tp.temperature},
     )
-    return BuresTensor(_assemble(pairs_c, c_values), _assemble(pairs_nc, nc_values), info)
+    n_c = len(pairs_c)
+    return BuresTensor(
+        _assemble(pairs_c, values[:n_c]), _assemble(pairs_nc, values[n_c:]), info
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -480,30 +523,13 @@ def _refinement_plan(points: Sequence[ThermoPoint], grid: GridSpec):
     return centers, axes, width, replace(grid, refine_radius_factor=factor)
 
 
-def _tanh_sq_ratio(tp: ThermoPoint, lam: np.ndarray) -> np.ndarray:
-    """Nonclassical thermal kernel tanh^2(beta lam / 2) (1 at T = 0)."""
-    if tp.zero_temperature:
-        return np.ones_like(lam)
-    return np.tanh(0.5 * tp.beta * lam) ** 2
-
-
-def _minus_sech_sq_ratio(tp: ThermoPoint, lam: np.ndarray) -> np.ndarray:
-    """Kernel of the correction g^nc(T) - g^nc(0): tanh^2(x/2) - 1 =
-    -sech^2(x/2) = -4 e^-x / (1 + e^-x)^2 with x = beta lam, exactly
-    representable where the difference of the two tensors would cancel."""
-    e = np.exp(-0.5 * tp.beta * lam)
-    sech_half = 2.0 * e / (1.0 + e * e)
-    return -(sech_half**2)
-
-
 def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
     """Integrate the requested elements of every point in one quadrature pass.
 
-    The integrand evaluates the spectral fields once per node block and
-    applies each point's thermal kernels to them; its leading axes are
-    (point, component), so the quadrature judges and freezes every point on
-    its own.  Zero-temperature points of a mixed batch carry zero classical
-    components.
+    The integrand (``_integrand``) has leading axes (point, component), so
+    the quadrature judges and freezes every point on its own.  The zero
+    classical components of zero-temperature points integrate to exactly 0;
+    a batch with no finite temperature integrates no classical components.
     """
     grid = grid or GridSpec()
     points = list(points)
@@ -516,22 +542,7 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
     if not stack_c and not pairs_nc:
         raise ValueError("no tensor elements requested")
     n_c = len(stack_c)
-
-    def f(px, py):
-        fields = spectral_arrays(px, py, couplings)
-        out = np.empty((len(points), n_c + len(pairs_nc)) + np.shape(fields.lam))
-        for k, tp in enumerate(points):
-            if tp.zero_temperature:
-                out[k, :n_c] = 0.0
-            elif stack_c:
-                weight = _inv_cosh_plus_one(tp.beta * fields.lam)
-                for i, (mu, nu) in enumerate(stack_c):
-                    out[k, i] = _classical_component(mu, nu, fields, tp.beta, weight)
-            if pairs_nc:
-                ratio = nc_kernel(tp, fields.lam)
-                for i, (a, b) in enumerate(pairs_nc, n_c):
-                    out[k, i] = _nonclassical_component(a, b, fields, ratio)
-        return out
+    f = _integrand(points, stack_c, pairs_nc, nc_kernel)
 
     centers, axes, width, gs = _refinement_plan(points, grid)
     if centers:
@@ -553,10 +564,6 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
     errors = raw_errors / THIRTY_TWO_PI_SQ
     tensors = []
     for tp, vals, errs in zip(points, values, errors):
-        if tp.zero_temperature:
-            c_vals = c_errs = [0.0 for _ in pairs_c]
-        else:
-            c_vals, c_errs = list(vals[:n_c]), list(errs[:n_c])
         info = EvaluationInfo(
             method=method,
             details={
@@ -564,12 +571,13 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
                 "temperature": tp.temperature,
                 "refinement_centers": [(c.px, c.py) for c in centers],
                 "evaluations": result.evaluations,
-                "error_classical": _assemble(pairs_c, c_errs),
+                "error_classical": _assemble(stack_c, list(errs[:n_c])),
                 "error_nonclassical": _assemble(pairs_nc, list(errs[n_c:])),
             },
         )
         tensors.append(
-            BuresTensor(_assemble(pairs_c, c_vals), _assemble(pairs_nc, list(vals[n_c:])), info)
+            BuresTensor(_assemble(stack_c, list(vals[:n_c])),
+                        _assemble(pairs_nc, list(vals[n_c:])), info)
         )
     return tensors
 
@@ -740,8 +748,7 @@ def tensor_oracle(tp: ThermoPoint, L: int, step: float = 1e-4) -> BuresTensor:
       difference from the total isolates the nonclassical part; both
       fidelities are evaluated in the exact closed form of the mode family
       (see _mode_pair_uhlmann) so deep-gapped modes keep full accuracy;
-    * the analytic eigen-decomposition formula (real off-diagonal pair
-      weight, the convention the fidelity oracle certifies).
+    * the analytic eigen-decomposition formula (``bures.analytic_metric``).
 
     Mode sums are normalized per site and scaled by the per-part calibration
     constants (see module docstring).  The returned parts come from the
@@ -792,7 +799,7 @@ def tensor_oracle(tp: ThermoPoint, L: int, step: float = 1e-4) -> BuresTensor:
     h = 1e-6
     eye = np.eye(4)
     drho = [(family(lam0 + h * e) - family(lam0 - h * e)) / (2.0 * h) for e in eye]
-    md = bures.analytic_metric(decomp, drho, convention="real", check_inputs=False)
+    md = bures.analytic_metric(decomp, drho, check_inputs=False)
 
     sites = 2 * L * L
     an_c = (CLASSICAL_MODE_CALIBRATION / sites) * _entry_sums(md.classical)

@@ -40,7 +40,7 @@ from kitaev_bures.spectrum import (
     Momentum,
     classify_phase,
     fermion_gap,
-    spectral_point,
+    spectral_arrays,
 )
 from kitaev_bures.thermal_metric import (
     ParameterIndex as P,
@@ -443,16 +443,16 @@ def test_criterion_9_property_suite(rng):
     while checked < 1000:
         j = Couplings(*rng.uniform(0.1, 1.0, size=3))
         p = Momentum(*rng.uniform(-math.pi, math.pi, size=2))
-        sp = spectral_point(p, j)
+        sp = spectral_arrays(p.px, p.py, j)
         if sp.lam < 0.05:
             continue
         for axis, resp in (("jx", sp.theta_x), ("jy", sp.theta_y), ("jz", sp.theta_z)):
             shift = {"jx": (h, 0, 0), "jy": (0, h, 0), "jz": (0, 0, h)}[axis]
             jp = Couplings(j.jx + shift[0], j.jy + shift[1], j.jz + shift[2])
             jm = Couplings(j.jx - shift[0], j.jy - shift[1], j.jz - shift[2])
-            dtheta = float(
-                np.angle(np.exp(1j * (spectral_point(p, jp).theta - spectral_point(p, jm).theta)))
-            ) / (2 * h)
+            theta_p = spectral_arrays(p.px, p.py, jp).theta
+            theta_m = spectral_arrays(p.px, p.py, jm).theta
+            dtheta = float(np.angle(np.exp(1j * (theta_p - theta_m)))) / (2 * h)
             expected = sp.lam**2 * dtheta
             dev = abs(resp - expected) / max(abs(expected), 1e-8)
             worst_theta = max(worst_theta, dev)

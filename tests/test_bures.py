@@ -138,43 +138,9 @@ def test_analytic_total_matches_fidelity_oracle(rng):
         family = smooth_state_family(rng, dim)
         lam0 = rng.normal(scale=0.3, size=3)
         decomp = spectral_decomposition(family(lam0))
-        md = analytic_metric(decomp, numeric_drho(family, lam0), convention="real")
+        md = analytic_metric(decomp, numeric_drho(family, lam0))
         fd = finite_difference_metric(family, lam0, 1e-4)
         assert max_rel_dev(md.total, fd) < 1e-4
-
-
-def test_offdiagonal_convention_report(rng):
-    """The closed form is printed with a product of moduli in the pair
-    weight; the fidelity oracle arbitrates which convention is the true
-    Bures metric.  Expected outcome: 'real' matches, 'modulus' agrees on
-    diagonals but overestimates generic off-diagonals."""
-    mismatches = []
-    for trial in range(6):
-        dim = 3 + trial % 3
-        family = smooth_state_family(rng, dim)
-        lam0 = rng.normal(scale=0.3, size=3)
-        decomp = spectral_decomposition(family(lam0))
-        drho = numeric_drho(family, lam0)
-        md_mod = analytic_metric(decomp, drho, convention="modulus")
-        md_real = analytic_metric(decomp, drho, convention="real")
-        fd = finite_difference_metric(family, lam0, 1e-4)
-        assert max_rel_dev(np.diagonal(md_mod.total), np.diagonal(fd)) < 1e-4
-        assert max_rel_dev(md_real.total, fd) < 1e-4
-        off = ~np.eye(3, dtype=bool)
-        dev_mod = float(np.max(np.abs((md_mod.total - fd)[off])))
-        scale = float(np.max(np.abs(fd)))
-        if dev_mod > 1e-3 * scale:
-            mismatches.append(dev_mod / scale)
-        # moduli never undershoot the true off-diagonal magnitudes
-        assert np.all(
-            np.abs(md_mod.nonclassical[off]) >= np.abs(md_real.nonclassical[off]) - 1e-12
-        )
-    print(
-        "\nconvention check: 'real' matches the fidelity oracle on all "
-        f"entries; 'modulus' deviated on off-diagonals in {len(mismatches)}/6 "
-        f"random families (max rel dev {max(mismatches, default=0.0):.2e})"
-    )
-    assert mismatches, "expected generic families to expose the convention difference"
 
 
 def test_parameter_independent_eigenbasis_has_no_nonclassical_part(rng):
@@ -220,10 +186,7 @@ def test_metric_parts_are_psd(rng):
         dim = int(rng.integers(2, 7))
         family = smooth_state_family(rng, dim)
         lam0 = rng.normal(scale=0.3, size=3)
-        md = analytic_metric(
-            spectral_decomposition(family(lam0)), numeric_drho(family, lam0),
-            convention="real",
-        )
+        md = analytic_metric(spectral_decomposition(family(lam0)), numeric_drho(family, lam0))
         for part in (md.classical, md.nonclassical, md.total):
             assert float(np.min(np.linalg.eigvalsh(part))) >= -1e-10
 

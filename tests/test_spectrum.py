@@ -11,7 +11,6 @@ from kitaev_bures.spectrum import (
     dirac_points,
     fermion_gap,
     spectral_arrays,
-    spectral_point,
     wrap_angle,
 )
 
@@ -20,23 +19,23 @@ GAPPED = Couplings(0.1, 0.1, 0.8)
 BOUNDARY = Couplings(0.25, 0.25, 0.5)
 
 
-def test_spectral_point_all_couplings_one():
-    sp = spectral_point(Momentum(0.0, 0.0), Couplings(1, 1, 1))
+def test_spectral_fields_all_couplings_one():
+    sp = spectral_arrays(0.0, 0.0, Couplings(1, 1, 1))
     assert sp.epsilon == pytest.approx(6.0, abs=0)
     assert sp.delta == pytest.approx(0.0, abs=0)
     assert sp.lam == pytest.approx(6.0, abs=0)
     assert sp.theta_z == pytest.approx(0.0, abs=0)
 
 
-def test_spectral_point_zone_corner_symmetric():
-    sp = spectral_point(Momentum(math.pi, math.pi), SYM)
+def test_spectral_fields_zone_corner_symmetric():
+    sp = spectral_arrays(math.pi, math.pi, SYM)
     assert sp.epsilon == pytest.approx(-2 / 3, rel=1e-14)
     assert sp.delta == pytest.approx(0.0, abs=1e-15)
     assert sp.lam == pytest.approx(2 / 3, rel=1e-14)
 
 
-def test_spectral_point_at_dispersion_zero():
-    sp = spectral_point(Momentum(2 * math.pi / 3, -2 * math.pi / 3), SYM)
+def test_spectral_fields_at_dispersion_zero():
+    sp = spectral_arrays(2 * math.pi / 3, -2 * math.pi / 3, SYM)
     assert abs(sp.epsilon) < 1e-14
     assert abs(sp.delta) < 1e-14
     assert sp.lam < 1e-14
@@ -44,7 +43,7 @@ def test_spectral_point_at_dispersion_zero():
 
 def test_theta_convention_at_exact_zero():
     # epsilon and delta vanish exactly in floating point here
-    sp = spectral_point(Momentum(0.0, 0.0), Couplings(0.5, 0.5, -1.0))
+    sp = spectral_arrays(0.0, 0.0, Couplings(0.5, 0.5, -1.0))
     assert sp.lam == 0.0
     assert sp.theta == 0.0  # convention at the undefined point
 
@@ -65,7 +64,7 @@ def test_couplings_must_be_finite():
 def test_lambda_squared_identity(rng):
     for _ in range(200):
         j = Couplings(*rng.uniform(-1, 1, size=3))
-        sp = spectral_point(Momentum(*rng.uniform(-math.pi, math.pi, size=2)), j)
+        sp = spectral_arrays(*rng.uniform(-math.pi, math.pi, size=2), j)
         assert sp.lam**2 == pytest.approx(sp.epsilon**2 + sp.delta**2, rel=1e-12)
         assert -math.pi < sp.theta <= math.pi
 
@@ -74,8 +73,8 @@ def test_xy_exchange_symmetry(rng):
     for _ in range(100):
         j = Couplings(*rng.uniform(-1, 1, size=3))
         px, py = rng.uniform(-math.pi, math.pi, size=2)
-        a = spectral_point(Momentum(px, py), j)
-        b = spectral_point(Momentum(py, px), j.swapped_xy())
+        a = spectral_arrays(px, py, j)
+        b = spectral_arrays(py, px, j.swapped_xy())
         assert a.epsilon == pytest.approx(b.epsilon, abs=1e-14)
         assert a.delta == pytest.approx(b.delta, abs=1e-14)
         assert a.lam == pytest.approx(b.lam, abs=1e-14)
@@ -89,8 +88,8 @@ def _theta_fd(p, j, axis, h=1e-6):
     shifts = {"jx": (h, 0, 0), "jy": (0, h, 0), "jz": (0, 0, h)}[axis]
     jp = Couplings(j.jx + shifts[0], j.jy + shifts[1], j.jz + shifts[2])
     jm = Couplings(j.jx - shifts[0], j.jy - shifts[1], j.jz - shifts[2])
-    tp = spectral_point(p, jp).theta
-    tm = spectral_point(p, jm).theta
+    tp = spectral_arrays(p.px, p.py, jp).theta
+    tm = spectral_arrays(p.px, p.py, jm).theta
     # wrap the difference across the branch cut
     return float(np.angle(np.exp(1j * (tp - tm)))) / (2 * h)
 
@@ -100,7 +99,7 @@ def test_theta_response_is_lambda_sq_times_dtheta(rng):
     while checked < 300:
         j = Couplings(*rng.uniform(0.1, 1.0, size=3))
         p = Momentum(*rng.uniform(-math.pi, math.pi, size=2))
-        sp = spectral_point(p, j)
+        sp = spectral_arrays(p.px, p.py, j)
         if sp.lam < 0.05:  # stay away from dispersion zeros
             continue
         for axis, resp in (("jx", sp.theta_x), ("jy", sp.theta_y), ("jz", sp.theta_z)):
@@ -114,12 +113,14 @@ def test_omega_response_is_gradient_of_half_lambda_sq(rng):
     for _ in range(200):
         j = Couplings(*rng.uniform(0.1, 1.0, size=3))
         p = Momentum(*rng.uniform(-math.pi, math.pi, size=2))
-        sp = spectral_point(p, j)
+        sp = spectral_arrays(p.px, p.py, j)
         for axis, resp in (("jx", sp.omega_x), ("jy", sp.omega_y), ("jz", sp.omega_z)):
             shifts = {"jx": (h, 0, 0), "jy": (0, h, 0), "jz": (0, 0, h)}[axis]
             jp = Couplings(j.jx + shifts[0], j.jy + shifts[1], j.jz + shifts[2])
             jm = Couplings(j.jx - shifts[0], j.jy - shifts[1], j.jz - shifts[2])
-            fd = (spectral_point(p, jp).lam ** 2 - spectral_point(p, jm).lam ** 2) / (4 * h)
+            lam_p = spectral_arrays(p.px, p.py, jp).lam
+            lam_m = spectral_arrays(p.px, p.py, jm).lam
+            fd = (lam_p**2 - lam_m**2) / (4 * h)
             assert resp == pytest.approx(fd, rel=1e-6, abs=1e-7)
 
 
@@ -184,7 +185,7 @@ def test_dirac_points_against_grid_minimization():
     pts = dirac_points(j)
     assert len(pts) == 2
     for p in pts:
-        assert spectral_point(p, j).lam < 1e-10
+        assert spectral_arrays(p.px, p.py, j).lam < 1e-10
         zx, zy = _grid_zoom_minimum(j, center=(p.px, p.py), span=0.5)
         assert abs(wrap_angle(p.px - zx)) < 1e-6
         assert abs(wrap_angle(p.py - zy)) < 1e-6
@@ -193,7 +194,7 @@ def test_dirac_points_against_grid_minimization():
 def test_dirac_point_on_boundary_is_merged_pair():
     pts = dirac_points(BOUNDARY)
     assert len(pts) == 1
-    assert spectral_point(pts[0], BOUNDARY).lam < 1e-12
+    assert spectral_arrays(pts[0].px, pts[0].py, BOUNDARY).lam < 1e-12
     assert abs(abs(pts[0].px) - math.pi) < 1e-9
     assert abs(abs(pts[0].py) - math.pi) < 1e-9
 
@@ -208,7 +209,7 @@ def test_dispersion_locally_linear_at_interior_zeros(rng):
             slopes = []
             for delta in (1e-3, 1e-4, 1e-5):
                 q = Momentum(p.px + delta * u[0], p.py + delta * u[1])
-                slopes.append(spectral_point(q, j).lam / delta)
+                slopes.append(spectral_arrays(q.px, q.py, j).lam / delta)
             assert slopes[-1] > 0.05
             assert slopes[-1] == pytest.approx(slopes[-2], rel=2e-2)
 
@@ -219,7 +220,7 @@ def test_dispersion_quadratic_along_boundary_soft_direction():
     ratios = []
     for delta in (1e-2, 1e-3, 1e-4):
         q = Momentum(p0.px + delta * u[0], p0.py + delta * u[1])
-        ratios.append(spectral_point(q, BOUNDARY).lam / delta**2)
+        ratios.append(spectral_arrays(q.px, q.py, BOUNDARY).lam / delta**2)
     assert ratios[-1] == pytest.approx(ratios[-2], rel=5e-2)
     assert 0.01 < ratios[-1] < 100.0
 

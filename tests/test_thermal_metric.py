@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from helpers import entrywise_close, max_rel_dev, random_couplings
 from kitaev_bures.bures import EigenvalueFloorError, validate_density_matrix
-from kitaev_bures.quadrature import GridSpec, QuadratureConvergenceError
-from kitaev_bures.spectrum import Couplings, Momentum, classify_phase
+from kitaev_bures.quadrature import GridSpec, QuadratureConvergenceError, compensated_sum
+from kitaev_bures.spectrum import Couplings, Momentum, classify_phase, spectral_arrays
 from kitaev_bures.thermal_metric import (
     CLASSICAL_PAIRS,
     NONCLASSICAL_PAIRS,
@@ -141,9 +142,7 @@ def test_mode_state_bloch_vector_convention(rng):
     j = Couplings(0.3, 0.25, 0.35)
     p = Momentum(1.1, -0.7)
     tp = ThermoPoint(j, 1.7)
-    from kitaev_bures.spectrum import spectral_point
-
-    sp = spectral_point(p, j)
+    sp = spectral_arrays(p.px, p.py, j)
     rho = mode_density_matrix(p, tp)
     r = math.tanh(0.5 * 1.7 * sp.lam)
     sx = np.array([[0, 1], [1, 0]])
@@ -162,6 +161,8 @@ def test_finite_size_validation():
         tensor_finite(tp, 20)
     with pytest.raises(ValueError):
         tensor_finite(tp, 1)
+    with pytest.raises(ValueError, match="no tensor elements"):
+        tensor_finite(tp, 5, elements=[])
 
 
 def test_finite_grid_zero_temperature_dirac_hit_raises():
@@ -227,6 +228,63 @@ def test_classical_part_frozen_at_low_temperature():
         np.max(np.abs(cool.classical))
     )
     assert float(np.max(np.abs(cool.classical))) < 1e-8
+
+
+def _full_grid_reference(tp, L):
+    """Per-site finite sums written out on the whole L x L grid at once: the
+    closed forms as products of the responses K_beta = lam, K_a = beta
+    omega_a / lam, each pair reduced by compensated_sum and normalized by
+    1 / (8 L^2)."""
+    xs = (2.0 * math.pi / L) * np.arange(-(L - 1) // 2, (L - 1) // 2 + 1)
+    f = spectral_arrays(xs[:, None], xs[None, :], tp.couplings)
+    resp_nc = (None, f.theta_x, f.theta_y, f.theta_z)
+    classical, nonclassical = np.zeros((4, 4)), np.zeros((4, 4))
+    if not tp.zero_temperature:
+        weight = 1.0 / (np.cosh(tp.beta * f.lam) + 1.0)
+        k = (f.lam, tp.beta * f.omega_x / f.lam, tp.beta * f.omega_y / f.lam,
+             tp.beta * f.omega_z / f.lam)
+        for mu in range(4):
+            for nu in range(4):
+                classical[mu, nu] = compensated_sum(weight * k[mu] * k[nu]) / (8.0 * L * L)
+    ratio = 1.0 if tp.zero_temperature else np.tanh(0.5 * tp.beta * f.lam) ** 2
+    for a in range(1, 4):
+        for b in range(1, 4):
+            term = ratio * resp_nc[a] * resp_nc[b] / f.lam**4
+            nonclassical[a, b] = compensated_sum(term) / (8.0 * L * L)
+    return classical, nonclassical
+
+
+@pytest.mark.parametrize(
+    "couplings, temperature",
+    [(GAPPED, 0.5), (SYM, 0.1), (Couplings(0.25, 0.25, 0.5), 0.05), (GAPPED, 0.0)],
+    ids=["gapped", "gapless", "critical", "gapped-T0"],
+)
+@pytest.mark.parametrize("L", [61, 301])
+def test_finite_sums_match_full_grid_compensated_sums(couplings, temperature, L):
+    tp = ThermoPoint.from_temperature(couplings, temperature)
+    classical, nonclassical = _full_grid_reference(tp, L)
+    t = tensor_finite(tp, L)
+    for got, ref in ((t.classical, classical), (t.nonclassical, nonclassical)):
+        scale = float(np.max(np.abs(ref)))
+        assert float(np.max(np.abs(got - ref))) <= 1e-14 * scale
+    if tp.zero_temperature:
+        assert np.all(t.classical == 0.0)
+
+
+def test_finite_sum_memory_grows_with_L_not_L_squared():
+    # the full L x L fields of one call would take ~10 arrays of 8 L^2 bytes
+    # (80 MB at L = 1001); row blocks keep the peak to ~46 MB, linear in L
+    tp = ThermoPoint.from_temperature(GAPPED, 0.5)
+    peaks = {}
+    for L in (1001, 2001):
+        tracemalloc.start()
+        try:
+            tensor_finite(tp, L)
+            peaks[L] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[1001] < 64 * 2**20
+    assert peaks[2001] < 2.5 * peaks[1001]
 
 
 # ---------------------------------------------------------------------------
