@@ -251,24 +251,33 @@ def cmd_sweep(argv: list[str]) -> int:
     else:
         pairs = list(CLASSICAL_PAIRS)
     params = np.linspace(0.0, 1.0, args.steps) if args.steps > 1 else np.array([0.0])
+    elements = []
+    for mu, nu in pairs:
+        elements.append(("c", mu, nu))
+        if mu is not ParameterIndex.BETA:
+            elements.append(("nc", mu, nu))
+    path = [
+        Couplings(
+            start.jx + s * (end.jx - start.jx),
+            start.jy + s * (end.jy - start.jy),
+            start.jz + s * (end.jz - start.jz),
+        )
+        for s in params
+    ]
+
+    def at_point(couplings):
+        """Tensors at every temperature of one path point; the quadrature
+        integrates them in one batch."""
+        points = [ThermoPoint.from_temperature(couplings, t) for t in temps]
+        if args.size is not None:
+            return [tensor_finite(tp, args.size, elements=elements) for tp in points]
+        return tensors_thermodynamic(points, _grid_from(args), elements=elements)
+
+    tensors = [at_point(c) for c in path]
     lines = ["param,jx,jy,jz,temp,element,classical,nonclassical"]
-    for temp in temps:
-        for s in params:
-            couplings = Couplings(
-                start.jx + s * (end.jx - start.jx),
-                start.jy + s * (end.jy - start.jy),
-                start.jz + s * (end.jz - start.jz),
-            )
-            tp = ThermoPoint.from_temperature(couplings, temp)
-            elements = []
-            for mu, nu in pairs:
-                elements.append(("c", mu, nu))
-                if mu is not ParameterIndex.BETA:
-                    elements.append(("nc", mu, nu))
-            if args.size is not None:
-                tensor = tensor_finite(tp, args.size, elements=elements)
-            else:
-                tensor = tensor_thermodynamic(tp, _grid_from(args), elements=elements)
+    for t, temp in enumerate(temps):
+        for s, couplings, by_temp in zip(params, path, tensors):
+            tensor = by_temp[t]
             for mu, nu in pairs:
                 lines.append(
                     ",".join(

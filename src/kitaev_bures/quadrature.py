@@ -25,10 +25,16 @@ largest component and keeps the value of the doubling at which it
 converged, so it gets exactly the value, error and flag it would get if it
 were integrated alone on the same nodes.
 
-Determinism: all reductions run over fixed-size blocks in a fixed order
-(``_ROW_CHUNK`` grid rows, ``_SUM_CHUNK`` disk nodes) whose partial sums
-math.fsum combines, so results are bit-identical regardless of how many
-workers evaluate blocks.
+Memory and determinism: the integrand is evaluated in blocks of whole grid
+rows on the base grid and whole ``_SUM_CHUNK`` node chunks on a refinement
+disk, as many as fit in ``_BLOCK_VALUES`` values (at least one row or
+chunk), so memory does not grow with the number of stacked integrals beyond
+one row or chunk.  The values per node are read off the integrand's own
+output at one probe node.  Block
+boundaries therefore depend only on the integrand's shape and the grid, the
+partial sums of the blocks (and of the disk chunks) are combined by
+math.fsum in a fixed order, and results are bit-identical regardless of how
+many workers evaluate integrals.
 """
 
 from __future__ import annotations
@@ -43,12 +49,11 @@ import numpy as np
 from .spectrum import wrap_angle
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
-_ROW_CHUNK = 128  # fixed row blocking of the base grid (determinism contract)
 _SUM_CHUNK = 1 << 16
-# fixed node blocking of the refinement disks: bounds the integrand's memory,
-# and a whole number of sum chunks keeps the disk sums equal to
-# compensated_sum over the unblocked disk
-_DISK_BLOCK = 4 * _SUM_CHUNK
+# integrand values held per evaluated block (grid rows or disk nodes times
+# the values per node): bounds the integrand's memory whatever the batch,
+# down to one grid row or one disk sum chunk
+_BLOCK_VALUES = 2 * 128 * 2048
 
 __all__ = [
     "GridSpec",
@@ -61,11 +66,19 @@ __all__ = [
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Raised by callers that refuse to accept an unconverged integral."""
+    """Raised by callers that refuse to accept an unconverged integral.
 
-    def __init__(self, message: str, result: "IntegrationResult | None" = None):
+    For a batch, ``members`` holds one entry per batch member: its result
+    where it converged, and its own QuadratureConvergenceError (naming that
+    member alone) where it did not.
+    """
+
+    def __init__(
+        self, message: str, result: "IntegrationResult | None" = None, members=()
+    ):
         super().__init__(message)
         self.result = result
+        self.members = tuple(members)
 
 
 @dataclass(frozen=True)
@@ -143,6 +156,21 @@ def _eval_on_block(f, px, py, tail) -> np.ndarray:
     return vals
 
 
+def _block_units(values_per_unit: int) -> int:
+    """Units (grid rows, disk sum chunks) of ``values_per_unit`` values each
+    that one evaluated block holds: as many as the budget allows, at least
+    one."""
+    return max(1, _BLOCK_VALUES // values_per_unit)
+
+
+def _values_per_node(f, px, py) -> int:
+    """Values ``f`` returns per node, from its output at one probe node.
+
+    Read from the output, not from an attribute of ``f``, so a wrapped
+    integrand blocks exactly as the bare one does."""
+    return _eval_on_block(f, px, py, np.shape(px)).size
+
+
 def _batch_ndim(lead_ndim: int) -> int:
     """Number of leading axes that index independent integrals."""
     return max(lead_ndim - 1, 0)
@@ -159,15 +187,17 @@ def _per_integral_max(x: np.ndarray, nb: int) -> np.ndarray:
 def _grid_mean(f, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean of f over the grid ``xs x xs``, blocked and compensated.
 
-    Rows are evaluated and summed in fixed blocks of ``_ROW_CHUNK``, so the
-    integrand's memory grows with one grid row, not the whole grid.  Also
-    returns, per independent integral, the largest |f| seen, which sets the
-    absolute floor below which a vanishing integral counts as converged."""
+    Rows are evaluated and summed in blocks of whole rows holding at most
+    ``_BLOCK_VALUES`` values, so the integrand's memory is bounded by the
+    budget (or one grid row), not the whole grid.  Also returns, per
+    independent integral, the largest |f| seen, which sets the absolute
+    floor below which a vanishing integral counts as converged."""
     n = xs.size
+    rows_per_block = _block_units(n * _values_per_node(f, xs[:1, None], xs[None, :1]))
     block_sums = []
     fmax = 0.0
-    for i in range(0, n, _ROW_CHUNK):
-        rows = xs[i : i + _ROW_CHUNK]
+    for i in range(0, n, rows_per_block):
+        rows = xs[i : i + rows_per_block]
         vals = _eval_on_block(f, rows[:, None], xs[None, :], (rows.size, n))
         lead = vals.shape[:-2]
         fmax = np.maximum(fmax, _per_integral_max(vals, _batch_ndim(len(lead))))
@@ -334,18 +364,17 @@ def _disk_nodes(center, radius: float, r_min: float, grid: GridSpec, level: int)
     for x, w in zip(xc, wc):
         r = 0.5 * r_min * (x + 1.0)
         rings.append((r, w * 0.5 * r_min * r))
-    px_parts, py_parts, wt_parts = [], [], []
-    for r_i, w_i in rings:
-        nphi = _angular_count(r_i, radius, grid, level)
+    counts = [_angular_count(r_i, radius, grid, level) for r_i, _ in rings]
+    px, py, wt = (np.empty(sum(counts)) for _ in range(3))
+    start = 0
+    for (r_i, w_i), nphi in zip(rings, counts):
         phi = (2.0 * math.pi / nphi) * np.arange(nphi)
-        px_parts.append(wrap_angle(cx + r_i * np.cos(phi)))
-        py_parts.append(wrap_angle(cy + r_i * np.sin(phi)))
-        wt_parts.append(np.full(nphi, w_i * (2.0 * math.pi / nphi)))
-    return (
-        np.concatenate(px_parts),
-        np.concatenate(py_parts),
-        np.concatenate(wt_parts),
-    )
+        ring = slice(start, start + nphi)
+        px[ring] = wrap_angle(cx + r_i * np.cos(phi))
+        py[ring] = wrap_angle(cy + r_i * np.sin(phi))
+        wt[ring] = w_i * (2.0 * math.pi / nphi)
+        start += nphi
+    return px, py, wt
 
 
 def _clustered_axis(radius: float, t_min: float, order: int):
@@ -384,18 +413,22 @@ def _needle_disk_nodes(center, axis: float, radius: float, r_min: float,
 
 
 def _disk_integral(f, center, radius, r_min, grid, level, axis=None):
-    """Integral of f over one disk, evaluated in fixed node blocks.
+    """Integral of f over one disk, evaluated in node blocks.
 
-    Each block is reduced into ``_SUM_CHUNK`` partial sums that math.fsum
-    combines, which is exactly ``compensated_sum`` over the whole disk (a
-    disk of at most ``_SUM_CHUNK`` nodes is one plain fsum)."""
+    A block holds as many whole ``_SUM_CHUNK`` node chunks as fit in the
+    ``_BLOCK_VALUES`` budget (at least one) and is reduced into
+    ``_SUM_CHUNK`` partial sums that math.fsum combines, which is exactly
+    ``compensated_sum`` over the whole disk (a disk of at most
+    ``_SUM_CHUNK`` nodes is one plain fsum)."""
     if axis is None:
         px, py, wt = _disk_nodes(center, radius, r_min, grid, level)
     else:
         px, py, wt = _needle_disk_nodes(center, axis, radius, r_min, grid, level)
+    m = _values_per_node(f, px[:1], py[:1])
+    block_nodes = _SUM_CHUNK * _block_units(_SUM_CHUNK * m)
     terms = []
-    for i in range(0, px.size, _DISK_BLOCK):
-        block = slice(i, i + _DISK_BLOCK)
+    for i in range(0, px.size, block_nodes):
+        block = slice(i, i + block_nodes)
         vals = _eval_on_block(f, px[block], py[block], (wt[block].size,)) * wt[block]
         if px.size <= _SUM_CHUNK:
             terms.append(vals)

@@ -28,7 +28,8 @@ from .thermal_metric import (
     BuresTensor,
     ParameterIndex,
     ThermoPoint,
-    tensor_thermodynamic,
+    tensor_thermodynamic,  # noqa: F401  (perfbench/tracing.py rebinds this name)
+    tensors_thermodynamic,
 )
 
 __all__ = [
@@ -277,10 +278,14 @@ def ratio_map(
     """Map of g^c/g^nc for one element pair along a coupling trajectory.
 
     Temperatures are log-spaced over ``t_range``; couplings linear over
-    ``jz_range`` through ``trajectory``.  Cells are independent and evaluated
-    concurrently (results are assembled by index, so the worker count cannot
-    change values).  Quadrature failures mark cells invalid instead of
-    aborting the map.
+    ``jz_range`` through ``trajectory``.  Each coupling column is one job:
+    a single ``tensors_thermodynamic`` batch over the column's temperatures,
+    which shares the spectral fields and one refinement geometry (see
+    ``thermal_metric._refinement_plan``).  Columns run concurrently and are
+    assembled by index, so the worker count cannot change values.  A
+    temperature whose quadrature misses the tolerance marks only its own
+    cell invalid, with its own reason; the column's converged cells keep
+    their values.  Failures never abort the map.
     """
     if isinstance(resolution, int):
         n_jz = n_t = resolution
@@ -298,23 +303,34 @@ def ratio_map(
     mu, nu = element
     elements = [("c", mu, nu), ("nc", mu, nu)]
 
-    def cell(args):
-        i, j = args
-        tp = ThermoPoint.from_temperature(trajectory(float(jz_values[j])), float(temperatures[i]))
-        tensor = tensor_thermodynamic(tp, quad, elements=elements)
-        c = tensor.element("classical", mu, nu)
+    def ratio(tensor):
+        if isinstance(tensor, Exception):
+            return tensor
         nc = tensor.element("nonclassical", mu, nu)
         if nc == 0.0:
-            raise QuadratureConvergenceError("nonclassical element vanished")
-        return c / nc
+            return QuadratureConvergenceError("nonclassical element vanished")
+        return tensor.element("classical", mu, nu) / nc
 
-    jobs = [(i, j) for i in range(n_t) for j in range(n_jz)]
+    def column(j):
+        try:
+            couplings = trajectory(float(jz_values[j]))
+            points = [ThermoPoint.from_temperature(couplings, float(t)) for t in temperatures]
+            tensors = tensors_thermodynamic(points, quad, elements=elements)
+        except QuadratureConvergenceError as exc:
+            tensors = exc.members
+        except ValueError as exc:
+            tensors = [exc] * n_t
+        return [ratio(t) for t in tensors]
+
     out = np.zeros((n_t, n_jz))
     valid = np.ones((n_t, n_jz), dtype=bool)
     failures = []
     workers = threads if threads and threads > 0 else None
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for (i, j), res in zip(jobs, pool.map(lambda a: _try_cell(cell, a), jobs)):
+        columns = list(pool.map(column, range(n_jz)))
+    for i in range(n_t):
+        for j in range(n_jz):
+            res = columns[j][i]
             if isinstance(res, Exception):
                 valid[i, j] = False
                 failures.append(((i, j), str(res)))
@@ -328,13 +344,6 @@ def ratio_map(
         valid=valid,
         failures=tuple(failures),
     )
-
-
-def _try_cell(fn, args):
-    try:
-        return fn(args)
-    except (QuadratureConvergenceError, ValueError) as exc:
-        return exc
 
 
 @dataclass(frozen=True)

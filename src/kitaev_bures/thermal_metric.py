@@ -58,9 +58,9 @@ import numpy as np
 
 from . import bures
 from .quadrature import (
-    _ROW_CHUNK,
     GridSpec,
     QuadratureConvergenceError,
+    _block_units,
     _grid_mean,
     compensated_sum,
     integrate_bz,
@@ -400,10 +400,12 @@ def _momentum_axis(L: int) -> np.ndarray:
 
 
 def _min_lam(couplings: Couplings, xs: np.ndarray) -> float:
-    """Smallest quasiparticle energy on the grid ``xs x xs``, by row blocks."""
+    """Smallest quasiparticle energy on the grid ``xs x xs``, in the
+    quadrature's row blocks (one value per node)."""
+    rows = _block_units(xs.size)
     return min(
-        float(np.min(spectral_arrays(xs[i : i + _ROW_CHUNK, None], xs[None, :], couplings).lam))
-        for i in range(0, xs.size, _ROW_CHUNK)
+        float(np.min(spectral_arrays(xs[i : i + rows, None], xs[None, :], couplings).lam))
+        for i in range(0, xs.size, rows)
     )
 
 
@@ -523,13 +525,27 @@ def _refinement_plan(points: Sequence[ThermoPoint], grid: GridSpec):
     return centers, axes, width, replace(grid, refine_radius_factor=factor)
 
 
+def _tolerance_missed(points, raw_errors, result, members=()):
+    temps = ", ".join(format(tp.temperature, ".6g") for tp in points)
+    return QuadratureConvergenceError(
+        f"zone quadrature did not reach the requested tolerance at T = {temps} "
+        f"(error estimate {np.max(raw_errors):.3e})",
+        result,
+        members,
+    )
+
+
 def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
     """Integrate the requested elements of every point in one quadrature pass.
 
     The integrand (``_integrand``) has leading axes (point, component), so
     the quadrature judges and freezes every point on its own.  The zero
     classical components of zero-temperature points integrate to exactly 0;
-    a batch with no finite temperature integrates no classical components.
+    a batch with no finite temperature integrates no classical components
+    unless they are all that was requested.  When points miss the
+    tolerance, the QuadratureConvergenceError names them and carries every
+    point's outcome in ``members``: the tensor of each converged point, an
+    error naming its own temperature for each failed one.
     """
     grid = grid or GridSpec()
     points = list(points)
@@ -538,9 +554,10 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
     couplings = points[0].couplings
     if any(tp.couplings != couplings for tp in points):
         raise ValueError("a batch of thermal points must share one coupling")
-    stack_c = pairs_c if any(not tp.zero_temperature for tp in points) else []
-    if not stack_c and not pairs_nc:
+    if not pairs_c and not pairs_nc:
         raise ValueError("no tensor elements requested")
+    finite_temperature = any(not tp.zero_temperature for tp in points)
+    stack_c = pairs_c if finite_temperature or not pairs_nc else []
     n_c = len(stack_c)
     f = _integrand(points, stack_c, pairs_nc, nc_kernel)
 
@@ -552,14 +569,6 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
     shape = (len(points), n_c + len(pairs_nc))
     raw_errors = np.reshape(result.error_estimate, shape)
     converged = np.reshape(result.converged, (len(points),))
-    if not np.all(converged):
-        failed = ", ".join(format(tp.temperature, ".6g")
-                           for tp, ok in zip(points, converged) if not ok)
-        raise QuadratureConvergenceError(
-            "zone quadrature did not reach the requested tolerance at "
-            f"T = {failed} (error estimate {np.max(raw_errors[~converged]):.3e})",
-            result,
-        )
     values = np.reshape(result.value, shape) / THIRTY_TWO_PI_SQ
     errors = raw_errors / THIRTY_TWO_PI_SQ
     tensors = []
@@ -579,6 +588,13 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
             BuresTensor(_assemble(stack_c, list(vals[:n_c])),
                         _assemble(pairs_nc, list(vals[n_c:])), info)
         )
+    if not np.all(converged):
+        members = [
+            tensor if ok else _tolerance_missed([tp], err, result)
+            for tp, tensor, ok, err in zip(points, tensors, converged, raw_errors)
+        ]
+        failed = [tp for tp, ok in zip(points, converged) if not ok]
+        raise _tolerance_missed(failed, raw_errors[~converged], result, members)
     return tensors
 
 
@@ -596,7 +612,9 @@ def tensors_thermodynamic(
     tolerance on its own and keeps the value of the doubling at which it
     converged; ``evaluations`` in each tensor's details counts the shared
     nodes.  Raises QuadratureConvergenceError naming the temperatures whose
-    error estimate misses the tolerance.
+    error estimate misses the tolerance; its ``members`` hold the tensors
+    of the points that converged and, for each failed point, an error
+    naming that point alone.
     """
     pairs_c, pairs_nc = _select_pairs(elements)
     if (

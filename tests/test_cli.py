@@ -141,6 +141,29 @@ def test_sweep_default_elements_and_determinism(capsys):
     assert zero_rows and all(float(l.split(",")[6]) == 0.0 for l in zero_rows)
 
 
+def test_sweep_temperature_list_matches_single_temperature_runs(capsys):
+    # near-critical gapped path (refined): each path point integrates both
+    # temperatures in one batch; rows stay temperature-major and agree with
+    # single-temperature runs within the tolerance
+    base = ["sweep", "--path", "start=0.2,0.2,0.6", "end=0.22,0.22,0.56", "--steps", "2",
+            "--elements", "jz-jz,beta-jz", "--grid-n", "64", "--tol", "1e-6"]
+    code, out, _ = run(capsys, base + ["--temp", "0.05,0.2"])
+    assert code == 0
+    rows = [l.split(",") for l in out.strip().splitlines()[1:]]
+    single = []
+    for temp in ("0.05", "0.2"):
+        code, text, _ = run(capsys, base + ["--temp", temp])
+        assert code == 0
+        single += [l.split(",") for l in text.strip().splitlines()[1:]]
+    assert [r[:6] for r in rows] == [r[:6] for r in single]
+    assert [r[4] for r in rows] == ["0.050000000000000003"] * 4 + ["0.20000000000000001"] * 4
+    got = np.array([[float(v) for v in r[6:]] for r in rows])
+    want = np.array([[float(v) for v in r[6:]] for r in single])
+    for k in range(0, len(rows), 2):  # one tensor per (temperature, path point)
+        scale = np.max(np.abs(want[k : k + 2]))
+        assert np.max(np.abs(got[k : k + 2] - want[k : k + 2])) <= 2e-6 * scale
+
+
 def test_sweep_path_validation(capsys):
     code, _, err = run(capsys, ["sweep", "--path", "start=1,2", "end=0,0,1"])
     assert code == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ def test_batched_integrals_match_standalone_bit_for_bit():
 )
 def test_blocked_disk_sum_equals_compensated_sum(axis, level, blocks):
     from kitaev_bures.quadrature import (
-        _DISK_BLOCK,
+        _BLOCK_VALUES,
         _SUM_CHUNK,
         _disk_integral,
         _disk_nodes,
@@ -210,7 +211,10 @@ def test_blocked_disk_sum_equals_compensated_sum(axis, level, blocks):
     else:
         px, py, wt = _needle_disk_nodes(center, axis, radius, r_min, grid, level)
         assert px.size > _SUM_CHUNK
-    assert -(-px.size // _DISK_BLOCK) == blocks
+    # two values per node: a block holds the whole sum chunks that fit in
+    # the value budget
+    block_nodes = _SUM_CHUNK * (_BLOCK_VALUES // (2 * _SUM_CHUNK))
+    assert -(-px.size // block_nodes) == blocks
 
     def f(qx, qy):
         return np.stack([np.exp(np.cos(qx) - np.sin(qy)), 1.0 / (1.0 + qx * qx + qy * qy)])
@@ -220,3 +224,24 @@ def test_blocked_disk_sum_equals_compensated_sum(axis, level, blocks):
     assert n == px.size
     for c in range(2):
         assert got[c] == compensated_sum(vals[c] * wt)
+
+
+def test_block_memory_does_not_grow_with_the_stack():
+    # 16 stacked integrals on a 2048-point grid: 128-row blocks would hold
+    # 128 * 2048 * 16 values (32 MiB per array); the value budget keeps a
+    # block at 2 * 128 * 2048 values (4 MiB) whatever the stack
+    ks = np.arange(1, 17)[:, None, None]
+
+    def f(px, py):
+        return np.cos(ks * px) * np.cos(py) + 2.0
+
+    grid = GridSpec(base_n=1024, max_doublings=1, target_rel_tol=1e-10)
+    tracemalloc.start()
+    try:
+        res = integrate_bz(f, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.value.shape == (16,) and res.converged
+    assert np.allclose(res.value, 2.0 * FOUR_PI_SQ, rtol=1e-13)
+    assert peak < 16 * 2**20

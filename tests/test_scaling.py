@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kitaev_bures.quadrature import GridSpec, integrate_bz_refined
+from kitaev_bures.quadrature import GridSpec, QuadratureConvergenceError, integrate_bz_refined
 from kitaev_bures.scaling import (
     GappedClassicalFit,
     LogDivergenceFit,
@@ -22,9 +22,11 @@ from kitaev_bures.thermal_metric import (
     ParameterIndex as P,
     ThermoPoint,
     tensor_thermodynamic,
+    tensors_thermodynamic,
 )
 
 GAPPED = Couplings(0.1, 0.1, 0.8)
+SYM = Couplings(1 / 3, 1 / 3, 1 / 3)
 
 
 def samples_from(f, lo, hi, n=10):
@@ -175,6 +177,49 @@ def test_ratio_map_thread_count_does_not_change_values():
     a = ratio_map(figure_of_merit_trajectory, (0.62, 0.66), (0.5, 1.0), 8, grid=grid, threads=1)
     b = ratio_map(figure_of_merit_trajectory, (0.62, 0.66), (0.5, 1.0), 8, grid=grid, threads=4)
     assert np.array_equal(a.grid, b.grid)
+
+
+def test_column_batched_map_matches_standalone_cells():
+    """Each column is one temperature batch sharing one refinement geometry;
+    every cell must still agree with its own standalone tensor.
+
+    Both values are within the tolerance tol * s of the exact parts, s the
+    larger part, so they differ by at most 2 tol s in each part, and the
+    ratio r = c / nc by at most 2 tol max(|r|, 1) (1 + |r|).  The window
+    holds refined near-critical columns (gap < 0.5 for jz < 0.625), where
+    the batch geometry differs from a single cell's, and unrefined ones.
+    """
+    grid = GridSpec(base_n=32, target_rel_tol=1e-4, max_doublings=4, refine_levels=2)
+    rmap = ratio_map(figure_of_merit_trajectory, (0.56, 0.70), (0.002, 0.05), 8,
+                     grid=grid, threads=2)
+    assert np.all(rmap.valid)
+    els = [("c", P.JZ, P.JZ), ("nc", P.JZ, P.JZ)]
+    for i, temp in enumerate(rmap.temperatures):
+        for j, jz in enumerate(rmap.jz_values):
+            tp = ThermoPoint.from_temperature(figure_of_merit_trajectory(float(jz)), float(temp))
+            t = tensor_thermodynamic(tp, grid, elements=els)
+            r = t.element("classical", P.JZ, P.JZ) / t.element("nonclassical", P.JZ, P.JZ)
+            bound = 2.0 * grid.target_rel_tol * max(abs(r), 1.0) * (1.0 + abs(r))
+            assert abs(rmap.grid[i, j] - r) <= bound
+
+
+def test_ratio_map_failed_temperature_invalidates_only_its_cell():
+    # under the column's shared geometry the coarse grid resolves every
+    # temperature of the column but the warmest, T = 0.3, to 2e-3
+    grid = GridSpec(base_n=32, max_doublings=1, target_rel_tol=2e-3, refine_levels=1)
+    rmap = ratio_map(lambda jz: SYM, (0.3, 0.34), (0.002, 0.3), 8, grid=grid, threads=2)
+    assert np.all(rmap.valid[:7]) and not np.any(rmap.valid[7])
+    assert [cell for cell, _ in rmap.failures] == [(7, j) for j in range(8)]
+    for _, reason in rmap.failures:
+        assert "tolerance at T = 0.3 " in reason and "0.002" not in reason
+    assert np.all(rmap.grid[7] == 0.0)
+    # the converged cells keep the values of the failed batch's members
+    points = [ThermoPoint.from_temperature(SYM, float(t)) for t in rmap.temperatures]
+    with pytest.raises(QuadratureConvergenceError) as info:
+        tensors_thermodynamic(points, grid, elements=[("c", P.JZ, P.JZ), ("nc", P.JZ, P.JZ)])
+    for i, member in enumerate(info.value.members[:7]):
+        r = member.element("classical", P.JZ, P.JZ) / member.element("nonclassical", P.JZ, P.JZ)
+        assert np.all(rmap.grid[i] == r)
 
 
 def test_ratio_map_validation():

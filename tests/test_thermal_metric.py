@@ -299,6 +299,18 @@ def test_thermodynamic_zero_temperature_limits():
         tensor_thermodynamic(ThermoPoint.from_temperature(SYM, 0.0))
 
 
+def test_zero_temperature_classical_only_request_is_zero_on_both_routes():
+    # frozen eigenvalues: the classical part at T = 0 is exactly zero, also
+    # when nothing but classical elements is requested
+    tp = ThermoPoint.from_temperature(GAPPED, 0.0)
+    els = [("c", P.BETA, P.BETA), ("c", P.JX, P.JZ)]
+    thermo = tensor_thermodynamic(tp, elements=els)
+    finite = tensor_finite(tp, 101, elements=els)
+    for t in (thermo, finite):
+        assert np.array_equal(t.classical, np.zeros((4, 4)))
+        assert np.array_equal(t.nonclassical, np.zeros((4, 4)))
+
+
 def test_thermodynamic_element_subset_matches_full():
     tp = ThermoPoint.from_temperature(GAPPED, 0.7)
     grid = GridSpec(base_n=64, target_rel_tol=1e-8)
@@ -397,6 +409,13 @@ def test_batch_failure_names_only_the_failing_temperature():
     message = str(info.value)
     assert "T = 0.3 " in message and "0.002" not in message
     assert info.value.result.converged.tolist() == [False, True]
+    # the error carries each member's outcome: its own error for the
+    # failed point, the tensor for the converged one
+    failed, kept = info.value.members
+    assert isinstance(failed, QuadratureConvergenceError)
+    assert "T = 0.3 " in str(failed) and "0.002" not in str(failed)
+    assert kept.evaluation.details["temperature"] == 0.002
+    assert kept.element("nonclassical", P.JZ, P.JZ) > 0.0
 
 
 def test_batch_requires_one_coupling():
