@@ -16,7 +16,15 @@ twice.  A hard cell cut-out would destroy the trapezoid's convergence, which
 is why the split is smooth.
 
 Integrands are callables ``f(px, py)`` taking broadcastable float arrays and
-returning an array of shape ``lead + broadcast(px, py).shape``; the optional
+returning an array of shape ``lead + broadcast(px, py).shape``, and they must
+be even under p -> -p.  Every rule here evaluates half the zone: the grids
+are closed under negation, so only one row of each mirror pair of rows is
+evaluated and its row sum counts twice (the rows that are their own mirror
+count once); refinement centres are closed under negation, so one disk of
+each +-K pair counts twice and a centre that is its own mirror (a zone
+corner) integrates half its disk, twice.  The contract is checked, not
+assumed: every grid and disk compares f(p0) with f(-p0) at one generic probe
+node and raises ValueError if they differ beyond rounding.  The optional
 leading axes let one quadrature pass integrate a whole stack of components
 on shared evaluations.  The last leading axis holds the components of one
 integral; any axes before it index independent integrals (for instance one
@@ -30,11 +38,11 @@ rows on the base grid and whole ``_SUM_CHUNK`` node chunks on a refinement
 disk, as many as fit in ``_BLOCK_VALUES`` values (at least one row or
 chunk), so memory does not grow with the number of stacked integrals beyond
 one row or chunk.  The values per node are read off the integrand's own
-output at one probe node.  Block
-boundaries therefore depend only on the integrand's shape and the grid, the
-partial sums of the blocks (and of the disk chunks) are combined by
-math.fsum in a fixed order, and results are bit-identical regardless of how
-many workers evaluate integrals.
+output at the probe node.  Block boundaries and row weights therefore
+depend only on the integrand's shape and the grid (the weights on row
+indices alone), the partial sums of the blocks (and of the disk chunks) are
+combined by math.fsum in a fixed order, and results are bit-identical
+regardless of how many workers evaluate integrals.
 """
 
 from __future__ import annotations
@@ -46,10 +54,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spectrum import wrap_angle
+from .spectrum import TWO_PI, wrap_angle
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 _SUM_CHUNK = 1 << 16
+# the probe node p0: on no symmetry line of the zone or of the couplings, so
+# f(p0) = f(-p0) is a test of evenness, not a coincidence
+_PROBE = (0.5772156649015329, -1.2020569031595942)
+# relative difference of f(p0) and f(-p0) (per independent integral, against
+# its largest value) beyond which the integrand is not even
+_EVEN_RTOL = 1e-12
 # integrand values held per evaluated block (grid rows or disk nodes times
 # the values per node): bounds the integrand's memory whatever the batch,
 # down to one grid row or one disk sum chunk
@@ -163,12 +177,26 @@ def _block_units(values_per_unit: int) -> int:
     return max(1, _BLOCK_VALUES // values_per_unit)
 
 
-def _values_per_node(f, px, py) -> int:
-    """Values ``f`` returns per node, from its output at one probe node.
+def _values_per_node(f) -> int:
+    """Values ``f`` returns per node, from its output at the probe node.
 
     Read from the output, not from an attribute of ``f``, so a wrapped
-    integrand blocks exactly as the bare one does."""
-    return _eval_on_block(f, px, py, np.shape(px)).size
+    integrand blocks exactly as the bare one does.  The same call evaluates
+    ``f`` at p0 and -p0 and raises ValueError when they differ beyond
+    rounding: the half-zone rules are exact only for even integrands."""
+    px = np.array([_PROBE[0], -_PROBE[0]])
+    py = np.array([_PROBE[1], -_PROBE[1]])
+    vals = _eval_on_block(f, px, py, (2,))
+    at_p0, at_minus_p0 = vals[..., 0], vals[..., 1]
+    nb = _batch_ndim(at_p0.ndim)
+    scale = np.maximum(_per_integral_max(at_p0, nb), _per_integral_max(at_minus_p0, nb))
+    if np.any(_per_integral_max(at_p0 - at_minus_p0, nb) > _EVEN_RTOL * scale):
+        raise ValueError(
+            "integrand is not even under p -> -p: f(p0) != f(-p0) at "
+            f"p0 = {_PROBE}; the zone rules evaluate half the zone and require "
+            "f(-p) = f(p)"
+        )
+    return at_p0.size
 
 
 def _batch_ndim(lead_ndim: int) -> int:
@@ -184,28 +212,45 @@ def _per_integral_max(x: np.ndarray, nb: int) -> np.ndarray:
     return x.reshape(x.shape[:nb] + (-1,)).max(axis=-1)
 
 
-def _grid_mean(f, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean of f over the grid ``xs x xs``, blocked and compensated.
+def _grid_mean(f, xs: np.ndarray, first_mirror: int):
+    """Mean of the even f over the grid ``xs x xs``, from half its rows.
+
+    The axis is closed under negation: node k is minus node
+    ``(first_mirror - k) % n`` (``first_mirror`` is 0 on the zone axis, whose
+    nodes -pi and 0 are their own mirrors, and n - 1 on the centred odd
+    axis, whose middle node is).  Negating p maps row k onto its mirror row
+    with the columns reversed, so both rows have the same sum: only the rows
+    ``k <= mirror(k)`` are evaluated, and each row sum counts twice, a
+    self-mirror row once.  Rows are chosen by index, never by comparing
+    nodes to 0, so odd and non-power-of-two n stay exact.
 
     Rows are evaluated and summed in blocks of whole rows holding at most
     ``_BLOCK_VALUES`` values, so the integrand's memory is bounded by the
-    budget (or one grid row), not the whole grid.  Also returns, per
-    independent integral, the largest |f| seen, which sets the absolute
-    floor below which a vanishing integral counts as converged."""
+    budget (or one grid row), not the whole grid; each row is reduced before
+    its weight is applied, so no weighted copy of a block is made.  Returns
+    the mean, the integrand nodes evaluated and, per independent integral,
+    the largest |f| seen, which sets the absolute floor below which a
+    vanishing integral counts as converged."""
     n = xs.size
-    rows_per_block = _block_units(n * _values_per_node(f, xs[:1, None], xs[None, :1]))
+    k = np.arange(n)
+    mirror = (first_mirror - k) % n
+    kept = k <= mirror
+    rows_xs = xs[kept]
+    weights = np.where(k == mirror, 1.0, 2.0)[kept]
+    rows_per_block = _block_units(n * _values_per_node(f))
     block_sums = []
     fmax = 0.0
-    for i in range(0, n, rows_per_block):
-        rows = xs[i : i + rows_per_block]
+    for i in range(0, rows_xs.size, rows_per_block):
+        rows = rows_xs[i : i + rows_per_block]
         vals = _eval_on_block(f, rows[:, None], xs[None, :], (rows.size, n))
         lead = vals.shape[:-2]
         fmax = np.maximum(fmax, _per_integral_max(vals, _batch_ndim(len(lead))))
-        block_sums.append(vals.reshape(lead + (-1,)).sum(axis=-1))
+        row_sums = vals.sum(axis=-1)
+        block_sums.append((row_sums * weights[i : i + rows.size]).sum(axis=-1))
     stacked = np.stack(block_sums, axis=0)
     flat = stacked.reshape(stacked.shape[0], -1)
     total = np.array([math.fsum(flat[:, j]) for j in range(flat.shape[1])])
-    return total.reshape(stacked.shape[1:]) / float(n * n), fmax
+    return total.reshape(stacked.shape[1:]) / float(n * n), rows_xs.size * n, fmax
 
 
 def _zone_axis(n: int) -> np.ndarray:
@@ -228,27 +273,27 @@ def _freeze(mask: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
 
 
 def integrate_bz(f: Callable, grid: GridSpec) -> IntegrationResult:
-    """Periodic trapezoid over the full zone with resolution doubling.
+    """Periodic trapezoid over the zone with resolution doubling.
 
-    The rule at base_n points per axis is compared against 2*base_n (and so
-    on, up to ``max_doublings``); the difference of successive levels is the
-    reported error estimate.  Each independent integral stops at the first
-    doubling that meets ``target_rel_tol`` against its own largest
-    component; the doubling continues while any integral is open.  Failure
-    to meet the tolerance is reported through ``converged=False``, never
-    silently.
+    ``f`` must be even under p -> -p (see the module docstring): each level
+    evaluates half the grid.  The rule at base_n points per axis is compared
+    against 2*base_n (and so on, up to ``max_doublings``); the difference of
+    successive levels is the reported error estimate.  Each independent
+    integral stops at the first doubling that meets ``target_rel_tol``
+    against its own largest component; the doubling continues while any
+    integral is open.  Failure to meet the tolerance is reported through
+    ``converged=False``, never silently.
     """
     n = grid.base_n
-    prev, fmax = _grid_mean(f, _zone_axis(n))
+    prev, evaluations, fmax = _grid_mean(f, _zone_axis(n), 0)
     nb = _batch_ndim(prev.ndim)
-    evaluations = n * n
     value = err = np.zeros(prev.shape)
     done = np.zeros(prev.shape[:nb], dtype=bool)
     for _ in range(grid.max_doublings):
         n *= 2
-        cur, fmax_cur = _grid_mean(f, _zone_axis(n))
+        cur, nodes, fmax_cur = _grid_mean(f, _zone_axis(n), 0)
         fmax = np.maximum(fmax, fmax_cur)
-        evaluations += n * n
+        evaluations += nodes
         value = _freeze(~done, FOUR_PI_SQ * cur, value)
         err = _freeze(~done, FOUR_PI_SQ * np.abs(cur - prev), err)
         scale = np.maximum(_per_integral_max(value, nb), 1e-300)
@@ -276,22 +321,48 @@ def _point_xy(p) -> tuple[float, float]:
     return float(x), float(y)
 
 
-def _dedupe_points(points, axes) -> list[tuple[tuple[float, float], float | None]]:
-    """Wrapped centres with their axes, each centre kept once (first wins)."""
-    out: list[tuple[tuple[float, float], float | None]] = []
+def _same_point(a, b) -> bool:
+    return all(abs(float(wrap_angle(u - v))) < 1e-8 for u, v in zip(a, b))
+
+
+def _inversion_classes(points, axes) -> list[tuple[tuple[float, float], float | None, bool]]:
+    """The centre set closed under p -> -p, one entry per mirror class.
+
+    Centres are wrapped and kept once (first wins).  An entry is
+    ``(centre, axis, own_mirror)``.  A centre within 1e-8 of its mirror is a
+    zone corner and is snapped onto it exactly (``own_mirror``).  Any other
+    centre K stands for itself and its mirror -K, given or not; a given -K
+    adds nothing, and K's axis serves both (lam is even, so its Hessian at
+    -K is the one at K).
+    """
+    out: list[tuple[tuple[float, float], float | None, bool]] = []
     for p, axis in zip(points, axes):
-        x, y = (float(wrap_angle(v)) for v in _point_xy(p))
-        if any(
-            abs(float(wrap_angle(x - qx))) < 1e-8 and abs(float(wrap_angle(y - qy))) < 1e-8
-            for (qx, qy), _ in out
-        ):
+        c = tuple(float(wrap_angle(v)) for v in _point_xy(p))
+        if any(_same_point(c, q) or _same_point(c, (-q[0], -q[1])) for q, _, _ in out):
             continue
-        out.append(((x, y), axis))
+        own_mirror = _same_point(c, (-c[0], -c[1]))
+        if own_mirror:
+            c = tuple(float(wrap_angle(math.pi * round(v / math.pi))) for v in c)
+        out.append((c, axis, own_mirror))
     return out
 
 
+def _fold(x):
+    """|x| reduced onto [0, pi] by the nearest multiple of 2 pi: the distance
+    on the circle, exactly even in x."""
+    return np.abs(x - TWO_PI * np.round(x / TWO_PI))
+
+
 def _torus_dist(px, py, cx: float, cy: float):
-    return np.hypot(wrap_angle(px - cx), wrap_angle(py - cy))
+    """Distance on the torus, exactly even in the displacement: the distance
+    of -p to c is bit for bit the distance of p to -c."""
+    return np.hypot(_fold(px - cx), _fold(py - cy))
+
+
+def _corner_dist(px, py, cx: float, cy: float):
+    """Distance on the torus to a zone corner (each coordinate 0 or -pi),
+    from |p| per axis: exactly even in p."""
+    return np.hypot(_fold(_fold(px) - abs(cx)), _fold(_fold(py) - abs(cy)))
 
 
 # sharpness of the partition step: erf tails at the clamp points are
@@ -332,10 +403,13 @@ def _angular_count(r: float, radius: float, grid: GridSpec, level: int) -> int:
     # toward the center guards against moderate cone anisotropy
     boost = 2 ** max(0, level - 1)
     n = grid.angular_base * boost * max(1, math.ceil(math.sqrt(radius / (32.0 * r))))
-    return int(min(grid.angular_cap, n))
+    n = int(min(grid.angular_cap, n))
+    # even, so that the ring angles phi and phi + pi pair up (half-disk rule)
+    return n + n % 2
 
 
-def _disk_nodes(center, radius: float, r_min: float, grid: GridSpec, level: int):
+def _disk_nodes(center, radius: float, r_min: float, grid: GridSpec, level: int,
+                half: bool = False):
     """Log-polar nodes and weights covering one refinement disk.
 
     Three radial panels: a Gauss rule in s = log r over [r_min, radius/2]
@@ -343,6 +417,9 @@ def _disk_nodes(center, radius: float, r_min: float, grid: GridSpec, level: int)
     the singular core), a Gauss rule in r over the transition annulus
     [radius/2, radius] where the weight falls to 0, and a small Gauss rule
     on the core r < r_min.  Ring angular counts grow toward the center.
+    ``half`` keeps the first half of every ring's (even count of) angles,
+    which with weight 2 is the whole disk when the integrand is even about
+    the centre.
     """
     cx, cy = center
     order = 24 * (2 ** max(0, level))
@@ -365,15 +442,16 @@ def _disk_nodes(center, radius: float, r_min: float, grid: GridSpec, level: int)
         r = 0.5 * r_min * (x + 1.0)
         rings.append((r, w * 0.5 * r_min * r))
     counts = [_angular_count(r_i, radius, grid, level) for r_i, _ in rings]
-    px, py, wt = (np.empty(sum(counts)) for _ in range(3))
+    kept = [nphi // 2 if half else nphi for nphi in counts]
+    px, py, wt = (np.empty(sum(kept)) for _ in range(3))
     start = 0
-    for (r_i, w_i), nphi in zip(rings, counts):
-        phi = (2.0 * math.pi / nphi) * np.arange(nphi)
-        ring = slice(start, start + nphi)
+    for (r_i, w_i), nphi, n_kept in zip(rings, counts, kept):
+        phi = (2.0 * math.pi / nphi) * np.arange(n_kept)
+        ring = slice(start, start + n_kept)
         px[ring] = wrap_angle(cx + r_i * np.cos(phi))
         py[ring] = wrap_angle(cy + r_i * np.sin(phi))
         wt[ring] = w_i * (2.0 * math.pi / nphi)
-        start += nphi
+        start += n_kept
     return px, py, wt
 
 
@@ -395,14 +473,19 @@ def _clustered_axis(radius: float, t_min: float, order: int):
 
 
 def _needle_disk_nodes(center, axis: float, radius: float, r_min: float,
-                       grid: GridSpec, level: int):
+                       grid: GridSpec, level: int, half: bool = False):
     """Nodes for a disk whose integrand has a soft (quadratic-dispersion)
     axis: a log-log Cartesian grid aligned with the axis resolves the
-    needle-shaped ridge that uniform polar rings cannot."""
+    needle-shaped ridge that uniform polar rings cannot.  ``half`` keeps
+    the nodes with u > 0, the mirrors of those with u < 0."""
     cx, cy = center
     order = 24 * (2 ** max(0, level))
     u, wu = _clustered_axis(radius, r_min, order)
     v, wv = _clustered_axis(radius, r_min, order)
+    if half:
+        # the clustered axis is symmetric with no node at 0: its second
+        # half is exactly the positive nodes
+        u, wu = u[u.size // 2 :], wu[wu.size // 2 :]
     cu, su = math.cos(axis), math.sin(axis)
     uu = u[:, None]
     vv = v[None, :]
@@ -412,8 +495,9 @@ def _needle_disk_nodes(center, axis: float, radius: float, r_min: float,
     return px.ravel(), py.ravel(), w2d.ravel()
 
 
-def _disk_integral(f, center, radius, r_min, grid, level, axis=None):
-    """Integral of f over one disk, evaluated in node blocks.
+def _disk_integral(f, center, radius, r_min, grid, level, axis=None, half=False):
+    """Integral of f over one disk (over its ``half`` when set), evaluated
+    in node blocks.
 
     A block holds as many whole ``_SUM_CHUNK`` node chunks as fit in the
     ``_BLOCK_VALUES`` budget (at least one) and is reduced into
@@ -421,10 +505,10 @@ def _disk_integral(f, center, radius, r_min, grid, level, axis=None):
     ``compensated_sum`` over the whole disk (a disk of at most
     ``_SUM_CHUNK`` nodes is one plain fsum)."""
     if axis is None:
-        px, py, wt = _disk_nodes(center, radius, r_min, grid, level)
+        px, py, wt = _disk_nodes(center, radius, r_min, grid, level, half)
     else:
-        px, py, wt = _needle_disk_nodes(center, axis, radius, r_min, grid, level)
-    m = _values_per_node(f, px[:1], py[:1])
+        px, py, wt = _needle_disk_nodes(center, axis, radius, r_min, grid, level, half)
+    m = _values_per_node(f)
     block_nodes = _SUM_CHUNK * _block_units(_SUM_CHUNK * m)
     terms = []
     for i in range(0, px.size, block_nodes):
@@ -452,7 +536,7 @@ def integrate_bz_refined(
     *,
     axes: Sequence[float | None] | None = None,
 ) -> IntegrationResult:
-    """Full-zone integral with local refinement around singular points.
+    """Zone integral with local refinement around singular points.
 
     ``singular_pts`` are the dispersion zeros (Momentum instances or (px, py)
     pairs); ``width`` sets the physical feature scale, typically the
@@ -461,19 +545,25 @@ def integrate_bz_refined(
     width/100.  A point whose dispersion is soft (quadratic) along some
     direction gets that direction passed in ``axes`` (parallel to
     ``singular_pts``, None for isotropic points) and is integrated on an
-    axis-aligned log-log grid instead of polar rings.  With no singular
-    points this is exactly ``integrate_bz``.
+    axis-aligned log-log grid instead of polar rings.
+
+    ``f`` must be even under p -> -p.  The centres are first closed under
+    inversion (see ``_inversion_classes``), so the partition-of-unity mask
+    is even and the base rule can evaluate half the zone.  One disk of each
+    +-K pair, and half the disk of a zone corner, is integrated and counted
+    twice.  With no singular points this is exactly ``integrate_bz``.
     """
     raw = list(singular_pts)
     axes_list = [None] * len(raw) if axes is None else list(axes)
     if len(axes_list) != len(raw):
         raise ValueError("axes must parallel singular_pts")
-    disks = _dedupe_points(raw, axes_list)
-    points = [center for center, _ in disks]
-    if not points:
+    classes = _inversion_classes(raw, axes_list)
+    if not classes:
         return integrate_bz(f, grid)
     if not width > 0:
         raise ValueError(f"width must be positive, got {width}")
+    points = [c for c, _, _ in classes]
+    points += [(-c[0], -c[1]) for c, _, own_mirror in classes if not own_mirror]
     radius = grid.refine_radius_factor * width
     cap = 0.5 * math.pi
     for i in range(len(points)):
@@ -487,8 +577,16 @@ def integrate_bz_refined(
 
     def masked(px, py):
         w = np.zeros(np.broadcast(np.asarray(px), np.asarray(py)).shape)
-        for cx, cy in points:
-            w = w + _bump(_torus_dist(px, py, cx, cy), radius)
+        # even bit for bit: a corner's distance is even in p, and K and -K
+        # trade places under p -> -p in a sum whose order does not matter
+        for (cx, cy), _, own_mirror in classes:
+            if own_mirror:
+                w = w + _bump(_corner_dist(px, py, cx, cy), radius)
+            else:
+                w = w + (
+                    _bump(_torus_dist(px, py, cx, cy), radius)
+                    + _bump(_torus_dist(px, py, -cx, -cy), radius)
+                )
         return f(px, py) * (1.0 - w)
 
     base = integrate_bz(masked, grid)
@@ -496,11 +594,13 @@ def integrate_bz_refined(
     err = np.asarray(base.error_estimate, dtype=float).copy()
     evaluations = base.evaluations
     level = max(1, grid.refine_levels)
-    for center, axis in disks:
-        lo, n_lo = _disk_integral(f, center, radius, r_min, grid, level, axis)
-        hi, n_hi = _disk_integral(f, center, radius, r_min, grid, level + 1, axis)
-        value = value + hi
-        err = err + np.abs(hi - lo)
+    for center, axis, own_mirror in classes:
+        lo, n_lo = _disk_integral(f, center, radius, r_min, grid, level, axis, own_mirror)
+        hi, n_hi = _disk_integral(f, center, radius, r_min, grid, level + 1, axis, own_mirror)
+        # the disk at -K, or the corner disk's other half, is the mirror
+        # image of the one integrated
+        value = value + 2.0 * hi
+        err = err + 2.0 * np.abs(hi - lo)
         evaluations += n_hi + n_lo
     # the base flag judged its error against the masked partial value only;
     # what matters is the combined error against the full integral

@@ -16,15 +16,19 @@ with the closed-form integrands (no prefactor) given by
 where omega_a, theta_a are the coupling responses from `spectrum`
 (omega_z = 2 epsilon unifies the z row).  One builder, ``_integrand``,
 assembles them for the zone quadrature, the finite sums and the pointwise
-``classical_integrand``/``nonclassical_integrand``.  ``tensor_finite`` takes
-the mean of the same integrands over the L x L momentum grid p = 2 pi n / L
-(L odd), the periodic trapezoid rule on the lattice's own grid, reduced in
-the quadrature's fixed row blocks; normalized per site, the momentum sum is
+``classical_integrand``/``nonclassical_integrand``.  Every integrand is even
+under p -> -p (epsilon, lam and omega_a are even; delta and every theta_a
+are odd and enter in pairs), which lets the quadrature and the finite sums
+evaluate half the zone.  ``tensor_finite`` takes the mean of the same
+integrands over the L x L momentum grid p = 2 pi n / L (L odd), the
+periodic trapezoid rule on the lattice's own grid, reduced in the
+quadrature's fixed row blocks; normalized per site, the momentum sum is
 4 pi^2 / (32 pi^2 L^2) = 1 / (8 L^2) times the sum, i.e. the mean over 8.
 
 Oracle and normalization calibration
 ------------------------------------
-``tensor_oracle`` rebuilds the tensor with no reference to the closed forms:
+``tensor_oracle`` rebuilds the tensor with no reference to the closed forms
+and on the full L x L grid, without the evenness the other routes assume:
 each momentum hosts a thermal qubit (``mode_density_matrix``) and the bures
 module differentiates it, by finite-difference Uhlmann fidelity and by the
 analytic eigen-decomposition formula.  Summed per site (N = 2 L^2), the
@@ -400,12 +404,14 @@ def _momentum_axis(L: int) -> np.ndarray:
 
 
 def _min_lam(couplings: Couplings, xs: np.ndarray) -> float:
-    """Smallest quasiparticle energy on the grid ``xs x xs``, in the
-    quadrature's row blocks (one value per node)."""
+    """Smallest quasiparticle energy on the centred odd grid ``xs x xs``, in
+    the quadrature's row blocks (one value per node).  lam is even, so the
+    rows up to the middle one (the mirrors of the rest) suffice."""
+    half = xs[: xs.size // 2 + 1]
     rows = _block_units(xs.size)
     return min(
-        float(np.min(spectral_arrays(xs[i : i + rows, None], xs[None, :], couplings).lam))
-        for i in range(0, xs.size, rows)
+        float(np.min(spectral_arrays(half[i : i + rows, None], xs[None, :], couplings).lam))
+        for i in range(0, half.size, rows)
     )
 
 
@@ -415,10 +421,11 @@ def tensor_finite(tp: ThermoPoint, L: int, *, elements=None) -> BuresTensor:
     The closed-form integrands summed over p = 2 pi n / L and normalized by
     1 / (8 L^2): the periodic trapezoid rule on the lattice's own grid,
     reduced in the same fixed row blocks as the zone quadrature's base grid,
-    so memory grows with L, not L^2.  At the zero-temperature flag the grid
-    is checked against dispersion zeros (odd L avoids them in the gapless
-    interior, but not on special commensurate couplings) and the classical
-    part is exactly zero.
+    so memory grows with L, not L^2.  The integrands are even, so only the
+    rows n_x <= 0 are evaluated (see ``quadrature._grid_mean``).  At the
+    zero-temperature flag the grid is checked against dispersion zeros (odd
+    L avoids them in the gapless interior, but not on special commensurate
+    couplings) and the classical part is exactly zero.
     """
     L = int(L)
     if L < 3 or L % 2 == 0:
@@ -434,7 +441,8 @@ def tensor_finite(tp: ThermoPoint, L: int, *, elements=None) -> BuresTensor:
                 "momentum grid hits a dispersion zero at zero temperature; "
                 "the nonclassical sum is undefined there (choose a different L)"
             )
-    mean, _ = _grid_mean(_integrand([tp], pairs_c, pairs_nc, _tanh_sq_ratio), xs)
+    # node k of the centred axis is minus node L - 1 - k
+    mean, _, _ = _grid_mean(_integrand([tp], pairs_c, pairs_nc, _tanh_sq_ratio), xs, L - 1)
     # (1 / (8 L^2)) * sum = mean / 8
     values = list(mean[0] / 8.0)
     info = EvaluationInfo(
@@ -451,12 +459,19 @@ def tensor_finite(tp: ThermoPoint, L: int, *, elements=None) -> BuresTensor:
 # thermodynamic limit
 
 
-def _dispersion_minimum(couplings: Couplings, n: int = 192) -> Momentum:
-    xs = _momentum_axis(n + 1)  # odd count, deterministic
-    fields = spectral_arrays(xs[:, None], xs[None, :], couplings)
-    flat = int(np.argmin(fields.lam))
-    i, j = divmod(flat, xs.size)
-    return Momentum(float(xs[i]), float(xs[j]))
+def _gap_minimum(couplings: Couplings) -> Momentum:
+    """The dispersion minimum of a gapped coupling, in closed form.
+
+    lam = 2 |jx e^{i px} + jy e^{i py} + jz| is at least fermion_gap by the
+    triangle inequality, with equality where the two smaller terms point
+    against the dominant one: at the corner of {0, pi}^2 with the smallest
+    lam, in every gapped region and for every sign pattern.  A corner is
+    its own mirror under p -> -p.  Ties (a zero coupling makes lam flat
+    along a line) go to the first corner in a fixed order.
+    """
+    corners = [Momentum(x, y) for x in (0.0, math.pi) for y in (0.0, math.pi)]
+    lam = [float(spectral_arrays(c.px, c.py, couplings).lam) for c in corners]
+    return corners[lam.index(min(lam))]
 
 
 def _needle_axis(couplings: Couplings, p: Momentum, ratio_cut: float = 0.05):
@@ -507,7 +522,7 @@ def _refinement_plan(points: Sequence[ThermoPoint], grid: GridSpec):
         gap = fermion_gap(couplings)
         if gap >= NEAR_CRITICAL_GAP:
             return [], [], 0.0, grid
-        centers = [_dispersion_minimum(couplings)]
+        centers = [_gap_minimum(couplings)]
         floor = max(gap / 8.0, 1e-6)
     else:
         centers = dirac_points(couplings)

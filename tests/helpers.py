@@ -85,3 +85,57 @@ def numeric_drho(family, lam0, h=1e-6):
         d = d - (np.trace(d, axis1=-2, axis2=-1) / dim)[..., None, None] * np.eye(dim)
         out.append(d)
     return out
+
+
+def full_zone_reference(f, centres, width, grid, axes=None):
+    """The refined zone rule on every node: all of the 2 base_n trapezoid
+    grid (the level after one doubling) under the partition mask, plus all
+    of the finer disk around every centre, each summed by compensated_sum.
+
+    ``centres`` must be closed under p -> -p (each given as it should be
+    integrated, corners exactly); ``axes`` parallels them.  Returns the
+    integral with the integrand's leading axes."""
+    import math
+
+    from kitaev_bures.quadrature import (
+        _bump,
+        _disk_nodes,
+        _needle_disk_nodes,
+        compensated_sum,
+    )
+    from kitaev_bures.spectrum import wrap_angle
+
+    axes = [None] * len(centres) if axes is None else axes
+
+    def dist(px, py, c):
+        return np.hypot(wrap_angle(px - c[0]), wrap_angle(py - c[1]))
+
+    n = 2 * grid.base_n
+    xs = -math.pi + (2.0 * math.pi / n) * np.arange(n)
+    px, py = np.meshgrid(xs, xs, indexing="ij")
+    radius, r_min = 0.0, 0.0
+    mask = np.zeros(px.shape)
+    if centres:
+        gaps = [
+            0.499 * float(dist(np.array(a[0]), np.array(a[1]), b))
+            for i, a in enumerate(centres)
+            for b in centres[i + 1 :]
+        ]
+        radius = min([grid.refine_radius_factor * width, 0.5 * math.pi] + gaps)
+        r_min = min(width / 100.0, radius / 64.0)
+        for c in centres:
+            mask += _bump(dist(px, py, c).ravel(), radius).reshape(px.shape)
+    vals = f(px, py) * (1.0 - mask)
+    lead = vals.shape[:-2]
+    out = np.array(
+        [4.0 * math.pi**2 * compensated_sum(v) / (n * n) for v in vals.reshape((-1, n, n))]
+    )
+    level = max(1, grid.refine_levels) + 1
+    for c, axis in zip(centres, axes):
+        if axis is None:
+            qx, qy, wt = _disk_nodes(c, radius, r_min, grid, level)
+        else:
+            qx, qy, wt = _needle_disk_nodes(c, axis, radius, r_min, grid, level)
+        disk = f(qx, qy).reshape((-1, qx.size))
+        out = out + np.array([compensated_sum(v * wt) for v in disk])
+    return out.reshape(lead)

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import full_zone_reference
 from kitaev_bures.quadrature import (
     GridSpec,
     compensated_sum,
@@ -69,7 +70,7 @@ def test_refined_noop_without_singular_points():
 
 @pytest.mark.parametrize("width", [0.05, 0.2])
 def test_refined_matches_plain_on_smooth_integrands(width):
-    f = lambda px, py: np.exp(np.cos(px) + 0.5 * np.sin(py))
+    f = lambda px, py: np.exp(np.cos(px) + 0.5 * np.sin(px) * np.sin(py))
     plain = integrate_bz(f, TIGHT)
     ref = integrate_bz_refined(f, [(0.3, -1.1), (-2.0, 2.0)], width, TIGHT)
     assert ref.converged
@@ -112,7 +113,7 @@ def test_error_estimates_conservative(rng):
         a, b, c = rng.normal(size=3)
 
         def f(px, py, k1=k1, k2=k2, a=a, b=b, c=c):
-            return np.exp(a * np.cos(k1 * px) + b * np.sin(k2 * py)) + c
+            return np.exp(a * np.cos(k1 * px) + b * np.sin(k1 * px) * np.sin(k2 * py)) + c
 
         res = integrate_bz(f, GridSpec(base_n=16, target_rel_tol=1e-8, max_doublings=2))
         ref = integrate_bz(f, GridSpec(base_n=256, target_rel_tol=1e-13, max_doublings=2))
@@ -123,13 +124,16 @@ def test_error_estimates_conservative(rng):
 
 
 def test_nonconvergence_reported():
-    f = lambda px, py: 1.0 / ((px - 0.37) ** 2 + (py + 0.91) ** 2 + 1e-10)
+    # a sharp peak and its mirror image
+    f = lambda px, py: 1.0 / ((px - 0.37) ** 2 + (py + 0.91) ** 2 + 1e-10) + 1.0 / (
+        (px + 0.37) ** 2 + (py - 0.91) ** 2 + 1e-10
+    )
     res = integrate_bz(f, GridSpec(base_n=16, target_rel_tol=1e-10, max_doublings=2))
     assert not res.converged
 
 
 def test_deterministic_repeatability():
-    f = lambda px, py: np.exp(np.cos(3 * px) - np.sin(2 * py))
+    f = lambda px, py: np.exp(np.cos(3 * px) - np.sin(px) * np.sin(2 * py))
     g = GridSpec(base_n=32, target_rel_tol=1e-10, max_doublings=3)
     a = integrate_bz(f, g)
     b = integrate_bz(f, g)
@@ -148,7 +152,7 @@ def test_compensated_sum_matches_fsum(rng):
 def test_singular_point_dedup_and_momentum_objects():
     from kitaev_bures.spectrum import Momentum
 
-    f = lambda px, py: np.exp(np.cos(px) + 0.5 * np.sin(py))
+    f = lambda px, py: np.exp(np.cos(px) + 0.5 * np.sin(px) * np.sin(py))
     plain = integrate_bz(f, TIGHT)
     # duplicated points (one wrapped by 2 pi) collapse to a single disk
     ref = integrate_bz_refined(
@@ -217,7 +221,9 @@ def test_blocked_disk_sum_equals_compensated_sum(axis, level, blocks):
     assert -(-px.size // block_nodes) == blocks
 
     def f(qx, qy):
-        return np.stack([np.exp(np.cos(qx) - np.sin(qy)), 1.0 / (1.0 + qx * qx + qy * qy)])
+        return np.stack(
+            [np.exp(np.cos(qx) - np.sin(qx) * np.sin(qy)), 1.0 / (1.0 + qx * qx + qy * qy)]
+        )
 
     got, n = _disk_integral(f, center, radius, r_min, grid, level, axis)
     vals = f(px, py)  # the whole disk at once
@@ -245,3 +251,74 @@ def test_block_memory_does_not_grow_with_the_stack():
     assert res.value.shape == (16,) and res.converged
     assert np.allclose(res.value, 2.0 * FOUR_PI_SQ, rtol=1e-13)
     assert peak < 16 * 2**20
+
+
+def _even_pair(px, py):
+    return np.stack(
+        [np.exp(np.cos(px) + 0.5 * np.sin(px) * np.sin(py)), 1.0 / (1.2 - np.cos(px) * np.cos(py))]
+    )
+
+
+def test_odd_integrand_violates_the_contract():
+    # the rules evaluate half the zone, so an odd part would be folded away
+    # silently; the probe node catches it on every rule
+    odd = lambda px, py: np.stack([np.cos(px) + 0 * py, np.sin(px) + 0.1 * np.sin(py)])
+    grid = GridSpec(base_n=16, max_doublings=1)
+    with pytest.raises(ValueError, match="even under p -> -p"):
+        integrate_bz(odd, grid)
+    with pytest.raises(ValueError, match="even under p -> -p"):
+        integrate_bz_refined(odd, [(0.3, -1.1)], 0.05, grid)
+    with pytest.raises(ValueError, match="even under p -> -p"):
+        integrate_bz_refined(odd, [(0.0, 0.0)], 0.05, grid)
+
+
+@pytest.mark.parametrize("base_n", [17, 24])
+def test_half_grid_equals_full_grid(base_n):
+    # odd and non-power-of-two axes: the self-mirror rows (-pi always, 0 for
+    # even n) are picked by index; both levels are checked, the finer through
+    # the value and the coarser through the error estimate
+    grid = GridSpec(base_n=base_n, max_doublings=1, target_rel_tol=1e-13)
+    res = integrate_bz(_even_pair, grid)
+
+    def full(n):
+        xs = -math.pi + (2.0 * math.pi / n) * np.arange(n)
+        vals = _even_pair(xs[:, None], xs[None, :])
+        return np.array([FOUR_PI_SQ * compensated_sum(v) / (n * n) for v in vals])
+
+    fine, coarse = full(2 * base_n), full(base_n)
+    assert res.evaluations == (base_n // 2 + 1) * base_n + (base_n + 1) * 2 * base_n
+    assert np.max(np.abs(res.value - fine)) <= 1e-14 * np.max(np.abs(fine))
+    assert np.max(np.abs(res.error_estimate - np.abs(fine - coarse))) <= 1e-14 * np.max(
+        np.abs(fine)
+    )
+
+
+@pytest.mark.parametrize(
+    "given, closed, axes",
+    [
+        ([(math.pi, 0.0)], [(-math.pi, 0.0)], [None]),  # corner, polar half disk
+        ([(0.0, 0.0)], [(0.0, 0.0)], [0.4]),  # corner, needle half grid
+        ([(0.7, -1.9)], [(0.7, -1.9), (-0.7, 1.9)], [None, None]),  # +-K from K alone
+        ([(0.7, -1.9), (-0.7, 1.9)], [(0.7, -1.9), (-0.7, 1.9)], [0.4, 0.4]),
+    ],
+    ids=["corner-polar", "corner-needle", "pair-closed", "pair-given"],
+)
+def test_half_disks_equal_full_disks(given, closed, axes):
+    # an odd angular base would leave rings without their phi + pi mirrors;
+    # the counts are made even, so the half-disk rule stays exact
+    grid = GridSpec(
+        base_n=32, max_doublings=1, refine_levels=1, angular_base=9, target_rel_tol=1.0
+    )
+    res = integrate_bz_refined(_even_pair, given, 0.05, grid, axes=axes[: len(given)])
+    ref = full_zone_reference(_even_pair, closed, 0.05, grid, axes)
+    assert np.max(np.abs(res.value - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_ring_angular_counts_are_even():
+    from kitaev_bures.quadrature import _angular_count
+
+    for base, cap in ((9, 8191), (64, 8192), (17, 101)):
+        grid = GridSpec(angular_base=base, angular_cap=cap)
+        for level in (1, 2, 4):
+            for r in (1e-6, 1e-3, 0.1, 0.3):
+                assert _angular_count(r, 0.3, grid, level) % 2 == 0
