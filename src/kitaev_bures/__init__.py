@@ -54,7 +54,6 @@ from .thermal_metric import (
     ThermoPoint,
     classical_integrand,
     mode_density_matrix,
-    nonclassical_correction,
     nonclassical_corrections,
     nonclassical_integrand,
     tensor_finite,

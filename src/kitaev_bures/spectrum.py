@@ -211,48 +211,46 @@ def fermion_gap(couplings: Couplings, tol: float | None = None) -> float:
     return 2.0 * (ax - ay - az)
 
 
-def dirac_points(
-    couplings: Couplings,
-    lambda_tol: float = 1e-10,
-    tol: float | None = None,
-) -> list[Momentum]:
-    """Zeros of the quasiparticle dispersion.
+def _gap_minimum(couplings: Couplings) -> Momentum:
+    """The gap corner: the zone corner of {0, pi}^2 with the smallest lam.
 
-    In the gapless phase this returns the two solutions of
-    cos(px) = (jy^2 - jx^2 - jz^2) / (2 jx jz) and the analogous py equation,
-    with the +- branches paired by explicit verification lam(p) < lambda_tol
-    (robust for all coupling signs).  Gapped couplings return an empty list.
-    On the critical boundary the pair merges and the single gap-closing
-    momentum is returned once.
+    lam = 2 |jx e^{i px} + jy e^{i py} + jz| is at least fermion_gap by the
+    triangle inequality, with equality where the two smaller terms point
+    against the dominant one.  That happens at a corner, where e^{i p_a} =
+    +-1 and lam = 2 |jx cx + jy cy + jz| exactly: the gap minimum in every
+    gapped region and the gap-closing point on the critical boundary, for
+    every sign pattern.  A corner is its own mirror under p -> -p.  Ties (a
+    zero coupling makes lam flat along a line) go to the first corner in a
+    fixed order.
+    """
+    jx, jy, jz = couplings.jx, couplings.jy, couplings.jz
+    corners = [(cx, cy) for cx in (1.0, -1.0) for cy in (1.0, -1.0)]
+    lam = [abs(jx * cx + jy * cy + jz) for cx, cy in corners]
+    cx, cy = corners[lam.index(min(lam))]
+    return Momentum(0.0 if cx > 0 else math.pi, 0.0 if cy > 0 else math.pi)
+
+
+def dirac_points(couplings: Couplings, tol: float | None = None) -> list[Momentum]:
+    """Zeros of the quasiparticle dispersion, in closed form.
+
+    Gapless couplings have the +-K pair: cos(px - pi) = (jx^2 + jz^2 - jy^2)
+    / (2 jx jz) and the analogous py equation make epsilon vanish, and
+    delta = -2 (sx jx sin ux + sy jy sin uy) vanishes on the branches
+    sy = -sx sign(jx jy), because |jx| sin ux = |jy| sin uy.  On the
+    critical boundary the pair merges at the gap corner (``_gap_minimum``),
+    returned once.  Gapped couplings, and boundary couplings with a zero
+    coupling (whose zeros form a line, not points), return an empty list.
     """
     region = classify_phase(couplings, tol)
-    if region.is_gapped:
-        return []
     jx, jy, jz = couplings.jx, couplings.jy, couplings.jz
-    den_x = 2.0 * jx * jz
-    den_y = 2.0 * jy * jz
-    if abs(den_x) < 1e-300 or abs(den_y) < 1e-300:
-        # degenerate boundary (a coupling vanishes): zeros form lines, not
-        # isolated points, and no point list is meaningful
+    if region.is_gapped or 0.0 in (jx, jy, jz):
         return []
-    arg_x = (jx * jx + jz * jz - jy * jy) / den_x
-    arg_y = (jy * jy + jz * jz - jx * jx) / den_y
-    if abs(arg_x) > 1.0 + 1e-9 or abs(arg_y) > 1.0 + 1e-9:
-        return []
-    ux = math.acos(min(1.0, max(-1.0, arg_x)))
-    uy = math.acos(min(1.0, max(-1.0, arg_y)))
-    scale = max(1.0, 2.0 * (abs(jx) + abs(jy) + abs(jz)))
-    found: list[Momentum] = []
-    for sx in (1.0, -1.0):
-        for sy in (1.0, -1.0):
-            cand = Momentum(math.pi + sx * ux, math.pi + sy * uy)
-            if spectral_arrays(cand.px, cand.py, couplings).lam >= lambda_tol * scale:
-                continue
-            if any(
-                abs(wrap_angle(cand.px - q.px)) < 1e-8
-                and abs(wrap_angle(cand.py - q.py)) < 1e-8
-                for q in found
-            ):
-                continue
-            found.append(cand)
-    return found
+    if region is PhaseRegion.CRITICAL_BOUNDARY:
+        return [_gap_minimum(couplings)]
+    ux = math.acos(min(1.0, max(-1.0, (jx * jx + jz * jz - jy * jy) / (2.0 * jx * jz))))
+    uy = math.acos(min(1.0, max(-1.0, (jy * jy + jz * jz - jx * jx) / (2.0 * jy * jz))))
+    sy = -math.copysign(1.0, jx * jy)
+    return [
+        Momentum(math.pi + ux, math.pi + sy * uy),
+        Momentum(math.pi - ux, math.pi - sy * uy),
+    ]

@@ -75,6 +75,7 @@ from .spectrum import (
     Momentum,
     PhaseRegion,
     SpectralArrays,
+    _gap_minimum,
     classify_phase,
     dirac_points,
     fermion_gap,
@@ -110,7 +111,6 @@ __all__ = [
     "tensor_thermodynamic",
     "tensors_thermodynamic",
     "tensor_oracle",
-    "nonclassical_correction",
     "nonclassical_corrections",
     "CLASSICAL_MODE_CALIBRATION",
     "NONCLASSICAL_MODE_CALIBRATION",
@@ -459,21 +459,6 @@ def tensor_finite(tp: ThermoPoint, L: int, *, elements=None) -> BuresTensor:
 # thermodynamic limit
 
 
-def _gap_minimum(couplings: Couplings) -> Momentum:
-    """The dispersion minimum of a gapped coupling, in closed form.
-
-    lam = 2 |jx e^{i px} + jy e^{i py} + jz| is at least fermion_gap by the
-    triangle inequality, with equality where the two smaller terms point
-    against the dominant one: at the corner of {0, pi}^2 with the smallest
-    lam, in every gapped region and for every sign pattern.  A corner is
-    its own mirror under p -> -p.  Ties (a zero coupling makes lam flat
-    along a line) go to the first corner in a fixed order.
-    """
-    corners = [Momentum(x, y) for x in (0.0, math.pi) for y in (0.0, math.pi)]
-    lam = [float(spectral_arrays(c.px, c.py, couplings).lam) for c in corners]
-    return corners[lam.index(min(lam))]
-
-
 def _needle_axis(couplings: Couplings, p: Momentum, ratio_cut: float = 0.05):
     """Soft-dispersion direction at a dispersion minimum, or None.
 
@@ -517,16 +502,26 @@ def _refinement_plan(points: Sequence[ThermoPoint], grid: GridSpec):
     particular a batch of one, keeps that width and the largest factor.
     """
     couplings = points[0].couplings
-    region = classify_phase(couplings)
-    if region.is_gapped:
+    if classify_phase(couplings) is PhaseRegion.GAPLESS_B:
+        centers = dirac_points(couplings)
+        floor = 1e-6
+    else:
         gap = fermion_gap(couplings)
         if gap >= NEAR_CRITICAL_GAP:
             return [], [], 0.0, grid
+        jx, jy, jz = couplings.jx, couplings.jy, couplings.jz
+        # a zero coupling drops a momentum from lam = 2 |jx e^{ipx} + jy e^{ipy}
+        # + jz|, so on the boundary its zeros fill a line, not a corner
+        lines = (("jx", "p_y", jy * jz), ("jy", "p_x", jx * jz), ("jz", "p_x - p_y", jx * jy))
+        for j, (name, line, other) in zip((jx, jy, jz), lines):
+            if gap == 0.0 and j == 0.0:
+                raise ValueError(
+                    f"{name} = 0 on the critical boundary: the dispersion vanishes on the "
+                    f"whole line {line} = {'pi' if other > 0 else '0'}, which point "
+                    "refinement cannot resolve"
+                )
         centers = [_gap_minimum(couplings)]
         floor = max(gap / 8.0, 1e-6)
-    else:
-        centers = dirac_points(couplings)
-        floor = 1e-6
     axes = [_needle_axis(couplings, c) for c in centers]
     widths = [max(tp.temperature, floor) for tp in points]
     factors = [
@@ -684,14 +679,6 @@ def nonclassical_corrections(
     return _zone_tensors(
         points, grid, [], pairs_nc, _minus_sech_sq_ratio, "thermodynamic-correction"
     )
-
-
-def nonclassical_correction(
-    tp: ThermoPoint, grid: GridSpec | None = None, *, elements=None
-) -> BuresTensor:
-    """Finite-temperature correction g^nc(T) - g^nc(0) at one point: a batch
-    of one of ``nonclassical_corrections``."""
-    return nonclassical_corrections([tp], grid, elements=elements)[0]
 
 
 # ---------------------------------------------------------------------------

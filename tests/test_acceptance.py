@@ -45,7 +45,7 @@ from kitaev_bures.spectrum import (
 from kitaev_bures.thermal_metric import (
     ParameterIndex as P,
     ThermoPoint,
-    nonclassical_correction,
+    nonclassical_corrections,
     tensor_finite,
     tensor_oracle,
     tensor_thermodynamic,
@@ -218,9 +218,9 @@ def test_criterion_4_gapped_nonclassical_t_squared():
     ).element("nonclassical", P.JZ, P.JZ)
     corr = np.array(
         [
-            nonclassical_correction(
-                ThermoPoint.from_temperature(GAPPED, t), grid, elements=els
-            ).element("nonclassical", P.JZ, P.JZ)
+            nonclassical_corrections(
+                [ThermoPoint.from_temperature(GAPPED, t)], grid, elements=els
+            )[0].element("nonclassical", P.JZ, P.JZ)
             for t in temps
         ]
     )
@@ -258,15 +258,20 @@ def test_criterion_5_gapless_log_divergence():
     )
 
 
-def test_criterion_6_critical_line_power_law():
-    """g^nc_zz on the critical line diverges as T^(-1/2) +- 0.05."""
+@pytest.mark.parametrize(
+    "couplings", [CRITICAL, Couplings(0.3, 0.2, 0.5)], ids=["symmetric", "generic"]
+)
+def test_criterion_6_critical_line_power_law(couplings):
+    """g^nc_zz on the critical line diverges as T^(-1/2) +- 0.05, at the
+    symmetric point and off it (where the gap closes at another corner
+    geometry)."""
     grid = GridSpec(base_n=128, target_rel_tol=1e-6, max_doublings=4)
     els = [("nc", P.JZ, P.JZ)]
     temps = np.geomspace(1e-4, 1e-2, 9)
     vals = np.array(
         [
             tensor_thermodynamic(
-                ThermoPoint.from_temperature(CRITICAL, t), grid, elements=els
+                ThermoPoint.from_temperature(couplings, t), grid, elements=els
             ).element("nonclassical", P.JZ, P.JZ)
             for t in temps
         ]
@@ -275,8 +280,8 @@ def test_criterion_6_critical_line_power_law():
     ok = abs(fit.model.exponent - (-0.5)) <= 0.05
     assert report(
         6, ok,
-        f"critical exponent {fit.model.exponent:.4f} (want -0.5 +- 0.05), "
-        f"R^2 {fit.r_squared:.5f}",
+        f"critical exponent {fit.model.exponent:.4f} (want -0.5 +- 0.05) at "
+        f"{couplings}, R^2 {fit.r_squared:.5f}",
     )
 
 

@@ -78,6 +78,37 @@ def test_tensor_critical_phase_field(capsys):
     assert doc["evaluation"]["method"] == "finite"
 
 
+@pytest.mark.parametrize(
+    "couplings", [("0.3", "0.2", "0.5"), ("0.5", "0.2", "0.3"), ("0.2", "0.5", "0.3"),
+                  ("-0.3", "0.2", "0.5")]
+)
+def test_tensor_generic_critical_coupling_converges(capsys, couplings):
+    jx, jy, jz = couplings
+    code, out, _ = run(
+        capsys, ["tensor", "--jx", jx, "--jy", jy, "--jz", jz, "--temp", "0.05"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["phase"]["region"] == "critical"
+    (corner,) = doc["phase"]["dirac_points"]
+    assert {abs(p) for p in corner} <= {0.0, math.pi}
+
+
+@pytest.mark.parametrize(
+    "couplings, name, line",
+    [(("0", "0.5", "0.5"), "jx", "p_y = pi"), (("0.5", "0.5", "0"), "jz", "p_x - p_y = pi")],
+)
+def test_tensor_zero_coupling_on_boundary_fails_early(capsys, couplings, name, line):
+    # the dispersion zeros form a line there, which point disks cannot refine
+    jx, jy, jz = couplings
+    code, _, err = run(
+        capsys, ["tensor", "--jx", jx, "--jy", jy, "--jz", jz, "--temp", "0.05"]
+    )
+    assert code == 2
+    assert f"{name} = 0 on the critical boundary" in err
+    assert f"line {line}" in err
+
+
 def test_tensor_even_size_rejected(capsys):
     code, _, err = run(
         capsys, ["tensor", "--jx", "0.1", "--jy", "0.1", "--jz", "0.8", "--temp", "1",

@@ -10,12 +10,19 @@ from hypothesis import strategies as st
 
 from helpers import full_zone_reference
 from kitaev_bures.quadrature import GridSpec
-from kitaev_bures.spectrum import Couplings, Momentum, classify_phase, fermion_gap, spectral_arrays
+from kitaev_bures.spectrum import (
+    Couplings,
+    Momentum,
+    PhaseRegion,
+    _gap_minimum,
+    classify_phase,
+    fermion_gap,
+    spectral_arrays,
+)
 from kitaev_bures.thermal_metric import (
     CLASSICAL_PAIRS,
     NONCLASSICAL_PAIRS,
     ThermoPoint,
-    _gap_minimum,
     _integrand,
     _minus_sech_sq_ratio,
     _refinement_plan,
@@ -110,12 +117,27 @@ GAPPED = [
     Couplings(0.05, -0.7, 0.1),
 ]
 
+# the critical boundary in every dominant direction, with mixed signs: the
+# gap closes at a corner, where lam is 0
+CRITICAL = [
+    Couplings(0.3, 0.2, 0.5),
+    Couplings(-0.3, 0.2, 0.5),
+    Couplings(0.5, 0.2, 0.3),
+    Couplings(0.2, -0.5, 0.3),
+    Couplings(-0.2, 0.3, -0.5),
+    Couplings(-0.7, 0.45, -0.25),
+]
 
-@pytest.mark.parametrize("couplings", GAPPED, ids=lambda c: f"{c.jx},{c.jy},{c.jz}")
+
+@pytest.mark.parametrize(
+    "couplings", GAPPED + CRITICAL, ids=lambda c: f"{c.jx},{c.jy},{c.jz}"
+)
 def test_gap_centre_is_the_exact_corner(couplings):
-    # lam at the centre is the gap itself and the centre is its own mirror,
-    # so closing the centre set adds no second disk that would cap the radius
-    assert classify_phase(couplings).is_gapped
+    # lam at the centre is the gap itself (0 on the boundary) and the centre
+    # is its own mirror, so closing the centre set adds no second disk that
+    # would cap the radius
+    region = classify_phase(couplings)
+    assert region.is_gapped or region is PhaseRegion.CRITICAL_BOUNDARY
     c = _gap_minimum(couplings)
     assert float(spectral_arrays(c.px, c.py, couplings).lam) == pytest.approx(
         fermion_gap(couplings), abs=1e-12

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kitaev_bures.spectrum import (
     Couplings,
@@ -197,6 +199,41 @@ def test_dirac_point_on_boundary_is_merged_pair():
     assert spectral_arrays(pts[0].px, pts[0].py, BOUNDARY).lam < 1e-12
     assert abs(abs(pts[0].px) - math.pi) < 1e-9
     assert abs(abs(pts[0].py) - math.pi) < 1e-9
+    # off the symmetric point, in other dominant directions and with a sign
+    # flip the pair merges at another corner of {0, pi}^2
+    for j in (
+        Couplings(0.3, 0.2, 0.5),
+        Couplings(0.5, 0.2, 0.3),
+        Couplings(0.2, 0.5, 0.3),
+        Couplings(-0.3, 0.2, 0.5),
+    ):
+        pts = dirac_points(j)
+        assert len(pts) == 1
+        assert spectral_arrays(pts[0].px, pts[0].py, j).lam < 1e-12
+        assert {abs(pts[0].px), abs(pts[0].py)} <= {0.0, math.pi}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    a=st.floats(0.05, 1.0),
+    b=st.floats(0.05, 1.0),
+    t=st.floats(0.01, 0.99),
+    signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3),
+    order=st.permutations(range(3)),
+)
+def test_gapless_dirac_points_are_a_mirror_pair(a, b, t, signs, order):
+    # |J| is a strict triangle (c between |a - b| and a + b), in any order and
+    # with any signs
+    c = abs(a - b) + t * (a + b - abs(a - b))
+    mags = (a, b, c)
+    j = Couplings(*(s * mags[k] for s, k in zip(signs, order)))
+    assert classify_phase(j) is PhaseRegion.GAPLESS_B
+    pts = dirac_points(j)
+    assert len(pts) == 2
+    assert abs(wrap_angle(pts[0].px + pts[1].px)) < 1e-12
+    assert abs(wrap_angle(pts[0].py + pts[1].py)) < 1e-12
+    for p in pts:
+        assert spectral_arrays(p.px, p.py, j).lam <= 1e-12 * j.abs_max()
 
 
 def test_dispersion_locally_linear_at_interior_zeros(rng):

@@ -15,7 +15,7 @@ from kitaev_bures.thermal_metric import (
     ThermoPoint,
     classical_integrand,
     mode_density_matrix,
-    nonclassical_correction,
+    nonclassical_corrections,
     nonclassical_integrand,
     tensor_finite,
     tensor_oracle,
@@ -335,6 +335,37 @@ def test_thermodynamic_xy_swap_covariance():
     assert np.max(np.abs(a.nonclassical - swap_xy_indices(b.nonclassical))) < 1e-10
 
 
+@pytest.mark.parametrize("temperature", [0.05, 0.003])
+def test_critical_jx_sign_flip_covariance(temperature):
+    # jx -> -jx is the momentum shift px -> px + pi, so only the sign of the
+    # jx row and column changes; the gap corner moves from (pi, pi) to
+    # (0, pi) and its soft axis turns, so the two refinements share no disk
+    a = tensor_thermodynamic(ThermoPoint.from_temperature(Couplings(0.3, 0.2, 0.5), temperature))
+    b = tensor_thermodynamic(ThermoPoint.from_temperature(Couplings(-0.3, 0.2, 0.5), temperature))
+    flip = np.diag([1.0, -1.0, 1.0, 1.0])
+    for x, y in ((a.classical, b.classical), (a.nonclassical, b.nonclassical)):
+        assert np.max(np.abs(x - flip @ y @ flip)) <= 1e-12 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("temperature", [0.05, 0.003])
+def test_critical_beta_beta_invariant_under_coupling_permutations(temperature):
+    # c:beta-beta depends only on the distribution of lam over the zone,
+    # which a permutation of the couplings leaves unchanged; each
+    # permutation closes the gap at another corner
+    els = [("c", P.BETA, P.BETA)]
+    vals = [
+        tensor_thermodynamic(ThermoPoint.from_temperature(j, temperature), elements=els)
+        .element("classical", P.BETA, P.BETA)
+        for j in (
+            Couplings(0.3, 0.2, 0.5),
+            Couplings(0.5, 0.2, 0.3),
+            Couplings(0.2, 0.5, 0.3),
+            Couplings(0.2, 0.3, 0.5),
+        )
+    ]
+    assert max(vals) - min(vals) <= 1e-12 * max(vals)
+
+
 def test_refined_quadrature_matches_huge_finite_grid():
     # near-singular gapless integrand at T = 1e-3 against an L ~ 4001 sum
     tp = ThermoPoint.from_temperature(SYM, 1e-3)
@@ -358,7 +389,7 @@ def test_nonclassical_correction_matches_measurable_subtraction():
     g_0 = tensor_thermodynamic(
         ThermoPoint.from_temperature(GAPPED, 0.0), grid, elements=els
     ).element("nonclassical", P.JZ, P.JZ)
-    corr = nonclassical_correction(tp, grid, elements=els).element(
+    corr = nonclassical_corrections([tp], grid, elements=els)[0].element(
         "nonclassical", P.JZ, P.JZ
     )
     assert corr < 0.0  # finite temperature reduces this element
