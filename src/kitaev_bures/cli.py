@@ -118,7 +118,12 @@ def _add_common(parser: argparse.ArgumentParser):
 def _add_grid(parser: argparse.ArgumentParser, tol: float = 1e-6):
     parser.add_argument("--grid-n", type=int, default=128, help="base quadrature points per axis")
     parser.add_argument("--tol", type=float, default=tol, help="relative quadrature tolerance")
-    parser.add_argument("--refine-levels", type=int, default=3, help="local refinement level")
+    parser.add_argument(
+        "--refine-levels",
+        type=int,
+        default=3,
+        help="highest disk level pair (N, N+1); the ladder starts one level below it",
+    )
 
 
 def _grid_from(args) -> GridSpec:

@@ -15,6 +15,19 @@ each disk integrates f*w in log-polar coordinates, and nothing is counted
 twice.  A hard cell cut-out would destroy the trapezoid's convergence, which
 is why the split is smooth.
 
+No node is evaluated twice, and no disk is refined past what the tolerance
+asks.  The n-point trapezoid grid is the even-index subgrid of the 2n-point
+grid on both axes, so each doubling evaluates only the nodes it adds (the
+odd rows, and the odd columns of the even rows) and adds their sum to the
+previous level's (nested doublings).  Each refinement disk climbs a ladder
+of levels: it first integrates the pair ``(refine_levels - 1,
+refine_levels)`` (no lower than level 1) and moves to ``refine_levels + 1``
+only for the integrals whose disk error ``2 |hi - lo|`` misses their share
+of the tolerance, ``(tol * scale - base error) / number of disks`` with
+``scale`` the largest component of base plus disks.  An integral that
+climbs gets exactly the value and error of the pair ``(refine_levels,
+refine_levels + 1)``.
+
 Integrands are callables ``f(px, py)`` taking broadcastable float arrays and
 returning an array of shape ``lead + broadcast(px, py).shape``, and they must
 be even under p -> -p.  Every rule here evaluates half the zone: the grids
@@ -101,7 +114,9 @@ class GridSpec:
 
     base_n: points per axis of the periodic trapezoid (doubled until the
         target tolerance or ``max_doublings`` is hit).
-    refine_levels: resolution exponent of the polar disk grids.
+    refine_levels: the disk ladder's highest pair of levels is
+        ``(refine_levels, refine_levels + 1)``; the ladder starts one level
+        below it, no lower than level 1 (see the module docstring).
     refine_radius_factor: disk radius = factor * width around each singular
         point (callers typically pass width = T).
     target_rel_tol: relative tolerance, judged against the largest component.
@@ -136,8 +151,9 @@ class IntegrationResult:
     """Value(s) of an integral with an error estimate and evaluation count.
 
     ``converged`` is a bool for a single integral and a bool array over the
-    independent-integral axes for a batch; ``evaluations`` counts integrand
-    nodes, which every integral of a batch shares.
+    independent-integral axes for a batch; ``evaluations`` counts the
+    integrand nodes actually evaluated (each once), which every integral of
+    a batch shares.
     """
 
     value: float | np.ndarray
@@ -212,45 +228,83 @@ def _per_integral_max(x: np.ndarray, nb: int) -> np.ndarray:
     return x.reshape(x.shape[:nb] + (-1,)).max(axis=-1)
 
 
-def _grid_mean(f, xs: np.ndarray, first_mirror: int):
-    """Mean of the even f over the grid ``xs x xs``, from half its rows.
+def _half_rows(n: int, first_mirror: int):
+    """Indices and weights of the rows one half-grid rule evaluates.
 
     The axis is closed under negation: node k is minus node
     ``(first_mirror - k) % n`` (``first_mirror`` is 0 on the zone axis, whose
     nodes -pi and 0 are their own mirrors, and n - 1 on the centred odd
     axis, whose middle node is).  Negating p maps row k onto its mirror row
-    with the columns reversed, so both rows have the same sum: only the rows
-    ``k <= mirror(k)`` are evaluated, and each row sum counts twice, a
-    self-mirror row once.  Rows are chosen by index, never by comparing
-    nodes to 0, so odd and non-power-of-two n stay exact.
-
-    Rows are evaluated and summed in blocks of whole rows holding at most
-    ``_BLOCK_VALUES`` values, so the integrand's memory is bounded by the
-    budget (or one grid row), not the whole grid; each row is reduced before
-    its weight is applied, so no weighted copy of a block is made.  Returns
-    the mean, the integrand nodes evaluated and, per independent integral,
-    the largest |f| seen, which sets the absolute floor below which a
-    vanishing integral counts as converged."""
-    n = xs.size
+    with the columns reversed, so both rows have the same sum over any
+    column set closed under negation: only the rows ``k <= mirror(k)`` are
+    evaluated, and each row sum counts twice, a self-mirror row once.  Rows
+    are chosen by index, never by comparing nodes to 0, so odd and
+    non-power-of-two n stay exact."""
     k = np.arange(n)
     mirror = (first_mirror - k) % n
     kept = k <= mirror
-    rows_xs = xs[kept]
-    weights = np.where(k == mirror, 1.0, 2.0)[kept]
-    rows_per_block = _block_units(n * _values_per_node(f))
+    return k[kept], np.where(k == mirror, 1.0, 2.0)[kept]
+
+
+def _row_sums(f, rows: np.ndarray, weights: np.ndarray, cols: np.ndarray, m: int):
+    """Weighted sum of f over the nodes ``rows x cols``, in row blocks.
+
+    Rows are evaluated and summed in blocks of whole rows holding at most
+    ``_BLOCK_VALUES`` values (``m`` values per node), so the integrand's
+    memory is bounded by the budget (or one row), not the whole grid; each
+    row is reduced before its weight is applied, so no weighted copy of a
+    block is made.  Returns the per-block sums, for the caller to combine by
+    math.fsum (``_fsum``), the nodes evaluated and, per independent
+    integral, the largest |f| seen."""
+    rows_per_block = _block_units(cols.size * m)
     block_sums = []
     fmax = 0.0
-    for i in range(0, rows_xs.size, rows_per_block):
-        rows = rows_xs[i : i + rows_per_block]
-        vals = _eval_on_block(f, rows[:, None], xs[None, :], (rows.size, n))
-        lead = vals.shape[:-2]
-        fmax = np.maximum(fmax, _per_integral_max(vals, _batch_ndim(len(lead))))
-        row_sums = vals.sum(axis=-1)
-        block_sums.append((row_sums * weights[i : i + rows.size]).sum(axis=-1))
-    stacked = np.stack(block_sums, axis=0)
+    for i in range(0, rows.size, rows_per_block):
+        block = rows[i : i + rows_per_block]
+        vals = _eval_on_block(f, block[:, None], cols[None, :], (block.size, cols.size))
+        fmax = np.maximum(fmax, _per_integral_max(vals, _batch_ndim(vals.ndim - 2)))
+        block_sums.append((vals.sum(axis=-1) * weights[i : i + block.size]).sum(axis=-1))
+    return block_sums, rows.size * cols.size, fmax
+
+
+def _fsum(parts) -> np.ndarray:
+    """math.fsum of equally shaped arrays, element by element, in list order."""
+    stacked = np.stack(parts, axis=0)
     flat = stacked.reshape(stacked.shape[0], -1)
     total = np.array([math.fsum(flat[:, j]) for j in range(flat.shape[1])])
-    return total.reshape(stacked.shape[1:]) / float(n * n), rows_xs.size * n, fmax
+    return total.reshape(stacked.shape[1:])
+
+
+def _grid_mean(f, xs: np.ndarray, first_mirror: int):
+    """Mean of the even f over the grid ``xs x xs``, from half its rows
+    (``_half_rows``), summed in row blocks (``_row_sums``).
+
+    Returns the mean, the integrand nodes evaluated and, per independent
+    integral, the largest |f| seen, which sets the absolute floor below
+    which a vanishing integral counts as converged."""
+    n = xs.size
+    rows, weights = _half_rows(n, first_mirror)
+    parts, nodes, fmax = _row_sums(f, xs[rows], weights, xs, _values_per_node(f))
+    return _fsum(parts) / float(n * n), nodes, fmax
+
+
+def _doubled_mean(f, mean: np.ndarray, n: int):
+    """Mean of f over the 2n zone grid from its mean over the n grid.
+
+    The n grid is the even-index subgrid of the 2n grid on both axes, so
+    only the new nodes are evaluated: the odd rows in full and the odd
+    columns of the even rows, each under the half-grid row rule (negation
+    maps odd columns onto odd columns).  Their sum is added to ``n^2 mean``
+    by math.fsum.  Returns the mean, the nodes evaluated and the largest
+    |f| seen on them."""
+    xs = _zone_axis(2 * n)
+    rows, weights = _half_rows(2 * n, 0)
+    odd = rows % 2 == 1
+    m = mean.size
+    full, n_full, fmax_full = _row_sums(f, xs[rows[odd]], weights[odd], xs, m)
+    part, n_part, fmax_part = _row_sums(f, xs[rows[~odd]], weights[~odd], xs[1::2], m)
+    total = _fsum([float(n * n) * mean] + full + part)
+    return total / float(4 * n * n), n_full + n_part, np.maximum(fmax_full, fmax_part)
 
 
 def _zone_axis(n: int) -> np.ndarray:
@@ -275,14 +329,16 @@ def _freeze(mask: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
 def integrate_bz(f: Callable, grid: GridSpec) -> IntegrationResult:
     """Periodic trapezoid over the zone with resolution doubling.
 
-    ``f`` must be even under p -> -p (see the module docstring): each level
-    evaluates half the grid.  The rule at base_n points per axis is compared
-    against 2*base_n (and so on, up to ``max_doublings``); the difference of
-    successive levels is the reported error estimate.  Each independent
-    integral stops at the first doubling that meets ``target_rel_tol``
-    against its own largest component; the doubling continues while any
-    integral is open.  Failure to meet the tolerance is reported through
-    ``converged=False``, never silently.
+    ``f`` must be even under p -> -p (see the module docstring): the base
+    level evaluates half its grid, and each doubling only the half of the
+    nodes it adds (``_doubled_mean``), so no node is evaluated twice.  The
+    rule at base_n points per axis is compared against 2*base_n (and so on,
+    up to ``max_doublings``); the difference of successive levels is the
+    reported error estimate.  Each independent integral stops at the first
+    doubling that meets ``target_rel_tol`` against its own largest
+    component; the doubling continues while any integral is open.  Failure
+    to meet the tolerance is reported through ``converged=False``, never
+    silently.
     """
     n = grid.base_n
     prev, evaluations, fmax = _grid_mean(f, _zone_axis(n), 0)
@@ -290,8 +346,8 @@ def integrate_bz(f: Callable, grid: GridSpec) -> IntegrationResult:
     value = err = np.zeros(prev.shape)
     done = np.zeros(prev.shape[:nb], dtype=bool)
     for _ in range(grid.max_doublings):
+        cur, nodes, fmax_cur = _doubled_mean(f, prev, n)
         n *= 2
-        cur, nodes, fmax_cur = _grid_mean(f, _zone_axis(n), 0)
         fmax = np.maximum(fmax, fmax_cur)
         evaluations += nodes
         value = _freeze(~done, FOUR_PI_SQ * cur, value)
@@ -576,35 +632,73 @@ def integrate_bz_refined(
     r_min = min(width / 100.0, radius / 64.0)
 
     def masked(px, py):
-        w = np.zeros(np.broadcast(np.asarray(px), np.asarray(py)).shape)
+        vals = np.asarray(f(px, py), dtype=float)
+        shape = np.broadcast(np.asarray(px), np.asarray(py)).shape
+        # w is exactly 0 where the p_x part of every distance (computed as
+        # the distances compute it) reaches the radius, so it is formed and
+        # applied only on the rows (first node axis) with a node nearer
+        near = np.zeros(np.shape(px), dtype=bool)
+        for (cx, _), _, own_mirror in classes:
+            if own_mirror:
+                near |= _fold(_fold(px) - abs(cx)) < radius
+            else:
+                near |= (_fold(px - cx) < radius) | (_fold(px + cx) < radius)
+        rows = np.flatnonzero(np.broadcast_to(near, shape).reshape(shape[0], -1).any(axis=1))
+        if rows.size == 0:
+            return vals
+        qx, qy = np.broadcast_to(px, shape)[rows], np.broadcast_to(py, shape)[rows]
+        w = np.zeros(qx.shape)
         # even bit for bit: a corner's distance is even in p, and K and -K
         # trade places under p -> -p in a sum whose order does not matter
         for (cx, cy), _, own_mirror in classes:
             if own_mirror:
-                w = w + _bump(_corner_dist(px, py, cx, cy), radius)
+                w = w + _bump(_corner_dist(qx, qy, cx, cy), radius)
             else:
                 w = w + (
-                    _bump(_torus_dist(px, py, cx, cy), radius)
-                    + _bump(_torus_dist(px, py, -cx, -cy), radius)
+                    _bump(_torus_dist(qx, qy, cx, cy), radius)
+                    + _bump(_torus_dist(qx, qy, -cx, -cy), radius)
                 )
-        return f(px, py) * (1.0 - w)
+        if not vals.flags.owndata or vals.shape[vals.ndim - len(shape) :] != shape:
+            vals = vals * np.ones(shape)  # scaled in place below: own a full copy
+        at_rows = (Ellipsis, rows) + (slice(None),) * (len(shape) - 1)
+        vals[at_rows] *= 1.0 - w
+        return vals
 
     base = integrate_bz(masked, grid)
     value = np.asarray(base.value, dtype=float).copy()
     err = np.asarray(base.error_estimate, dtype=float).copy()
     evaluations = base.evaluations
-    level = max(1, grid.refine_levels)
+    nb = _batch_ndim(value.ndim)
+    top = max(1, grid.refine_levels)
+    levels = range(max(1, top - 1), top + 2)
+    disks = []
     for center, axis, own_mirror in classes:
-        lo, n_lo = _disk_integral(f, center, radius, r_min, grid, level, axis, own_mirror)
-        hi, n_hi = _disk_integral(f, center, radius, r_min, grid, level + 1, axis, own_mirror)
+        lo, n_lo = _disk_integral(f, center, radius, r_min, grid, levels[0], axis, own_mirror)
+        hi, n_hi = _disk_integral(f, center, radius, r_min, grid, levels[1], axis, own_mirror)
+        evaluations += n_lo + n_hi
+        disks.append((lo, hi))
+    # each disk's share of what the tolerance leaves after the base error,
+    # against the largest component of base plus disks
+    scale = _per_integral_max(value + sum(2.0 * hi for _, hi in disks), nb)
+    share = (grid.target_rel_tol * scale - _per_integral_max(err, nb)) / len(classes)
+    for (center, axis, own_mirror), (lo, hi) in zip(classes, disks):
+        # a member climbs to the next level only while its disk error misses
+        # its share, and keeps the first pair that meets it
+        for level in levels[2:]:
+            open_ = _per_integral_max(2.0 * np.abs(hi - lo), nb) > share
+            if not np.any(open_):
+                break
+            finer, nodes = _disk_integral(
+                f, center, radius, r_min, grid, level, axis, own_mirror
+            )
+            evaluations += nodes
+            lo, hi = _freeze(open_, hi, lo), _freeze(open_, finer, hi)
         # the disk at -K, or the corner disk's other half, is the mirror
         # image of the one integrated
         value = value + 2.0 * hi
         err = err + 2.0 * np.abs(hi - lo)
-        evaluations += n_hi + n_lo
     # the base flag judged its error against the masked partial value only;
     # what matters is the combined error against the full integral
-    nb = _batch_ndim(value.ndim)
     scale = np.maximum(_per_integral_max(value, nb), 1e-300)
     converged = _per_integral_max(err, nb) <= grid.target_rel_tol * scale
     return IntegrationResult(

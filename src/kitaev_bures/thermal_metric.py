@@ -620,11 +620,12 @@ def tensors_thermodynamic(
     evaluated once per node, and one refinement geometry serves the batch
     (see ``_refinement_plan``).  Each point is judged against the grid's
     tolerance on its own and keeps the value of the doubling at which it
-    converged; ``evaluations`` in each tensor's details counts the shared
-    nodes.  Raises QuadratureConvergenceError naming the temperatures whose
-    error estimate misses the tolerance; its ``members`` hold the tensors
-    of the points that converged and, for each failed point, an error
-    naming that point alone.
+    converged; ``evaluations`` in each tensor's details counts the nodes
+    actually evaluated, which the batch shares.  Raises
+    QuadratureConvergenceError naming the temperatures whose error estimate
+    misses the tolerance; its ``members`` hold the tensors of the points
+    that converged and, for each failed point, an error naming that point
+    alone.
     """
     pairs_c, pairs_nc = _select_pairs(elements)
     if (

@@ -103,6 +103,54 @@ def test_refined_near_singular_peak():
         assert exact_ref.value == pytest.approx(finer.value, rel=1e-9)
 
 
+def _peak_ladder(tol):
+    # the integrand and refinement of test_refined_near_singular_peak: one
+    # corner disk of radius 300 * 1e-3 = 0.3 and r_min = 1e-3 / 100
+    f = lambda px, py: 1.0 / (px**2 + py**2 + 1e-6)
+    grid = GridSpec(
+        base_n=128, target_rel_tol=tol, max_doublings=4, refine_radius_factor=300.0
+    )
+    return f, grid, integrate_bz_refined(f, [(0.0, 0.0)], 1e-3, grid)
+
+
+def _fixed_pair(f, grid):
+    # the disk pair (refine_levels, refine_levels + 1) on the masked base
+    # rule, assembled from the module's own pieces
+    from kitaev_bures.quadrature import _bump, _corner_dist, _disk_integral
+
+    radius, r_min = 0.3, 1e-5
+    base = integrate_bz(
+        lambda px, py: f(px, py) * (1.0 - _bump(_corner_dist(px, py, 0.0, 0.0), radius)),
+        grid,
+    )
+    level = grid.refine_levels
+    lo, n_lo = _disk_integral(f, (0.0, 0.0), radius, r_min, grid, level, None, True)
+    hi, n_hi = _disk_integral(f, (0.0, 0.0), radius, r_min, grid, level + 1, None, True)
+    return (
+        base.value + 2.0 * hi,
+        base.error_estimate + 2.0 * np.abs(hi - lo),
+        base.evaluations + n_lo + n_hi,
+    )
+
+
+def test_disk_ladder_that_misses_gives_the_fixed_pair():
+    # the base error alone exceeds 1e-9 of the value, so the early pair
+    # (2, 3) misses its share and the disk climbs to (3, 4)
+    f, grid, res = _peak_ladder(1e-9)
+    value, err, evaluations = _fixed_pair(f, grid)
+    assert not res.converged
+    assert res.value == value and res.error_estimate == err
+    assert res.evaluations > evaluations  # level 2 was evaluated as well
+
+
+def test_disk_ladder_stops_early_within_its_error():
+    f, grid, res = _peak_ladder(1e-7)
+    value, err, evaluations = _fixed_pair(f, grid)
+    assert res.converged
+    assert res.evaluations < evaluations
+    assert abs(res.value - value) <= res.error_estimate
+
+
 def test_error_estimates_conservative(rng):
     # on smooth integrands, |I(n) - I(2n)| must bound the true error of the
     # returned value (vs a much finer reference) in at least 95% of trials
@@ -286,7 +334,9 @@ def test_half_grid_equals_full_grid(base_n):
         return np.array([FOUR_PI_SQ * compensated_sum(v) / (n * n) for v in vals])
 
     fine, coarse = full(2 * base_n), full(base_n)
-    assert res.evaluations == (base_n // 2 + 1) * base_n + (base_n + 1) * 2 * base_n
+    # nested doublings: the coarse grid is a subgrid of the fine one, so the
+    # nodes evaluated are exactly the fine half grid's
+    assert res.evaluations == (base_n + 1) * 2 * base_n
     assert np.max(np.abs(res.value - fine)) <= 1e-14 * np.max(np.abs(fine))
     assert np.max(np.abs(res.error_estimate - np.abs(fine - coarse))) <= 1e-14 * np.max(
         np.abs(fine)

@@ -194,6 +194,24 @@ def test_finite_converges_to_thermodynamic():
     assert max_rel_dev(fin.nonclassical, quad.nonclassical) < 1e-6
 
 
+def test_generic_critical_converges_to_finite_sums():
+    # a needle disk at a corner with jx != jy: as L grows the finite sums
+    # approach the zone quadrature (an early stop of the disk ladder would
+    # leave a floor), down to criterion 1's 1e-4 at L = 4001
+    tp = ThermoPoint.from_temperature(Couplings(0.3, 0.2, 0.5), 0.05)
+    quad = tensor_thermodynamic(tp, GridSpec())
+    devs = []
+    for L in (1001, 2001, 4001):
+        fin = tensor_finite(tp, L)
+        devs.append(
+            [max_rel_dev(fin.classical, quad.classical),
+             max_rel_dev(fin.nonclassical, quad.nonclassical)]
+        )
+    devs = np.array(devs)
+    assert np.all(np.diff(devs, axis=0) < 0.0), devs
+    assert np.all(devs[-1] < 1e-4), devs
+
+
 def test_nonclassical_beta_row_identically_zero(rng):
     tp = ThermoPoint.from_temperature(random_couplings(rng), 0.7)
     t = tensor_finite(tp, 31)
