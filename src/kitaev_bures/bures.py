@@ -74,13 +74,7 @@ def _as_square(a, name: str) -> np.ndarray:
     return a
 
 
-def validate_density_matrix(
-    rho,
-    *,
-    hermiticity_tol: float = HERMITICITY_TOL,
-    psd_tol: float = PSD_TOL,
-    trace_tol: float = TRACE_TOL,
-) -> np.ndarray:
+def validate_density_matrix(rho) -> np.ndarray:
     """Check hermiticity, positive semidefiniteness and unit trace.
 
     Returns the input as a complex ndarray; raises DensityMatrixError on any
@@ -89,27 +83,27 @@ def validate_density_matrix(
     """
     rho = _as_square(rho, "rho")
     herm = np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)))
-    if herm > hermiticity_tol:
+    if herm > HERMITICITY_TOL:
         raise DensityMatrixError(f"matrix not Hermitian (max deviation {herm:.3e})")
     tr = np.trace(rho, axis1=-2, axis2=-1)
     tr_err = np.max(np.abs(tr - 1.0))
-    if tr_err > trace_tol:
+    if tr_err > TRACE_TOL:
         raise DensityMatrixError(f"trace differs from 1 by {tr_err:.3e}")
     w = np.linalg.eigvalsh(rho)
     wmin = float(np.min(w))
-    if wmin < psd_tol:
+    if wmin < PSD_TOL:
         raise DensityMatrixError(f"matrix not PSD (min eigenvalue {wmin:.3e})")
     return rho
 
 
-def _psd_sqrt(rho: np.ndarray, *, clip_floor: float = PSD_TOL) -> np.ndarray:
+def _psd_sqrt(rho: np.ndarray) -> np.ndarray:
     """Matrix square root of a PSD Hermitian matrix via eigendecomposition.
 
-    Eigenvalues in [clip_floor, 0) are treated as numerical noise and
-    clipped to zero; anything below clip_floor raises.
+    Eigenvalues in [PSD_TOL, 0) are treated as numerical noise and clipped
+    to zero; anything below PSD_TOL raises.
     """
     w, v = np.linalg.eigh(rho)
-    if float(np.min(w)) < clip_floor:
+    if float(np.min(w)) < PSD_TOL:
         raise DensityMatrixError(
             f"cannot take PSD square root: min eigenvalue {float(np.min(w)):.3e}"
         )
@@ -183,9 +177,7 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-def spectral_decomposition(
-    rho, *, validate: bool = True, reconstruction_tol: float = 1e-10
-) -> SpectralDecomposition:
+def spectral_decomposition(rho, *, validate: bool = True) -> SpectralDecomposition:
     """Eigendecomposition with descending eigenvalues and a reconstruction check."""
     rho = _as_square(rho, "rho")
     if validate:
@@ -195,7 +187,7 @@ def spectral_decomposition(
     v = v[..., ::-1]
     recon = np.einsum("...ik,...k,...jk->...ij", v, w, v.conj())
     err = float(np.max(np.abs(recon - rho)))
-    if err > reconstruction_tol:
+    if err > 1e-10:
         raise DensityMatrixError(f"eigendecomposition reconstruction error {err:.3e}")
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
@@ -216,8 +208,6 @@ def analytic_metric(
     decomp: SpectralDecomposition,
     drho: Sequence[np.ndarray],
     *,
-    eigenvalue_floor: float = EIGENVALUE_FLOOR,
-    derivative_floor: float = DERIVATIVE_FLOOR,
     check_inputs: bool = True,
 ) -> MetricDecomposition:
     """Closed-form metric decomposition from an eigensystem and derivatives.
@@ -227,8 +217,8 @@ def analytic_metric(
         drho: sequence of k Hermitian, traceless parameter derivatives of
             rho, each possibly stacked ``(..., d, d)``.
 
-    Eigenvalues below ``eigenvalue_floor`` are admitted in the classical sum
-    only when the matching derivative is below ``derivative_floor`` (the term
+    Eigenvalues below ``EIGENVALUE_FLOOR`` are admitted in the classical sum
+    only when the matching derivative is below ``DERIVATIVE_FLOOR`` (the term
     is then a 0/0 limit and contributes 0); otherwise EigenvalueFloorError is
     raised.
 
@@ -254,9 +244,9 @@ def analytic_metric(
     a = np.stack([v.conj().swapaxes(-1, -2) @ d @ v for d in mats])  # (k, ..., d, d)
     dp = np.einsum("m...ii->m...i", a).real  # eigenvalue derivatives (k, ..., d)
 
-    small = p < eigenvalue_floor
+    small = p < EIGENVALUE_FLOOR
     if np.any(small):
-        bad = small[None, ...] & (np.abs(dp) >= derivative_floor)
+        bad = small[None, ...] & (np.abs(dp) >= DERIVATIVE_FLOOR)
         if np.any(bad):
             raise EigenvalueFloorError(
                 "eigenvalue below floor with non-vanishing derivative in a "
@@ -268,12 +258,12 @@ def analytic_metric(
     d_dim = p.shape[-1]
     psum = p[..., :, None] + p[..., None, :]
     off = ~np.eye(d_dim, dtype=bool)
-    psum_small = (psum < eigenvalue_floor) & off
+    psum_small = (psum < EIGENVALUE_FLOOR) & off
     if np.any(psum_small):
         # both eigenvalues at zero: the pair may only carry a vanishing
         # matrix element, otherwise the stable rewritten weight blows up
         for m in a:
-            if np.any(np.abs(np.where(psum_small, m, 0.0)) >= derivative_floor):
+            if np.any(np.abs(np.where(psum_small, m, 0.0)) >= DERIVATIVE_FLOOR):
                 raise EigenvalueFloorError(
                     "vanishing eigenvalue pair with non-vanishing matrix element "
                     "in a nonclassical term"
@@ -372,7 +362,7 @@ def finite_difference_metric(
     return finite_difference_metric_pairs(pair, lambda0, step)
 
 
-def optimal_observable(rho, sigma, *, eigenvalue_floor: float = 1e-12) -> np.ndarray:
+def optimal_observable(rho, sigma) -> np.ndarray:
     """Hermitian observable whose statistics saturate the Bures distance.
 
     M = rho^{-1/2} sqrt(sqrt(rho) sigma sqrt(rho)) rho^{-1/2}.  Satisfies
@@ -386,7 +376,7 @@ def optimal_observable(rho, sigma, *, eigenvalue_floor: float = 1e-12) -> np.nda
             f"dimension mismatch: {rho.shape[-1]} vs {sigma.shape[-1]}"
         )
     w, v = np.linalg.eigh(rho)
-    if float(np.min(w)) <= eigenvalue_floor:
+    if float(np.min(w)) <= 1e-12:
         raise SingularStateError(
             f"rho is singular (min eigenvalue {float(np.min(w)):.3e})"
         )

@@ -5,7 +5,11 @@ spectrally accurate for smooth 2pi-periodic integrands (and exact on
 trigonometric polynomials up to the grid bandwidth).  Thermal metric
 integrands are smooth except near dispersion zeros, where they develop
 features of width ~ T; ``integrate_bz_refined`` handles those with local
-polar grids whose radii cluster geometrically down to width/100.
+polar grids whose radii cluster geometrically down to width/100.  The
+caller computes the disk radius from the features it knows and passes it
+in; ``GridSpec`` holds only resolution and tolerance, and every other
+node-rule constant (ring angular counts, Gauss orders, the core) is fixed
+here.
 
 Refinement uses a smooth partition of unity rather than cutting grid cells:
 the integrand is split as f = f*(1-w) + f*w with w a C-infinity radial bump
@@ -81,6 +85,11 @@ _EVEN_RTOL = 1e-12
 # the values per node): bounds the integrand's memory whatever the batch,
 # down to one grid row or one disk sum chunk
 _BLOCK_VALUES = 2 * 128 * 2048
+# ring angles per ring: rings shrink their angular spacing as the radius
+# decreases (narrow angular features near quadratic-dispersion directions
+# need it) from the base count up to the cap
+_ANGULAR_BASE = 64
+_ANGULAR_CAP = 8192
 
 __all__ = [
     "GridSpec",
@@ -110,40 +119,34 @@ class QuadratureConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Quadrature controls.
+    """Quadrature controls: resolution and tolerance only.
 
     base_n: points per axis of the periodic trapezoid (doubled until the
         target tolerance or ``max_doublings`` is hit).
     refine_levels: the disk ladder's highest pair of levels is
         ``(refine_levels, refine_levels + 1)``; the ladder starts one level
         below it, no lower than level 1 (see the module docstring).
-    refine_radius_factor: disk radius = factor * width around each singular
-        point (callers typically pass width = T).
     target_rel_tol: relative tolerance, judged against the largest component.
-    angular_base / angular_cap: ring angular resolution; rings shrink their
-        angular spacing as the radius decreases (narrow angular features near
-        quadratic-dispersion directions need it) up to the cap.
+    max_doublings: most doublings of the trapezoid after base_n.
+
+    The disk radius is not a grid setting: ``integrate_bz_refined`` takes it
+    from the caller, who knows the features it must cover.
     """
 
     base_n: int = 128
     refine_levels: int = 3
-    refine_radius_factor: float = 8.0
     target_rel_tol: float = 1e-6
     max_doublings: int = 4
-    angular_base: int = 64
-    angular_cap: int = 8192
 
     def __post_init__(self):
         if self.base_n < 16:
             raise ValueError(f"base_n must be >= 16, got {self.base_n}")
         if self.refine_levels < 0:
             raise ValueError("refine_levels must be non-negative")
-        if not self.refine_radius_factor > 0:
-            raise ValueError("refine_radius_factor must be positive")
         if not self.target_rel_tol > 0:
             raise ValueError("target_rel_tol must be positive")
-        if self.max_doublings < 1 or self.angular_base < 8:
-            raise ValueError("max_doublings >= 1 and angular_base >= 8 required")
+        if self.max_doublings < 1:
+            raise ValueError("max_doublings must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -454,18 +457,17 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _angular_count(r: float, radius: float, grid: GridSpec, level: int) -> int:
+def _angular_count(r: float, radius: float, level: int) -> int:
     # conical zeros have O(1) angular structure at every radius; mild growth
     # toward the center guards against moderate cone anisotropy
     boost = 2 ** max(0, level - 1)
-    n = grid.angular_base * boost * max(1, math.ceil(math.sqrt(radius / (32.0 * r))))
-    n = int(min(grid.angular_cap, n))
-    # even, so that the ring angles phi and phi + pi pair up (half-disk rule)
-    return n + n % 2
+    n = _ANGULAR_BASE * boost * max(1, math.ceil(math.sqrt(radius / (32.0 * r))))
+    # even, because _ANGULAR_BASE and _ANGULAR_CAP are: the ring angles phi
+    # and phi + pi pair up (half-disk rule)
+    return int(min(_ANGULAR_CAP, n))
 
 
-def _disk_nodes(center, radius: float, r_min: float, grid: GridSpec, level: int,
-                half: bool = False):
+def _disk_nodes(center, radius: float, r_min: float, level: int, half: bool = False):
     """Log-polar nodes and weights covering one refinement disk.
 
     Three radial panels: a Gauss rule in s = log r over [r_min, radius/2]
@@ -497,7 +499,7 @@ def _disk_nodes(center, radius: float, r_min: float, grid: GridSpec, level: int,
     for x, w in zip(xc, wc):
         r = 0.5 * r_min * (x + 1.0)
         rings.append((r, w * 0.5 * r_min * r))
-    counts = [_angular_count(r_i, radius, grid, level) for r_i, _ in rings]
+    counts = [_angular_count(r_i, radius, level) for r_i, _ in rings]
     kept = [nphi // 2 if half else nphi for nphi in counts]
     px, py, wt = (np.empty(sum(kept)) for _ in range(3))
     start = 0
@@ -528,8 +530,8 @@ def _clustered_axis(radius: float, t_min: float, order: int):
     return nodes, weights
 
 
-def _needle_disk_nodes(center, axis: float, radius: float, r_min: float,
-                       grid: GridSpec, level: int, half: bool = False):
+def _needle_disk_nodes(center, axis: float, radius: float, r_min: float, level: int,
+                       half: bool = False):
     """Nodes for a disk whose integrand has a soft (quadratic-dispersion)
     axis: a log-log Cartesian grid aligned with the axis resolves the
     needle-shaped ridge that uniform polar rings cannot.  ``half`` keeps
@@ -551,7 +553,7 @@ def _needle_disk_nodes(center, axis: float, radius: float, r_min: float,
     return px.ravel(), py.ravel(), w2d.ravel()
 
 
-def _disk_integral(f, center, radius, r_min, grid, level, axis=None, half=False):
+def _disk_integral(f, center, radius, r_min, level, axis=None, half=False):
     """Integral of f over one disk (over its ``half`` when set), evaluated
     in node blocks.
 
@@ -561,9 +563,9 @@ def _disk_integral(f, center, radius, r_min, grid, level, axis=None, half=False)
     ``compensated_sum`` over the whole disk (a disk of at most
     ``_SUM_CHUNK`` nodes is one plain fsum)."""
     if axis is None:
-        px, py, wt = _disk_nodes(center, radius, r_min, grid, level, half)
+        px, py, wt = _disk_nodes(center, radius, r_min, level, half)
     else:
-        px, py, wt = _needle_disk_nodes(center, axis, radius, r_min, grid, level, half)
+        px, py, wt = _needle_disk_nodes(center, axis, radius, r_min, level, half)
     m = _values_per_node(f)
     block_nodes = _SUM_CHUNK * _block_units(_SUM_CHUNK * m)
     terms = []
@@ -590,15 +592,17 @@ def integrate_bz_refined(
     width: float,
     grid: GridSpec,
     *,
+    radius: float,
     axes: Sequence[float | None] | None = None,
 ) -> IntegrationResult:
     """Zone integral with local refinement around singular points.
 
     ``singular_pts`` are the dispersion zeros (Momentum instances or (px, py)
     pairs); ``width`` sets the physical feature scale, typically the
-    temperature.  Each point gets a disk of radius factor*width (capped so
-    disks stay disjoint); inside, log-polar grids resolve radii down to
-    width/100.  A point whose dispersion is soft (quadratic) along some
+    temperature.  Each point gets a disk of the caller's ``radius`` (capped
+    so disks stay disjoint; ValueError unless positive); inside, log-polar
+    grids resolve radii down to ``min(width/100, radius/64)``.  A point
+    whose dispersion is soft (quadratic) along some
     direction gets that direction passed in ``axes`` (parallel to
     ``singular_pts``, None for isotropic points) and is integrated on an
     axis-aligned log-log grid instead of polar rings.
@@ -609,6 +613,8 @@ def integrate_bz_refined(
     +-K pair, and half the disk of a zone corner, is integrated and counted
     twice.  With no singular points this is exactly ``integrate_bz``.
     """
+    if not radius > 0:
+        raise ValueError(f"radius must be positive, got {radius}")
     raw = list(singular_pts)
     axes_list = [None] * len(raw) if axes is None else list(axes)
     if len(axes_list) != len(raw):
@@ -620,7 +626,6 @@ def integrate_bz_refined(
         raise ValueError(f"width must be positive, got {width}")
     points = [c for c, _, _ in classes]
     points += [(-c[0], -c[1]) for c, _, own_mirror in classes if not own_mirror]
-    radius = grid.refine_radius_factor * width
     cap = 0.5 * math.pi
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
@@ -673,8 +678,8 @@ def integrate_bz_refined(
     levels = range(max(1, top - 1), top + 2)
     disks = []
     for center, axis, own_mirror in classes:
-        lo, n_lo = _disk_integral(f, center, radius, r_min, grid, levels[0], axis, own_mirror)
-        hi, n_hi = _disk_integral(f, center, radius, r_min, grid, levels[1], axis, own_mirror)
+        lo, n_lo = _disk_integral(f, center, radius, r_min, levels[0], axis, own_mirror)
+        hi, n_hi = _disk_integral(f, center, radius, r_min, levels[1], axis, own_mirror)
         evaluations += n_lo + n_hi
         disks.append((lo, hi))
     # each disk's share of what the tolerance leaves after the base error,
@@ -688,9 +693,7 @@ def integrate_bz_refined(
             open_ = _per_integral_max(2.0 * np.abs(hi - lo), nb) > share
             if not np.any(open_):
                 break
-            finer, nodes = _disk_integral(
-                f, center, radius, r_min, grid, level, axis, own_mirror
-            )
+            finer, nodes = _disk_integral(f, center, radius, r_min, level, axis, own_mirror)
             evaluations += nodes
             lo, hi = _freeze(open_, hi, lo), _freeze(open_, finer, hi)
         # the disk at -K, or the corner disk's other half, is the mirror

@@ -124,6 +124,22 @@ def _r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+def _fit(t, g, y, columns, make_model, warnings=()) -> ScalingFitResult:
+    """Least squares of ``y`` on the design ``columns``: the model built from
+    the coefficients, with r_squared and residuals in ``y``'s coordinates
+    and the (T, g) samples."""
+    design = np.stack(columns, axis=1)
+    coef = _lstsq(design, y)
+    fitted = design @ coef
+    return ScalingFitResult(
+        model=make_model(coef),
+        r_squared=_r_squared(y, fitted),
+        residuals=y - fitted,
+        samples=np.stack([t, g], axis=1),
+        warnings=tuple(warnings),
+    )
+
+
 def fit_gapped_classical(samples, known_gap: float | None = None) -> ScalingFitResult:
     """Fit ln g = c + alpha ln T - gap / T.
 
@@ -137,9 +153,6 @@ def fit_gapped_classical(samples, known_gap: float | None = None) -> ScalingFitR
     if np.any(g <= 0):
         raise ValueError("gapped-classical fit requires positive sample values")
     y = np.log(g)
-    design = np.stack([np.ones_like(t), np.log(t), 1.0 / t], axis=1)
-    coef = _lstsq(design, y)
-    fitted = design @ coef
     warnings: list[str] = []
     alpha_con = None
     if known_gap is not None:
@@ -153,34 +166,25 @@ def fit_gapped_classical(samples, known_gap: float | None = None) -> ScalingFitR
         design2 = np.stack([np.ones_like(t), np.log(t)], axis=1)
         coef2 = _lstsq(design2, y + known_gap / t)
         alpha_con = float(coef2[1])
-    model = GappedClassicalFit(
-        alpha=float(coef[1]),
-        gap=float(-coef[2]),
-        log_prefactor=float(coef[0]),
-        alpha_constrained=alpha_con,
-        gap_fixed=known_gap,
-    )
-    return ScalingFitResult(
-        model=model,
-        r_squared=_r_squared(y, fitted),
-        residuals=y - fitted,
-        samples=np.stack([t, g], axis=1),
-        warnings=tuple(warnings),
+    return _fit(
+        t, g, y, [np.ones_like(t), np.log(t), 1.0 / t],
+        lambda coef: GappedClassicalFit(
+            alpha=float(coef[1]),
+            gap=float(-coef[2]),
+            log_prefactor=float(coef[0]),
+            alpha_constrained=alpha_con,
+            gap_fixed=known_gap,
+        ),
+        warnings,
     )
 
 
 def fit_log_divergence(samples) -> ScalingFitResult:
     """Least squares for g = a * ln(1/T) + b (fit in linear g coordinates)."""
     t, g = _as_samples(samples, 6)
-    design = np.stack([np.ones_like(t), np.log(1.0 / t)], axis=1)
-    coef = _lstsq(design, g)
-    fitted = design @ coef
-    model = LogDivergenceFit(a=float(coef[1]), b=float(coef[0]))
-    return ScalingFitResult(
-        model=model,
-        r_squared=_r_squared(g, fitted),
-        residuals=g - fitted,
-        samples=np.stack([t, g], axis=1),
+    return _fit(
+        t, g, g, [np.ones_like(t), np.log(1.0 / t)],
+        lambda coef: LogDivergenceFit(a=float(coef[1]), b=float(coef[0])),
     )
 
 
@@ -189,16 +193,9 @@ def fit_power_law(samples) -> ScalingFitResult:
     t, g = _as_samples(samples, 6)
     if np.any(g <= 0):
         raise ValueError("power-law fit requires positive sample values")
-    y = np.log(g)
-    design = np.stack([np.ones_like(t), np.log(t)], axis=1)
-    coef = _lstsq(design, y)
-    fitted = design @ coef
-    model = PowerLawFit(exponent=float(coef[1]), prefactor=float(math.exp(coef[0])))
-    return ScalingFitResult(
-        model=model,
-        r_squared=_r_squared(y, fitted),
-        residuals=y - fitted,
-        samples=np.stack([t, g], axis=1),
+    return _fit(
+        t, g, np.log(g), [np.ones_like(t), np.log(t)],
+        lambda coef: PowerLawFit(exponent=float(coef[1]), prefactor=float(math.exp(coef[0]))),
     )
 
 
@@ -216,21 +213,14 @@ def fit_gapped_nonclassical(
         raise ValueError("gap must be positive")
     if np.any(d == 0):
         raise ValueError("correction samples must be nonzero")
-    y = np.log(np.abs(d)) + gap / t
-    design = np.stack([np.ones_like(t), np.log(t)], axis=1)
-    coef = _lstsq(design, y)
-    fitted = design @ coef
-    model = GappedNonclassicalFit(
-        gap=float(gap),
-        exponent=float(coef[1]),
-        coefficient=float(math.exp(coef[0])),
-        offset=float(zero_temperature_value),
-    )
-    return ScalingFitResult(
-        model=model,
-        r_squared=_r_squared(y, fitted),
-        residuals=y - fitted,
-        samples=np.stack([t, d], axis=1),
+    return _fit(
+        t, d, np.log(np.abs(d)) + gap / t, [np.ones_like(t), np.log(t)],
+        lambda coef: GappedNonclassicalFit(
+            gap=float(gap),
+            exponent=float(coef[1]),
+            coefficient=float(math.exp(coef[0])),
+            offset=float(zero_temperature_value),
+        ),
     )
 
 

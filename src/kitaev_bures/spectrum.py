@@ -157,24 +157,15 @@ def spectral_arrays(px, py, couplings: Couplings) -> SpectralArrays:
     )
 
 
-def _default_tol(couplings: Couplings, tol: float | None) -> float:
-    if tol is None:
-        return 1e-9 * couplings.abs_max()
-    if tol < 0:
-        raise ValueError(f"tolerance must be non-negative, got {tol}")
-    return float(tol)
-
-
-def classify_phase(couplings: Couplings, tol: float | None = None) -> PhaseRegion:
+def classify_phase(couplings: Couplings) -> PhaseRegion:
     """Classify the coupling point into gapless, gapped, or boundary.
 
     The gapless region is where all of |jz| <= |jx|+|jy|, |jy| <= |jz|+|jx|,
-    |jx| <= |jy|+|jz| hold with margin > tol; equality within tol is the
-    critical boundary; a violated inequality names the gapped region.  The
-    default tolerance is 1e-9 * max|J| so that floating-point trajectories
-    along the boundary classify stably.
+    |jx| <= |jy|+|jz| hold with margin > tol = 1e-9 * max|J|; equality
+    within tol is the critical boundary, so that floating-point trajectories
+    along it classify stably; a violated inequality names the gapped region.
     """
-    tol = _default_tol(couplings, tol)
+    tol = 1e-9 * couplings.abs_max()
     ax, ay, az = abs(couplings.jx), abs(couplings.jy), abs(couplings.jz)
     margins = {
         PhaseRegion.GAPPED_AX: ay + az - ax,
@@ -192,13 +183,13 @@ def classify_phase(couplings: Couplings, tol: float | None = None) -> PhaseRegio
     raise AssertionError("unreachable")
 
 
-def fermion_gap(couplings: Couplings, tol: float | None = None) -> float:
+def fermion_gap(couplings: Couplings) -> float:
     """Minimum quasiparticle energy in a gapped phase.
 
     Returns 2(|J_dominant| - |J_other| - |J_other'|); zero on the boundary.
     Raises ValueError in the gapless interior, where no gap exists.
     """
-    region = classify_phase(couplings, tol)
+    region = classify_phase(couplings)
     if region is PhaseRegion.GAPLESS_B:
         raise ValueError("fermion gap undefined in the gapless phase")
     if region is PhaseRegion.CRITICAL_BOUNDARY:
@@ -230,7 +221,7 @@ def _gap_minimum(couplings: Couplings) -> Momentum:
     return Momentum(0.0 if cx > 0 else math.pi, 0.0 if cy > 0 else math.pi)
 
 
-def dirac_points(couplings: Couplings, tol: float | None = None) -> list[Momentum]:
+def dirac_points(couplings: Couplings) -> list[Momentum]:
     """Zeros of the quasiparticle dispersion, in closed form.
 
     Gapless couplings have the +-K pair: cos(px - pi) = (jx^2 + jz^2 - jy^2)
@@ -241,7 +232,7 @@ def dirac_points(couplings: Couplings, tol: float | None = None) -> list[Momentu
     returned once.  Gapped couplings, and boundary couplings with a zero
     coupling (whose zeros form a line, not points), return an empty list.
     """
-    region = classify_phase(couplings, tol)
+    region = classify_phase(couplings)
     jx, jy, jz = couplings.jx, couplings.jy, couplings.jz
     if region.is_gapped or 0.0 in (jx, jy, jz):
         return []

@@ -54,7 +54,7 @@ the metric, and the oracle equivalence test certifies the choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Sequence
 
@@ -95,6 +95,9 @@ ORACLE_CLASSICAL_RTOL = 1e-3
 NEAR_CRITICAL_GAP = 0.5
 # refinement disks always cover the integrand shoulder, not just a few T
 MIN_REFINE_RADIUS = 0.3
+# a dispersion minimum whose Hessian eigenvalue ratio is below this has a
+# soft axis and gets a needle disk
+NEEDLE_RATIO_CUT = 0.05
 
 __all__ = [
     "ParameterIndex",
@@ -459,7 +462,7 @@ def tensor_finite(tp: ThermoPoint, L: int, *, elements=None) -> BuresTensor:
 # thermodynamic limit
 
 
-def _needle_axis(couplings: Couplings, p: Momentum, ratio_cut: float = 0.05):
+def _needle_axis(couplings: Couplings, p: Momentum):
     """Soft-dispersion direction at a dispersion minimum, or None.
 
     The Hessian of lam^2/2 at the point is
@@ -485,21 +488,20 @@ def _needle_axis(couplings: Couplings, p: Momentum, ratio_cut: float = 0.05):
     )
     w, v = np.linalg.eigh(0.5 * (h + h.T))
     w = np.abs(w)
-    if w[1] <= 0.0 or w[0] > ratio_cut * w[1]:
+    if w[1] <= 0.0 or w[0] > NEEDLE_RATIO_CUT * w[1]:
         return None
     return float(math.atan2(v[1, 0], v[0, 0]))
 
 
-def _refinement_plan(points: Sequence[ThermoPoint], grid: GridSpec):
+def _refinement_plan(points: Sequence[ThermoPoint]):
     """One refinement geometry for a batch of points sharing one coupling.
 
     Returns the singular points, their soft axes, the feature width and the
-    grid carrying the disk radius factor.  Centres and axes depend on the
-    coupling only.  Each point has a width (its temperature, floored) and a
-    radius ``factor * width`` that always covers the integrand shoulder; the
-    batch takes the smallest width (so ``r_min`` resolves the coldest point)
-    and the largest radius.  A batch whose widths are all equal, in
-    particular a batch of one, keeps that width and the largest factor.
+    disk radius.  Centres and axes depend on the coupling only.  Each point
+    has a width ``w`` (its temperature, floored) and a radius
+    ``max(8 w, MIN_REFINE_RADIUS)`` that always covers the integrand
+    shoulder; the batch takes the smallest width (so ``r_min`` resolves the
+    coldest point) and the largest radius.
     """
     couplings = points[0].couplings
     if classify_phase(couplings) is PhaseRegion.GAPLESS_B:
@@ -508,7 +510,7 @@ def _refinement_plan(points: Sequence[ThermoPoint], grid: GridSpec):
     else:
         gap = fermion_gap(couplings)
         if gap >= NEAR_CRITICAL_GAP:
-            return [], [], 0.0, grid
+            return [], [], 0.0, 0.0
         jx, jy, jz = couplings.jx, couplings.jy, couplings.jz
         # a zero coupling drops a momentum from lam = 2 |jx e^{ipx} + jy e^{ipy}
         # + jz|, so on the boundary its zeros fill a line, not a corner
@@ -524,15 +526,8 @@ def _refinement_plan(points: Sequence[ThermoPoint], grid: GridSpec):
         floor = max(gap / 8.0, 1e-6)
     axes = [_needle_axis(couplings, c) for c in centers]
     widths = [max(tp.temperature, floor) for tp in points]
-    factors = [
-        max(grid.refine_radius_factor, max(8.0, MIN_REFINE_RADIUS / w)) for w in widths
-    ]
-    width = min(widths)
-    if all(w == width for w in widths):
-        factor = max(factors)
-    else:
-        factor = max(f * w for f, w in zip(factors, widths)) / width
-    return centers, axes, width, replace(grid, refine_radius_factor=factor)
+    radius = max(8.0 * max(widths), MIN_REFINE_RADIUS)
+    return centers, axes, min(widths), radius
 
 
 def _tolerance_missed(points, raw_errors, result, members=()):
@@ -571,9 +566,9 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
     n_c = len(stack_c)
     f = _integrand(points, stack_c, pairs_nc, nc_kernel)
 
-    centers, axes, width, gs = _refinement_plan(points, grid)
+    centers, axes, width, radius = _refinement_plan(points)
     if centers:
-        result = integrate_bz_refined(f, centers, width, gs, axes=axes)
+        result = integrate_bz_refined(f, centers, width, grid, radius=radius, axes=axes)
     else:
         result = integrate_bz(f, grid)
     shape = (len(points), n_c + len(pairs_nc))

@@ -87,13 +87,14 @@ def numeric_drho(family, lam0, h=1e-6):
     return out
 
 
-def full_zone_reference(f, centres, width, grid, axes=None):
+def full_zone_reference(f, centres, width, radius, grid, axes=None):
     """The refined zone rule on every node: all of the 2 base_n trapezoid
     grid (the level after one doubling) under the partition mask, plus all
     of the finer disk around every centre, each summed by compensated_sum.
 
     ``centres`` must be closed under p -> -p (each given as it should be
-    integrated, corners exactly); ``axes`` parallels them.  Returns the
+    integrated, corners exactly); ``axes`` parallels them, and ``radius`` is
+    the disk radius before the disjointness cap.  Returns the
     integral with the integrand's leading axes."""
     import math
 
@@ -113,7 +114,7 @@ def full_zone_reference(f, centres, width, grid, axes=None):
     n = 2 * grid.base_n
     xs = -math.pi + (2.0 * math.pi / n) * np.arange(n)
     px, py = np.meshgrid(xs, xs, indexing="ij")
-    radius, r_min = 0.0, 0.0
+    r_min = 0.0
     mask = np.zeros(px.shape)
     if centres:
         gaps = [
@@ -121,7 +122,7 @@ def full_zone_reference(f, centres, width, grid, axes=None):
             for i, a in enumerate(centres)
             for b in centres[i + 1 :]
         ]
-        radius = min([grid.refine_radius_factor * width, 0.5 * math.pi] + gaps)
+        radius = min([radius, 0.5 * math.pi] + gaps)
         r_min = min(width / 100.0, radius / 64.0)
         for c in centres:
             mask += _bump(dist(px, py, c).ravel(), radius).reshape(px.shape)
@@ -133,9 +134,9 @@ def full_zone_reference(f, centres, width, grid, axes=None):
     level = max(1, grid.refine_levels) + 1
     for c, axis in zip(centres, axes):
         if axis is None:
-            qx, qy, wt = _disk_nodes(c, radius, r_min, grid, level)
+            qx, qy, wt = _disk_nodes(c, radius, r_min, level)
         else:
-            qx, qy, wt = _needle_disk_nodes(c, axis, radius, r_min, grid, level)
+            qx, qy, wt = _needle_disk_nodes(c, axis, radius, r_min, level)
         disk = f(qx, qy).reshape((-1, qx.size))
         out = out + np.array([compensated_sum(v * wt) for v in disk])
     return out.reshape(lead)

@@ -93,12 +93,12 @@ def test_refined_tensors_equal_full_zone_reference(couplings, temperature):
     grid = GridSpec(base_n=64, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
     tp = ThermoPoint.from_temperature(couplings, temperature)
     t = tensor_thermodynamic(tp, grid)
-    centres, axes, width, gs = _refinement_plan([tp], grid)
+    centres, axes, width, radius = _refinement_plan([tp])
     centres = [(c.px, c.py) for c in centres]
     # the plan's centre set is already closed under p -> -p
     assert all(any(_same((-c[0], -c[1]), q) for q in centres) for c in centres)
     f = _integrand([tp], list(CLASSICAL_PAIRS), list(NONCLASSICAL_PAIRS), _tanh_sq_ratio)
-    ref = full_zone_reference(f, centres, width, gs, axes)[0] / (32.0 * math.pi**2)
+    ref = full_zone_reference(f, centres, width, radius, grid, axes)[0] / (32.0 * math.pi**2)
     got = np.array(
         [t.classical[mu, nu] for mu, nu in CLASSICAL_PAIRS]
         + [t.nonclassical[a, b] for a, b in NONCLASSICAL_PAIRS]
@@ -144,5 +144,5 @@ def test_gap_centre_is_the_exact_corner(couplings):
     )
     assert Momentum(-c.px, -c.py) == c
     if fermion_gap(couplings) < 0.5:  # refined: the plan uses this centre
-        centres = _refinement_plan([ThermoPoint(couplings, 100.0)], GridSpec())[0]
+        centres = _refinement_plan([ThermoPoint(couplings, 100.0)])[0]
         assert centres == [c]

@@ -20,9 +20,10 @@ def test_gridspec_validation():
     with pytest.raises(ValueError):
         GridSpec(base_n=8)
     with pytest.raises(ValueError):
-        GridSpec(refine_radius_factor=0.0)
-    with pytest.raises(ValueError):
         GridSpec(target_rel_tol=-1.0)
+    # the disk radius is the caller's, checked where it is used
+    with pytest.raises(ValueError, match="radius must be positive"):
+        integrate_bz_refined(_even_pair, [(0.3, -1.1)], 0.05, GridSpec(), radius=0.0)
 
 
 def test_constant_integrand():
@@ -64,7 +65,7 @@ def test_vector_valued_integrand():
 def test_refined_noop_without_singular_points():
     f = lambda px, py: np.exp(np.cos(px)) * np.cos(py) ** 2
     plain = integrate_bz(f, TIGHT)
-    ref = integrate_bz_refined(f, [], 0.1, TIGHT)
+    ref = integrate_bz_refined(f, [], 0.1, TIGHT, radius=0.8)
     assert ref.value == plain.value  # identical code path, bit-identical
 
 
@@ -72,7 +73,7 @@ def test_refined_noop_without_singular_points():
 def test_refined_matches_plain_on_smooth_integrands(width):
     f = lambda px, py: np.exp(np.cos(px) + 0.5 * np.sin(px) * np.sin(py))
     plain = integrate_bz(f, TIGHT)
-    ref = integrate_bz_refined(f, [(0.3, -1.1), (-2.0, 2.0)], width, TIGHT)
+    ref = integrate_bz_refined(f, [(0.3, -1.1), (-2.0, 2.0)], width, TIGHT, radius=8 * width)
     assert ref.converged
     assert abs(ref.value - plain.value) / abs(plain.value) < 1e-12
 
@@ -80,37 +81,29 @@ def test_refined_matches_plain_on_smooth_integrands(width):
 def test_refined_near_singular_peak():
     # integrable peak of width 1e-3: the base rule alone cannot resolve it,
     # and the refinement disk must cover the whole 1/r^2 shoulder (radius
-    # factor sized so factor * width stays O(0.3))
+    # O(0.3), not a few widths)
     w2 = 1e-6
     f = lambda px, py: 1.0 / (px**2 + py**2 + w2)
 
     def spec(levels):
-        return GridSpec(
-            base_n=128,
-            target_rel_tol=1e-7,
-            max_doublings=4,
-            refine_levels=levels,
-            refine_radius_factor=300.0,
-        )
+        return GridSpec(base_n=128, target_rel_tol=1e-7, max_doublings=4, refine_levels=levels)
 
-    exact_ref = integrate_bz_refined(f, [(0.0, 0.0)], 1e-3, spec(2))
+    exact_ref = integrate_bz_refined(f, [(0.0, 0.0)], 1e-3, spec(2), radius=0.3)
     coarse = integrate_bz(f, GridSpec(base_n=128, target_rel_tol=1e-10, max_doublings=2))
     assert exact_ref.converged
     assert not coarse.converged
     # self-consistency across refinement levels
     for levels in (3, 4):
-        finer = integrate_bz_refined(f, [(0.0, 0.0)], 1e-3, spec(levels))
+        finer = integrate_bz_refined(f, [(0.0, 0.0)], 1e-3, spec(levels), radius=0.3)
         assert exact_ref.value == pytest.approx(finer.value, rel=1e-9)
 
 
 def _peak_ladder(tol):
     # the integrand and refinement of test_refined_near_singular_peak: one
-    # corner disk of radius 300 * 1e-3 = 0.3 and r_min = 1e-3 / 100
+    # corner disk of radius 0.3 and r_min = 1e-3 / 100
     f = lambda px, py: 1.0 / (px**2 + py**2 + 1e-6)
-    grid = GridSpec(
-        base_n=128, target_rel_tol=tol, max_doublings=4, refine_radius_factor=300.0
-    )
-    return f, grid, integrate_bz_refined(f, [(0.0, 0.0)], 1e-3, grid)
+    grid = GridSpec(base_n=128, target_rel_tol=tol, max_doublings=4)
+    return f, grid, integrate_bz_refined(f, [(0.0, 0.0)], 1e-3, grid, radius=0.3)
 
 
 def _fixed_pair(f, grid):
@@ -124,8 +117,8 @@ def _fixed_pair(f, grid):
         grid,
     )
     level = grid.refine_levels
-    lo, n_lo = _disk_integral(f, (0.0, 0.0), radius, r_min, grid, level, None, True)
-    hi, n_hi = _disk_integral(f, (0.0, 0.0), radius, r_min, grid, level + 1, None, True)
+    lo, n_lo = _disk_integral(f, (0.0, 0.0), radius, r_min, level, None, True)
+    hi, n_hi = _disk_integral(f, (0.0, 0.0), radius, r_min, level + 1, None, True)
     return (
         base.value + 2.0 * hi,
         base.error_estimate + 2.0 * np.abs(hi - lo),
@@ -186,8 +179,8 @@ def test_deterministic_repeatability():
     a = integrate_bz(f, g)
     b = integrate_bz(f, g)
     assert a.value == b.value and a.error_estimate == b.error_estimate
-    ra = integrate_bz_refined(f, [(0.5, 0.5)], 0.1, g)
-    rb = integrate_bz_refined(f, [(0.5, 0.5)], 0.1, g)
+    ra = integrate_bz_refined(f, [(0.5, 0.5)], 0.1, g, radius=0.8)
+    rb = integrate_bz_refined(f, [(0.5, 0.5)], 0.1, g, radius=0.8)
     assert ra.value == rb.value
 
 
@@ -204,7 +197,7 @@ def test_singular_point_dedup_and_momentum_objects():
     plain = integrate_bz(f, TIGHT)
     # duplicated points (one wrapped by 2 pi) collapse to a single disk
     ref = integrate_bz_refined(
-        f, [Momentum(0.3, -1.1), (0.3 + 2 * math.pi, -1.1)], 0.1, TIGHT
+        f, [Momentum(0.3, -1.1), (0.3 + 2 * math.pi, -1.1)], 0.1, TIGHT, radius=0.8
     )
     assert abs(ref.value - plain.value) / abs(plain.value) < 1e-12
 
@@ -235,9 +228,9 @@ def test_batched_integrals_match_standalone_bit_for_bit():
     mixed = integrate_bz(batch, tight)
     assert mixed.converged.tolist() == [True, False]
     # the refined rule judges each integral against its own largest component
-    refined = integrate_bz_refined(batch, [(0.0, 0.0)], 0.05, grid)
+    refined = integrate_bz_refined(batch, [(0.0, 0.0)], 0.05, grid, radius=0.4)
     for k, f in enumerate((smooth, sharp)):
-        alone = integrate_bz_refined(f, [(0.0, 0.0)], 0.05, grid)
+        alone = integrate_bz_refined(f, [(0.0, 0.0)], 0.05, grid, radius=0.4)
         assert np.array_equal(refined.value[k], alone.value)
         assert refined.converged[k] == alone.converged
 
@@ -255,13 +248,12 @@ def test_blocked_disk_sum_equals_compensated_sum(axis, level, blocks):
         _needle_disk_nodes,
     )
 
-    grid = GridSpec(angular_base=8 if axis is None else 64)
     center, radius, r_min = (0.3, -1.2), 0.3, 1e-5
     if axis is None:
-        px, py, wt = _disk_nodes(center, radius, r_min, grid, level)
+        px, py, wt = _disk_nodes(center, radius, r_min, level)
         assert px.size < _SUM_CHUNK
     else:
-        px, py, wt = _needle_disk_nodes(center, axis, radius, r_min, grid, level)
+        px, py, wt = _needle_disk_nodes(center, axis, radius, r_min, level)
         assert px.size > _SUM_CHUNK
     # two values per node: a block holds the whole sum chunks that fit in
     # the value budget
@@ -273,7 +265,7 @@ def test_blocked_disk_sum_equals_compensated_sum(axis, level, blocks):
             [np.exp(np.cos(qx) - np.sin(qx) * np.sin(qy)), 1.0 / (1.0 + qx * qx + qy * qy)]
         )
 
-    got, n = _disk_integral(f, center, radius, r_min, grid, level, axis)
+    got, n = _disk_integral(f, center, radius, r_min, level, axis)
     vals = f(px, py)  # the whole disk at once
     assert n == px.size
     for c in range(2):
@@ -315,9 +307,9 @@ def test_odd_integrand_violates_the_contract():
     with pytest.raises(ValueError, match="even under p -> -p"):
         integrate_bz(odd, grid)
     with pytest.raises(ValueError, match="even under p -> -p"):
-        integrate_bz_refined(odd, [(0.3, -1.1)], 0.05, grid)
+        integrate_bz_refined(odd, [(0.3, -1.1)], 0.05, grid, radius=0.4)
     with pytest.raises(ValueError, match="even under p -> -p"):
-        integrate_bz_refined(odd, [(0.0, 0.0)], 0.05, grid)
+        integrate_bz_refined(odd, [(0.0, 0.0)], 0.05, grid, radius=0.4)
 
 
 @pytest.mark.parametrize("base_n", [17, 24])
@@ -354,21 +346,19 @@ def test_half_grid_equals_full_grid(base_n):
     ids=["corner-polar", "corner-needle", "pair-closed", "pair-given"],
 )
 def test_half_disks_equal_full_disks(given, closed, axes):
-    # an odd angular base would leave rings without their phi + pi mirrors;
-    # the counts are made even, so the half-disk rule stays exact
-    grid = GridSpec(
-        base_n=32, max_doublings=1, refine_levels=1, angular_base=9, target_rel_tol=1.0
+    # the half-disk rule keeps the first half of every ring's (even count
+    # of) angles, and the rest are their phi + pi mirrors
+    grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
+    res = integrate_bz_refined(
+        _even_pair, given, 0.05, grid, radius=0.4, axes=axes[: len(given)]
     )
-    res = integrate_bz_refined(_even_pair, given, 0.05, grid, axes=axes[: len(given)])
-    ref = full_zone_reference(_even_pair, closed, 0.05, grid, axes)
+    ref = full_zone_reference(_even_pair, closed, 0.05, 0.4, grid, axes)
     assert np.max(np.abs(res.value - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_ring_angular_counts_are_even():
     from kitaev_bures.quadrature import _angular_count
 
-    for base, cap in ((9, 8191), (64, 8192), (17, 101)):
-        grid = GridSpec(angular_base=base, angular_cap=cap)
-        for level in (1, 2, 4):
-            for r in (1e-6, 1e-3, 0.1, 0.3):
-                assert _angular_count(r, 0.3, grid, level) % 2 == 0
+    for level in (1, 2, 4):
+        for r in (1e-6, 1e-3, 0.1, 0.3):
+            assert _angular_count(r, 0.3, level) % 2 == 0

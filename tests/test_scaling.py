@@ -261,13 +261,7 @@ def test_piecewise_ratio_approximation_consistency():
                 v = ratio * fields.theta_z**2 / lam4
             return np.where(lam4 > 0, v, 0.0)
 
-        gs = GridSpec(
-            base_n=grid.base_n,
-            target_rel_tol=grid.target_rel_tol,
-            max_doublings=grid.max_doublings,
-            refine_radius_factor=max(8.0, 0.3 / temp),
-        )
-        res = integrate_bz_refined(f, zeros, temp, gs)
+        res = integrate_bz_refined(f, zeros, temp, grid, radius=max(8.0 * temp, 0.3))
         return float(res.value) / (32 * math.pi**2)
 
     temps = np.geomspace(1e-3, 1e-2, 6)
