@@ -1,9 +1,12 @@
 """Command-line front end: tensors, sweeps, scaling fits, ratio maps, phase.
 
 Exit codes: 0 success, 2 usage/validation, 3 numerical non-convergence,
-4 fit failure.  Output format follows the --out extension (.json/.csv);
-'-' streams to stdout.  A plain-text config file (one `key = value` per
-line, '#' comments) can hold any long flag; command-line flags override it.
+4 fit failure.  Each command writes one format whatever the --out name:
+tensor and scaling JSON, sweep and ratio-map CSV, phase one line of text
+to stdout; '-' (the default) streams to stdout.  A plain-text config file
+(one `key = value` per line, '#' comments) can hold any long flag;
+command-line flags override it.  A switch takes true/false, 1/0 or
+yes/no, and a flag with several values takes them separated by spaces.
 """
 
 from __future__ import annotations
@@ -82,6 +85,26 @@ def _load_config(path: str) -> dict[str, str]:
     return out
 
 
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _config_value(action: argparse.Action, value: str):
+    """A config-file string as the flag would parse it: a boolean for a
+    switch, whitespace-separated tokens for a flag taking several values,
+    else the flag's type applied to the string."""
+    if isinstance(action, argparse._StoreTrueAction):
+        if value.lower() not in _BOOLEANS:
+            raise ValueError(f"expected one of {', '.join(_BOOLEANS)}, got {value!r}")
+        return _BOOLEANS[value.lower()]
+    convert = action.type or str
+    if action.nargs is None:
+        return convert(value)
+    tokens = value.split()
+    if isinstance(action.nargs, int) and len(tokens) != action.nargs:
+        raise ValueError(f"expected {action.nargs} values, got {len(tokens)}")
+    return [convert(tok) for tok in tokens]
+
+
 def _parse_with_config(parser: argparse.ArgumentParser, argv: list[str]):
     """Apply config-file values as defaults, then parse flags over them."""
     pre = argparse.ArgumentParser(add_help=False)
@@ -98,7 +121,7 @@ def _parse_with_config(parser: argparse.ArgumentParser, argv: list[str]):
             if action is None or key == "config":
                 raise UsageError(f"unknown config key {key!r}")
             try:
-                action.default = action.type(value) if action.type else value
+                action.default = _config_value(action, value)
             except ValueError as exc:
                 raise UsageError(f"invalid config value for {key!r}: {exc}") from exc
     return parser.parse_args(argv)

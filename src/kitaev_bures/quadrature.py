@@ -50,16 +50,18 @@ largest component and keeps the value of the doubling at which it
 converged, so it gets exactly the value, error and flag it would get if it
 were integrated alone on the same nodes.
 
-Memory and determinism: the integrand is evaluated in blocks of whole grid
-rows on the base grid and whole ``_SUM_CHUNK`` node chunks on a refinement
-disk, as many as fit in ``_BLOCK_VALUES`` values (at least one row or
-chunk), so memory does not grow with the number of stacked integrals beyond
-one row or chunk.  The values per node are read off the integrand's own
-output at the probe node.  Block boundaries and row weights therefore
-depend only on the integrand's shape and the grid (the weights on row
-indices alone), the partial sums of the blocks (and of the disk chunks) are
-combined by math.fsum in a fixed order, and results are bit-identical
-regardless of how many workers evaluate integrals.
+Memory and determinism: every node set is a list of row patches ``(g,
+rows, row_weights, cols)``, the nodes ``rows x cols`` on which ``g(rows[:,
+None], cols[None, :])`` gives the integrand.  A zone grid level is one or
+two patches of ``f`` itself, a polar disk one patch of rings times angles
+per ring angular count, a needle disk one patch of lines times nodes.  One
+reduction, ``_row_sums``, evaluates whole rows in blocks of at most
+``_BLOCK_VALUES`` values (at least one row; the values per node are read
+off the integrand's output at the probe node), so memory grows neither
+with the node set nor with the stack of integrals.  Every weighted row sum
+enters one exactly rounded math.fsum per integral, so a value depends
+neither on the block size, nor on the integrals stacked beside it, nor on
+how many workers evaluate integrals.
 """
 
 from __future__ import annotations
@@ -81,9 +83,9 @@ _PROBE = (0.5772156649015329, -1.2020569031595942)
 # relative difference of f(p0) and f(-p0) (per independent integral, against
 # its largest value) beyond which the integrand is not even
 _EVEN_RTOL = 1e-12
-# integrand values held per evaluated block (grid rows or disk nodes times
+# integrand values held per evaluated block (patch rows times columns times
 # the values per node): bounds the integrand's memory whatever the batch,
-# down to one grid row or one disk sum chunk
+# down to one row
 _BLOCK_VALUES = 2 * 128 * 2048
 # ring angles per ring: rings shrink their angular spacing as the radius
 # decreases (narrow angular features near quadratic-dispersion directions
@@ -189,13 +191,6 @@ def _eval_on_block(f, px, py, tail) -> np.ndarray:
     return vals
 
 
-def _block_units(values_per_unit: int) -> int:
-    """Units (grid rows, disk sum chunks) of ``values_per_unit`` values each
-    that one evaluated block holds: as many as the budget allows, at least
-    one."""
-    return max(1, _BLOCK_VALUES // values_per_unit)
-
-
 def _values_per_node(f) -> int:
     """Values ``f`` returns per node, from its output at the probe node.
 
@@ -249,65 +244,69 @@ def _half_rows(n: int, first_mirror: int):
     return k[kept], np.where(k == mirror, 1.0, 2.0)[kept]
 
 
-def _row_sums(f, rows: np.ndarray, weights: np.ndarray, cols: np.ndarray, m: int):
-    """Weighted sum of f over the nodes ``rows x cols``, in row blocks.
+def _row_sums(patches, m: int):
+    """Weighted sum of every row of every patch ``(g, rows, weights, cols)``.
 
-    Rows are evaluated and summed in blocks of whole rows holding at most
+    Rows are evaluated in blocks of whole rows holding at most
     ``_BLOCK_VALUES`` values (``m`` values per node), so the integrand's
-    memory is bounded by the budget (or one row), not the whole grid; each
-    row is reduced before its weight is applied, so no weighted copy of a
-    block is made.  Returns the per-block sums, for the caller to combine by
-    math.fsum (``_fsum``), the nodes evaluated and, per independent
-    integral, the largest |f| seen."""
-    rows_per_block = _block_units(cols.size * m)
-    block_sums = []
-    fmax = 0.0
-    for i in range(0, rows.size, rows_per_block):
-        block = rows[i : i + rows_per_block]
-        vals = _eval_on_block(f, block[:, None], cols[None, :], (block.size, cols.size))
-        fmax = np.maximum(fmax, _per_integral_max(vals, _batch_ndim(vals.ndim - 2)))
-        block_sums.append((vals.sum(axis=-1) * weights[i : i + block.size]).sum(axis=-1))
-    return block_sums, rows.size * cols.size, fmax
+    memory is bounded by the budget (or one row), not the node set; each row
+    is reduced before its weight is applied, so no weighted copy of a block
+    is made.  Returns the weighted row sums (arrays with the integrand's
+    leading axes and one row axis) for ``_fsum`` to combine, the nodes
+    evaluated and, per independent integral, the largest |g| seen."""
+    sums, nodes, fmax = [], 0, 0.0
+    for g, rows, weights, cols in patches:
+        rows_per_block = max(1, _BLOCK_VALUES // (cols.size * m))
+        for i in range(0, rows.size, rows_per_block):
+            block = rows[i : i + rows_per_block]
+            vals = _eval_on_block(g, block[:, None], cols[None, :], (block.size, cols.size))
+            fmax = np.maximum(fmax, _per_integral_max(vals, _batch_ndim(vals.ndim - 2)))
+            sums.append(vals.sum(axis=-1) * weights[i : i + block.size])
+        nodes += rows.size * cols.size
+    return sums, nodes, fmax
 
 
 def _fsum(parts) -> np.ndarray:
-    """math.fsum of equally shaped arrays, element by element, in list order."""
-    stacked = np.stack(parts, axis=0)
-    flat = stacked.reshape(stacked.shape[0], -1)
-    total = np.array([math.fsum(flat[:, j]) for j in range(flat.shape[1])])
-    return total.reshape(stacked.shape[1:])
+    """One math.fsum per integral over the last axis of all ``parts``:
+    exactly rounded, so neither the order nor the blocking of the parts
+    can change a bit."""
+    rows = np.concatenate(parts, axis=-1)
+    flat = rows.reshape(-1, rows.shape[-1]).tolist()
+    return np.array([math.fsum(r) for r in flat]).reshape(rows.shape[:-1])
 
 
 def _grid_mean(f, xs: np.ndarray, first_mirror: int):
     """Mean of the even f over the grid ``xs x xs``, from half its rows
-    (``_half_rows``), summed in row blocks (``_row_sums``).
+    (``_half_rows``): one patch of ``f`` itself.
 
     Returns the mean, the integrand nodes evaluated and, per independent
     integral, the largest |f| seen, which sets the absolute floor below
     which a vanishing integral counts as converged."""
     n = xs.size
     rows, weights = _half_rows(n, first_mirror)
-    parts, nodes, fmax = _row_sums(f, xs[rows], weights, xs, _values_per_node(f))
-    return _fsum(parts) / float(n * n), nodes, fmax
+    sums, nodes, fmax = _row_sums([(f, xs[rows], weights, xs)], _values_per_node(f))
+    return _fsum(sums) / float(n * n), nodes, fmax
 
 
 def _doubled_mean(f, mean: np.ndarray, n: int):
     """Mean of f over the 2n zone grid from its mean over the n grid.
 
     The n grid is the even-index subgrid of the 2n grid on both axes, so
-    only the new nodes are evaluated: the odd rows in full and the odd
-    columns of the even rows, each under the half-grid row rule (negation
-    maps odd columns onto odd columns).  Their sum is added to ``n^2 mean``
-    by math.fsum.  Returns the mean, the nodes evaluated and the largest
-    |f| seen on them."""
+    only the new nodes are evaluated, as two patches under the half-grid
+    row rule (negation maps odd columns onto odd columns): the odd rows in
+    full and the odd columns of the even rows.  Their rows are added to
+    ``n^2 mean`` by math.fsum.  Returns the mean, the nodes evaluated and
+    the largest |f| seen on them."""
     xs = _zone_axis(2 * n)
     rows, weights = _half_rows(2 * n, 0)
     odd = rows % 2 == 1
-    m = mean.size
-    full, n_full, fmax_full = _row_sums(f, xs[rows[odd]], weights[odd], xs, m)
-    part, n_part, fmax_part = _row_sums(f, xs[rows[~odd]], weights[~odd], xs[1::2], m)
-    total = _fsum([float(n * n) * mean] + full + part)
-    return total / float(4 * n * n), n_full + n_part, np.maximum(fmax_full, fmax_part)
+    patches = [
+        (f, xs[rows[odd]], weights[odd], xs),
+        (f, xs[rows[~odd]], weights[~odd], xs[1::2]),
+    ]
+    sums, nodes, fmax = _row_sums(patches, mean.size)
+    total = _fsum([float(n * n) * mean[..., None]] + sums)
+    return total / float(4 * n * n), nodes, fmax
 
 
 def _zone_axis(n: int) -> np.ndarray:
@@ -457,133 +456,103 @@ def _leggauss(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _angular_count(r: float, radius: float, level: int) -> int:
-    # conical zeros have O(1) angular structure at every radius; mild growth
-    # toward the center guards against moderate cone anisotropy
-    boost = 2 ** max(0, level - 1)
-    n = _ANGULAR_BASE * boost * max(1, math.ceil(math.sqrt(radius / (32.0 * r))))
-    # even, because _ANGULAR_BASE and _ANGULAR_CAP are: the ring angles phi
-    # and phi + pi pair up (half-disk rule)
-    return int(min(_ANGULAR_CAP, n))
+def _log_rule(lo: float, hi: float, order: int):
+    """Gauss rule in s = log t over [lo, hi]: nodes t, geometrically
+    clustered toward ``lo``, and their weights for dt (Jacobian t)."""
+    xs, ws = _leggauss(order)
+    s_lo, s_hi = math.log(lo), math.log(hi)
+    t = np.exp(0.5 * (s_hi - s_lo) * xs + 0.5 * (s_hi + s_lo))
+    return t, ws * 0.5 * (s_hi - s_lo) * t
 
 
-def _disk_nodes(center, radius: float, r_min: float, level: int, half: bool = False):
-    """Log-polar nodes and weights covering one refinement disk.
+def _polar_disk(f, center, radius: float, r_min: float, level: int, half: bool):
+    """Row patches of one log-polar refinement disk: rings (rows) times
+    ring angles (columns).
 
     Three radial panels: a Gauss rule in s = log r over [r_min, radius/2]
     where the partition weight is exactly 1 (geometric clustering toward
     the singular core), a Gauss rule in r over the transition annulus
     [radius/2, radius] where the weight falls to 0, and a small Gauss rule
-    on the core r < r_min.  Ring angular counts grow toward the center.
-    ``half`` keeps the first half of every ring's (even count of) angles,
-    which with weight 2 is the whole disk when the integrand is even about
-    the centre.
+    on the core r < r_min.  Conical zeros have O(1) angular structure at
+    every radius; ring angular counts grow mildly toward the centre, which
+    guards against moderate cone anisotropy.  The rings with one angular
+    count nphi form one patch, whose ring weights carry the uniform
+    angular weight 2 pi / nphi.  ``half`` keeps the first half of every
+    ring's (even count of) angles, which with weight 2 is the whole disk
+    when the integrand is even about the centre.
     """
     cx, cy = center
     order = 24 * (2 ** max(0, level))
-    rings: list[tuple[float, float]] = []  # (r, radial weight incl. Jacobian & bump)
-    # panel A: s = log r on [log r_min, log(radius/2)], Jacobian r^2, weight 1
     xs, ws = _leggauss(order)
-    s_lo, s_hi = math.log(r_min), math.log(0.5 * radius)
-    for x, w in zip(xs, ws):
-        s = 0.5 * (s_hi - s_lo) * x + 0.5 * (s_hi + s_lo)
-        r = math.exp(s)
-        rings.append((r, w * 0.5 * (s_hi - s_lo) * r * r))
-    # panel B: r on [radius/2, radius], Jacobian r, erf transition weight
-    xt, wt = _leggauss(order)
-    for x, w in zip(xt, wt):
-        r = 0.25 * radius * x + 0.75 * radius
-        rings.append((r, w * 0.25 * radius * r * float(_bump(r, radius)[0])))
-    # core: r on (0, r_min], Jacobian r, weight 1
+    r_log, w_log = _log_rule(r_min, 0.5 * radius, order)
+    r_mid = 0.25 * radius * xs + 0.75 * radius
     xc, wc = _leggauss(8)
-    for x, w in zip(xc, wc):
-        r = 0.5 * r_min * (x + 1.0)
-        rings.append((r, w * 0.5 * r_min * r))
-    counts = [_angular_count(r_i, radius, level) for r_i, _ in rings]
-    kept = [nphi // 2 if half else nphi for nphi in counts]
-    px, py, wt = (np.empty(sum(kept)) for _ in range(3))
-    start = 0
-    for (r_i, w_i), nphi, n_kept in zip(rings, counts, kept):
-        phi = (2.0 * math.pi / nphi) * np.arange(n_kept)
-        ring = slice(start, start + n_kept)
-        px[ring] = wrap_angle(cx + r_i * np.cos(phi))
-        py[ring] = wrap_angle(cy + r_i * np.sin(phi))
-        wt[ring] = w_i * (2.0 * math.pi / nphi)
-        start += n_kept
-    return px, py, wt
+    r_core = 0.5 * r_min * (xc + 1.0)
+    r = np.concatenate([r_log, r_mid, r_core])
+    # radial weights with the Jacobian r, and the bump on the annulus
+    w = np.concatenate([
+        w_log * r_log,
+        ws * 0.25 * radius * r_mid * _bump(r_mid, radius),
+        wc * 0.5 * r_min * r_core,
+    ])
+    boost = 2 ** max(0, level - 1)
+    grow = np.maximum(1.0, np.ceil(np.sqrt(radius / (32.0 * r))))
+    # even, because _ANGULAR_BASE and _ANGULAR_CAP are: the ring angles phi
+    # and phi + pi pair up (half-disk rule)
+    counts = np.minimum(_ANGULAR_CAP, _ANGULAR_BASE * boost * grow).astype(int)
+
+    def rings(rr, phi):
+        return f(wrap_angle(cx + rr * np.cos(phi)), wrap_angle(cy + rr * np.sin(phi)))
+
+    patches = []
+    for nphi in np.unique(counts):
+        on = counts == nphi
+        phi = (2.0 * math.pi / nphi) * np.arange(nphi // 2 if half else nphi)
+        patches.append((rings, r[on], w[on] * (2.0 * math.pi / nphi), phi))
+    return patches
 
 
-def _clustered_axis(radius: float, t_min: float, order: int):
-    """Symmetric 1-d nodes/weights on [-radius, radius], geometrically
-    clustered toward 0 (Gauss in log |t| per sign, plus a small core rule)."""
-    xs, ws = _leggauss(order)
-    s_lo, s_hi = math.log(t_min), math.log(radius)
-    s = 0.5 * (s_hi - s_lo) * xs + 0.5 * (s_hi + s_lo)
-    w_s = ws * 0.5 * (s_hi - s_lo)
-    t_pos = np.exp(s)
-    w_pos = w_s * t_pos  # dt = t ds
-    xc, wc = _leggauss(8)
-    t_core = t_min * xc
-    w_core = t_min * wc
-    nodes = np.concatenate([-t_pos, t_core, t_pos])
-    weights = np.concatenate([w_pos, w_core, w_pos])
-    return nodes, weights
+def _needle_disk(f, center, axis: float, radius: float, r_min: float, level: int,
+                 half: bool):
+    """Row patch of one needle refinement disk: lines of constant u, the
+    coordinate along the soft axis, times nodes v across it.
 
-
-def _needle_disk_nodes(center, axis: float, radius: float, r_min: float, level: int,
-                       half: bool = False):
-    """Nodes for a disk whose integrand has a soft (quadratic-dispersion)
-    axis: a log-log Cartesian grid aligned with the axis resolves the
-    needle-shaped ridge that uniform polar rings cannot.  ``half`` keeps
-    the nodes with u > 0, the mirrors of those with u < 0."""
+    The integrand has a soft (quadratic-dispersion) axis, and this log-log
+    Cartesian grid aligned with it resolves the needle-shaped ridge that
+    uniform polar rings cannot.  Both coordinates take one symmetric rule
+    on [-radius, radius]: the Gauss-in-log rule over [r_min, radius] per
+    sign and a small Gauss rule on the core |t| < r_min.  The v weights and
+    the partition bump are applied inside the patch integrand.  ``half``
+    keeps the second half of the u axis, u > 0 (the rule is symmetric with
+    no node at 0), the mirrors of the nodes with u < 0.
+    """
     cx, cy = center
     order = 24 * (2 ** max(0, level))
-    u, wu = _clustered_axis(radius, r_min, order)
-    v, wv = _clustered_axis(radius, r_min, order)
-    if half:
-        # the clustered axis is symmetric with no node at 0: its second
-        # half is exactly the positive nodes
-        u, wu = u[u.size // 2 :], wu[wu.size // 2 :]
+    t, wt = _log_rule(r_min, radius, order)
+    xc, wc = _leggauss(8)
+    v = np.concatenate([-t, r_min * xc, t])
+    wv = np.concatenate([wt, r_min * wc, wt])
+    u, wu = (v[v.size // 2 :], wv[v.size // 2 :]) if half else (v, wv)
     cu, su = math.cos(axis), math.sin(axis)
-    uu = u[:, None]
-    vv = v[None, :]
-    px = wrap_angle(cx + uu * cu - vv * su)
-    py = wrap_angle(cy + uu * su + vv * cu)
-    w2d = (wu[:, None] * wv[None, :]) * _bump(np.hypot(uu, vv), radius)
-    return px.ravel(), py.ravel(), w2d.ravel()
+
+    def lines(uu, vv):
+        px = wrap_angle(cx + uu * cu - vv * su)
+        py = wrap_angle(cy + uu * su + vv * cu)
+        return f(px, py) * (wv * _bump(np.hypot(uu, vv), radius))
+
+    return [(lines, u, wu, v)]
 
 
 def _disk_integral(f, center, radius, r_min, level, axis=None, half=False):
-    """Integral of f over one disk (over its ``half`` when set), evaluated
-    in node blocks.
-
-    A block holds as many whole ``_SUM_CHUNK`` node chunks as fit in the
-    ``_BLOCK_VALUES`` budget (at least one) and is reduced into
-    ``_SUM_CHUNK`` partial sums that math.fsum combines, which is exactly
-    ``compensated_sum`` over the whole disk (a disk of at most
-    ``_SUM_CHUNK`` nodes is one plain fsum)."""
+    """Integral of f over one disk (over its ``half`` when set), from the
+    disk's row patches, reduced like every other node set.  Returns the
+    integral and the nodes evaluated."""
     if axis is None:
-        px, py, wt = _disk_nodes(center, radius, r_min, level, half)
+        patches = _polar_disk(f, center, radius, r_min, level, half)
     else:
-        px, py, wt = _needle_disk_nodes(center, axis, radius, r_min, level, half)
-    m = _values_per_node(f)
-    block_nodes = _SUM_CHUNK * _block_units(_SUM_CHUNK * m)
-    terms = []
-    for i in range(0, px.size, block_nodes):
-        block = slice(i, i + block_nodes)
-        vals = _eval_on_block(f, px[block], py[block], (wt[block].size,)) * wt[block]
-        if px.size <= _SUM_CHUNK:
-            terms.append(vals)
-        else:
-            terms += [
-                np.add.reduce(vals[..., j : j + _SUM_CHUNK], axis=-1)[..., None]
-                for j in range(0, vals.shape[-1], _SUM_CHUNK)
-            ]
-    stacked = np.concatenate(terms, axis=-1)
-    out = np.empty(stacked.shape[:-1])
-    for idx in np.ndindex(out.shape):
-        out[idx] = math.fsum(stacked[idx])
-    return out, px.size
+        patches = _needle_disk(f, center, axis, radius, r_min, level, half)
+    sums, nodes, _ = _row_sums(patches, _values_per_node(f))
+    return _fsum(sums), nodes
 
 
 def integrate_bz_refined(

@@ -64,7 +64,7 @@ from . import bures
 from .quadrature import (
     GridSpec,
     QuadratureConvergenceError,
-    _block_units,
+    _BLOCK_VALUES,
     _grid_mean,
     compensated_sum,
     integrate_bz,
@@ -411,7 +411,7 @@ def _min_lam(couplings: Couplings, xs: np.ndarray) -> float:
     the quadrature's row blocks (one value per node).  lam is even, so the
     rows up to the middle one (the mirrors of the rest) suffice."""
     half = xs[: xs.size // 2 + 1]
-    rows = _block_units(xs.size)
+    rows = max(1, _BLOCK_VALUES // xs.size)
     return min(
         float(np.min(spectral_arrays(half[i : i + rows, None], xs[None, :], couplings).lam))
         for i in range(0, half.size, rows)

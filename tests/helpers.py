@@ -90,7 +90,8 @@ def numeric_drho(family, lam0, h=1e-6):
 def full_zone_reference(f, centres, width, radius, grid, axes=None):
     """The refined zone rule on every node: all of the 2 base_n trapezoid
     grid (the level after one doubling) under the partition mask, plus all
-    of the finer disk around every centre, each summed by compensated_sum.
+    of the finer disk around every centre, the grid summed by
+    compensated_sum and each full disk by the module's own disk rule.
 
     ``centres`` must be closed under p -> -p (each given as it should be
     integrated, corners exactly); ``axes`` parallels them, and ``radius`` is
@@ -98,12 +99,7 @@ def full_zone_reference(f, centres, width, radius, grid, axes=None):
     integral with the integrand's leading axes."""
     import math
 
-    from kitaev_bures.quadrature import (
-        _bump,
-        _disk_nodes,
-        _needle_disk_nodes,
-        compensated_sum,
-    )
+    from kitaev_bures.quadrature import _bump, _disk_integral, compensated_sum
     from kitaev_bures.spectrum import wrap_angle
 
     axes = [None] * len(centres) if axes is None else axes
@@ -133,10 +129,6 @@ def full_zone_reference(f, centres, width, radius, grid, axes=None):
     )
     level = max(1, grid.refine_levels) + 1
     for c, axis in zip(centres, axes):
-        if axis is None:
-            qx, qy, wt = _disk_nodes(c, radius, r_min, level)
-        else:
-            qx, qy, wt = _needle_disk_nodes(c, axis, radius, r_min, level)
-        disk = f(qx, qy).reshape((-1, qx.size))
-        out = out + np.array([compensated_sum(v * wt) for v in disk])
+        disk, _ = _disk_integral(f, c, radius, r_min, level, axis, False)
+        out = out + disk.ravel()
     return out.reshape(lead)

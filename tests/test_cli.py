@@ -397,6 +397,48 @@ def test_config_invalid_value_is_diagnosed(tmp_path, capsys):
     assert "jx" in err
 
 
+REAL_MAP = ["ratio-map", "--jz-min", "0.62", "--jz-max", "0.7", "--t-min", "0.5",
+            "--t-max", "1.0", "--res", "8x8", "--grid-n", "32", "--tol", "1e-3"]
+
+
+def test_config_switch_takes_a_boolean(tmp_path, capsys):
+    # a switch set in the file means what its value says, not "present"
+    outputs = {}
+    for value in ("false", "yes"):
+        cfg = tmp_path / f"{value}.cfg"
+        cfg.write_text(f"synthetic-check = {value}\n")
+        outputs[value] = tmp_path / f"{value}.csv"
+        code, _, _ = run(capsys, REAL_MAP + ["--config", str(cfg), "--out", str(outputs[value])])
+        assert code == 0
+    real, synthetic = tmp_path / "real.csv", tmp_path / "synthetic.csv"
+    assert run(capsys, REAL_MAP + ["--out", str(real)])[0] == 0
+    assert run(capsys, REAL_MAP + ["--synthetic-check", "--out", str(synthetic)])[0] == 0
+    assert outputs["false"].read_text() == real.read_text()
+    assert outputs["yes"].read_text() == synthetic.read_text()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("synthetic-check = maybe\n")
+    code, _, err = run(capsys, REAL_MAP + ["--config", str(cfg)])
+    assert code == 2
+    assert "synthetic-check" in err
+
+
+def test_config_multi_value_flag_splits_on_whitespace(tmp_path, capsys):
+    argv = ["sweep", "--steps", "2", "--temp", "0.5", "--size", "5", "--elements", "jz-jz"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("path = start=0.2,0.2,0.6  end=0.6,0.2,0.2\n")
+    code, from_file, _ = run(capsys, argv + ["--config", str(cfg)])
+    assert code == 0
+    code, from_flags, _ = run(
+        capsys, argv + ["--path", "start=0.2,0.2,0.6", "end=0.6,0.2,0.2"]
+    )
+    assert code == 0
+    assert from_file == from_flags
+    cfg.write_text("path = start=0.2,0.2,0.6\n")
+    code, _, err = run(capsys, argv + ["--config", str(cfg)])
+    assert code == 2
+    assert "path" in err
+
+
 def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("KITAEV_BURES_THREADS", "1")
     path = tmp_path / "map.csv"

@@ -202,6 +202,17 @@ def test_singular_point_dedup_and_momentum_objects():
     assert abs(ref.value - plain.value) / abs(plain.value) < 1e-12
 
 
+def _stacked(members):
+    """One integrand stacking ``members`` (each with 2 components)."""
+    return lambda px, py: np.stack([g(px, py) for g in members])
+
+
+def _member(k):
+    return lambda px, py: np.stack(
+        [1.0 / (1.05 + 0.01 * k - np.cos(px) * np.cos(py)), np.exp(np.cos(px + py) / (k + 1.0))]
+    )
+
+
 def test_batched_integrals_match_standalone_bit_for_bit():
     # leading axes before the component axis index independent integrals:
     # each keeps the value, error and flag it gets alone on the same nodes,
@@ -233,43 +244,53 @@ def test_batched_integrals_match_standalone_bit_for_bit():
         alone = integrate_bz_refined(f, [(0.0, 0.0)], 0.05, grid, radius=0.4)
         assert np.array_equal(refined.value[k], alone.value)
         assert refined.converged[k] == alone.converged
+    # a 1024-point level spans several row blocks, and a stack of 8 gets an
+    # eighth of the rows per block that one member gets alone: every
+    # weighted row enters one fsum, so the blocking cannot change a bit
+    from kitaev_bures.quadrature import _disk_integral
+
+    members = [_member(k) for k in range(8)]
+    deep = GridSpec(base_n=512, max_doublings=2, target_rel_tol=1e-14)
+    res = integrate_bz(_stacked(members), deep)
+    for k, f in enumerate(members):
+        alone = integrate_bz(f, deep)
+        assert np.array_equal(res.value[k], alone.value)
+        assert np.array_equal(res.error_estimate[k], alone.error_estimate)
+    # nor on either kind of level-4 disk
+    for axis in (None, 0.4):
+        stack, n = _disk_integral(_stacked(members), (0.3, -1.2), 0.3, 1e-5, 4, axis)
+        alone, n_alone = _disk_integral(members[5], (0.3, -1.2), 0.3, 1e-5, 4, axis)
+        assert n == n_alone and np.array_equal(stack[5], alone)
 
 
-@pytest.mark.parametrize(
-    "axis, level, blocks",
-    [(0.4, 4, 3), (0.4, 3, 1), (None, 1, 1)],
-)
-def test_blocked_disk_sum_equals_compensated_sum(axis, level, blocks):
-    from kitaev_bures.quadrature import (
-        _BLOCK_VALUES,
-        _SUM_CHUNK,
-        _disk_integral,
-        _disk_nodes,
-        _needle_disk_nodes,
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize("axis", [None, 0.4], ids=["polar", "needle"])
+def test_disk_memory_is_bounded_by_the_block_budget(axis):
+    # 24 values per node on a level-4 disk (about 0.6 M needle nodes, or
+    # 8192-angle rings down to r_min): only one block of rows is held at a
+    # time, never the disk's nodes or a weighted copy of them
+    from kitaev_bures.quadrature import _disk_integral
+
+    def f(px, py):
+        vals = np.cos(np.multiply.outer(np.arange(1, 25), px))
+        vals *= np.cos(py)
+        vals += 2.0
+        return vals
+
+    (value, n), peak = _traced_peak(
+        lambda: _disk_integral(f, (0.3, -1.2), 0.3, 2e-5, 4, axis)
     )
-
-    center, radius, r_min = (0.3, -1.2), 0.3, 1e-5
-    if axis is None:
-        px, py, wt = _disk_nodes(center, radius, r_min, level)
-        assert px.size < _SUM_CHUNK
-    else:
-        px, py, wt = _needle_disk_nodes(center, axis, radius, r_min, level)
-        assert px.size > _SUM_CHUNK
-    # two values per node: a block holds the whole sum chunks that fit in
-    # the value budget
-    block_nodes = _SUM_CHUNK * (_BLOCK_VALUES // (2 * _SUM_CHUNK))
-    assert -(-px.size // block_nodes) == blocks
-
-    def f(qx, qy):
-        return np.stack(
-            [np.exp(np.cos(qx) - np.sin(qx) * np.sin(qy)), 1.0 / (1.0 + qx * qx + qy * qy)]
-        )
-
-    got, n = _disk_integral(f, center, radius, r_min, level, axis)
-    vals = f(px, py)  # the whole disk at once
-    assert n == px.size
-    for c in range(2):
-        assert got[c] == compensated_sum(vals[c] * wt)
+    assert value.shape == (24,) and n > 300_000
+    assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_block_memory_does_not_grow_with_the_stack():
@@ -282,12 +303,7 @@ def test_block_memory_does_not_grow_with_the_stack():
         return np.cos(ks * px) * np.cos(py) + 2.0
 
     grid = GridSpec(base_n=1024, max_doublings=1, target_rel_tol=1e-10)
-    tracemalloc.start()
-    try:
-        res = integrate_bz(f, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    res, peak = _traced_peak(lambda: integrate_bz(f, grid))
     assert res.value.shape == (16,) and res.converged
     assert np.allclose(res.value, 2.0 * FOUR_PI_SQ, rtol=1e-13)
     assert peak < 16 * 2**20
@@ -357,8 +373,14 @@ def test_half_disks_equal_full_disks(given, closed, axes):
 
 
 def test_ring_angular_counts_are_even():
-    from kitaev_bures.quadrature import _angular_count
+    # every polar patch holds the rings of one angular count: the count is
+    # even, and a half disk keeps exactly half of every ring's angles
+    from kitaev_bures.quadrature import _polar_disk
 
     for level in (1, 2, 4):
-        for r in (1e-6, 1e-3, 0.1, 0.3):
-            assert _angular_count(r, 0.3, level) % 2 == 0
+        for r_min in (1e-6, 1e-3):
+            full = _polar_disk(_even_pair, (0.0, 0.0), 0.3, r_min, level, False)
+            half = _polar_disk(_even_pair, (0.0, 0.0), 0.3, r_min, level, True)
+            assert sum(rows.size for _, rows, _, _ in full) == 2 * 24 * 2**level + 8
+            for (_, _, _, ring), (_, _, _, half_ring) in zip(full, half):
+                assert ring.size % 2 == 0 and 2 * half_ring.size == ring.size
