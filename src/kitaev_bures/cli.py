@@ -1,19 +1,27 @@
 """Command-line front end: tensors, sweeps, scaling fits, ratio maps, phase.
 
-Exit codes: 0 success, 2 usage/validation, 3 numerical non-convergence,
-4 fit failure.  Each command writes one format whatever the --out name:
-tensor and scaling JSON, sweep and ratio-map CSV, phase one line of text
-to stdout; '-' (the default) streams to stdout.  A plain-text config file
-(one `key = value` per line, '#' comments) can hold any long flag;
-command-line flags override it.  A switch takes true/false, 1/0 or
-yes/no, and a flag with several values takes them separated by spaces.
+Each command writes one format whatever the --out name: tensor and scaling
+JSON, sweep and ratio-map CSV, phase one line of text; '-' (the default)
+streams to stdout.  Each command takes only the flags it reads; --threads
+belongs to ratio-map alone.
+
+A plain-text config file (--config, one `key = value` per line, '#'
+comments) is read as the flags it stands for, placed before the command
+line, so command-line flags win.  A flag taking one value gets the whole
+string (`temp = 0.5, 0.7`), a flag with several values takes them
+separated by spaces, and a switch is set by true/1/yes and left out by
+false/0/no.
+
+Exit codes follow the failure type: 0 success, 2 usage or invalid input
+(every ValueError, the library's included, and an unreadable --config or
+unwritable --out), 3 numerical non-convergence, 4 a scaling fit that fails
+on computed samples.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -39,17 +47,11 @@ EXIT_USAGE = 2
 EXIT_NUMERICS = 3
 EXIT_FIT = 4
 
-_PARAMS = {
-    "beta": ParameterIndex.BETA,
-    "jx": ParameterIndex.JX,
-    "jy": ParameterIndex.JY,
-    "jz": ParameterIndex.JZ,
-}
-_PARAM_NAMES = {v: k for k, v in _PARAMS.items()}
+_PARAMS = {p.name.lower(): p for p in ParameterIndex}
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """Invalid command-line input; exits 2 like any other ValueError."""
 
 
 def _fmt(x: float) -> str:
@@ -67,101 +69,69 @@ def _parse_element(token: str) -> tuple[ParameterIndex, ParameterIndex]:
     return _PARAMS[parts[0]], _PARAMS[parts[1]]
 
 
-def _element_token(mu: ParameterIndex, nu: ParameterIndex) -> str:
-    return f"{_PARAM_NAMES[mu]}-{_PARAM_NAMES[nu]}"
+_SWITCH = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _load_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _config_args(parser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The command-line tokens a config file stands for: `--key=value` for a
+    flag taking one value, `--key` and the whitespace-split value for a flag
+    taking several, `--key` or nothing for a switch."""
+    tokens: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, eq, value = (s.strip() for s in line.partition("="))
+            if not eq:
                 raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
+            flag = "--" + key
+            action = parser._option_string_actions.get(flag)
+            if action is None or key in ("config", "help"):
+                raise UsageError(f"unknown config key {key!r}")
+            if action.nargs == 0:
+                if value.lower() not in _SWITCH:
+                    raise UsageError(f"config switch {key!r} takes true/false, 1/0 or yes/no")
+                tokens += [flag] if _SWITCH[value.lower()] else []
+            elif action.nargs is None:
+                tokens.append(f"{flag}={value}")
+            else:
+                tokens += [flag, *value.split()]
+    return tokens
 
 
-_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+def _parser(command: str, couplings: bool = True) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=f"kitaev-bures {command}")
+    if couplings:
+        for name in ("jx", "jy", "jz"):
+            parser.add_argument(f"--{name}", type=float, required=True)
+    return parser
 
 
-def _config_value(action: argparse.Action, value: str):
-    """A config-file string as the flag would parse it: a boolean for a
-    switch, whitespace-separated tokens for a flag taking several values,
-    else the flag's type applied to the string."""
-    if isinstance(action, argparse._StoreTrueAction):
-        if value.lower() not in _BOOLEANS:
-            raise ValueError(f"expected one of {', '.join(_BOOLEANS)}, got {value!r}")
-        return _BOOLEANS[value.lower()]
-    convert = action.type or str
-    if action.nargs is None:
-        return convert(value)
-    tokens = value.split()
-    if isinstance(action.nargs, int) and len(tokens) != action.nargs:
-        raise ValueError(f"expected {action.nargs} values, got {len(tokens)}")
-    return [convert(tok) for tok in tokens]
-
-
-def _parse_with_config(parser: argparse.ArgumentParser, argv: list[str]):
-    """Apply config-file values as defaults, then parse flags over them."""
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Add --config and --out, then parse the config file's flags followed
+    by the command line."""
+    parser.add_argument("--config", help="key = value file read as flags; flags override it")
+    parser.add_argument("--out", default="-", help="output path, or '-' for stdout")
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv)
-    if known.config:
-        config = _load_config(known.config)
-        by_option = {}
-        for action in parser._actions:
-            for opt in action.option_strings:
-                by_option[opt.lstrip("-")] = action
-        for key, value in config.items():
-            action = by_option.get(key)
-            if action is None or key == "config":
-                raise UsageError(f"unknown config key {key!r}")
-            try:
-                action.default = _config_value(action, value)
-            except ValueError as exc:
-                raise UsageError(f"invalid config value for {key!r}: {exc}") from exc
+    config = pre.parse_known_args(argv)[0].config
+    if config:
+        argv = _config_args(parser, config) + argv
     return parser.parse_args(argv)
-
-
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="key = value config file; flags override")
-    parser.add_argument("--out", default="-", help="output path (.csv/.json) or '-' for stdout")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("KITAEV_BURES_THREADS", "0")),
-        help="worker cap for map cells (0 = auto)",
-    )
 
 
 def _add_grid(parser: argparse.ArgumentParser, tol: float = 1e-6):
     parser.add_argument("--grid-n", type=int, default=128, help="base quadrature points per axis")
     parser.add_argument("--tol", type=float, default=tol, help="relative quadrature tolerance")
     parser.add_argument(
-        "--refine-levels",
-        type=int,
-        default=3,
+        "--refine-levels", type=int, default=3,
         help="highest disk level pair (N, N+1); the ladder starts one level below it",
     )
 
 
 def _grid_from(args) -> GridSpec:
-    return GridSpec(
-        base_n=args.grid_n,
-        target_rel_tol=args.tol,
-        refine_levels=args.refine_levels,
-    )
-
-
-def _couplings_from(args) -> Couplings:
-    for name in ("jx", "jy", "jz"):
-        if getattr(args, name) is None:
-            raise UsageError(f"missing required value for {name}")
-    return Couplings(args.jx, args.jy, args.jz)
+    return GridSpec(base_n=args.grid_n, target_rel_tol=args.tol, refine_levels=args.refine_levels)
 
 
 def _write_text(path: str, text: str):
@@ -170,6 +140,11 @@ def _write_text(path: str, text: str):
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _write_json(path: str, command: str, **fields):
+    doc = {"schema_version": SCHEMA_VERSION, "command": command, **fields}
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def _phase_payload(couplings: Couplings) -> dict:
@@ -187,22 +162,14 @@ def _phase_payload(couplings: Couplings) -> dict:
 
 
 def cmd_tensor(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="kitaev-bures tensor")
-    parser.add_argument("--jx", type=float)
-    parser.add_argument("--jy", type=float)
-    parser.add_argument("--jz", type=float)
-    parser.add_argument("--temp", type=float, help="temperature (0 = zero-T limit)")
+    parser = _parser("tensor")
+    parser.add_argument("--temp", type=float, required=True, help="temperature (0 = zero-T limit)")
     parser.add_argument("--size", type=int, help="odd L for a finite momentum grid")
     _add_grid(parser)
-    _add_common(parser)
-    args = _parse_with_config(parser, argv)
-    couplings = _couplings_from(args)
-    if args.temp is None:
-        raise UsageError("missing required value for temp")
+    args = _parse(parser, argv)
+    couplings = Couplings(args.jx, args.jy, args.jz)
     tp = ThermoPoint.from_temperature(couplings, args.temp)
     if args.size is not None:
-        if args.size < 3 or args.size % 2 == 0:
-            raise UsageError(f"size must be odd and >= 3, got {args.size}")
         tensor = tensor_finite(tp, args.size)
         evaluation = {"method": "finite", "L": args.size}
     else:
@@ -216,17 +183,16 @@ def cmd_tensor(argv: list[str]) -> int:
             "error_classical": _matrix(d["error_classical"]),
             "error_nonclassical": _matrix(d["error_nonclassical"]),
         }
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "tensor",
-        "params": {"jx": couplings.jx, "jy": couplings.jy, "jz": couplings.jz, "temp": args.temp},
-        "phase": _phase_payload(couplings),
-        "index_order": ["beta", "jx", "jy", "jz"],
-        "classical": _matrix(tensor.classical),
-        "nonclassical": _matrix(tensor.nonclassical),
-        "evaluation": evaluation,
-    }
-    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    _write_json(
+        args.out,
+        "tensor",
+        params={"jx": couplings.jx, "jy": couplings.jy, "jz": couplings.jz, "temp": args.temp},
+        phase=_phase_payload(couplings),
+        index_order=["beta", "jx", "jy", "jz"],
+        classical=_matrix(tensor.classical),
+        nonclassical=_matrix(tensor.nonclassical),
+        evaluation=evaluation,
+    )
     return EXIT_OK
 
 
@@ -237,9 +203,7 @@ def cmd_tensor(argv: list[str]) -> int:
 def _parse_path(tokens: list[str]) -> tuple[Couplings, Couplings]:
     spec = {}
     for tok in tokens:
-        if "=" not in tok:
-            raise UsageError(f"path token {tok!r} must look like start=jx,jy,jz")
-        key, val = tok.split("=", 1)
+        key, _, val = tok.partition("=")
         parts = val.split(",")
         if key not in ("start", "end") or len(parts) != 3:
             raise UsageError(f"path token {tok!r} must look like start=jx,jy,jz")
@@ -253,22 +217,19 @@ def _parse_path(tokens: list[str]) -> tuple[Couplings, Couplings]:
 
 
 def cmd_sweep(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="kitaev-bures sweep")
-    parser.add_argument("--path", nargs=2, metavar=("start=JX,JY,JZ", "end=JX,JY,JZ"))
+    parser = _parser("sweep", couplings=False)
+    parser.add_argument(
+        "--path", nargs=2, required=True, metavar=("start=JX,JY,JZ", "end=JX,JY,JZ")
+    )
     parser.add_argument("--steps", type=int, default=21)
     parser.add_argument("--temp", type=str, default="0", help="temperature, or comma list")
     parser.add_argument("--size", type=int, help="odd L; omit for thermodynamic quadrature")
     parser.add_argument("--elements", type=str, help="comma list like jz-jz,beta-beta (default all)")
     _add_grid(parser)
-    _add_common(parser)
-    args = _parse_with_config(parser, argv)
-    if not args.path:
-        raise UsageError("missing required --path")
+    args = _parse(parser, argv)
     start, end = _parse_path(args.path)
     if args.steps < 1:
         raise UsageError("steps must be >= 1")
-    if args.size is not None and (args.size < 3 or args.size % 2 == 0):
-        raise UsageError(f"size must be odd and >= 3, got {args.size}")
     try:
         temps = [float(t) for t in args.temp.split(",")]
     except ValueError as exc:
@@ -279,19 +240,10 @@ def cmd_sweep(argv: list[str]) -> int:
     else:
         pairs = list(CLASSICAL_PAIRS)
     params = np.linspace(0.0, 1.0, args.steps) if args.steps > 1 else np.array([0.0])
-    elements = []
-    for mu, nu in pairs:
-        elements.append(("c", mu, nu))
-        if mu is not ParameterIndex.BETA:
-            elements.append(("nc", mu, nu))
-    path = [
-        Couplings(
-            start.jx + s * (end.jx - start.jx),
-            start.jy + s * (end.jy - start.jy),
-            start.jz + s * (end.jz - start.jz),
-        )
-        for s in params
-    ]
+    elements = [("c", mu, nu) for mu, nu in pairs]
+    elements += [("nc", mu, nu) for mu, nu in pairs if mu is not ParameterIndex.BETA]
+    a, b = start.as_array(), end.as_array()
+    path = [Couplings(*(a + s * (b - a))) for s in params]
 
     def at_point(couplings):
         """Tensors at every temperature of one path point; the quadrature
@@ -304,23 +256,12 @@ def cmd_sweep(argv: list[str]) -> int:
     tensors = [at_point(c) for c in path]
     lines = ["param,jx,jy,jz,temp,element,classical,nonclassical"]
     for t, temp in enumerate(temps):
-        for s, couplings, by_temp in zip(params, path, tensors):
-            tensor = by_temp[t]
+        for s, c, by_temp in zip(params, path, tensors):
+            head = ",".join(_fmt(v) for v in (s, c.jx, c.jy, c.jz, temp))
             for mu, nu in pairs:
-                lines.append(
-                    ",".join(
-                        [
-                            _fmt(s),
-                            _fmt(couplings.jx),
-                            _fmt(couplings.jy),
-                            _fmt(couplings.jz),
-                            _fmt(temp),
-                            _element_token(mu, nu),
-                            _fmt(tensor.element("classical", mu, nu)),
-                            _fmt(tensor.element("nonclassical", mu, nu)),
-                        ]
-                    )
-                )
+                values = (by_temp[t].element(part, mu, nu) for part in ("classical", "nonclassical"))
+                element = f"{mu.name.lower()}-{nu.name.lower()}"
+                lines.append(",".join([head, element, *map(_fmt, values)]))
     _write_text(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -344,25 +285,17 @@ def _transverse_scale_warning(couplings: Couplings, gap: float, tmax: float) -> 
 
 
 def cmd_scaling(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="kitaev-bures scaling")
-    parser.add_argument("--jx", type=float)
-    parser.add_argument("--jy", type=float)
-    parser.add_argument("--jz", type=float)
-    parser.add_argument("--tmin", type=float)
-    parser.add_argument("--tmax", type=float)
+    parser = _parser("scaling")
+    parser.add_argument("--tmin", type=float, required=True)
+    parser.add_argument("--tmax", type=float, required=True)
     parser.add_argument("--points", type=int, default=10)
     parser.add_argument("--element", type=str, default="nc:jz-jz", help="part:pair, e.g. c:beta-beta")
     parser.add_argument(
-        "--model",
-        choices=["auto", "gapped-c", "gapped-nc", "log", "power"],
-        default="auto",
+        "--model", choices=["auto", "gapped-c", "gapped-nc", "log", "power"], default="auto"
     )
     _add_grid(parser, tol=1e-7)
-    _add_common(parser)
-    args = _parse_with_config(parser, argv)
-    couplings = _couplings_from(args)
-    if args.tmin is None or args.tmax is None:
-        raise UsageError("missing required tmin/tmax")
+    args = _parse(parser, argv)
+    couplings = Couplings(args.jx, args.jy, args.jz)
     if not (0 < args.tmin < args.tmax):
         raise UsageError("need 0 < tmin < tmax")
     if args.points < 6:
@@ -370,11 +303,7 @@ def cmd_scaling(argv: list[str]) -> int:
     if ":" not in args.element:
         raise UsageError("element must look like part:pair, e.g. nc:jz-jz")
     part, pair_tok = args.element.split(":", 1)
-    if part not in ("c", "nc"):
-        raise UsageError(f"unknown tensor part {part!r}")
     mu, nu = _parse_element(pair_tok)
-    if part == "nc" and ParameterIndex.BETA in (mu, nu):
-        raise UsageError("nonclassical elements exist only for coupling pairs")
     region = classify_phase(couplings)
     model = args.model
     if model == "auto":
@@ -384,63 +313,52 @@ def cmd_scaling(argv: list[str]) -> int:
             model = "power"
         else:
             model = "log"
+    # input failures (a gapped model without a gap, an invalid element or
+    # coupling) raise outside the fit's try below, so they exit 2, not 4
+    gap = fermion_gap(couplings) if model.startswith("gapped") else None
+    if gap == 0.0:
+        raise UsageError(f"model {model} needs a gap; the coupling is {region.value}")
     grid = _grid_from(args)
     temps = np.geomspace(args.tmin, args.tmax, args.points)
     points = [ThermoPoint.from_temperature(couplings, t) for t in temps]
     part_name = "classical" if part == "c" else "nonclassical"
     elements = [(part, mu, nu)]
-    warnings: list[str] = []
+    if model == "gapped-nc":
+        offset = tensor_thermodynamic(
+            ThermoPoint.from_temperature(couplings, 0.0), grid, elements=elements
+        ).element(part_name, mu, nu)
+        tensors = nonclassical_corrections(points, grid, elements=elements)
+    else:
+        tensors = tensors_thermodynamic(points, grid, elements=elements)
+    samples = np.stack([temps, np.array([t.element(part_name, mu, nu) for t in tensors])], axis=1)
     try:
         if model == "gapped-nc":
-            gap = fermion_gap(couplings)
-            offset = tensor_thermodynamic(
-                ThermoPoint.from_temperature(couplings, 0.0), grid, elements=elements
-            ).element(part_name, mu, nu)
-            corr = [
-                t.element("nonclassical", mu, nu)
-                for t in nonclassical_corrections(points, grid, elements=elements)
-            ]
-            samples = np.stack([temps, np.array(corr)], axis=1)
             fit = scaling.fit_gapped_nonclassical(samples, gap, offset)
+        elif model == "gapped-c":
+            fit = scaling.fit_gapped_classical(np.abs(samples), known_gap=gap)
+        elif model == "log":
+            fit = scaling.fit_log_divergence(samples)
         else:
-            values = np.array([
-                t.element(part_name, mu, nu)
-                for t in tensors_thermodynamic(points, grid, elements=elements)
-            ])
-            samples = np.stack([temps, values], axis=1)
-            if model == "gapped-c":
-                gap = fermion_gap(couplings)
-                fit = scaling.fit_gapped_classical(
-                    np.stack([temps, np.abs(values)], axis=1), known_gap=gap
-                )
-                warnings += _transverse_scale_warning(couplings, gap, args.tmax)
-            elif model == "log":
-                fit = scaling.fit_log_divergence(samples)
-            else:
-                fit = scaling.fit_power_law(samples)
+            fit = scaling.fit_power_law(samples)
     except ValueError as exc:
         sys.stderr.write(f"fit failure: {exc}\n")
         return EXIT_FIT
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "scaling",
-        "params": {
-            "jx": couplings.jx,
-            "jy": couplings.jy,
-            "jz": couplings.jz,
-            "element": args.element,
-            "model": model,
-            "phase": region.value,
-        },
-        "samples": [[float(t), float(g)] for t, g in fit.samples],
-        "fit": {
+    warnings = list(fit.warnings)
+    if model == "gapped-c":
+        warnings += _transverse_scale_warning(couplings, gap, args.tmax)
+    _write_json(
+        args.out,
+        "scaling",
+        params={"jx": couplings.jx, "jy": couplings.jy, "jz": couplings.jz,
+                "element": args.element, "model": model, "phase": region.value},
+        samples=[[float(t), float(g)] for t, g in fit.samples],
+        fit={
             "model": type(fit.model).__name__,
             "params": asdict(fit.model),
             "r_squared": fit.r_squared,
-            "warnings": list(fit.warnings) + warnings,
+            "warnings": warnings,
         },
-    }
-    _write_text(args.out, json.dumps(doc, indent=2) + "\n")
+    )
     return EXIT_OK
 
 
@@ -449,7 +367,7 @@ def cmd_scaling(argv: list[str]) -> int:
 
 
 def cmd_ratio_map(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="kitaev-bures ratio-map")
+    parser = _parser("ratio-map", couplings=False)
     parser.add_argument("--jz-min", type=float, default=0.48)
     parser.add_argument("--jz-max", type=float, default=0.52)
     parser.add_argument("--t-min", type=float, default=0.002)
@@ -461,20 +379,26 @@ def cmd_ratio_map(argv: list[str]) -> int:
         action="store_true",
         help="self test: use the constructed map ratio=(|jz-0.5|/T)^2 instead of computing",
     )
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=int(os.environ.get("KITAEV_BURES_THREADS", "0")),
+        help="worker cap for map columns (0 = auto)",
+    )
     _add_grid(parser, tol=1e-4)
-    _add_common(parser)
-    args = _parse_with_config(parser, argv)
+    args = _parse(parser, argv)
     try:
         nx, nt = (int(p) for p in args.res.lower().split("x"))
     except ValueError as exc:
         raise UsageError(f"invalid res {args.res!r}, expected NxM") from exc
-    if nx < 8 or nt < 8:
-        raise UsageError("res must be at least 8 per axis")
-    if args.contour is not None and args.out == "-":
-        raise UsageError("--contour requires --out FILE (writes sidecar files)")
+    if args.contour is not None:
+        if args.out == "-":
+            raise UsageError("--contour requires --out FILE (writes sidecar files)")
+        if not args.contour > 0:
+            raise UsageError(f"contour level must be positive, got {args.contour!r}")
+    jz_range, t_range = (args.jz_min, args.jz_max), (args.t_min, args.t_max)
     if args.synthetic_check:
-        jz = np.linspace(args.jz_min, args.jz_max, nx)
-        ts = np.geomspace(args.t_min, args.t_max, nt)
+        jz, ts = scaling.map_axes(jz_range, t_range, (nx, nt))
         grid_vals = ((np.abs(jz[None, :] - 0.5) + 1e-300) / ts[:, None]) ** 2
         rmap = scaling.RatioMap(
             jz_values=jz,
@@ -485,8 +409,8 @@ def cmd_ratio_map(argv: list[str]) -> int:
     else:
         rmap = scaling.ratio_map(
             scaling.figure_of_merit_trajectory,
-            (args.jz_min, args.jz_max),
-            (args.t_min, args.t_max),
+            jz_range,
+            t_range,
             (nx, nt),
             grid=_grid_from(args),
             threads=args.threads,
@@ -510,18 +434,17 @@ def cmd_ratio_map(argv: list[str]) -> int:
         pts_lines = ["jz,temp"]
         pts_lines += [f"{_fmt(a)},{_fmt(b)}" for a, b in contour.points]
         _write_text(base + ".contour.csv", "\n".join(pts_lines) + "\n")
-        sidecar = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "ratio-map-contour",
-            "level": contour.level,
-            "n_points": int(contour.points.shape[0]),
-            "exponent": contour.exponent,
-            "intercept": contour.intercept,
-            "r_squared": contour.r_squared,
-            "exponent_below": contour.exponent_below,
-            "exponent_above": contour.exponent_above,
-        }
-        _write_text(base + ".contour.json", json.dumps(sidecar, indent=2) + "\n")
+        _write_json(
+            base + ".contour.json",
+            "ratio-map-contour",
+            level=contour.level,
+            n_points=int(contour.points.shape[0]),
+            exponent=contour.exponent,
+            intercept=contour.intercept,
+            r_squared=contour.r_squared,
+            exponent_below=contour.exponent_below,
+            exponent_above=contour.exponent_above,
+        )
     return EXIT_OK
 
 
@@ -530,13 +453,8 @@ def cmd_ratio_map(argv: list[str]) -> int:
 
 
 def cmd_phase(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(prog="kitaev-bures phase")
-    parser.add_argument("--jx", type=float)
-    parser.add_argument("--jy", type=float)
-    parser.add_argument("--jz", type=float)
-    _add_common(parser)
-    args = _parse_with_config(parser, argv)
-    couplings = _couplings_from(args)
+    args = _parse(_parser("phase"), argv)
+    couplings = Couplings(args.jx, args.jy, args.jz)
     region = classify_phase(couplings)
     if region.is_gapped:
         line = f"{region.value} gap={fermion_gap(couplings):.12g}"
@@ -546,7 +464,7 @@ def cmd_phase(argv: list[str]) -> int:
         pts = dirac_points(couplings)
         pts_txt = ",".join(f"({p.px:.12g},{p.py:.12g})" for p in pts)
         line = f"{region.value} dirac=[{pts_txt}]"
-    sys.stdout.write(line + "\n")
+    _write_text(args.out, line + "\n")
     return EXIT_OK
 
 
@@ -581,13 +499,10 @@ def main(argv: list[str] | None = None) -> int:
         return command(argv[1:])
     except SystemExit as exc:  # argparse --help (0) and usage errors (2)
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except QuadratureConvergenceError as exc:
         sys.stderr.write(f"numerical non-convergence: {exc}\n")
         return EXIT_NUMERICS
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # UsageError included; unreadable --config or --out
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -45,6 +45,7 @@ __all__ = [
     "fit_log_divergence",
     "fit_power_law",
     "figure_of_merit_trajectory",
+    "map_axes",
     "ratio_map",
     "crossover_contour",
 ]
@@ -255,6 +256,24 @@ class RatioMap:
             object.__setattr__(self, "valid", np.ones_like(self.grid, dtype=bool))
 
 
+def map_axes(
+    jz_range: tuple[float, float],
+    t_range: tuple[float, float],
+    resolution: int | tuple[int, int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The axes of a ratio map: couplings linear over ``jz_range`` and
+    temperatures log-spaced over ``t_range``, ``resolution`` points each (or
+    a ``(couplings, temperatures)`` pair).  Each axis needs at least 8
+    points and an increasing range; the temperatures must be positive."""
+    n_jz, n_t = (resolution, resolution) if isinstance(resolution, int) else resolution
+    if n_jz < 8 or n_t < 8:
+        raise ValueError("resolution must be at least 8 per axis")
+    (j_lo, j_hi), (t_lo, t_hi) = jz_range, t_range
+    if not (j_lo < j_hi and 0 < t_lo < t_hi):
+        raise ValueError("ranges must be positive and ordered")
+    return np.linspace(j_lo, j_hi, n_jz), np.geomspace(t_lo, t_hi, n_t)
+
+
 def ratio_map(
     trajectory: Callable[[float], Couplings],
     jz_range: tuple[float, float],
@@ -267,8 +286,8 @@ def ratio_map(
 ) -> RatioMap:
     """Map of g^c/g^nc for one element pair along a coupling trajectory.
 
-    Temperatures are log-spaced over ``t_range``; couplings linear over
-    ``jz_range`` through ``trajectory``.  Each coupling column is one job:
+    The axes come from ``map_axes``; each coupling parameter is mapped
+    through ``trajectory``.  Each coupling column is one job:
     a single ``tensors_thermodynamic`` batch over the column's temperatures,
     which shares the spectral fields and one refinement geometry (see
     ``thermal_metric._refinement_plan``).  Columns run concurrently and are
@@ -277,18 +296,8 @@ def ratio_map(
     cell invalid, with its own reason; the column's converged cells keep
     their values.  Failures never abort the map.
     """
-    if isinstance(resolution, int):
-        n_jz = n_t = resolution
-    else:
-        n_jz, n_t = resolution
-    if n_jz < 8 or n_t < 8:
-        raise ValueError("resolution must be at least 8 per axis")
-    j_lo, j_hi = jz_range
-    t_lo, t_hi = t_range
-    if not (j_lo < j_hi and 0 < t_lo < t_hi):
-        raise ValueError("ranges must be positive and ordered")
-    jz_values = np.linspace(j_lo, j_hi, n_jz)
-    temperatures = np.geomspace(t_lo, t_hi, n_t)
+    jz_values, temperatures = map_axes(jz_range, t_range, resolution)
+    n_jz, n_t = len(jz_values), len(temperatures)
     quad = grid or GridSpec(target_rel_tol=1e-4)
     mu, nu = element
     elements = [("c", mu, nu), ("nc", mu, nu)]

@@ -36,6 +36,15 @@ def test_phase_critical(capsys):
     assert out.strip() == "critical"
 
 
+def test_phase_writes_its_line_to_out(tmp_path, capsys):
+    path = tmp_path / "phase.txt"
+    code, out, _ = run(
+        capsys, ["phase", "--jx", "0.1", "--jy", "0.1", "--jz", "0.8", "--out", str(path)]
+    )
+    assert code == 0 and out == ""
+    assert path.read_text() == "gapped-Az gap=1.2\n"
+
+
 def test_phase_missing_coupling(capsys):
     code, _, err = run(capsys, ["phase", "--jx", "0.1", "--jy", "0.1"])
     assert code == 2
@@ -116,6 +125,15 @@ def test_tensor_even_size_rejected(capsys):
     )
     assert code == 2
     assert "odd" in err
+
+
+def test_tensor_refuses_flags_it_does_not_read(capsys):
+    code, out, err = run(
+        capsys, ["tensor", "--jx", "0", "--jy", "0", "--jz", "1", "--temp", "1",
+                 "--threads", "2"]
+    )
+    assert code == 2 and out == ""
+    assert "--threads" in err
 
 
 def test_tensor_nonconvergence_exit_code(capsys):
@@ -272,6 +290,32 @@ def test_scaling_fit_failure_exit_code(tmp_path, capsys):
     assert "fit failure" in err
 
 
+@pytest.mark.parametrize(
+    "couplings, flags, message",
+    [
+        # refused by the library before integrating
+        (("0", "0.5", "0.5"), [], "jx = 0 on the critical boundary"),
+        # the gap is computed before any sample is integrated
+        (("0.3", "0.3", "0.4"), ["--model", "gapped-c", "--element", "c:jz-jz"],
+         "fermion gap undefined"),
+        (("0.25", "0.25", "0.5"), ["--model", "gapped-c", "--element", "c:jz-jz"],
+         "needs a gap"),
+    ],
+)
+def test_scaling_input_failures_are_usage_errors(tmp_path, capsys, couplings, flags, message):
+    # exit 4 is kept for a fit that fails on computed samples
+    jx, jy, jz = couplings
+    path = tmp_path / "fit.json"
+    code, _, err = run(
+        capsys,
+        ["scaling", "--jx", jx, "--jy", jy, "--jz", jz, "--tmin", "0.01", "--tmax", "0.1",
+         "--points", "6", "--grid-n", "32", *flags, "--out", str(path)],
+    )
+    assert code == 2
+    assert message in err
+    assert "fit failure" not in err and not path.exists()
+
+
 def test_scaling_element_validation(capsys):
     code, _, err = run(
         capsys,
@@ -359,6 +403,24 @@ def test_ratio_map_resolution_validation(capsys):
     assert code == 2
 
 
+def test_ratio_map_invalid_contour_level_writes_nothing(tmp_path, capsys):
+    path = tmp_path / "map.csv"
+    code, _, err = run(
+        capsys, ["ratio-map", "--synthetic-check", "--contour", "-1", "--out", str(path)]
+    )
+    assert code == 2
+    assert "positive" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synthetic_check_takes_the_computed_map_axes(tmp_path, capsys):
+    for bad in (["--t-min", "0.05", "--t-max", "0.002"], ["--res", "8x7"]):
+        path = tmp_path / "map.csv"
+        code, _, _ = run(capsys, ["ratio-map", "--synthetic-check", *bad, "--out", str(path)])
+        assert code == 2
+        assert not path.exists()
+
+
 def test_ratio_map_contour_requires_file_output(capsys):
     code, _, err = run(capsys, ["ratio-map", "--synthetic-check", "--contour", "0.5"])
     assert code == 2
@@ -383,10 +445,11 @@ def test_config_file_merge_and_override(tmp_path, capsys):
 
 def test_config_unknown_key_is_diagnosed(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("jx = 0.1\nbogus-key = 3\n")
-    code, _, err = run(capsys, ["phase", "--config", str(cfg), "--jy", "0.1", "--jz", "0.8"])
-    assert code == 2
-    assert "bogus-key" in err
+    for key in ("bogus-key", "threads"):  # only ratio-map has --threads
+        cfg.write_text(f"jx = 0.1\n{key} = 3\n")
+        code, out, err = run(capsys, ["phase", "--config", str(cfg), "--jy", "0.1", "--jz", "0.8"])
+        assert code == 2 and out == ""
+        assert f"unknown config key {key!r}" in err
 
 
 def test_config_invalid_value_is_diagnosed(tmp_path, capsys):
@@ -395,6 +458,25 @@ def test_config_invalid_value_is_diagnosed(tmp_path, capsys):
     code, _, err = run(capsys, ["phase", "--config", str(cfg), "--jy", "0.1", "--jz", "0.8"])
     assert code == 2
     assert "jx" in err
+
+
+def test_config_file_that_cannot_be_read_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.cfg"
+    code, _, err = run(capsys, ["phase", "--config", str(missing)])
+    assert code == 2
+    assert "missing.cfg" in err
+
+
+def test_config_single_value_flag_keeps_the_whole_string(tmp_path, capsys):
+    argv = ["sweep", "--path", "start=0.2,0.2,0.6", "end=0.6,0.2,0.2", "--steps", "2",
+            "--size", "5", "--elements", "jz-jz"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("temp = 0.5, 0.7\n")
+    code, from_file, _ = run(capsys, argv + ["--config", str(cfg)])
+    assert code == 0
+    code, from_flags, _ = run(capsys, argv + ["--temp", "0.5,0.7"])
+    assert code == 0
+    assert from_file == from_flags
 
 
 REAL_MAP = ["ratio-map", "--jz-min", "0.62", "--jz-max", "0.7", "--t-min", "0.5",
@@ -447,3 +529,30 @@ def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
         ["ratio-map", "--synthetic-check", "--res", "8x8", "--out", str(path)],
     )
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# output layout
+
+
+def test_json_documents_keep_their_key_order(tmp_path, capsys):
+    tensor, fit = tmp_path / "tensor.json", tmp_path / "fit.json"
+    couplings = ["--jx", "0.1", "--jy", "0.1", "--jz", "0.8"]
+    assert run(capsys, ["tensor", *couplings, "--temp", "0.5", "--grid-n", "32",
+                        "--out", str(tensor)])[0] == 0
+    assert run(capsys, ["scaling", *couplings, "--tmin", "0.005", "--tmax", "0.015",
+                        "--points", "6", "--element", "c:beta-beta", "--grid-n", "32",
+                        "--out", str(fit)])[0] == 0
+    assert run(capsys, ["ratio-map", "--synthetic-check", "--contour", "1.0",
+                        "--out", str(tmp_path / "map.csv")])[0] == 0
+    keys = {
+        name: list(json.loads((tmp_path / name).read_text()))
+        for name in ("tensor.json", "fit.json", "map.contour.json")
+    }
+    assert keys == {
+        "tensor.json": ["schema_version", "command", "params", "phase", "index_order",
+                        "classical", "nonclassical", "evaluation"],
+        "fit.json": ["schema_version", "command", "params", "samples", "fit"],
+        "map.contour.json": ["schema_version", "command", "level", "n_points", "exponent",
+                             "intercept", "r_squared", "exponent_below", "exponent_above"],
+    }
