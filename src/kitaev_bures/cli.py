@@ -50,10 +50,6 @@ EXIT_FIT = 4
 _PARAMS = {p.name.lower(): p for p in ParameterIndex}
 
 
-class UsageError(ValueError):
-    """Invalid command-line input; exits 2 like any other ValueError."""
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -65,7 +61,7 @@ def _matrix(m: np.ndarray) -> list[list[float]]:
 def _parse_element(token: str) -> tuple[ParameterIndex, ParameterIndex]:
     parts = token.lower().split("-")
     if len(parts) != 2 or parts[0] not in _PARAMS or parts[1] not in _PARAMS:
-        raise UsageError(f"invalid element {token!r} (expected e.g. 'beta-jx' or 'jz-jz')")
+        raise ValueError(f"invalid element {token!r} (expected e.g. 'beta-jx' or 'jz-jz')")
     return _PARAMS[parts[0]], _PARAMS[parts[1]]
 
 
@@ -84,14 +80,14 @@ def _config_args(parser: argparse.ArgumentParser, path: str) -> list[str]:
                 continue
             key, eq, value = (s.strip() for s in line.partition("="))
             if not eq:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             flag = "--" + key
             action = parser._option_string_actions.get(flag)
             if action is None or key in ("config", "help"):
-                raise UsageError(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {key!r}")
             if action.nargs == 0:
                 if value.lower() not in _SWITCH:
-                    raise UsageError(f"config switch {key!r} takes true/false, 1/0 or yes/no")
+                    raise ValueError(f"config switch {key!r} takes true/false, 1/0 or yes/no")
                 tokens += [flag] if _SWITCH[value.lower()] else []
             elif action.nargs is None:
                 tokens.append(f"{flag}={value}")
@@ -100,17 +96,16 @@ def _config_args(parser: argparse.ArgumentParser, path: str) -> list[str]:
     return tokens
 
 
-def _parser(command: str, couplings: bool = True) -> argparse.ArgumentParser:
+def _couplings_parser(command: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog=f"kitaev-bures {command}")
-    if couplings:
-        for name in ("jx", "jy", "jz"):
-            parser.add_argument(f"--{name}", type=float, required=True)
+    for name in ("jx", "jy", "jz"):
+        parser.add_argument(f"--{name}", type=float, required=True)
     return parser
 
 
 def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Add --config and --out, then parse the config file's flags followed
-    by the command line."""
+    by the command line; an error then also names the config file."""
     parser.add_argument("--config", help="key = value file read as flags; flags override it")
     parser.add_argument("--out", default="-", help="output path, or '-' for stdout")
     pre = argparse.ArgumentParser(add_help=False)
@@ -118,6 +113,8 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     config = pre.parse_known_args(argv)[0].config
     if config:
         argv = _config_args(parser, config) + argv
+        error = parser.error
+        parser.error = lambda msg: error(f"{msg} (config {config} is read as flags first)")
     return parser.parse_args(argv)
 
 
@@ -162,7 +159,7 @@ def _phase_payload(couplings: Couplings) -> dict:
 
 
 def cmd_tensor(argv: list[str]) -> int:
-    parser = _parser("tensor")
+    parser = _couplings_parser("tensor")
     parser.add_argument("--temp", type=float, required=True, help="temperature (0 = zero-T limit)")
     parser.add_argument("--size", type=int, help="odd L for a finite momentum grid")
     _add_grid(parser)
@@ -206,18 +203,18 @@ def _parse_path(tokens: list[str]) -> tuple[Couplings, Couplings]:
         key, _, val = tok.partition("=")
         parts = val.split(",")
         if key not in ("start", "end") or len(parts) != 3:
-            raise UsageError(f"path token {tok!r} must look like start=jx,jy,jz")
+            raise ValueError(f"path token {tok!r} must look like start=jx,jy,jz")
         try:
             spec[key] = Couplings(*(float(p) for p in parts))
         except ValueError as exc:
-            raise UsageError(f"invalid path coordinates in {tok!r}: {exc}") from exc
+            raise ValueError(f"invalid path coordinates in {tok!r}: {exc}") from exc
     if set(spec) != {"start", "end"}:
-        raise UsageError("path requires both start= and end=")
+        raise ValueError("path requires both start= and end=")
     return spec["start"], spec["end"]
 
 
 def cmd_sweep(argv: list[str]) -> int:
-    parser = _parser("sweep", couplings=False)
+    parser = argparse.ArgumentParser(prog="kitaev-bures sweep")
     parser.add_argument(
         "--path", nargs=2, required=True, metavar=("start=JX,JY,JZ", "end=JX,JY,JZ")
     )
@@ -229,11 +226,11 @@ def cmd_sweep(argv: list[str]) -> int:
     args = _parse(parser, argv)
     start, end = _parse_path(args.path)
     if args.steps < 1:
-        raise UsageError("steps must be >= 1")
+        raise ValueError("steps must be >= 1")
     try:
         temps = [float(t) for t in args.temp.split(",")]
     except ValueError as exc:
-        raise UsageError(f"invalid temp list {args.temp!r}") from exc
+        raise ValueError(f"invalid temp list {args.temp!r}") from exc
     if args.elements:
         pairs = [_parse_element(tok) for tok in args.elements.split(",")]
         pairs = [(min(a, b), max(a, b)) for a, b in pairs]
@@ -285,7 +282,7 @@ def _transverse_scale_warning(couplings: Couplings, gap: float, tmax: float) -> 
 
 
 def cmd_scaling(argv: list[str]) -> int:
-    parser = _parser("scaling")
+    parser = _couplings_parser("scaling")
     parser.add_argument("--tmin", type=float, required=True)
     parser.add_argument("--tmax", type=float, required=True)
     parser.add_argument("--points", type=int, default=10)
@@ -297,12 +294,15 @@ def cmd_scaling(argv: list[str]) -> int:
     args = _parse(parser, argv)
     couplings = Couplings(args.jx, args.jy, args.jz)
     if not (0 < args.tmin < args.tmax):
-        raise UsageError("need 0 < tmin < tmax")
+        raise ValueError("need 0 < tmin < tmax")
     if args.points < 6:
-        raise UsageError("points must be >= 6 for the fits")
+        raise ValueError("points must be >= 6 for the fits")
     if ":" not in args.element:
-        raise UsageError("element must look like part:pair, e.g. nc:jz-jz")
+        raise ValueError("element must look like part:pair, e.g. nc:jz-jz")
     part, pair_tok = args.element.split(":", 1)
+    part_name = {"c": "classical", "nc": "nonclassical"}.get(part)
+    if part_name is None:
+        raise ValueError(f"unknown tensor part {part!r} (expected c or nc)")
     mu, nu = _parse_element(pair_tok)
     region = classify_phase(couplings)
     model = args.model
@@ -317,11 +317,10 @@ def cmd_scaling(argv: list[str]) -> int:
     # coupling) raise outside the fit's try below, so they exit 2, not 4
     gap = fermion_gap(couplings) if model.startswith("gapped") else None
     if gap == 0.0:
-        raise UsageError(f"model {model} needs a gap; the coupling is {region.value}")
+        raise ValueError(f"model {model} needs a gap; the coupling is {region.value}")
     grid = _grid_from(args)
     temps = np.geomspace(args.tmin, args.tmax, args.points)
     points = [ThermoPoint.from_temperature(couplings, t) for t in temps]
-    part_name = "classical" if part == "c" else "nonclassical"
     elements = [(part, mu, nu)]
     if model == "gapped-nc":
         offset = tensor_thermodynamic(
@@ -367,7 +366,7 @@ def cmd_scaling(argv: list[str]) -> int:
 
 
 def cmd_ratio_map(argv: list[str]) -> int:
-    parser = _parser("ratio-map", couplings=False)
+    parser = argparse.ArgumentParser(prog="kitaev-bures ratio-map")
     parser.add_argument("--jz-min", type=float, default=0.48)
     parser.add_argument("--jz-max", type=float, default=0.52)
     parser.add_argument("--t-min", type=float, default=0.002)
@@ -390,12 +389,12 @@ def cmd_ratio_map(argv: list[str]) -> int:
     try:
         nx, nt = (int(p) for p in args.res.lower().split("x"))
     except ValueError as exc:
-        raise UsageError(f"invalid res {args.res!r}, expected NxM") from exc
+        raise ValueError(f"invalid res {args.res!r}, expected NxM") from exc
     if args.contour is not None:
         if args.out == "-":
-            raise UsageError("--contour requires --out FILE (writes sidecar files)")
+            raise ValueError("--contour requires --out FILE (writes sidecar files)")
         if not args.contour > 0:
-            raise UsageError(f"contour level must be positive, got {args.contour!r}")
+            raise ValueError(f"contour level must be positive, got {args.contour!r}")
     jz_range, t_range = (args.jz_min, args.jz_max), (args.t_min, args.t_max)
     if args.synthetic_check:
         jz, ts = scaling.map_axes(jz_range, t_range, (nx, nt))
@@ -453,7 +452,7 @@ def cmd_ratio_map(argv: list[str]) -> int:
 
 
 def cmd_phase(argv: list[str]) -> int:
-    args = _parse(_parser("phase"), argv)
+    args = _parse(_couplings_parser("phase"), argv)
     couplings = Couplings(args.jx, args.jy, args.jz)
     region = classify_phase(couplings)
     if region.is_gapped:
@@ -502,7 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     except QuadratureConvergenceError as exc:
         sys.stderr.write(f"numerical non-convergence: {exc}\n")
         return EXIT_NUMERICS
-    except (ValueError, OSError) as exc:  # UsageError included; unreadable --config or --out
+    except (ValueError, OSError) as exc:  # OSError: unreadable --config or --out
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

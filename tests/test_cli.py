@@ -300,6 +300,9 @@ def test_scaling_fit_failure_exit_code(tmp_path, capsys):
          "fermion gap undefined"),
         (("0.25", "0.25", "0.5"), ["--model", "gapped-c", "--element", "c:jz-jz"],
          "needs a gap"),
+        # the library's long part names are not CLI part names
+        (("0.3", "0.3", "0.4"), ["--element", "classical:jz-jz"],
+         "unknown tensor part 'classical'"),
     ],
 )
 def test_scaling_input_failures_are_usage_errors(tmp_path, capsys, couplings, flags, message):
@@ -457,7 +460,8 @@ def test_config_invalid_value_is_diagnosed(tmp_path, capsys):
     cfg.write_text("jx = banana\n")
     code, _, err = run(capsys, ["phase", "--config", str(cfg), "--jy", "0.1", "--jz", "0.8"])
     assert code == 2
-    assert "jx" in err
+    assert "argument --jx: invalid float value: 'banana'" in err
+    assert f"config {cfg}" in err
 
 
 def test_config_file_that_cannot_be_read_is_a_usage_error(tmp_path, capsys):
