@@ -286,7 +286,8 @@ def finite_difference_metric_pairs(
     """Finite-difference Bures metric from a parameter-pair fidelity.
 
     ``pair_fidelity(lam_a, lam_b)`` returns the (possibly batched) fidelity
-    between the states at two parameter vectors.  Diagonal entries come from
+    between the states at two parameter vectors; ``lam_a`` is always
+    ``lambda0``, so the pair may hold that state's data.  Diagonal entries come from
     g_uu = 2 (1 - F(l0, l0 + h e_u)) / h^2 symmetrized over +-h, with one
     Richardson level (steps h and h/2) for O(h^4) accuracy; off-diagonals
     use the polarization identity along e_mu + e_nu.  The result is

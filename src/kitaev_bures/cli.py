@@ -3,7 +3,7 @@
 Each command writes one format whatever the --out name: tensor and scaling
 JSON, sweep and ratio-map CSV, phase one line of text; '-' (the default)
 streams to stdout.  Each command takes only the flags it reads; --threads
-belongs to ratio-map alone.
+belongs to ratio-map alone, and --size refuses the quadrature flags.
 
 A plain-text config file (--config, one `key = value` per line, '#'
 comments) is read as the flags it stands for, placed before the command
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -118,17 +117,29 @@ def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespa
     return parser.parse_args(argv)
 
 
-def _add_grid(parser: argparse.ArgumentParser, tol: float = 1e-6):
-    parser.add_argument("--grid-n", type=int, default=128, help="base quadrature points per axis")
-    parser.add_argument("--tol", type=float, default=tol, help="relative quadrature tolerance")
+_GRID_FLAGS = {"grid_n": "base_n", "tol": "target_rel_tol", "refine_levels": "refine_levels"}
+
+
+def _add_grid(parser: argparse.ArgumentParser):
+    # unset flags read None: _grid_from fills in the defaults, --size refuses them
+    parser.add_argument("--grid-n", type=int, help="base quadrature points per axis")
+    parser.add_argument("--tol", type=float, help="relative quadrature tolerance")
     parser.add_argument(
-        "--refine-levels", type=int, default=3,
+        "--refine-levels", type=int,
         help="highest disk level pair (N, N+1); the ladder starts one level below it",
     )
 
 
-def _grid_from(args) -> GridSpec:
-    return GridSpec(base_n=args.grid_n, target_rel_tol=args.tol, refine_levels=args.refine_levels)
+def _grid_from(args, tol: float = 1e-6) -> GridSpec:
+    given = {field: getattr(args, flag) for flag, field in _GRID_FLAGS.items()}
+    return GridSpec(**{"target_rel_tol": tol, **{k: v for k, v in given.items() if v is not None}})
+
+
+def _refuse_grid(args):
+    """--size sums the finite L x L grid, which reads no quadrature flag."""
+    given = [flag for flag in _GRID_FLAGS if getattr(args, flag) is not None]
+    if args.size is not None and given:
+        raise ValueError(f"--{given[0].replace('_', '-')} sets the quadrature; --size does not read it")
 
 
 def _write_text(path: str, text: str):
@@ -166,16 +177,18 @@ def cmd_tensor(argv: list[str]) -> int:
     args = _parse(parser, argv)
     couplings = Couplings(args.jx, args.jy, args.jz)
     tp = ThermoPoint.from_temperature(couplings, args.temp)
+    _refuse_grid(args)
     if args.size is not None:
         tensor = tensor_finite(tp, args.size)
         evaluation = {"method": "finite", "L": args.size}
     else:
-        tensor = tensor_thermodynamic(tp, _grid_from(args))
+        grid = _grid_from(args)
+        tensor = tensor_thermodynamic(tp, grid)
         d = tensor.evaluation.details
         evaluation = {
             "method": "thermodynamic",
-            "base_n": args.grid_n,
-            "tolerance": args.tol,
+            "base_n": grid.base_n,
+            "tolerance": grid.target_rel_tol,
             "evaluations": d["evaluations"],
             "error_classical": _matrix(d["error_classical"]),
             "error_nonclassical": _matrix(d["error_nonclassical"]),
@@ -224,6 +237,7 @@ def cmd_sweep(argv: list[str]) -> int:
     parser.add_argument("--elements", type=str, help="comma list like jz-jz,beta-beta (default all)")
     _add_grid(parser)
     args = _parse(parser, argv)
+    _refuse_grid(args)
     start, end = _parse_path(args.path)
     if args.steps < 1:
         raise ValueError("steps must be >= 1")
@@ -290,7 +304,7 @@ def cmd_scaling(argv: list[str]) -> int:
     parser.add_argument(
         "--model", choices=["auto", "gapped-c", "gapped-nc", "log", "power"], default="auto"
     )
-    _add_grid(parser, tol=1e-7)
+    _add_grid(parser)
     args = _parse(parser, argv)
     couplings = Couplings(args.jx, args.jy, args.jz)
     if not (0 < args.tmin < args.tmax):
@@ -318,7 +332,7 @@ def cmd_scaling(argv: list[str]) -> int:
     gap = fermion_gap(couplings) if model.startswith("gapped") else None
     if gap == 0.0:
         raise ValueError(f"model {model} needs a gap; the coupling is {region.value}")
-    grid = _grid_from(args)
+    grid = _grid_from(args, tol=1e-7)
     temps = np.geomspace(args.tmin, args.tmax, args.points)
     points = [ThermoPoint.from_temperature(couplings, t) for t in temps]
     elements = [(part, mu, nu)]
@@ -381,10 +395,10 @@ def cmd_ratio_map(argv: list[str]) -> int:
     parser.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("KITAEV_BURES_THREADS", "0")),
+        default=0,
         help="worker cap for map columns (0 = auto)",
     )
-    _add_grid(parser, tol=1e-4)
+    _add_grid(parser)
     args = _parse(parser, argv)
     try:
         nx, nt = (int(p) for p in args.res.lower().split("x"))
@@ -411,7 +425,7 @@ def cmd_ratio_map(argv: list[str]) -> int:
             jz_range,
             t_range,
             (nx, nt),
-            grid=_grid_from(args),
+            grid=_grid_from(args, tol=1e-4),
             threads=args.threads,
         )
         if rmap.failures:

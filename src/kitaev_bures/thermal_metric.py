@@ -30,14 +30,14 @@ Oracle and normalization calibration
 ``tensor_oracle`` rebuilds the tensor with no reference to the closed forms
 and on the full L x L grid, without the evenness the other routes assume:
 each momentum hosts a thermal qubit (``mode_density_matrix``) and the bures
-module differentiates it, by finite-difference Uhlmann fidelity and by the
+module differentiates it, by finite-difference fidelities and by the
 analytic eigen-decomposition formula.  Summed per site (N = 2 L^2), the
 qubit construction reproduces the nonclassical closed form exactly, while
 the classical closed form carries an extra factor 2 relative to the same
 sum.  The closed forms (and the decoupled-point values they imply) are
-definitional here, so the oracle applies the per-part calibration constants
-CLASSICAL_MODE_CALIBRATION = 2 and NONCLASSICAL_MODE_CALIBRATION = 1; the
-acceptance suite pins this choice against the closed-form values.
+definitional here, so the oracle scales its classical part by
+CLASSICAL_MODE_CALIBRATION = 2; the acceptance suite pins this choice
+against the closed-form values.
 
 Zero temperature is a distinct limit flag (not beta = inf arithmetic): the
 classical part vanishes identically and the nonclassical thermal ratio is 1.
@@ -85,7 +85,8 @@ from .spectrum import (
 THIRTY_TWO_PI_SQ = 32.0 * math.pi * math.pi
 
 CLASSICAL_MODE_CALIBRATION = 2.0
-NONCLASSICAL_MODE_CALIBRATION = 1.0
+# finite-difference step of the oracle's fidelity pass (see tensor_oracle)
+ORACLE_STEP = 1e-4
 # relative agreement the oracle's two classical routes must reach before the
 # analytic classical part is returned (see tensor_oracle)
 ORACLE_CLASSICAL_RTOL = 1e-3
@@ -101,7 +102,6 @@ NEEDLE_RATIO_CUT = 0.05
 
 __all__ = [
     "ParameterIndex",
-    "COUPLING_INDICES",
     "CLASSICAL_PAIRS",
     "NONCLASSICAL_PAIRS",
     "ThermoPoint",
@@ -116,7 +116,6 @@ __all__ = [
     "tensor_oracle",
     "nonclassical_corrections",
     "CLASSICAL_MODE_CALIBRATION",
-    "NONCLASSICAL_MODE_CALIBRATION",
 ]
 
 
@@ -128,8 +127,6 @@ class ParameterIndex(IntEnum):
     JY = 2
     JZ = 3
 
-
-COUPLING_INDICES = (ParameterIndex.JX, ParameterIndex.JY, ParameterIndex.JZ)
 
 CLASSICAL_PAIRS: tuple[tuple[ParameterIndex, ParameterIndex], ...] = tuple(
     (ParameterIndex(i), ParameterIndex(j)) for i in range(4) for j in range(i, 4)
@@ -329,16 +326,21 @@ def nonclassical_integrand(
 # per-mode thermal qubit
 
 
-def _mode_batch(px, py, lam_vec: np.ndarray, zero_temperature: bool = False) -> np.ndarray:
-    """Thermal mode states for arrays of momenta; lam_vec = (beta, jx, jy, jz)."""
+def _mode_bloch(px, py, lam_vec):
+    """Stable Bloch data (r, theta, sech(beta lam / 2), beta lam) of the mode
+    family at lam_vec = (beta, jx, jy, jz), for arrays of momenta."""
     beta = float(lam_vec[0])
     fields = spectral_arrays(px, py, Couplings(*map(float, lam_vec[1:])))
-    if zero_temperature:
-        r = np.where(fields.lam > 0.0, 1.0, 0.0)
-    else:
-        r = np.tanh(0.5 * beta * fields.lam)
-    phase = np.exp(1j * fields.theta)
-    rho = np.empty(np.shape(fields.lam) + (2, 2), dtype=complex)
+    x = beta * fields.lam
+    e = np.exp(-0.5 * x)
+    sech_half = 2.0 * e / (1.0 + e * e)
+    return np.tanh(0.5 * x), fields.theta, sech_half, x
+
+
+def _mode_matrix(r, theta) -> np.ndarray:
+    """Mode states with Bloch vector r * (sin theta, cos theta, 0)."""
+    phase = np.exp(1j * theta)
+    rho = np.empty(np.shape(r) + (2, 2), dtype=complex)
     rho[..., 0, 0] = 0.5
     rho[..., 1, 1] = 0.5
     rho[..., 0, 1] = -0.5j * r * phase
@@ -354,13 +356,11 @@ def mode_density_matrix(p: Momentum, tp: ThermoPoint) -> np.ndarray:
     Bloch vector tanh(beta lam / 2) * (sin theta, cos theta, 0).  At lam = 0
     this is the maximally mixed state; at T = 0 the pure mode ground state.
     """
-    lam_vec = np.array(
-        [tp.beta if not tp.zero_temperature else 1.0,
-         tp.couplings.jx, tp.couplings.jy, tp.couplings.jz]
-    )
-    return _mode_batch(
-        np.asarray(p.px), np.asarray(p.py), lam_vec, zero_temperature=tp.zero_temperature
-    )
+    px, py = np.asarray(p.px), np.asarray(p.py)
+    if tp.zero_temperature:
+        fields = spectral_arrays(px, py, tp.couplings)
+        return _mode_matrix(np.where(fields.lam > 0.0, 1.0, 0.0), fields.theta)
+    return _mode_matrix(*_mode_bloch(px, py, (tp.beta, *tp.couplings.as_array()))[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -701,75 +701,61 @@ def _zero_beta_row(m: np.ndarray) -> tuple[np.ndarray, float]:
     return out, residual
 
 
-def _mode_bloch(px, py, lam_vec):
-    """Stable Bloch data (r, theta, sech(beta lam / 2)) of the mode family."""
-    beta = float(lam_vec[0])
-    fields = spectral_arrays(px, py, Couplings(*map(float, lam_vec[1:])))
-    x = beta * fields.lam
-    e = np.exp(-0.5 * x)
-    sech_half = 2.0 * e / (1.0 + e * e)
-    return np.tanh(0.5 * x), fields.theta, sech_half, x
+def _mode_pair_fidelities(px, py, r0, theta0, sech0, x0):
+    """Pair fidelity of the mode family against lambda0, given its Bloch
+    data, stacked (2, modes): the Uhlmann fidelity, then the Bhattacharyya
+    overlap of the spectra.  Only the second parameter vector is evaluated;
+    the first is always lambda0.
 
-
-def _mode_pair_uhlmann(px, py):
-    """Exact closed-form mode fidelity, evaluated from Bloch parameters.
-
-    For two single-plane qubit states, F^2 = tr(rho sigma)
-    + 2 sqrt(det rho det sigma) = (1 + r_a r_b cos(theta_a - theta_b)) / 2
-    + sech(x_a/2) sech(x_b/2) / 2.  Evaluating this from (r, theta) instead
-    of matrix entries keeps full relative accuracy at large beta*lam, where
-    the matrix representation rounds the state to pure and any downstream
-    fidelity loses the exponentially small eigenvalue.  The identity is
-    pinned against uhlmann_fidelity on matrices in the test suite.
-    """
-
-    def pair(lam_a, lam_b):
-        ra, ta, sa, _ = _mode_bloch(px, py, lam_a)
-        rb, tb, sb, _ = _mode_bloch(px, py, lam_b)
-        f2 = 0.5 * (1.0 + ra * rb * np.cos(ta - tb)) + 0.5 * sa * sb
-        return np.sqrt(np.clip(f2, 0.0, 1.0))
-
-    return pair
-
-
-def _mode_pair_classical(px, py):
-    """Bhattacharyya overlap of the mode spectra from stable occupations.
-
-    p_plus = 1 / (1 + e^-x), p_minus = 1 / (1 + e^x) with x = beta lam; the
-    rank pairing follows the smooth branch (p_plus >= p_minus always).
+    Both are exact closed forms in Bloch parameters.  For two single-plane
+    qubit states, F^2 = tr(rho sigma) + 2 sqrt(det rho det sigma)
+    = (1 + r_a r_b cos(theta_a - theta_b)) / 2 + sech(x_a/2) sech(x_b/2) / 2.
+    The spectra are p_plus = 1 / (1 + e^-x), p_minus = 1 / (1 + e^x) with
+    x = beta lam; the rank pairing follows the smooth branch (p_plus >=
+    p_minus always).  Evaluating from (r, theta, x) instead of matrix entries
+    keeps full relative accuracy at large beta*lam, where the matrix
+    representation rounds the state to pure and any downstream fidelity
+    loses the exponentially small eigenvalue.  Both identities are pinned
+    against the matrix fidelities in the test suite.
     """
 
     def occupations(x):
         e = np.exp(-x)  # x >= 0, so this cannot overflow
         return 1.0 / (1.0 + e), e / (1.0 + e)
 
+    p_hi, p_lo = occupations(x0)
+
     def pair(lam_a, lam_b):
-        *_, xa = _mode_bloch(px, py, lam_a)
-        *_, xb = _mode_bloch(px, py, lam_b)
-        p_hi, p_lo = occupations(xa)
+        rb, tb, sb, xb = _mode_bloch(px, py, lam_b)
+        f2 = 0.5 * (1.0 + r0 * rb * np.cos(theta0 - tb)) + 0.5 * sech0 * sb
         q_hi, q_lo = occupations(xb)
-        return np.minimum(np.sqrt(p_hi * q_hi) + np.sqrt(p_lo * q_lo), 1.0)
+        return np.stack([
+            np.sqrt(np.clip(f2, 0.0, 1.0)),
+            np.minimum(np.sqrt(p_hi * q_hi) + np.sqrt(p_lo * q_lo), 1.0),
+        ])
 
     return pair
 
 
-def tensor_oracle(tp: ThermoPoint, L: int, step: float = 1e-4) -> BuresTensor:
+def tensor_oracle(tp: ThermoPoint, L: int) -> BuresTensor:
     """Per-site tensor rebuilt from per-mode density matrices.
 
     For every momentum of the L x L grid the thermal qubit family
     (beta, jx, jy, jz) -> mode_density_matrix is differentiated twice over:
 
-    * finite-difference Uhlmann fidelity (Richardson-refined central
-      differences), plus a finite-difference Bhattacharyya overlap whose
-      difference from the total isolates the nonclassical part; both
-      fidelities are evaluated in the exact closed form of the mode family
-      (see _mode_pair_uhlmann) so deep-gapped modes keep full accuracy;
+    * one finite-difference pass (Richardson-refined central differences,
+      step ``ORACLE_STEP``) over the stacked Uhlmann fidelity and
+      Bhattacharyya overlap, whose difference isolates the nonclassical
+      part; both fidelities are evaluated in the exact closed form of the
+      mode family (see _mode_pair_fidelities) so deep-gapped modes keep
+      full accuracy;
     * the analytic eigen-decomposition formula (``bures.analytic_metric``).
 
-    Mode sums are normalized per site and scaled by the per-part calibration
-    constants (see module docstring).  The returned parts come from the
-    analytic route; the finite-difference parts and the worst per-mode
-    disagreement between the two routes are stored in evaluation.details.
+    Mode sums are normalized per site, and the classical part is scaled by
+    CLASSICAL_MODE_CALIBRATION (see module docstring).  The returned parts
+    come from the analytic route; the finite-difference parts and the worst
+    per-mode disagreement between the two routes are stored in
+    evaluation.details.
 
     The classical part is returned only where the finite-difference route
     confirms it: the largest entrywise difference of the two classical
@@ -785,33 +771,28 @@ def tensor_oracle(tp: ThermoPoint, L: int, step: float = 1e-4) -> BuresTensor:
     of the same order, and the analytic classical part grows far beyond the
     true one; the check then raises ``bures.EigenvalueFloorError`` instead
     of returning it.  The finite-difference route itself knows ``1 - F`` to
-    eps, so its parts carry about ``eps / step^2`` (~2e-8 at the default
-    step) of rounding: it confirms classical parts down to about 1e-5 per
-    site, and the oracle refuses smaller ones above the floor.
+    eps, so its parts carry about ``eps / ORACLE_STEP^2`` (~2e-8) of
+    rounding: it confirms classical parts down to about 1e-5 per site, and
+    the oracle refuses smaller ones above the floor.
     """
     if tp.zero_temperature:
         raise ValueError("the per-mode oracle requires a finite temperature")
     L = int(L)
     if L < 3 or L % 2 == 0:
         raise ValueError(f"L must be odd and >= 3, got {L}")
-    if not step > 0:
-        raise ValueError(f"step must be positive, got {step}")
     xs = _momentum_axis(L)
     px = np.repeat(xs, L)
     py = np.tile(xs, L)
     lam0 = np.array([tp.beta, tp.couplings.jx, tp.couplings.jy, tp.couplings.jz])
+    bloch0 = _mode_bloch(px, py, lam0)
+    g_total_fd, g_classical_fd = bures.finite_difference_metric_pairs(
+        _mode_pair_fidelities(px, py, *bloch0), lam0, ORACLE_STEP
+    )
 
     def family(lam):
-        return _mode_batch(px, py, lam)
+        return _mode_matrix(*_mode_bloch(px, py, lam)[:2])
 
-    g_total_fd = bures.finite_difference_metric_pairs(
-        _mode_pair_uhlmann(px, py), lam0, step
-    )
-    g_classical_fd = bures.finite_difference_metric_pairs(
-        _mode_pair_classical(px, py), lam0, step
-    )
-    rho0 = family(lam0)
-    decomp = bures.spectral_decomposition(rho0, validate=False)
+    decomp = bures.spectral_decomposition(_mode_matrix(*bloch0[:2]), validate=False)
     h = 1e-6
     eye = np.eye(4)
     drho = [(family(lam0 + h * e) - family(lam0 - h * e)) / (2.0 * h) for e in eye]
@@ -819,11 +800,9 @@ def tensor_oracle(tp: ThermoPoint, L: int, step: float = 1e-4) -> BuresTensor:
 
     sites = 2 * L * L
     an_c = (CLASSICAL_MODE_CALIBRATION / sites) * _entry_sums(md.classical)
-    an_nc = (NONCLASSICAL_MODE_CALIBRATION / sites) * _entry_sums(md.nonclassical)
+    an_nc = (1.0 / sites) * _entry_sums(md.nonclassical)
     fd_c = (CLASSICAL_MODE_CALIBRATION / sites) * _entry_sums(g_classical_fd)
-    fd_nc = (NONCLASSICAL_MODE_CALIBRATION / sites) * _entry_sums(
-        g_total_fd - g_classical_fd
-    )
+    fd_nc = (1.0 / sites) * _entry_sums(g_total_fd - g_classical_fd)
     an_nc, residual_an = _zero_beta_row(an_nc)
     fd_nc, residual_fd = _zero_beta_row(fd_nc)
     route_gap = float(np.max(np.abs(an_c - fd_c)))
@@ -843,7 +822,6 @@ def tensor_oracle(tp: ThermoPoint, L: int, step: float = 1e-4) -> BuresTensor:
         method="mode-oracle",
         details={
             "L": L,
-            "step": step,
             "fd_classical": fd_c,
             "fd_nonclassical": fd_nc,
             "beta_row_residual": residual_an,

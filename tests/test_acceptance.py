@@ -78,7 +78,7 @@ def test_criterion_1_oracle_equivalence(rng):
         L = 21 if trial % 4 < 2 else 41
         tp = ThermoPoint.from_temperature(j, temp)
         fin = tensor_finite(tp, L)
-        orc = tensor_oracle(tp, L, step=1e-4)
+        orc = tensor_oracle(tp, L)
         fd_c = orc.evaluation.details["fd_classical"]
         fd_nc = orc.evaluation.details["fd_nonclassical"]
         for target, oracle in (

@@ -136,6 +136,22 @@ def test_tensor_refuses_flags_it_does_not_read(capsys):
     assert "--threads" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["tensor", "--jx", "0.1", "--jy", "0.1", "--jz", "0.8", "--temp", "0.5"],
+    ["sweep", "--path", "start=0.2,0.2,0.6", "end=0.6,0.2,0.2", "--steps", "2", "--temp", "0.5"],
+])
+@pytest.mark.parametrize("flag", [["--grid-n", "32"], ["--tol", "1e-3"], ["--refine-levels", "2"]])
+def test_size_refuses_quadrature_flags(tmp_path, capsys, command, flag):
+    # a finite L x L sum reads no quadrature flag; one given with --size is refused
+    path = tmp_path / "out"
+    code, out, err = run(capsys, command + ["--size", "5", *flag, "--out", str(path)])
+    assert code == 2 and out == ""
+    assert flag[0] in err
+    assert not path.exists()
+    code, _, _ = run(capsys, command + ["--size", "5", "--out", str(path)])
+    assert code == 0
+
+
 def test_tensor_nonconvergence_exit_code(capsys):
     code, _, err = run(
         capsys,
@@ -523,16 +539,6 @@ def test_config_multi_value_flag_splits_on_whitespace(tmp_path, capsys):
     code, _, err = run(capsys, argv + ["--config", str(cfg)])
     assert code == 2
     assert "path" in err
-
-
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("KITAEV_BURES_THREADS", "1")
-    path = tmp_path / "map.csv"
-    code, _, _ = run(
-        capsys,
-        ["ratio-map", "--synthetic-check", "--res", "8x8", "--out", str(path)],
-    )
-    assert code == 0
 
 
 # ---------------------------------------------------------------------------

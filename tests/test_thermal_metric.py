@@ -590,17 +590,23 @@ def test_oracle_refuses_unresolved_classical_part():
 
 
 def test_stable_mode_fidelity_matches_matrix_route(rng):
-    # the closed-form pair fidelity used by the oracle must equal the
-    # generic eigendecomposition fidelity wherever matrices are accurate
-    from kitaev_bures.bures import uhlmann_fidelity
-    from kitaev_bures.thermal_metric import _mode_batch, _mode_pair_uhlmann
+    # the closed-form pair fidelities used by the oracle (Uhlmann, then
+    # Bhattacharyya) must equal the generic matrix fidelities wherever
+    # matrices are accurate
+    from kitaev_bures.bures import classical_fidelity, uhlmann_fidelity
+    from kitaev_bures.thermal_metric import (
+        _mode_bloch, _mode_matrix, _mode_pair_fidelities,
+    )
 
     px = rng.uniform(-math.pi, math.pi, 64)
     py = rng.uniform(-math.pi, math.pi, 64)
     lam_a = np.array([1.7, 0.4, 0.3, 0.5])
     lam_b = lam_a + np.array([2e-3, -1e-3, 3e-3, 1e-3])
-    stable = _mode_pair_uhlmann(px, py)(lam_a, lam_b)
-    matrix = uhlmann_fidelity(
-        _mode_batch(px, py, lam_a), _mode_batch(px, py, lam_b), validate=False
-    )
-    assert float(np.max(np.abs(stable - matrix))) < 1e-12
+    bloch_a = _mode_bloch(px, py, lam_a)
+    stable = _mode_pair_fidelities(px, py, *bloch_a)(lam_a, lam_b)
+    rho_a = _mode_matrix(*bloch_a[:2])
+    rho_b = _mode_matrix(*_mode_bloch(px, py, lam_b)[:2])
+    matrix = uhlmann_fidelity(rho_a, rho_b, validate=False)
+    assert float(np.max(np.abs(stable[0] - matrix))) < 1e-12
+    matrix = classical_fidelity(rho_a, rho_b)
+    assert float(np.max(np.abs(stable[1] - matrix))) < 1e-12
