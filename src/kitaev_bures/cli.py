@@ -2,8 +2,9 @@
 
 Each command writes one format whatever the --out name: tensor and scaling
 JSON, sweep and ratio-map CSV, phase one line of text; '-' (the default)
-streams to stdout.  Each command takes only the flags it reads; --threads
-belongs to ratio-map alone, and --size refuses the quadrature flags.
+streams to stdout.  Each command takes only the flags it reads: --threads
+belongs to ratio-map alone, and --size and --synthetic-check, which read
+no quadrature, refuse the quadrature flags (and --threads).
 
 A plain-text config file (--config, one `key = value` per line, '#'
 comments) is read as the flags it stands for, placed before the command
@@ -121,7 +122,7 @@ _GRID_FLAGS = {"grid_n": "base_n", "tol": "target_rel_tol", "refine_levels": "re
 
 
 def _add_grid(parser: argparse.ArgumentParser):
-    # unset flags read None: _grid_from fills in the defaults, --size refuses them
+    # unset flags read None: _grid_from fills in the defaults
     parser.add_argument("--grid-n", type=int, help="base quadrature points per axis")
     parser.add_argument("--tol", type=float, help="relative quadrature tolerance")
     parser.add_argument(
@@ -135,11 +136,11 @@ def _grid_from(args, tol: float = 1e-6) -> GridSpec:
     return GridSpec(**{"target_rel_tol": tol, **{k: v for k, v in given.items() if v is not None}})
 
 
-def _refuse_grid(args):
-    """--size sums the finite L x L grid, which reads no quadrature flag."""
-    given = [flag for flag in _GRID_FLAGS if getattr(args, flag) is not None]
-    if args.size is not None and given:
-        raise ValueError(f"--{given[0].replace('_', '-')} sets the quadrature; --size does not read it")
+def _refuse_unread(args, mode: str, flags):
+    """A mode that reads none of ``flags`` refuses the first one given."""
+    given = [flag for flag in flags if getattr(args, flag) is not None]
+    if given:
+        raise ValueError(f"{mode} does not read --{given[0].replace('_', '-')}")
 
 
 def _write_text(path: str, text: str):
@@ -177,8 +178,8 @@ def cmd_tensor(argv: list[str]) -> int:
     args = _parse(parser, argv)
     couplings = Couplings(args.jx, args.jy, args.jz)
     tp = ThermoPoint.from_temperature(couplings, args.temp)
-    _refuse_grid(args)
     if args.size is not None:
+        _refuse_unread(args, "--size", _GRID_FLAGS)
         tensor = tensor_finite(tp, args.size)
         evaluation = {"method": "finite", "L": args.size}
     else:
@@ -237,7 +238,8 @@ def cmd_sweep(argv: list[str]) -> int:
     parser.add_argument("--elements", type=str, help="comma list like jz-jz,beta-beta (default all)")
     _add_grid(parser)
     args = _parse(parser, argv)
-    _refuse_grid(args)
+    if args.size is not None:
+        _refuse_unread(args, "--size", _GRID_FLAGS)
     start, end = _parse_path(args.path)
     if args.steps < 1:
         raise ValueError("steps must be >= 1")
@@ -395,8 +397,7 @@ def cmd_ratio_map(argv: list[str]) -> int:
     parser.add_argument(
         "--threads",
         type=int,
-        default=0,
-        help="worker cap for map columns (0 = auto)",
+        help="worker cap for map columns (default or 0: automatic)",
     )
     _add_grid(parser)
     args = _parse(parser, argv)
@@ -411,6 +412,7 @@ def cmd_ratio_map(argv: list[str]) -> int:
             raise ValueError(f"contour level must be positive, got {args.contour!r}")
     jz_range, t_range = (args.jz_min, args.jz_max), (args.t_min, args.t_max)
     if args.synthetic_check:
+        _refuse_unread(args, "--synthetic-check", [*_GRID_FLAGS, "threads"])
         jz, ts = scaling.map_axes(jz_range, t_range, (nx, nt))
         grid_vals = ((np.abs(jz[None, :] - 0.5) + 1e-300) / ts[:, None]) ** 2
         rmap = scaling.RatioMap(

@@ -5,11 +5,14 @@ spectrally accurate for smooth 2pi-periodic integrands (and exact on
 trigonometric polynomials up to the grid bandwidth).  Thermal metric
 integrands are smooth except near dispersion zeros, where they develop
 features of width ~ T; ``integrate_bz_refined`` handles those with local
-polar grids whose radii cluster geometrically down to width/100.  The
-caller computes the disk radius from the features it knows and passes it
-in; ``GridSpec`` holds only resolution and tolerance, and every other
-node-rule constant (ring angular counts, Gauss orders, the core) is fixed
-here.
+polar grids whose radii cluster geometrically down to ``r_min``.  The
+caller decides the whole refinement geometry from the features it knows:
+one disk per mirror class, the disk radius and ``r_min`` (see
+``thermal_metric._refinement_plan``).  This module integrates exactly
+those disks and refuses a geometry it cannot integrate rather than
+adjusting it.  ``GridSpec`` holds only resolution and tolerance, and
+every other node-rule constant (ring angular counts, Gauss orders, the
+core) is fixed here.
 
 Refinement uses a smooth partition of unity rather than cutting grid cells:
 the integrand is split as f = f*(1-w) + f*w with w a C-infinity radial bump
@@ -37,8 +40,8 @@ returning an array of shape ``lead + broadcast(px, py).shape``, and they must
 be even under p -> -p.  Every rule here evaluates half the zone: the grids
 are closed under negation, so only one row of each mirror pair of rows is
 evaluated and its row sum counts twice (the rows that are their own mirror
-count once); refinement centres are closed under negation, so one disk of
-each +-K pair counts twice and a centre that is its own mirror (a zone
+count once); each refinement disk stands for its mirror class, so the disk
+at K counts twice for K and -K and a disk on its own mirror (a zone
 corner) integrates half its disk, twice.  The contract is checked, not
 assumed: every grid and disk compares f(p0) with f(-p0) at one generic probe
 node and raises ValueError if they differ beyond rounding.  The optional
@@ -372,39 +375,6 @@ def integrate_bz(f: Callable, grid: GridSpec) -> IntegrationResult:
 # local refinement
 
 
-def _point_xy(p) -> tuple[float, float]:
-    if hasattr(p, "px"):
-        return float(p.px), float(p.py)
-    x, y = p
-    return float(x), float(y)
-
-
-def _same_point(a, b) -> bool:
-    return all(abs(float(wrap_angle(u - v))) < 1e-8 for u, v in zip(a, b))
-
-
-def _inversion_classes(points, axes) -> list[tuple[tuple[float, float], float | None, bool]]:
-    """The centre set closed under p -> -p, one entry per mirror class.
-
-    Centres are wrapped and kept once (first wins).  An entry is
-    ``(centre, axis, own_mirror)``.  A centre within 1e-8 of its mirror is a
-    zone corner and is snapped onto it exactly (``own_mirror``).  Any other
-    centre K stands for itself and its mirror -K, given or not; a given -K
-    adds nothing, and K's axis serves both (lam is even, so its Hessian at
-    -K is the one at K).
-    """
-    out: list[tuple[tuple[float, float], float | None, bool]] = []
-    for p, axis in zip(points, axes):
-        c = tuple(float(wrap_angle(v)) for v in _point_xy(p))
-        if any(_same_point(c, q) or _same_point(c, (-q[0], -q[1])) for q, _, _ in out):
-            continue
-        own_mirror = _same_point(c, (-c[0], -c[1]))
-        if own_mirror:
-            c = tuple(float(wrap_angle(math.pi * round(v / math.pi))) for v in c)
-        out.append((c, axis, own_mirror))
-    return out
-
-
 def _fold(x):
     """|x| reduced onto [0, pi] by the nearest multiple of 2 pi: the distance
     on the circle, exactly even in x."""
@@ -557,53 +527,40 @@ def _disk_integral(f, center, radius, r_min, level, axis=None, half=False):
 
 def integrate_bz_refined(
     f: Callable,
-    singular_pts: Sequence,
-    width: float,
+    disks: Sequence[tuple[tuple[float, float], float | None, bool]],
+    r_min: float,
     grid: GridSpec,
     *,
     radius: float,
-    axes: Sequence[float | None] | None = None,
 ) -> IntegrationResult:
-    """Zone integral with local refinement around singular points.
+    """Zone integral with local refinement on exactly the caller's disks.
 
-    ``singular_pts`` are the dispersion zeros (Momentum instances or (px, py)
-    pairs); ``width`` sets the physical feature scale, typically the
-    temperature.  Each point gets a disk of the caller's ``radius`` (capped
-    so disks stay disjoint; ValueError unless positive); inside, log-polar
-    grids resolve radii down to ``min(width/100, radius/64)``.  A point
-    whose dispersion is soft (quadratic) along some
-    direction gets that direction passed in ``axes`` (parallel to
-    ``singular_pts``, None for isotropic points) and is integrated on an
-    axis-aligned log-log grid instead of polar rings.
-
-    ``f`` must be even under p -> -p.  The centres are first closed under
-    inversion (see ``_inversion_classes``), so the partition-of-unity mask
-    is even and the base rule can evaluate half the zone.  One disk of each
-    +-K pair, and half the disk of a zone corner, is integrated and counted
-    twice.  With no singular points this is exactly ``integrate_bz``.
+    Each disk ``(centre, axis, own_mirror)`` stands for one mirror class of
+    the singular points and has the caller's ``radius``.  Inside, log-polar
+    rings resolve radii down to ``r_min``; a disk with a soft (quadratic)
+    dispersion direction ``axis`` gets an axis-aligned log-log grid instead.
+    An ``own_mirror`` disk sits on a zone corner (each coordinate exactly 0
+    or -pi) and integrates half of itself twice; any other disk at K stands
+    for K and -K (``f`` is even, so one axis serves both) and counts twice.
+    So the partition-of-unity mask is even and the base rule evaluates half
+    the zone.  Nothing is closed, moved or shrunk: ValueError unless ``0 <
+    r_min < radius / 2``, every ``own_mirror`` centre is a corner, and no
+    disk overlaps another disk, a mirror or its own periodic image.  With no
+    disks this is exactly ``integrate_bz``.
     """
-    if not radius > 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    raw = list(singular_pts)
-    axes_list = [None] * len(raw) if axes is None else list(axes)
-    if len(axes_list) != len(raw):
-        raise ValueError("axes must parallel singular_pts")
-    classes = _inversion_classes(raw, axes_list)
-    if not classes:
+    if not 0 < r_min < 0.5 * radius:
+        raise ValueError(f"radius must be positive, r_min in (0, radius / 2): {radius}, {r_min}")
+    if not disks:
         return integrate_bz(f, grid)
-    if not width > 0:
-        raise ValueError(f"width must be positive, got {width}")
-    points = [c for c, _, _ in classes]
-    points += [(-c[0], -c[1]) for c, _, own_mirror in classes if not own_mirror]
-    cap = 0.5 * math.pi
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            d = float(
-                _torus_dist(points[i][0], points[i][1], points[j][0], points[j][1])
-            )
-            cap = min(cap, 0.499 * d)
-    radius = min(radius, cap)
-    r_min = min(width / 100.0, radius / 64.0)
+    centres = []
+    for (cx, cy), _, own_mirror in disks:
+        if own_mirror and not (cx in (0.0, -math.pi) and cy in (0.0, -math.pi)):
+            raise ValueError(f"own_mirror centre ({cx!r}, {cy!r}) is not a corner in {{0, -pi}}^2")
+        centres += [(cx, cy)] if own_mirror else [(cx, cy), (-cx, -cy)]
+    # a centre's nearest periodic image is 2 pi away
+    gaps = [_torus_dist(*a, *b) for i, a in enumerate(centres) for b in centres[i + 1 :]]
+    if 2.0 * radius > min([TWO_PI] + gaps):
+        raise ValueError(f"disks of radius {radius} overlap another disk, a mirror or themselves")
 
     def masked(px, py):
         vals = np.asarray(f(px, py), dtype=float)
@@ -612,7 +569,7 @@ def integrate_bz_refined(
         # the distances compute it) reaches the radius, so it is formed and
         # applied only on the rows (first node axis) with a node nearer
         near = np.zeros(np.shape(px), dtype=bool)
-        for (cx, _), _, own_mirror in classes:
+        for (cx, _), _, own_mirror in disks:
             if own_mirror:
                 near |= _fold(_fold(px) - abs(cx)) < radius
             else:
@@ -624,7 +581,7 @@ def integrate_bz_refined(
         w = np.zeros(qx.shape)
         # even bit for bit: a corner's distance is even in p, and K and -K
         # trade places under p -> -p in a sum whose order does not matter
-        for (cx, cy), _, own_mirror in classes:
+        for (cx, cy), _, own_mirror in disks:
             if own_mirror:
                 w = w + _bump(_corner_dist(qx, qy, cx, cy), radius)
             else:
@@ -645,17 +602,17 @@ def integrate_bz_refined(
     nb = _batch_ndim(value.ndim)
     top = max(1, grid.refine_levels)
     levels = range(max(1, top - 1), top + 2)
-    disks = []
-    for center, axis, own_mirror in classes:
+    pairs = []
+    for center, axis, own_mirror in disks:
         lo, n_lo = _disk_integral(f, center, radius, r_min, levels[0], axis, own_mirror)
         hi, n_hi = _disk_integral(f, center, radius, r_min, levels[1], axis, own_mirror)
         evaluations += n_lo + n_hi
-        disks.append((lo, hi))
+        pairs.append((lo, hi))
     # each disk's share of what the tolerance leaves after the base error,
     # against the largest component of base plus disks
-    scale = _per_integral_max(value + sum(2.0 * hi for _, hi in disks), nb)
-    share = (grid.target_rel_tol * scale - _per_integral_max(err, nb)) / len(classes)
-    for (center, axis, own_mirror), (lo, hi) in zip(classes, disks):
+    scale = _per_integral_max(value + sum(2.0 * hi for _, hi in pairs), nb)
+    share = (grid.target_rel_tol * scale - _per_integral_max(err, nb)) / len(disks)
+    for (center, axis, own_mirror), (lo, hi) in zip(disks, pairs):
         # a member climbs to the next level only while its disk error misses
         # its share, and keeps the first pair that meets it
         for level in levels[2:]:

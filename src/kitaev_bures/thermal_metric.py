@@ -66,6 +66,7 @@ from .quadrature import (
     QuadratureConvergenceError,
     _BLOCK_VALUES,
     _grid_mean,
+    _torus_dist,
     compensated_sum,
     integrate_bz,
     integrate_bz_refined,
@@ -494,23 +495,26 @@ def _needle_axis(couplings: Couplings, p: Momentum):
 
 
 def _refinement_plan(points: Sequence[ThermoPoint]):
-    """One refinement geometry for a batch of points sharing one coupling.
+    """One refinement geometry for a batch of points sharing one coupling,
+    decided here alone: ``integrate_bz_refined`` takes it as it is.
 
-    Returns the singular points, their soft axes, the feature width and the
-    disk radius.  Centres and axes depend on the coupling only.  Each point
-    has a width ``w`` (its temperature, floored) and a radius
-    ``max(8 w, MIN_REFINE_RADIUS)`` that always covers the integrand
-    shoulder; the batch takes the smallest width (so ``r_min`` resolves the
-    coldest point) and the largest radius.
+    Returns ``(disks, radius, r_min)``.  ``disks`` holds one ``(centre,
+    axis, own_mirror)`` per mirror class of the dispersion zeros, from the
+    coupling alone: the Dirac point ``dirac_points(c)[0]``, which stands for
+    +-K, or the exact gap corner, with its soft axis.  Each point has a width
+    ``w`` (its temperature, floored); the radius is the largest ``max(8 w,
+    MIN_REFINE_RADIUS)``, which covers every integrand shoulder, capped at
+    pi/2 and, for +-K, at 0.499 of their distance, and ``r_min = min(min w /
+    100, radius / 64)`` resolves the coldest point.
     """
     couplings = points[0].couplings
     if classify_phase(couplings) is PhaseRegion.GAPLESS_B:
-        centers = dirac_points(couplings)
+        zero, own_mirror = dirac_points(couplings)[0], False
         floor = 1e-6
     else:
         gap = fermion_gap(couplings)
         if gap >= NEAR_CRITICAL_GAP:
-            return [], [], 0.0, 0.0
+            return [], 0.0, 0.0
         jx, jy, jz = couplings.jx, couplings.jy, couplings.jz
         # a zero coupling drops a momentum from lam = 2 |jx e^{ipx} + jy e^{ipy}
         # + jz|, so on the boundary its zeros fill a line, not a corner
@@ -522,12 +526,15 @@ def _refinement_plan(points: Sequence[ThermoPoint]):
                     f"whole line {line} = {'pi' if other > 0 else '0'}, which point "
                     "refinement cannot resolve"
                 )
-        centers = [_gap_minimum(couplings)]
+        zero, own_mirror = _gap_minimum(couplings), True
         floor = max(gap / 8.0, 1e-6)
-    axes = [_needle_axis(couplings, c) for c in centers]
     widths = [max(tp.temperature, floor) for tp in points]
-    radius = max(8.0 * max(widths), MIN_REFINE_RADIUS)
-    return centers, axes, min(widths), radius
+    radius = min(max(8.0 * max(widths), MIN_REFINE_RADIUS), 0.5 * math.pi)
+    if not own_mirror:
+        radius = min(radius, 0.499 * float(_torus_dist(zero.px, zero.py, -zero.px, -zero.py)))
+    r_min = min(min(widths) / 100.0, radius / 64.0)
+    disks = [((zero.px, zero.py), _needle_axis(couplings, zero), own_mirror)]
+    return disks, radius, r_min
 
 
 def _tolerance_missed(points, raw_errors, result, members=()):
@@ -566,9 +573,9 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
     n_c = len(stack_c)
     f = _integrand(points, stack_c, pairs_nc, nc_kernel)
 
-    centers, axes, width, radius = _refinement_plan(points)
-    if centers:
-        result = integrate_bz_refined(f, centers, width, grid, radius=radius, axes=axes)
+    disks, radius, r_min = _refinement_plan(points)
+    if disks:
+        result = integrate_bz_refined(f, disks, r_min, grid, radius=radius)
     else:
         result = integrate_bz(f, grid)
     shape = (len(points), n_c + len(pairs_nc))
@@ -583,7 +590,7 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
             details={
                 "grid": grid,
                 "temperature": tp.temperature,
-                "refinement_centers": [(c.px, c.py) for c in centers],
+                "refinement": {"disks": disks, "radius": radius, "r_min": r_min},
                 "evaluations": result.evaluations,
                 "error_classical": _assemble(stack_c, list(errs[:n_c])),
                 "error_nonclassical": _assemble(pairs_nc, list(errs[n_c:])),

@@ -87,16 +87,17 @@ def numeric_drho(family, lam0, h=1e-6):
     return out
 
 
-def full_zone_reference(f, centres, width, radius, grid, axes=None):
+def full_zone_reference(f, centres, r_min, radius, grid, axes=None):
     """The refined zone rule on every node: all of the 2 base_n trapezoid
     grid (the level after one doubling) under the partition mask, plus all
     of the finer disk around every centre, the grid summed by
     compensated_sum and each full disk by the module's own disk rule.
 
     ``centres`` must be closed under p -> -p (each given as it should be
-    integrated, corners exactly); ``axes`` parallels them, and ``radius`` is
-    the disk radius before the disjointness cap.  Returns the
-    integral with the integrand's leading axes."""
+    integrated, corners exactly) and ``axes`` parallels them; every disk
+    has ``radius`` and resolves down to ``r_min``.  The mask is built here
+    from plain wrapped distances, not by the module.  Returns the integral
+    with the integrand's leading axes."""
     import math
 
     from kitaev_bures.quadrature import _bump, _disk_integral, compensated_sum
@@ -110,18 +111,9 @@ def full_zone_reference(f, centres, width, radius, grid, axes=None):
     n = 2 * grid.base_n
     xs = -math.pi + (2.0 * math.pi / n) * np.arange(n)
     px, py = np.meshgrid(xs, xs, indexing="ij")
-    r_min = 0.0
     mask = np.zeros(px.shape)
-    if centres:
-        gaps = [
-            0.499 * float(dist(np.array(a[0]), np.array(a[1]), b))
-            for i, a in enumerate(centres)
-            for b in centres[i + 1 :]
-        ]
-        radius = min([radius, 0.5 * math.pi] + gaps)
-        r_min = min(width / 100.0, radius / 64.0)
-        for c in centres:
-            mask += _bump(dist(px, py, c).ravel(), radius).reshape(px.shape)
+    for c in centres:
+        mask += _bump(dist(px, py, c).ravel(), radius).reshape(px.shape)
     vals = f(px, py) * (1.0 - mask)
     lead = vals.shape[:-2]
     out = np.array(

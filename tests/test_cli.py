@@ -137,18 +137,22 @@ def test_tensor_refuses_flags_it_does_not_read(capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ["tensor", "--jx", "0.1", "--jy", "0.1", "--jz", "0.8", "--temp", "0.5"],
-    ["sweep", "--path", "start=0.2,0.2,0.6", "end=0.6,0.2,0.2", "--steps", "2", "--temp", "0.5"],
+    ["tensor", "--jx", "0.1", "--jy", "0.1", "--jz", "0.8", "--temp", "0.5", "--size", "5"],
+    ["sweep", "--path", "start=0.2,0.2,0.6", "end=0.6,0.2,0.2", "--steps", "2", "--temp", "0.5",
+     "--size", "5"],
+    ["ratio-map", "--res", "8x8", "--synthetic-check"],
 ])
-@pytest.mark.parametrize("flag", [["--grid-n", "32"], ["--tol", "1e-3"], ["--refine-levels", "2"]])
+@pytest.mark.parametrize("flag", [["--grid-n", "32"], ["--tol", "1e-3"], ["--refine-levels", "2"],
+                                  ["--threads", "2"]])
 def test_size_refuses_quadrature_flags(tmp_path, capsys, command, flag):
-    # a finite L x L sum reads no quadrature flag; one given with --size is refused
+    # a finite L x L sum and the synthetic map read no quadrature flag (nor
+    # --threads, which only ratio-map has); one given with them is refused
     path = tmp_path / "out"
-    code, out, err = run(capsys, command + ["--size", "5", *flag, "--out", str(path)])
+    code, out, err = run(capsys, command + [*flag, "--out", str(path)])
     assert code == 2 and out == ""
     assert flag[0] in err
     assert not path.exists()
-    code, _, _ = run(capsys, command + ["--size", "5", "--out", str(path)])
+    code, _, _ = run(capsys, command + ["--out", str(path)])
     assert code == 0
 
 
@@ -499,22 +503,24 @@ def test_config_single_value_flag_keeps_the_whole_string(tmp_path, capsys):
     assert from_file == from_flags
 
 
-REAL_MAP = ["ratio-map", "--jz-min", "0.62", "--jz-max", "0.7", "--t-min", "0.5",
-            "--t-max", "1.0", "--res", "8x8", "--grid-n", "32", "--tol", "1e-3"]
+MAP_AXES = ["ratio-map", "--jz-min", "0.62", "--jz-max", "0.7", "--t-min", "0.5",
+            "--t-max", "1.0", "--res", "8x8"]
+# the computed map also takes quadrature flags, which the synthetic one refuses
+REAL_MAP = MAP_AXES + ["--grid-n", "32", "--tol", "1e-3"]
 
 
 def test_config_switch_takes_a_boolean(tmp_path, capsys):
     # a switch set in the file means what its value says, not "present"
     outputs = {}
-    for value in ("false", "yes"):
+    for value, argv in (("false", REAL_MAP), ("yes", MAP_AXES)):
         cfg = tmp_path / f"{value}.cfg"
         cfg.write_text(f"synthetic-check = {value}\n")
         outputs[value] = tmp_path / f"{value}.csv"
-        code, _, _ = run(capsys, REAL_MAP + ["--config", str(cfg), "--out", str(outputs[value])])
+        code, _, _ = run(capsys, argv + ["--config", str(cfg), "--out", str(outputs[value])])
         assert code == 0
     real, synthetic = tmp_path / "real.csv", tmp_path / "synthetic.csv"
     assert run(capsys, REAL_MAP + ["--out", str(real)])[0] == 0
-    assert run(capsys, REAL_MAP + ["--synthetic-check", "--out", str(synthetic)])[0] == 0
+    assert run(capsys, MAP_AXES + ["--synthetic-check", "--out", str(synthetic)])[0] == 0
     assert outputs["false"].read_text() == real.read_text()
     assert outputs["yes"].read_text() == synthetic.read_text()
     cfg = tmp_path / "bad.cfg"

@@ -70,11 +70,6 @@ def test_every_integrand_is_even(couplings, temperature, correction, px, py):
     assert np.all(np.abs(at_p - at_minus_p) <= 1e-15 * np.abs(at_p))
 
 
-def _same(a, b):
-    d = (np.subtract(a, b) + math.pi) % (2.0 * math.pi) - math.pi
-    return float(np.max(np.abs(d))) < 1e-8
-
-
 TENSOR_PHASES = [
     (Couplings(0.1, 0.1, 0.8), 0.5),
     (Couplings(1 / 3, 1 / 3, 1 / 3), 0.01),
@@ -93,12 +88,12 @@ def test_refined_tensors_equal_full_zone_reference(couplings, temperature):
     grid = GridSpec(base_n=64, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
     tp = ThermoPoint.from_temperature(couplings, temperature)
     t = tensor_thermodynamic(tp, grid)
-    centres, axes, width, radius = _refinement_plan([tp])
-    centres = [(c.px, c.py) for c in centres]
-    # the plan's centre set is already closed under p -> -p
-    assert all(any(_same((-c[0], -c[1]), q) for q in centres) for c in centres)
+    disks, radius, r_min = _refinement_plan([tp])
+    # the reference integrates every disk of the closed centre set in full
+    centres = [c for c, _, _ in disks] + [(-x, -y) for (x, y), _, own in disks if not own]
+    axes = [a for _, a, _ in disks] + [a for _, a, own in disks if not own]
     f = _integrand([tp], list(CLASSICAL_PAIRS), list(NONCLASSICAL_PAIRS), _tanh_sq_ratio)
-    ref = full_zone_reference(f, centres, width, radius, grid, axes)[0] / (32.0 * math.pi**2)
+    ref = full_zone_reference(f, centres, r_min, radius, grid, axes)[0] / (32.0 * math.pi**2)
     got = np.array(
         [t.classical[mu, nu] for mu, nu in CLASSICAL_PAIRS]
         + [t.nonclassical[a, b] for a, b in NONCLASSICAL_PAIRS]
@@ -144,5 +139,5 @@ def test_gap_centre_is_the_exact_corner(couplings):
     )
     assert Momentum(-c.px, -c.py) == c
     if fermion_gap(couplings) < 0.5:  # refined: the plan uses this centre
-        centres = _refinement_plan([ThermoPoint(couplings, 100.0)])[0]
-        assert centres == [c]
+        disks = _refinement_plan([ThermoPoint(couplings, 100.0)])[0]
+        assert [(centre, own_mirror) for centre, _, own_mirror in disks] == [((c.px, c.py), True)]

@@ -1,31 +1,44 @@
-"""The benchmark's layer tracer must still fit the package.
+"""The benchmark must still fit the package.
 
 ``perfbench/tracing.py`` rebinds public names of the package's modules
 (``thermal_metric.compensated_sum``, ``cli.tensor_finite``, ...) to time the
 layers.  A rename or deletion of one of those names breaks only traced
 benchmark runs; installing and removing the tracer here makes it fail in the
-test suite too.
+test suite too.  Likewise every benchmark operation runs here through
+``perfbench/workloads.py`` and its output must pass the benchmark's own
+check against ``perfbench/reference.json``.
 """
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
+
+import pytest
 
 from kitaev_bures import bures, cli, quadrature, scaling, thermal_metric
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))["ops"]
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name):
+    """``perfbench/<name>.py`` as a module of its own."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    # a dataclass looks its module up while the class is made
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
     return module
 
 
 def test_tracer_installs_and_restores_every_name():
     modules = (bures, cli, quadrature, scaling, thermal_metric)
     before = [dict(vars(m)) for m in modules]
-    tracer = _load_tracing().Tracer()
+    tracer = _load("tracing").Tracer()
     with tracer.installed():
         rebound = [
             name
@@ -36,3 +49,19 @@ def test_tracer_installs_and_restores_every_name():
         assert "tensor_finite" in rebound and "compensated_sum" in rebound
     for m, names in zip(modules, before):
         assert all(vars(m)[name] is obj for name, obj in names.items())
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
+
+
+@pytest.mark.parametrize("name", list(REFERENCE))
+def test_benchmark_output_passes_its_gate(workloads, name):
+    # each benchmark operation, run as the benchmark runs it, must pass its
+    # own check against the stored reference: an output pushed past its
+    # gate fails here, not only in a benchmark run
+    [op] = [op for w in workloads.WORKLOADS.values() for op in w.ops if op.name == name]
+    code, text = workloads.execute(op)
+    assert code == 0, text
+    assert workloads.check(op, text, REFERENCE[name]["output"]) == []

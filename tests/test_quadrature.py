@@ -14,6 +14,10 @@ from kitaev_bures.quadrature import (
 
 FOUR_PI_SQ = 4 * math.pi**2
 TIGHT = GridSpec(base_n=64, target_rel_tol=1e-13, max_doublings=5)
+# refinement disks (centre, axis, own_mirror): one on the zone corner (0, 0),
+# its own mirror, and one at K = (0.3, -1.1), which stands for K and -K
+CORNER = [((0.0, 0.0), None, True)]
+OFF_CORNER = [((0.3, -1.1), None, False)]
 
 
 def test_gridspec_validation():
@@ -23,7 +27,10 @@ def test_gridspec_validation():
         GridSpec(target_rel_tol=-1.0)
     # the disk radius is the caller's, checked where it is used
     with pytest.raises(ValueError, match="radius must be positive"):
-        integrate_bz_refined(_even_pair, [(0.3, -1.1)], 0.05, GridSpec(), radius=0.0)
+        integrate_bz_refined(_even_pair, OFF_CORNER, 5e-4, GridSpec(), radius=0.0)
+    # and so is r_min, which must leave the log rule [r_min, radius / 2]
+    with pytest.raises(ValueError, match="r_min"):
+        integrate_bz_refined(_even_pair, OFF_CORNER, 0.2, GridSpec(), radius=0.4)
 
 
 def test_constant_integrand():
@@ -65,15 +72,19 @@ def test_vector_valued_integrand():
 def test_refined_noop_without_singular_points():
     f = lambda px, py: np.exp(np.cos(px)) * np.cos(py) ** 2
     plain = integrate_bz(f, TIGHT)
-    ref = integrate_bz_refined(f, [], 0.1, TIGHT, radius=0.8)
+    ref = integrate_bz_refined(f, [], 1e-3, TIGHT, radius=0.8)
     assert ref.value == plain.value  # identical code path, bit-identical
 
 
 @pytest.mark.parametrize("width", [0.05, 0.2])
 def test_refined_matches_plain_on_smooth_integrands(width):
+    # two +-K pairs, the nearest centres 1.92 apart: radius 8 width, kept
+    # below half of that
     f = lambda px, py: np.exp(np.cos(px) + 0.5 * np.sin(px) * np.sin(py))
     plain = integrate_bz(f, TIGHT)
-    ref = integrate_bz_refined(f, [(0.3, -1.1), (-2.0, 2.0)], width, TIGHT, radius=8 * width)
+    disks = OFF_CORNER + [((-2.0, 2.0), None, False)]
+    radius = min(8 * width, 0.95)
+    ref = integrate_bz_refined(f, disks, width / 100, TIGHT, radius=radius)
     assert ref.converged
     assert abs(ref.value - plain.value) / abs(plain.value) < 1e-12
 
@@ -88,22 +99,22 @@ def test_refined_near_singular_peak():
     def spec(levels):
         return GridSpec(base_n=128, target_rel_tol=1e-7, max_doublings=4, refine_levels=levels)
 
-    exact_ref = integrate_bz_refined(f, [(0.0, 0.0)], 1e-3, spec(2), radius=0.3)
+    exact_ref = integrate_bz_refined(f, CORNER, 1e-5, spec(2), radius=0.3)
     coarse = integrate_bz(f, GridSpec(base_n=128, target_rel_tol=1e-10, max_doublings=2))
     assert exact_ref.converged
     assert not coarse.converged
     # self-consistency across refinement levels
     for levels in (3, 4):
-        finer = integrate_bz_refined(f, [(0.0, 0.0)], 1e-3, spec(levels), radius=0.3)
+        finer = integrate_bz_refined(f, CORNER, 1e-5, spec(levels), radius=0.3)
         assert exact_ref.value == pytest.approx(finer.value, rel=1e-9)
 
 
 def _peak_ladder(tol):
     # the integrand and refinement of test_refined_near_singular_peak: one
-    # corner disk of radius 0.3 and r_min = 1e-3 / 100
+    # corner disk of radius 0.3 and r_min = 1e-5
     f = lambda px, py: 1.0 / (px**2 + py**2 + 1e-6)
     grid = GridSpec(base_n=128, target_rel_tol=tol, max_doublings=4)
-    return f, grid, integrate_bz_refined(f, [(0.0, 0.0)], 1e-3, grid, radius=0.3)
+    return f, grid, integrate_bz_refined(f, CORNER, 1e-5, grid, radius=0.3)
 
 
 def _fixed_pair(f, grid):
@@ -179,8 +190,9 @@ def test_deterministic_repeatability():
     a = integrate_bz(f, g)
     b = integrate_bz(f, g)
     assert a.value == b.value and a.error_estimate == b.error_estimate
-    ra = integrate_bz_refined(f, [(0.5, 0.5)], 0.1, g, radius=0.8)
-    rb = integrate_bz_refined(f, [(0.5, 0.5)], 0.1, g, radius=0.8)
+    disk = [((0.5, 0.5), None, False)]
+    ra = integrate_bz_refined(f, disk, 1e-3, g, radius=0.7)
+    rb = integrate_bz_refined(f, disk, 1e-3, g, radius=0.7)
     assert ra.value == rb.value
 
 
@@ -188,18 +200,6 @@ def test_compensated_sum_matches_fsum(rng):
     vals = rng.normal(size=200_001) * np.exp(rng.uniform(-20, 20, size=200_001))
     assert compensated_sum(vals) == pytest.approx(math.fsum(vals.tolist()), rel=1e-15)
     assert compensated_sum(np.array([])) == 0.0
-
-
-def test_singular_point_dedup_and_momentum_objects():
-    from kitaev_bures.spectrum import Momentum
-
-    f = lambda px, py: np.exp(np.cos(px) + 0.5 * np.sin(px) * np.sin(py))
-    plain = integrate_bz(f, TIGHT)
-    # duplicated points (one wrapped by 2 pi) collapse to a single disk
-    ref = integrate_bz_refined(
-        f, [Momentum(0.3, -1.1), (0.3 + 2 * math.pi, -1.1)], 0.1, TIGHT, radius=0.8
-    )
-    assert abs(ref.value - plain.value) / abs(plain.value) < 1e-12
 
 
 def _stacked(members):
@@ -239,9 +239,9 @@ def test_batched_integrals_match_standalone_bit_for_bit():
     mixed = integrate_bz(batch, tight)
     assert mixed.converged.tolist() == [True, False]
     # the refined rule judges each integral against its own largest component
-    refined = integrate_bz_refined(batch, [(0.0, 0.0)], 0.05, grid, radius=0.4)
+    refined = integrate_bz_refined(batch, CORNER, 5e-4, grid, radius=0.4)
     for k, f in enumerate((smooth, sharp)):
-        alone = integrate_bz_refined(f, [(0.0, 0.0)], 0.05, grid, radius=0.4)
+        alone = integrate_bz_refined(f, CORNER, 5e-4, grid, radius=0.4)
         assert np.array_equal(refined.value[k], alone.value)
         assert refined.converged[k] == alone.converged
     # a 1024-point level spans several row blocks, and a stack of 8 gets an
@@ -323,9 +323,9 @@ def test_odd_integrand_violates_the_contract():
     with pytest.raises(ValueError, match="even under p -> -p"):
         integrate_bz(odd, grid)
     with pytest.raises(ValueError, match="even under p -> -p"):
-        integrate_bz_refined(odd, [(0.3, -1.1)], 0.05, grid, radius=0.4)
+        integrate_bz_refined(odd, OFF_CORNER, 5e-4, grid, radius=0.4)
     with pytest.raises(ValueError, match="even under p -> -p"):
-        integrate_bz_refined(odd, [(0.0, 0.0)], 0.05, grid, radius=0.4)
+        integrate_bz_refined(odd, CORNER, 5e-4, grid, radius=0.4)
 
 
 @pytest.mark.parametrize("base_n", [17, 24])
@@ -352,24 +352,45 @@ def test_half_grid_equals_full_grid(base_n):
 
 
 @pytest.mark.parametrize(
-    "given, closed, axes",
+    "disk, closed",
     [
-        ([(math.pi, 0.0)], [(-math.pi, 0.0)], [None]),  # corner, polar half disk
-        ([(0.0, 0.0)], [(0.0, 0.0)], [0.4]),  # corner, needle half grid
-        ([(0.7, -1.9)], [(0.7, -1.9), (-0.7, 1.9)], [None, None]),  # +-K from K alone
-        ([(0.7, -1.9), (-0.7, 1.9)], [(0.7, -1.9), (-0.7, 1.9)], [0.4, 0.4]),
+        (((-math.pi, 0.0), None, True), [(-math.pi, 0.0)]),  # corner, polar half disk
+        (((0.0, 0.0), 0.4, True), [(0.0, 0.0)]),  # corner, needle half grid
+        (((0.7, -1.9), None, False), [(0.7, -1.9), (-0.7, 1.9)]),  # +-K, polar
+        (((0.7, -1.9), 0.4, False), [(0.7, -1.9), (-0.7, 1.9)]),  # +-K, needle
     ],
-    ids=["corner-polar", "corner-needle", "pair-closed", "pair-given"],
+    ids=["corner-polar", "corner-needle", "pair-closed", "pair-needle"],
 )
-def test_half_disks_equal_full_disks(given, closed, axes):
+def test_half_disks_equal_full_disks(disk, closed):
     # the half-disk rule keeps the first half of every ring's (even count
-    # of) angles, and the rest are their phi + pi mirrors
+    # of) angles, and the rest are their phi + pi mirrors; the disk at K
+    # counts once more for -K
     grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
-    res = integrate_bz_refined(
-        _even_pair, given, 0.05, grid, radius=0.4, axes=axes[: len(given)]
-    )
-    ref = full_zone_reference(_even_pair, closed, 0.05, 0.4, grid, axes)
+    res = integrate_bz_refined(_even_pair, [disk], 5e-4, grid, radius=0.4)
+    ref = full_zone_reference(_even_pair, closed, 5e-4, 0.4, grid, [disk[1]] * len(closed))
     assert np.max(np.abs(res.value - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "disks, radius, match",
+    [
+        ([((0.7, -1.9), None, False), ((-0.7, 1.9), None, False)], 0.4, "overlap"),
+        (OFF_CORNER + [((0.3, -0.5), None, False)], 0.4, "overlap"),
+        ([((0.1, -0.2), None, False)], 0.4, "overlap"),
+        (CORNER, 3.5, "overlap"),
+        ([((0.3, 0.0), None, True)], 0.4, "not a corner"),
+        ([((math.pi, 0.0), None, True)], 0.4, "not a corner"),
+    ],
+    ids=["pair-given", "closer-than-two-radii", "near-own-mirror", "own-image",
+         "off-corner", "unwrapped-corner"],
+)
+def test_refined_refuses_a_geometry_it_cannot_integrate(disks, radius, match):
+    # the geometry is the caller's: K given with -K, two centres (or a
+    # centre and a mirror, or a disk and its own periodic image) closer
+    # than twice the radius, and an own-mirror centre off {0, -pi}^2 are
+    # refused, never merged, capped or snapped
+    with pytest.raises(ValueError, match=match):
+        integrate_bz_refined(_even_pair, disks, 1e-3, GridSpec(), radius=radius)
 
 
 def test_ring_angular_counts_are_even():

@@ -261,7 +261,9 @@ def test_piecewise_ratio_approximation_consistency():
                 v = ratio * fields.theta_z**2 / lam4
             return np.where(lam4 > 0, v, 0.0)
 
-        res = integrate_bz_refined(f, zeros, temp, grid, radius=max(8.0 * temp, 0.3))
+        # one disk at K stands for the +-K pair
+        disk = [((zeros[0].px, zeros[0].py), None, False)]
+        res = integrate_bz_refined(f, disk, temp / 100.0, grid, radius=max(8.0 * temp, 0.3))
         return float(res.value) / (32 * math.pi**2)
 
     temps = np.geomspace(1e-3, 1e-2, 6)

@@ -11,8 +11,10 @@ from kitaev_bures.spectrum import (
     Couplings,
     Momentum,
     classify_phase,
+    dirac_points,
     fermion_gap,
     spectral_arrays,
+    wrap_angle,
 )
 from kitaev_bures.thermal_metric import (
     CLASSICAL_PAIRS,
@@ -477,16 +479,37 @@ def test_batch_failure_names_only_the_failing_temperature():
 
 def test_refinement_radius_covers_every_member():
     # near-critical gapped (gap 0.24): widths are T floored at gap / 8, the
-    # batch takes the smallest width and the largest max(8 w, 0.3)
+    # batch takes the largest max(8 w, 0.3) and r_min from the smallest width
     j = Couplings(0.22, 0.22, 0.56)
     mixed = [ThermoPoint.from_temperature(j, t) for t in (0.002, 0.05)]
-    centres, axes, width, radius = _refinement_plan(mixed)
-    assert centres == [Momentum(math.pi, math.pi)]
-    assert width == fermion_gap(j) / 8.0 == pytest.approx(0.03)
+    disks, radius, r_min = _refinement_plan(mixed)
+    assert [(centre, own) for centre, _, own in disks] == [((-math.pi, -math.pi), True)]
     assert radius == max(8.0 * 0.05, MIN_REFINE_RADIUS)
+    assert r_min == fermion_gap(j) / 8.0 / 100.0 == pytest.approx(3e-4)
+    # every tensor of the batch records the plan it was integrated with
+    grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
+    for t in tensors_thermodynamic(mixed, grid, elements=[("c", P.BETA, P.BETA)]):
+        recorded = t.evaluation.details["refinement"]
+        assert recorded == {"disks": disks, "radius": radius, "r_min": r_min}
     # a batch of one keeps the shoulder floor when 8 T is smaller
-    _, _, width, radius = _refinement_plan([ThermoPoint.from_temperature(j, 0.01)])
-    assert width == fermion_gap(j) / 8.0 and radius == MIN_REFINE_RADIUS == 0.3
+    _, radius, r_min = _refinement_plan([ThermoPoint.from_temperature(j, 0.01)])
+    assert radius == MIN_REFINE_RADIUS == 0.3
+    assert r_min == fermion_gap(j) / 8.0 / 100.0
+
+
+def test_refinement_radius_of_a_dirac_pair_stays_below_half_their_distance():
+    # near-critical gapless: K and -K lie about 0.795 apart, so 8 T = 0.8 is
+    # capped at 0.499 of their distance, and r_min = T / 100
+    j = Couplings(0.255, 0.255, 0.49)
+    k, minus_k = dirac_points(j)
+    disks, radius, r_min = _refinement_plan([ThermoPoint.from_temperature(j, 0.1)])
+    [((cx, cy), _, own_mirror)] = disks
+    assert (cx, cy) == (k.px, k.py) and not own_mirror
+    # the disk stands for -K, its mirror
+    assert np.max(np.abs(wrap_angle(np.array([-cx, -cy]) - [minus_k.px, minus_k.py]))) < 1e-12
+    distance = math.hypot(*wrap_angle(np.array([2.0 * cx, 2.0 * cy])))
+    assert radius == 0.499 * distance == pytest.approx(0.3966, abs=1e-4)
+    assert r_min == pytest.approx(1e-3, rel=1e-15)
 
 
 SCALING_CASES = [
