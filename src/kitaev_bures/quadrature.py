@@ -37,31 +37,49 @@ refine_levels + 1)``.
 
 Integrands are callables ``f(px, py)`` taking broadcastable float arrays and
 returning an array of shape ``lead + broadcast(px, py).shape``, and they must
-be even under p -> -p.  Every rule here evaluates half the zone: the grids
-are closed under negation, so only one row of each mirror pair of rows is
-evaluated and its row sum counts twice (the rows that are their own mirror
-count once); each refinement disk stands for its mirror class, so the disk
-at K counts twice for K and -K and a disk on its own mirror (a zone
-corner) integrates half its disk, twice.  The contract is checked, not
-assumed: every grid and disk compares f(p0) with f(-p0) at one generic probe
-node and raises ValueError if they differ beyond rounding.  The optional
-leading axes let one quadrature pass integrate a whole stack of components
-on shared evaluations.  The last leading axis holds the components of one
-integral; any axes before it index independent integrals (for instance one
-per temperature).  Each independent integral is judged against its own
-largest component and keeps the value of the doubling at which it
-converged, so it gets exactly the value, error and flag it would get if it
-were integrated alone on the same nodes.
+be even under p -> -p.  Every rule here is one orbit rule: it evaluates one
+node per orbit of the integrand's symmetry group and weights it by the
+nodes of its orbit, which every node set allows because it is closed under
+the group.  The group is {e, -1} (the half rule) unless the integrand is
+also invariant under the reflection s: (p_x, p_y) -> (p_y, p_x), which
+makes it {e, -1, s, -s} (the quarter rule).
+
+* Under -1 only one row of each mirror pair of grid rows is evaluated and
+  its row sum counts twice (the rows that are their own mirror count once);
+  each refinement disk stands for its mirror class, so the disk at K counts
+  twice for K and -K and a disk on its own mirror (a zone corner)
+  integrates half its disk, twice.
+* Under s as well the grid keeps, of those rows, a triangle (on the zone
+  grid p_x in [-pi, 0] and |p_y| >= |p_x|, see ``_zone_patches``), and each
+  disk the sector of the reflection that fixes its centre: a corner (fixed
+  by s and -s) a quarter, K = (a, -a) (fixed by -s) a half.
+
+Evenness is the contract, checked, not assumed: every grid and disk
+compares f(p0) with f(-p0) at a generic probe node and raises ValueError if
+they differ beyond rounding.  Invariance under s is detected: f(s p) must
+equal f(p) bit for bit at two generic probe nodes, and for a refined
+integral every disk centre must be fixed by s or -s; otherwise the rules
+stay the half rule.
+
+The optional leading axes let one quadrature pass integrate a whole stack
+of components on shared evaluations.  The last leading axis holds the
+components of one integral; any axes before it index independent integrals
+(for instance one per temperature).  Each independent integral is judged
+against its own largest component and keeps the value of the doubling at
+which it converged, so it gets exactly the value, error and flag it would
+get if it were integrated alone on the same nodes.
 
 Memory and determinism: every node set is a list of row patches ``(g,
-rows, row_weights, cols)``, the nodes ``rows x cols`` on which ``g(rows[:,
-None], cols[None, :])`` gives the integrand.  A zone grid level is one or
-two patches of ``f`` itself, a polar disk one patch of rings times angles
-per ring angular count, a needle disk one patch of lines times nodes.  One
-reduction, ``_row_sums``, evaluates whole rows in blocks of at most
-``_BLOCK_VALUES`` values (at least one row; the values per node are read
-off the integrand's output at the probe node), so memory grows neither
-with the node set nor with the stack of integrals.  Every weighted row sum
+rows, row_weights, cols, halved)``, the nodes ``rows x cols`` on which
+``g(rows[:, None], cols[None, :])`` gives the integrand (the columns at the
+positions ``halved`` count half).  A zone grid level is a few patches of
+grid rows times grid columns (and, for the quarter rule, one of listed
+nodes), a polar disk one patch of rings times angles per ring angular
+count, a needle disk one patch of lines times nodes.  One reduction,
+``_row_sums``, evaluates whole rows in blocks of at most ``_BLOCK_VALUES``
+values (at least one row; the values per node are read off the
+integrand's output at the probe nodes), so memory grows neither with the
+node set nor with the stack of integrals.  Every weighted row sum
 enters one exactly rounded math.fsum per integral, so a value depends
 neither on the block size, nor on the integrals stacked beside it, nor on
 how many workers evaluate integrals.
@@ -80,16 +98,27 @@ from .spectrum import TWO_PI, wrap_angle
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 _SUM_CHUNK = 1 << 16
-# the probe node p0: on no symmetry line of the zone or of the couplings, so
-# f(p0) = f(-p0) is a test of evenness, not a coincidence
-_PROBE = (0.5772156649015329, -1.2020569031595942)
+# the probe nodes p0 and q0: on no symmetry line of the zone or of the
+# couplings, so f(p0) = f(-p0) is a test of evenness, and f(s p) = f(p) at
+# both a test of the reflection s: (p_x, p_y) -> (p_y, p_x), not a coincidence
+_PROBE = ((0.5772156649015329, -1.2020569031595942), (1.6180339887498949, 0.36787944117144233))
 # relative difference of f(p0) and f(-p0) (per independent integral, against
 # its largest value) beyond which the integrand is not even
 _EVEN_RTOL = 1e-12
+# angle (radians) within which a needle disk's soft axis counts as along or
+# across the mirror line of the reflection that fixes its centre
+_ALIGN_ATOL = 1e-14
 # integrand values held per evaluated block (patch rows times columns times
 # the values per node): bounds the integrand's memory whatever the batch,
 # down to one row
 _BLOCK_VALUES = 2 * 128 * 2048
+# rows per band of the quarter-zone grid rule, and nodes per row of its
+# listed nodes (see _zone_patches): a band's triangle costs about its rows
+# squared in listed nodes, and each band one more call of the integrand
+_BAND_ROWS = 64
+_LIST_COLS = 256
+# the empty set of halved columns (see _row_sums)
+_NONE = np.empty(0, dtype=int)
 # ring angles per ring: rings shrink their angular spacing as the radius
 # decreases (narrow angular features near quadratic-dispersion directions
 # need it) from the base count up to the cap
@@ -194,26 +223,36 @@ def _eval_on_block(f, px, py, tail) -> np.ndarray:
     return vals
 
 
-def _values_per_node(f) -> int:
-    """Values ``f`` returns per node, from its output at the probe node.
+def _probe(f) -> tuple[int, bool]:
+    """Values ``f`` returns per node, and whether ``f`` is invariant under s.
 
-    Read from the output, not from an attribute of ``f``, so a wrapped
-    integrand blocks exactly as the bare one does.  The same call evaluates
-    ``f`` at p0 and -p0 and raises ValueError when they differ beyond
-    rounding: the half-zone rules are exact only for even integrands."""
-    px = np.array([_PROBE[0], -_PROBE[0]])
-    py = np.array([_PROBE[1], -_PROBE[1]])
-    vals = _eval_on_block(f, px, py, (2,))
+    One call evaluates ``f`` at p0, -p0, s p0, q0 and s q0.  Evenness is the
+    contract of every rule: ValueError when f(p0) and f(-p0) differ beyond
+    rounding.  Invariance under s is detected, not required: ``f`` counts as
+    invariant when f(s p) equals f(p) bit for bit at both probe nodes (a
+    coupling an ulp off jx = jy is not), unless ``integrate_bz_refined``
+    marked it ``_even_only`` because its disks are not closed under s.
+    Both are read from the output, so a wrapped integrand is integrated
+    exactly as the bare one is."""
+    (x0, y0), (x1, y1) = _PROBE
+    px = np.array([x0, -x0, y0, x1, y1])
+    py = np.array([y0, -y0, x0, y1, x1])
+    vals = _eval_on_block(f, px, py, (5,))
     at_p0, at_minus_p0 = vals[..., 0], vals[..., 1]
     nb = _batch_ndim(at_p0.ndim)
     scale = np.maximum(_per_integral_max(at_p0, nb), _per_integral_max(at_minus_p0, nb))
     if np.any(_per_integral_max(at_p0 - at_minus_p0, nb) > _EVEN_RTOL * scale):
         raise ValueError(
             "integrand is not even under p -> -p: f(p0) != f(-p0) at "
-            f"p0 = {_PROBE}; the zone rules evaluate half the zone and require "
-            "f(-p) = f(p)"
+            f"p0 = {_PROBE[0]}; the zone rules evaluate at most half the zone "
+            "and require f(-p) = f(p)"
         )
-    return at_p0.size
+    invariant = (
+        not getattr(f, "_even_only", False)
+        and np.array_equal(at_p0, vals[..., 2])
+        and np.array_equal(vals[..., 3], vals[..., 4])
+    )
+    return at_p0.size, invariant
 
 
 def _batch_ndim(lead_ndim: int) -> int:
@@ -229,17 +268,13 @@ def _per_integral_max(x: np.ndarray, nb: int) -> np.ndarray:
     return x.reshape(x.shape[:nb] + (-1,)).max(axis=-1)
 
 
-def _half_rows(n: int, first_mirror: int):
-    """Indices and weights of the rows one half-grid rule evaluates.
+def _mirror_fold(n: int, first_mirror: int):
+    """Indices and weights one mirror keeps of an axis of n nodes.
 
-    The axis is closed under negation: node k is minus node
-    ``(first_mirror - k) % n`` (``first_mirror`` is 0 on the zone axis, whose
-    nodes -pi and 0 are their own mirrors, and n - 1 on the centred odd
-    axis, whose middle node is).  Negating p maps row k onto its mirror row
-    with the columns reversed, so both rows have the same sum over any
-    column set closed under negation: only the rows ``k <= mirror(k)`` are
-    evaluated, and each row sum counts twice, a self-mirror row once.  Rows
-    are chosen by index, never by comparing nodes to 0, so odd and
+    The mirror maps node k onto node ``(first_mirror - k) % n``; only the
+    nodes ``k <= mirror(k)`` are kept, each standing for itself and its
+    mirror (weight 2), a node on its own mirror for itself (weight 1).
+    Nodes are chosen by index, never by comparing coordinates, so odd and
     non-power-of-two n stay exact."""
     k = np.arange(n)
     mirror = (first_mirror - k) % n
@@ -248,7 +283,8 @@ def _half_rows(n: int, first_mirror: int):
 
 
 def _row_sums(patches, m: int):
-    """Weighted sum of every row of every patch ``(g, rows, weights, cols)``.
+    """Weighted sum of every row of every patch ``(g, rows, weights, cols,
+    halved)``, where the columns at the positions ``halved`` count half.
 
     Rows are evaluated in blocks of whole rows holding at most
     ``_BLOCK_VALUES`` values (``m`` values per node), so the integrand's
@@ -258,13 +294,16 @@ def _row_sums(patches, m: int):
     leading axes and one row axis) for ``_fsum`` to combine, the nodes
     evaluated and, per independent integral, the largest |g| seen."""
     sums, nodes, fmax = [], 0, 0.0
-    for g, rows, weights, cols in patches:
+    for g, rows, weights, cols, halved in patches:
         rows_per_block = max(1, _BLOCK_VALUES // (cols.size * m))
         for i in range(0, rows.size, rows_per_block):
             block = rows[i : i + rows_per_block]
             vals = _eval_on_block(g, block[:, None], cols[None, :], (block.size, cols.size))
             fmax = np.maximum(fmax, _per_integral_max(vals, _batch_ndim(vals.ndim - 2)))
-            sums.append(vals.sum(axis=-1) * weights[i : i + block.size])
+            row = vals.sum(axis=-1)
+            if halved.size:
+                row = row - 0.5 * vals[..., halved].sum(axis=-1)
+            sums.append(row * weights[i : i + block.size])
         nodes += rows.size * cols.size
     return sums, nodes, fmax
 
@@ -278,35 +317,124 @@ def _fsum(parts) -> np.ndarray:
     return np.array([math.fsum(r) for r in flat]).reshape(rows.shape[:-1])
 
 
-def _grid_mean(f, xs: np.ndarray, first_mirror: int):
-    """Mean of the even f over the grid ``xs x xs``, from half its rows
-    (``_half_rows``): one patch of ``f`` itself.
+def _orbit_weights(kx, ky, mirror, dist):
+    """Nodes each fundamental node (kx, ky) stands for: the size of its
+    orbit under {e, -1, s, -s} over the number of its members in the
+    fundamental domain, the nodes with a kept row and ``dist[ky] <=
+    dist[kx]`` (see ``_zone_patches``)."""
+    members = [(kx, ky), (mirror[kx], mirror[ky]), (ky, kx), (mirror[ky], mirror[kx])]
+    size, inside = np.zeros(kx.shape), np.zeros(kx.shape)
+    for i, (a, b) in enumerate(members):
+        first = np.ones(kx.shape, dtype=bool)
+        for a_seen, b_seen in members[:i]:
+            first &= (a != a_seen) | (b != b_seen)
+        size += first
+        inside += first & (a <= mirror[a]) & (dist[b] <= dist[a])
+    return size / inside
 
-    Returns the mean, the integrand nodes evaluated and, per independent
-    integral, the largest |f| seen, which sets the absolute floor below
-    which a vanishing integral counts as converged."""
+
+def _zone_patches(f, xs: np.ndarray, first_mirror: int, invariant: bool, nested=False):
+    """Row patches of one node per orbit of the grid ``xs x xs`` (with
+    ``nested``, of the nodes the grid adds to its even-index subgrid), each
+    weighted by the number of nodes it stands for.
+
+    Node k of the axis is minus node ``mirror(k) = (first_mirror - k) % n``
+    (0 on the zone axis, n - 1 on the centred odd axis).  The kept rows
+    are the rows ``kx <= mirror(kx)`` (``_mirror_fold``): negation maps row
+    kx onto its mirror row with the columns reversed, so for an even ``f``
+    (the orbits of {e, -1}) every kept row in full is the rule, each row sum
+    counting twice and a self-mirror row once.
+
+    For an ``f`` also invariant under s the rule keeps, of each kept row kx,
+    the columns with ``dist(ky) <= dist(kx) = kx``, ``dist(k) = min(k,
+    mirror(k))``: s or -s maps each node it drops onto a kept node of a
+    row with a larger dist, so every orbit of {e, -1, s, -s} keeps a node.
+    These columns are a window that widens with kx, a triangle of the grid.
+    The rows are cut into bands of ``_BAND_ROWS``: the columns every row of
+    a band keeps form one patch, whose nodes stand for four (two on a
+    self-mirror row), and the rest of the band, a small triangle on the
+    fixed lines of s and -s, is listed node by node with the weights that
+    ``_orbit_weights`` counts and evaluated in rows of ``_LIST_COLS``
+    nodes.  The band patches keep ``f`` separable (one p_x per row, one p_y
+    per column), as the half rule does, so the integrand takes its sines
+    and cosines per row and column; the listed nodes take them per node.
+
+    A doubling adds the nodes with kx or ky odd: the odd rows in full and
+    the odd columns of the even rows (negation maps odd columns onto odd
+    columns)."""
     n = xs.size
-    rows, weights = _half_rows(n, first_mirror)
-    sums, nodes, fmax = _row_sums([(f, xs[rows], weights, xs)], _values_per_node(f))
-    return _fsum(sums) / float(n * n), nodes, fmax
+    rows, row_w = _mirror_fold(n, first_mirror)
+    cols = np.arange(n)
+
+    def g(kx, ky):
+        return f(xs[kx], xs[ky])
+
+    if not invariant:
+        bands, listed = [(rows, row_w, cols)], []
+    else:
+        mirror = (first_mirror - cols) % n
+        dist = np.minimum(cols, mirror)
+        bands, listed = [], []
+        for at in np.array_split(np.arange(rows.size), -(-rows.size // _BAND_ROWS)):
+            band = rows[at]
+            bands.append((band, 2.0 * row_w[at], cols[dist < band[0]]))
+            near = cols[(dist >= band[0]) & (dist <= band[-1])]
+            kx, ky = np.broadcast_arrays(band[:, None], near[None, :])
+            inside = dist[ky] <= kx
+            listed.append((kx[inside], ky[inside]))
+    patches = []
+    for band, weights, window in bands:
+        if nested:
+            odd = band % 2 == 1
+            parts = [(odd, window), (~odd, window[window % 2 == 1])]
+        else:
+            parts = [(np.ones(band.size, dtype=bool), window)]
+        for on, part in parts:
+            if on.any() and part.size:
+                patches.append((g, band[on], weights[on], part, _NONE))
+    if listed:
+        kx, ky = (np.concatenate(k) for k in zip(*listed))
+        if nested:
+            new = (kx % 2 == 1) | (ky % 2 == 1)
+            kx, ky = kx[new], ky[new]
+        # relative to 4, so that no listed value exceeds |f|; rows of at most
+        # _LIST_COLS nodes, the last filled up with its last node at weight 0
+        weight = 0.25 * _orbit_weights(kx, ky, mirror, dist)
+        length = -(-kx.size // -(-kx.size // _LIST_COLS))
+        fill = -kx.size % length
+        kx, ky = np.pad(kx, (0, fill), "edge"), np.pad(ky, (0, fill), "edge")
+        weight = np.pad(weight, (0, fill))
+
+        def listed_g(start, j):
+            at = start + j
+            return f(xs[kx[at]], xs[ky[at]]) * weight[at]
+
+        starts = np.arange(0, kx.size, length)
+        patches.append((listed_g, starts, np.full(starts.size, 4.0), np.arange(length), _NONE))
+    return patches
 
 
-def _doubled_mean(f, mean: np.ndarray, n: int):
+def _grid_mean(f, xs: np.ndarray, first_mirror: int):
+    """Mean of the even f over the grid ``xs x xs``, from one node per orbit
+    (``_zone_patches``).
+
+    Returns the mean, the integrand nodes evaluated, per independent
+    integral the largest |f| seen (which sets the absolute floor below
+    which a vanishing integral counts as converged), and whether ``f`` is
+    invariant under s (see ``_probe``)."""
+    m, invariant = _probe(f)
+    sums, nodes, fmax = _row_sums(_zone_patches(f, xs, first_mirror, invariant), m)
+    return _fsum(sums) / float(xs.size**2), nodes, fmax, invariant
+
+
+def _doubled_mean(f, mean: np.ndarray, n: int, invariant: bool):
     """Mean of f over the 2n zone grid from its mean over the n grid.
 
     The n grid is the even-index subgrid of the 2n grid on both axes, so
-    only the new nodes are evaluated, as two patches under the half-grid
-    row rule (negation maps odd columns onto odd columns): the odd rows in
-    full and the odd columns of the even rows.  Their rows are added to
-    ``n^2 mean`` by math.fsum.  Returns the mean, the nodes evaluated and
-    the largest |f| seen on them."""
-    xs = _zone_axis(2 * n)
-    rows, weights = _half_rows(2 * n, 0)
-    odd = rows % 2 == 1
-    patches = [
-        (f, xs[rows[odd]], weights[odd], xs),
-        (f, xs[rows[~odd]], weights[~odd], xs[1::2]),
-    ]
+    only the new nodes are evaluated, one per orbit (``_zone_patches``),
+    and their rows are added to ``n^2 mean`` by math.fsum.  Returns the
+    mean, the nodes evaluated and the largest |f| seen on them."""
+    patches = _zone_patches(f, _zone_axis(2 * n), 0, invariant, nested=True)
     sums, nodes, fmax = _row_sums(patches, mean.size)
     total = _fsum([float(n * n) * mean[..., None]] + sums)
     return total / float(4 * n * n), nodes, fmax
@@ -335,8 +463,9 @@ def integrate_bz(f: Callable, grid: GridSpec) -> IntegrationResult:
     """Periodic trapezoid over the zone with resolution doubling.
 
     ``f`` must be even under p -> -p (see the module docstring): the base
-    level evaluates half its grid, and each doubling only the half of the
-    nodes it adds (``_doubled_mean``), so no node is evaluated twice.  The
+    level evaluates one node per orbit of its grid, and each doubling one
+    per orbit of the nodes it adds (``_doubled_mean``), so no node is
+    evaluated twice.  The
     rule at base_n points per axis is compared against 2*base_n (and so on,
     up to ``max_doublings``); the difference of successive levels is the
     reported error estimate.  Each independent integral stops at the first
@@ -346,12 +475,12 @@ def integrate_bz(f: Callable, grid: GridSpec) -> IntegrationResult:
     silently.
     """
     n = grid.base_n
-    prev, evaluations, fmax = _grid_mean(f, _zone_axis(n), 0)
+    prev, evaluations, fmax, invariant = _grid_mean(f, _zone_axis(n), 0)
     nb = _batch_ndim(prev.ndim)
     value = err = np.zeros(prev.shape)
     done = np.zeros(prev.shape[:nb], dtype=bool)
     for _ in range(grid.max_doublings):
-        cur, nodes, fmax_cur = _doubled_mean(f, prev, n)
+        cur, nodes, fmax_cur = _doubled_mean(f, prev, n, invariant)
         n *= 2
         fmax = np.maximum(fmax, fmax_cur)
         evaluations += nodes
@@ -435,7 +564,8 @@ def _log_rule(lo: float, hi: float, order: int):
     return t, ws * 0.5 * (s_hi - s_lo) * t
 
 
-def _polar_disk(f, center, radius: float, r_min: float, level: int, half: bool):
+def _polar_disk(f, center, radius: float, r_min: float, level: int, own_mirror: bool,
+                sector: int = 0):
     """Row patches of one log-polar refinement disk: rings (rows) times
     ring angles (columns).
 
@@ -446,10 +576,14 @@ def _polar_disk(f, center, radius: float, r_min: float, level: int, half: bool):
     on the core r < r_min.  Conical zeros have O(1) angular structure at
     every radius; ring angular counts grow mildly toward the centre, which
     guards against moderate cone anisotropy.  The rings with one angular
-    count nphi form one patch, whose ring weights carry the uniform
-    angular weight 2 pi / nphi.  ``half`` keeps the first half of every
-    ring's (even count of) angles, which with weight 2 is the whole disk
-    when the integrand is even about the centre.
+    count nphi form one patch per angular weight, whose ring weights carry
+    the uniform angular weight 2 pi / nphi.  An ``own_mirror`` disk keeps
+    the first half of every ring's angles k (angle 2 pi k / nphi), which
+    with weight 2 is the whole disk when the integrand is even about the
+    centre.  A ``sector`` of 1 (-1) folds the kept angles by the reflection
+    s (-s) that fixes the centre, which maps k onto sector * nphi / 4 - k
+    (``_mirror_fold``): every count is a multiple of 64, so the reflection
+    maps ring angles onto ring angles.
     """
     cx, cy = center
     order = 24 * (2 ** max(0, level))
@@ -467,8 +601,7 @@ def _polar_disk(f, center, radius: float, r_min: float, level: int, half: bool):
     ])
     boost = 2 ** max(0, level - 1)
     grow = np.maximum(1.0, np.ceil(np.sqrt(radius / (32.0 * r))))
-    # even, because _ANGULAR_BASE and _ANGULAR_CAP are: the ring angles phi
-    # and phi + pi pair up (half-disk rule)
+    # multiples of 64, because _ANGULAR_BASE and _ANGULAR_CAP are
     counts = np.minimum(_ANGULAR_CAP, _ANGULAR_BASE * boost * grow).astype(int)
 
     def rings(rr, phi):
@@ -477,13 +610,21 @@ def _polar_disk(f, center, radius: float, r_min: float, level: int, half: bool):
     patches = []
     for nphi in np.unique(counts):
         on = counts == nphi
-        phi = (2.0 * math.pi / nphi) * np.arange(nphi // 2 if half else nphi)
-        patches.append((rings, r[on], w[on] * (2.0 * math.pi / nphi), phi))
+        period = nphi // 2 if own_mirror else nphi
+        if sector:
+            k, wk = _mirror_fold(period, sector * nphi // 4 % period)
+        else:
+            k, wk = np.arange(period), np.ones(period)
+        phi = (2.0 * math.pi / nphi) * k
+        top = wk.max()
+        patches.append(
+            (rings, r[on], w[on] * (top * 2.0 * math.pi / nphi), phi, np.flatnonzero(wk < top))
+        )
     return patches
 
 
 def _needle_disk(f, center, axis: float, radius: float, r_min: float, level: int,
-                 half: bool):
+                 own_mirror: bool, sector: int = 0):
     """Row patch of one needle refinement disk: lines of constant u, the
     coordinate along the soft axis, times nodes v across it.
 
@@ -492,9 +633,15 @@ def _needle_disk(f, center, axis: float, radius: float, r_min: float, level: int
     uniform polar rings cannot.  Both coordinates take one symmetric rule
     on [-radius, radius]: the Gauss-in-log rule over [r_min, radius] per
     sign and a small Gauss rule on the core |t| < r_min.  The v weights and
-    the partition bump are applied inside the patch integrand.  ``half``
-    keeps the second half of the u axis, u > 0 (the rule is symmetric with
-    no node at 0), the mirrors of the nodes with u < 0.
+    the partition bump are applied inside the patch integrand.  An
+    ``own_mirror`` disk keeps the second half of the u axis, u > 0 (the
+    rule is symmetric with no node at 0), the mirrors of the nodes with u <
+    0.  A ``sector`` of 1 (-1) folds by the reflection s (-s) that fixes
+    the centre, whose mirror line lies at sector * pi / 4: a soft axis
+    along it negates v, one across it negates u, and the kept half (t > 0)
+    of the negated coordinate gets weight 2.  An own-mirror disk folds v
+    either way, since with -1 each reflection negates one coordinate.  A
+    soft axis neither along nor across the mirror line is not folded.
     """
     cx, cy = center
     order = 24 * (2 ** max(0, level))
@@ -502,26 +649,37 @@ def _needle_disk(f, center, axis: float, radius: float, r_min: float, level: int
     xc, wc = _leggauss(8)
     v = np.concatenate([-t, r_min * xc, t])
     wv = np.concatenate([wt, r_min * wc, wt])
-    u, wu = (v[v.size // 2 :], wv[v.size // 2 :]) if half else (v, wv)
+    half = slice(v.size // 2, None)
+    u, wu = (v[half], wv[half]) if own_mirror else (v, wv)
+    cols, wcols = v, wv
+    if sector:
+        d = abs(math.remainder(axis - sector * math.pi / 4, math.pi))
+        along, across = d <= _ALIGN_ATOL, math.pi / 2 - d <= _ALIGN_ATOL
+        if along or (across and own_mirror):
+            cols, wcols = v[half], 2.0 * wv[half]
+        elif across:
+            u, wu = v[half], 2.0 * wv[half]
     cu, su = math.cos(axis), math.sin(axis)
 
     def lines(uu, vv):
         px = wrap_angle(cx + uu * cu - vv * su)
         py = wrap_angle(cy + uu * su + vv * cu)
-        return f(px, py) * (wv * _bump(np.hypot(uu, vv), radius))
+        return f(px, py) * (wcols * _bump(np.hypot(uu, vv), radius))
 
-    return [(lines, u, wu, v)]
+    return [(lines, u, wu, cols, _NONE)]
 
 
-def _disk_integral(f, center, radius, r_min, level, axis=None, half=False):
-    """Integral of f over one disk (over its ``half`` when set), from the
-    disk's row patches, reduced like every other node set.  Returns the
-    integral and the nodes evaluated."""
+def _disk_integral(f, center, radius, r_min, level, axis=None, own_mirror=False, sector=0):
+    """Half the integral of f over the disk's mirror class (the disk at K
+    for K and -K, half the disk on its own mirror), from the nodes its
+    stabiliser leaves (see ``_polar_disk`` and ``_needle_disk``), reduced
+    like every other node set.  Returns the integral and the nodes
+    evaluated."""
     if axis is None:
-        patches = _polar_disk(f, center, radius, r_min, level, half)
+        patches = _polar_disk(f, center, radius, r_min, level, own_mirror, sector)
     else:
-        patches = _needle_disk(f, center, axis, radius, r_min, level, half)
-    sums, nodes, _ = _row_sums(patches, _values_per_node(f))
+        patches = _needle_disk(f, center, axis, radius, r_min, level, own_mirror, sector)
+    sums, nodes, _ = _row_sums(patches, _probe(f)[0])
     return _fsum(sums), nodes
 
 
@@ -542,10 +700,20 @@ def integrate_bz_refined(
     An ``own_mirror`` disk sits on a zone corner (each coordinate exactly 0
     or -pi) and integrates half of itself twice; any other disk at K stands
     for K and -K (``f`` is even, so one axis serves both) and counts twice.
-    So the partition-of-unity mask is even and the base rule evaluates half
-    the zone.  Nothing is closed, moved or shrunk: ValueError unless ``0 <
-    r_min < radius / 2``, every ``own_mirror`` centre is a corner, and no
-    disk overlaps another disk, a mirror or its own periodic image.  With no
+    So the partition-of-unity mask is even and the base rule evaluates at
+    most half the zone.
+
+    When ``f`` is also invariant under s (``_probe``) and every centre is
+    fixed by s (cx == cy) or by -s (cx == -cy), the disk set and the mask
+    are closed under s as well: the base rule evaluates a quarter of the
+    zone, and each disk only the sector that its reflection leaves (the
+    corner disk a quarter, the disk at K a half).  Otherwise every rule
+    stays the half rule; the masked integrand is then marked
+    ``_even_only``, since its probe nodes need not see the disks.
+
+    Nothing is closed, moved or shrunk: ValueError unless ``0 < r_min <
+    radius / 2``, every ``own_mirror`` centre is a corner, and no disk
+    overlaps another disk, a mirror or its own periodic image.  With no
     disks this is exactly ``integrate_bz``.
     """
     if not 0 < r_min < 0.5 * radius:
@@ -561,23 +729,30 @@ def integrate_bz_refined(
     gaps = [_torus_dist(*a, *b) for i, a in enumerate(centres) for b in centres[i + 1 :]]
     if 2.0 * radius > min([TWO_PI] + gaps):
         raise ValueError(f"disks of radius {radius} overlap another disk, a mirror or themselves")
+    # the reflection that fixes each centre: s (1), -s (-1), or neither (0)
+    sectors = [1 if cx == cy else -1 if cx == -cy else 0 for (cx, cy), _, _ in disks]
+    if not (all(sectors) and _probe(f)[1]):
+        sectors = [0] * len(disks)
 
     def masked(px, py):
         vals = np.asarray(f(px, py), dtype=float)
         shape = np.broadcast(np.asarray(px), np.asarray(py)).shape
-        # w is exactly 0 where the p_x part of every distance (computed as
-        # the distances compute it) reaches the radius, so it is formed and
-        # applied only on the rows (first node axis) with a node nearer
-        near = np.zeros(np.shape(px), dtype=bool)
-        for (cx, _), _, own_mirror in disks:
+        # w is exactly 0 at a node where a component of every distance
+        # (computed as the distances compute it) reaches the radius, so it
+        # is formed and applied only at the other nodes
+        near = np.zeros(shape, dtype=bool)
+        for (cx, cy), _, own_mirror in disks:
             if own_mirror:
-                near |= _fold(_fold(px) - abs(cx)) < radius
+                near |= (_fold(_fold(px) - abs(cx)) < radius) & (
+                    _fold(_fold(py) - abs(cy)) < radius
+                )
             else:
-                near |= (_fold(px - cx) < radius) | (_fold(px + cx) < radius)
-        rows = np.flatnonzero(np.broadcast_to(near, shape).reshape(shape[0], -1).any(axis=1))
-        if rows.size == 0:
+                near |= (_fold(px - cx) < radius) & (_fold(py - cy) < radius)
+                near |= (_fold(px + cx) < radius) & (_fold(py + cy) < radius)
+        at = np.unravel_index(np.flatnonzero(near), shape)
+        if at[0].size == 0:
             return vals
-        qx, qy = np.broadcast_to(px, shape)[rows], np.broadcast_to(py, shape)[rows]
+        qx, qy = np.broadcast_to(px, shape)[at], np.broadcast_to(py, shape)[at]
         w = np.zeros(qx.shape)
         # even bit for bit: a corner's distance is even in p, and K and -K
         # trade places under p -> -p in a sum whose order does not matter
@@ -591,10 +766,10 @@ def integrate_bz_refined(
                 )
         if not vals.flags.owndata or vals.shape[vals.ndim - len(shape) :] != shape:
             vals = vals * np.ones(shape)  # scaled in place below: own a full copy
-        at_rows = (Ellipsis, rows) + (slice(None),) * (len(shape) - 1)
-        vals[at_rows] *= 1.0 - w
+        vals[(Ellipsis,) + at] *= 1.0 - w
         return vals
 
+    masked._even_only = not sectors[0]
     base = integrate_bz(masked, grid)
     value = np.asarray(base.value, dtype=float).copy()
     err = np.asarray(base.error_estimate, dtype=float).copy()
@@ -603,27 +778,29 @@ def integrate_bz_refined(
     top = max(1, grid.refine_levels)
     levels = range(max(1, top - 1), top + 2)
     pairs = []
-    for center, axis, own_mirror in disks:
-        lo, n_lo = _disk_integral(f, center, radius, r_min, levels[0], axis, own_mirror)
-        hi, n_hi = _disk_integral(f, center, radius, r_min, levels[1], axis, own_mirror)
+    for (center, axis, own_mirror), sector in zip(disks, sectors):
+        lo, n_lo = _disk_integral(f, center, radius, r_min, levels[0], axis, own_mirror, sector)
+        hi, n_hi = _disk_integral(f, center, radius, r_min, levels[1], axis, own_mirror, sector)
         evaluations += n_lo + n_hi
         pairs.append((lo, hi))
     # each disk's share of what the tolerance leaves after the base error,
     # against the largest component of base plus disks
     scale = _per_integral_max(value + sum(2.0 * hi for _, hi in pairs), nb)
     share = (grid.target_rel_tol * scale - _per_integral_max(err, nb)) / len(disks)
-    for (center, axis, own_mirror), (lo, hi) in zip(disks, pairs):
+    for (center, axis, own_mirror), sector, (lo, hi) in zip(disks, sectors, pairs):
         # a member climbs to the next level only while its disk error misses
         # its share, and keeps the first pair that meets it
         for level in levels[2:]:
             open_ = _per_integral_max(2.0 * np.abs(hi - lo), nb) > share
             if not np.any(open_):
                 break
-            finer, nodes = _disk_integral(f, center, radius, r_min, level, axis, own_mirror)
+            finer, nodes = _disk_integral(
+                f, center, radius, r_min, level, axis, own_mirror, sector
+            )
             evaluations += nodes
             lo, hi = _freeze(open_, hi, lo), _freeze(open_, finer, hi)
         # the disk at -K, or the corner disk's other half, is the mirror
-        # image of the one integrated
+        # image of the one integrated (and a sector stands for its disk)
         value = value + 2.0 * hi
         err = err + 2.0 * np.abs(hi - lo)
     # the base flag judged its error against the masked partial value only;

@@ -7,9 +7,10 @@ are
     epsilon(p) = 2 (jx cos px + jy cos py + jz)
     delta(p)   = 2 (jx sin px + jy sin py)
     lam(p)     = sqrt(epsilon^2 + delta^2)        quasiparticle energy
-    theta(p)   = arg(epsilon + i delta)           mode rotation angle
 
-plus the coupling responses that feed the thermal metric integrands,
+the mode rotation angle theta(p) = arg(epsilon + i delta), which only the
+mode states read (``mode_angle``), and the coupling responses that feed
+the thermal metric integrands,
 
     omega_a = 2 (cos(p_a) epsilon + sin(p_a) delta)   for a = x, y
     omega_z = 2 epsilon
@@ -44,6 +45,7 @@ __all__ = [
     "PhaseRegion",
     "wrap_angle",
     "spectral_arrays",
+    "mode_angle",
     "classify_phase",
     "fermion_gap",
     "dirac_points",
@@ -114,16 +116,13 @@ class SpectralArrays(NamedTuple):
     """Spectral fields on a batch of momenta (see module docstring).
 
     Each field has the broadcast shape of the momenta: 0-d at a single
-    momentum.  ``theta`` lies in (-pi, pi]; at an exact zero of the
-    dispersion it is undefined and is 0 by convention (the thermal
-    integrands vanish there, and odd L momentum grids avoid such zeros in
-    the gapless interior).
+    momentum.  The mode angle theta is not a field: only the mode states
+    read it, and ``mode_angle`` forms it from epsilon and delta.
     """
 
     epsilon: np.ndarray
     delta: np.ndarray
     lam: np.ndarray
-    theta: np.ndarray
     omega_x: np.ndarray
     omega_y: np.ndarray
     omega_z: np.ndarray
@@ -142,9 +141,6 @@ def spectral_arrays(px, py, couplings: Couplings) -> SpectralArrays:
     epsilon = 2.0 * (jx * cx + jy * cy + jz)
     delta = 2.0 * (jx * sx + jy * sy)
     lam = np.hypot(epsilon, delta)
-    theta = np.arctan2(delta, epsilon)
-    # arctan2 may return exactly -pi; fold onto (-pi, pi]
-    theta = np.where(theta <= -math.pi, theta + TWO_PI, theta)
     sxy = sx * cy - cx * sy  # sin(px - py)
     omega_x = 2.0 * (cx * epsilon + sx * delta)
     omega_y = 2.0 * (cy * epsilon + sy * delta)
@@ -153,8 +149,20 @@ def spectral_arrays(px, py, couplings: Couplings) -> SpectralArrays:
     theta_y = 4.0 * (jz * sy - jx * sxy)
     theta_z = -2.0 * delta
     return SpectralArrays(
-        epsilon, delta, lam, theta, omega_x, omega_y, omega_z, theta_x, theta_y, theta_z
+        epsilon, delta, lam, omega_x, omega_y, omega_z, theta_x, theta_y, theta_z
     )
+
+
+def mode_angle(fields: SpectralArrays) -> np.ndarray:
+    """The mode rotation angle theta = arg(epsilon + i delta), in (-pi, pi].
+
+    At an exact zero of the dispersion it is undefined and is 0 by
+    convention (the thermal integrands vanish there, and odd L momentum
+    grids avoid such zeros in the gapless interior).
+    """
+    theta = np.arctan2(fields.delta, fields.epsilon)
+    # arctan2 may return exactly -pi; fold onto (-pi, pi]
+    return np.where(theta <= -math.pi, theta + TWO_PI, theta)
 
 
 def classify_phase(couplings: Couplings) -> PhaseRegion:

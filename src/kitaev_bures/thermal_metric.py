@@ -19,7 +19,11 @@ assembles them for the zone quadrature, the finite sums and the pointwise
 ``classical_integrand``/``nonclassical_integrand``.  Every integrand is even
 under p -> -p (epsilon, lam and omega_a are even; delta and every theta_a
 are odd and enter in pairs), which lets the quadrature and the finite sums
-evaluate half the zone.  ``tensor_finite`` takes the mean of the same
+evaluate half the zone.  On the paper's cut jx = jy the zone integrand is
+also made invariant under the reflection s: (p_x, p_y) -> (p_y, p_x) by
+averaging each pair of components that s exchanges (see ``_integrand``),
+and the quadrature and the finite sums, which detect that, evaluate a
+quarter.  ``tensor_finite`` takes the mean of the same
 integrands over the L x L momentum grid p = 2 pi n / L (L odd), the
 periodic trapezoid rule on the lattice's own grid, reduced in the
 quadrature's fixed row blocks; normalized per site, the momentum sum is
@@ -28,7 +32,7 @@ quadrature's fixed row blocks; normalized per site, the momentum sum is
 Oracle and normalization calibration
 ------------------------------------
 ``tensor_oracle`` rebuilds the tensor with no reference to the closed forms
-and on the full L x L grid, without the evenness the other routes assume:
+and on the full L x L grid, without the symmetries the other routes assume:
 each momentum hosts a thermal qubit (``mode_density_matrix``) and the bures
 module differentiates it, by finite-difference fidelities and by the
 analytic eigen-decomposition formula.  Summed per site (N = 2 L^2), the
@@ -80,6 +84,7 @@ from .spectrum import (
     classify_phase,
     dirac_points,
     fermion_gap,
+    mode_angle,
     spectral_arrays,
 )
 
@@ -228,26 +233,37 @@ def _theta_resp(fields: SpectralArrays, idx: ParameterIndex) -> np.ndarray:
     raise ValueError(f"{idx} is not a coupling index")
 
 
-def _classical_component(mu, nu, fields, beta, weight):
-    """Classical integrand on arrays; `weight` is 1/(cosh(lam beta)+1)."""
+def _classical_component(mu, nu, fields, beta, weight, product_first=False):
+    """Classical integrand on arrays; `weight` is 1/(cosh(lam beta)+1).
+    ``product_first`` forms the product of the two responses before the
+    prefactor, which keeps a pair's value the same bit for bit when the
+    responses trade places."""
     if mu is ParameterIndex.BETA and nu is ParameterIndex.BETA:
         return weight * fields.lam**2
     if mu is ParameterIndex.BETA or nu is ParameterIndex.BETA:
         other = nu if mu is ParameterIndex.BETA else mu
         return beta * weight * _omega(fields, other)
     lam2 = fields.lam**2
+    om_mu, om_nu = _omega(fields, mu), _omega(fields, nu)
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = (beta * beta) * weight * _omega(fields, mu) * _omega(fields, nu) / lam2
+        if product_first:
+            val = (beta * beta) * weight * (om_mu * om_nu) / lam2
+        else:
+            val = (beta * beta) * weight * om_mu * om_nu / lam2
     # at a dispersion zero the omega numerators vanish at least as fast as
     # lam^2, so the limit is bounded; the exact zero is measure zero
     return np.where(lam2 > 0.0, val, 0.0)
 
 
-def _nonclassical_component(a, b, fields, ratio):
+def _nonclassical_component(a, b, fields, ratio, product_first=False):
     """Nonclassical integrand on arrays; `ratio` is tanh^2(lam beta / 2)."""
     lam4 = fields.lam**4
+    th_a, th_b = _theta_resp(fields, a), _theta_resp(fields, b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = ratio * _theta_resp(fields, a) * _theta_resp(fields, b) / lam4
+        if product_first:
+            val = ratio * (th_a * th_b) / lam4
+        else:
+            val = ratio * th_a * th_b / lam4
     return np.where(lam4 > 0.0, val, 0.0)
 
 
@@ -267,41 +283,84 @@ def _minus_sech_sq_ratio(tp: ThermoPoint, lam: np.ndarray) -> np.ndarray:
     return -(sech_half**2)
 
 
-def _integrand(points, pairs_c, pairs_nc, nc_kernel):
-    """The closed-form integrands of a batch of points sharing one coupling.
+def _components(fields, points, pairs_c, pairs_nc, nc_kernel, product_first=False):
+    """Every point's thermal kernels applied to one evaluation of the
+    spectral fields: leading axes (point, component), the classical pairs,
+    then the nonclassical pairs under ``nc_kernel(tp, lam)``.  A
+    zero-temperature point has zero classical components (frozen
+    eigenvalues); its nonclassical kernel is the kernel's T = 0 value."""
+    n_c = len(pairs_c)
+    out = np.empty((len(points), n_c + len(pairs_nc)) + np.shape(fields.lam))
+    for k, tp in enumerate(points):
+        if tp.zero_temperature:
+            out[k, :n_c] = 0.0
+        elif pairs_c:
+            weight = _inv_cosh_plus_one(tp.beta * fields.lam)
+            for i, (mu, nu) in enumerate(pairs_c):
+                out[k, i] = _classical_component(mu, nu, fields, tp.beta, weight, product_first)
+        if pairs_nc:
+            ratio = nc_kernel(tp, fields.lam)
+            for i, (a, b) in enumerate(pairs_nc, n_c):
+                out[k, i] = _nonclassical_component(a, b, fields, ratio, product_first)
+    return out
 
-    Returns ``f(px, py)`` with leading axes (point, component): the classical
-    pairs, then the nonclassical pairs under ``nc_kernel(tp, lam)``.  The
-    spectral fields are evaluated once per call and every point's thermal
-    kernels applied to them.  A zero-temperature point has zero classical
-    components (frozen eigenvalues); its nonclassical kernel is the
-    kernel's T = 0 value.
+
+def _reflected(pair):
+    """The component the reflection s: (p_x, p_y) -> (p_y, p_x) maps
+    ``pair`` to at jx == jy: the jx and jy indices trade places."""
+    swap = {ParameterIndex.JX: ParameterIndex.JY, ParameterIndex.JY: ParameterIndex.JX}
+    mu, nu = sorted(swap.get(i, i) for i in pair)
+    return (mu, nu)
+
+
+def _integrand(points, pairs_c, pairs_nc, nc_kernel):
+    """The zone integrand of a batch of points sharing one coupling.
+
+    Returns ``f(px, py)`` with leading axes (point, component): the
+    classical pairs, then the nonclassical pairs (see ``_components``).
+    The spectral fields are evaluated once per call.
+
+    On the cut jx == jy (bit for bit) the reflection s: (p_x, p_y) -> (p_y,
+    p_x) maps every field onto itself with the x and y responses exchanged,
+    so f(s p) is f(p) with the partner components exchanged: c bx/by, xx/yy
+    and xz/yz, nc xx/yy and xz/yz.  There ``f`` returns (f + P f) / 2, each
+    partner pair replaced by its mean (a partner that was not requested is
+    computed for it and dropped), and forms every response product first,
+    so that the xy components are the same bit for bit at p and s p too.
+    Every component is then invariant under s, which lets the quadrature
+    evaluate one node per orbit of {e, -1, s, -s}, and integrates to the
+    same value, because s preserves the zone and its grids.
     """
     couplings = points[0].couplings
-    n_c = len(pairs_c)
+    if couplings.jx != couplings.jy:
+        return lambda px, py: _components(
+            spectral_arrays(px, py, couplings), points, pairs_c, pairs_nc, nc_kernel
+        )
+    stack_c = pairs_c + [_reflected(q) for q in pairs_c if _reflected(q) not in pairs_c]
+    stack_nc = pairs_nc + [_reflected(q) for q in pairs_nc if _reflected(q) not in pairs_nc]
+    stack = [("c", q) for q in stack_c] + [("nc", q) for q in stack_nc]
+    partner = [stack.index((part, _reflected(q))) for part, q in stack]
+    requested = [stack.index(("c", q)) for q in pairs_c] + [
+        stack.index(("nc", q)) for q in pairs_nc
+    ]
 
     def f(px, py):
         fields = spectral_arrays(px, py, couplings)
-        out = np.empty((len(points), n_c + len(pairs_nc)) + np.shape(fields.lam))
-        for k, tp in enumerate(points):
-            if tp.zero_temperature:
-                out[k, :n_c] = 0.0
-            elif pairs_c:
-                weight = _inv_cosh_plus_one(tp.beta * fields.lam)
-                for i, (mu, nu) in enumerate(pairs_c):
-                    out[k, i] = _classical_component(mu, nu, fields, tp.beta, weight)
-            if pairs_nc:
-                ratio = nc_kernel(tp, fields.lam)
-                for i, (a, b) in enumerate(pairs_nc, n_c):
-                    out[k, i] = _nonclassical_component(a, b, fields, ratio)
-        return out
+        out = _components(fields, points, stack_c, stack_nc, nc_kernel, product_first=True)
+        for i, j in enumerate(partner):
+            if i < j:
+                np.add(out[:, i], out[:, j], out=out[:, i])
+                out[:, i] *= 0.5
+                out[:, j] = out[:, i]
+        return out if len(requested) == len(stack) else out[:, requested]
 
     return f
 
 
 def _integrand_at(p: Momentum, tp: ThermoPoint, element) -> float:
     pairs_c, pairs_nc = _select_pairs([element])
-    return float(_integrand([tp], pairs_c, pairs_nc, _tanh_sq_ratio)(p.px, p.py)[0, 0])
+    fields = spectral_arrays(p.px, p.py, tp.couplings)
+    return float(_components(fields, [tp], pairs_c, pairs_nc, _tanh_sq_ratio)[0, 0])
 
 
 def classical_integrand(
@@ -335,7 +394,7 @@ def _mode_bloch(px, py, lam_vec):
     x = beta * fields.lam
     e = np.exp(-0.5 * x)
     sech_half = 2.0 * e / (1.0 + e * e)
-    return np.tanh(0.5 * x), fields.theta, sech_half, x
+    return np.tanh(0.5 * x), mode_angle(fields), sech_half, x
 
 
 def _mode_matrix(r, theta) -> np.ndarray:
@@ -360,7 +419,7 @@ def mode_density_matrix(p: Momentum, tp: ThermoPoint) -> np.ndarray:
     px, py = np.asarray(p.px), np.asarray(p.py)
     if tp.zero_temperature:
         fields = spectral_arrays(px, py, tp.couplings)
-        return _mode_matrix(np.where(fields.lam > 0.0, 1.0, 0.0), fields.theta)
+        return _mode_matrix(np.where(fields.lam > 0.0, 1.0, 0.0), mode_angle(fields))
     return _mode_matrix(*_mode_bloch(px, py, (tp.beta, *tp.couplings.as_array()))[:2])
 
 
@@ -426,7 +485,8 @@ def tensor_finite(tp: ThermoPoint, L: int, *, elements=None) -> BuresTensor:
     1 / (8 L^2): the periodic trapezoid rule on the lattice's own grid,
     reduced in the same fixed row blocks as the zone quadrature's base grid,
     so memory grows with L, not L^2.  The integrands are even, so only the
-    rows n_x <= 0 are evaluated (see ``quadrature._grid_mean``).  At the
+    rows n_x <= 0 are evaluated, and on the cut jx = jy only a triangle of
+    them (see ``quadrature._grid_mean``).  At the
     zero-temperature flag the grid is checked against dispersion zeros (odd
     L avoids them in the gapless interior, but not on special commensurate
     couplings) and the classical part is exactly zero.
@@ -446,7 +506,7 @@ def tensor_finite(tp: ThermoPoint, L: int, *, elements=None) -> BuresTensor:
                 "the nonclassical sum is undefined there (choose a different L)"
             )
     # node k of the centred axis is minus node L - 1 - k
-    mean, _, _ = _grid_mean(_integrand([tp], pairs_c, pairs_nc, _tanh_sq_ratio), xs, L - 1)
+    mean = _grid_mean(_integrand([tp], pairs_c, pairs_nc, _tanh_sq_ratio), xs, L - 1)[0]
     # (1 / (8 L^2)) * sum = mean / 8
     values = list(mean[0] / 8.0)
     info = EvaluationInfo(

@@ -40,6 +40,7 @@ from kitaev_bures.spectrum import (
     Momentum,
     classify_phase,
     fermion_gap,
+    mode_angle,
     spectral_arrays,
 )
 from kitaev_bures.thermal_metric import (
@@ -455,8 +456,8 @@ def test_criterion_9_property_suite(rng):
             shift = {"jx": (h, 0, 0), "jy": (0, h, 0), "jz": (0, 0, h)}[axis]
             jp = Couplings(j.jx + shift[0], j.jy + shift[1], j.jz + shift[2])
             jm = Couplings(j.jx - shift[0], j.jy - shift[1], j.jz - shift[2])
-            theta_p = spectral_arrays(p.px, p.py, jp).theta
-            theta_m = spectral_arrays(p.px, p.py, jm).theta
+            theta_p = mode_angle(spectral_arrays(p.px, p.py, jp))
+            theta_m = mode_angle(spectral_arrays(p.px, p.py, jm))
             dtheta = float(np.angle(np.exp(1j * (theta_p - theta_m)))) / (2 * h)
             expected = sp.lam**2 * dtheta
             dev = abs(resp - expected) / max(abs(expected), 1e-8)

@@ -65,3 +65,19 @@ def test_benchmark_output_passes_its_gate(workloads, name):
     code, text = workloads.execute(op)
     assert code == 0, text
     assert workloads.check(op, text, REFERENCE[name]["output"]) == []
+
+
+@pytest.mark.parametrize("name", ["critical", "gapped"])
+def test_benchmark_output_passes_its_gate_under_the_tracer(workloads, name):
+    # the tracer calls integrate_bz(f, grid) and integrate_bz_refined(f,
+    # disks, r_min, grid, radius=...) through its own wrappers: a call
+    # shape they do not pass on breaks only traced runs, and fails here
+    tracing = _load("tracing")
+    [op] = [op for op in workloads.WORKLOADS["tensor-phases"].ops if op.name == name]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        code, text = workloads.execute(op)
+    assert code == 0, text
+    assert workloads.check(op, text, REFERENCE[name]["output"]) == []
+    quadrature_spans = {tracing.BASE} | ({tracing.REFINED} if name == "critical" else set())
+    assert quadrature_spans <= {span.name for span in tracer.spans}

@@ -119,7 +119,9 @@ def _peak_ladder(tol):
 
 def _fixed_pair(f, grid):
     # the disk pair (refine_levels, refine_levels + 1) on the masked base
-    # rule, assembled from the module's own pieces
+    # rule, assembled from the module's own pieces: f is invariant under s
+    # and the corner (0, 0) is fixed by it, so the disk is its quarter
+    # sector (sector 1) and the masked base grid is quartered too
     from kitaev_bures.quadrature import _bump, _corner_dist, _disk_integral
 
     radius, r_min = 0.3, 1e-5
@@ -128,8 +130,8 @@ def _fixed_pair(f, grid):
         grid,
     )
     level = grid.refine_levels
-    lo, n_lo = _disk_integral(f, (0.0, 0.0), radius, r_min, level, None, True)
-    hi, n_hi = _disk_integral(f, (0.0, 0.0), radius, r_min, level + 1, None, True)
+    lo, n_lo = _disk_integral(f, (0.0, 0.0), radius, r_min, level, None, True, 1)
+    hi, n_hi = _disk_integral(f, (0.0, 0.0), radius, r_min, level + 1, None, True, 1)
     return (
         base.value + 2.0 * hi,
         base.error_estimate + 2.0 * np.abs(hi - lo),
@@ -315,6 +317,118 @@ def _even_pair(px, py):
     )
 
 
+def _sym_pair(px, py):
+    # even, and invariant under p_x <-> p_y bit for bit: sums of two terms
+    # and products of two factors do not depend on their order
+    return np.stack(
+        [
+            np.exp((np.cos(px) + np.cos(py)) + 0.5 * (np.sin(px) * np.sin(py))),
+            1.0 / (1.2 - np.cos(px) * np.cos(py)),
+        ]
+    )
+
+
+def _half_rule(f):
+    # f beside an integral that is even but not invariant under p_x <-> p_y:
+    # the batch takes the half rule, and each integral keeps the value it
+    # would get alone on the same nodes
+    return lambda px, py: np.stack([f(px, py), _even_pair(px, py)])
+
+
+def _full_grid(f, n):
+    xs = -math.pi + (2.0 * math.pi / n) * np.arange(n)
+    vals = f(xs[:, None], xs[None, :])
+    return np.array([FOUR_PI_SQ * compensated_sum(v) / (n * n) for v in vals])
+
+
+@pytest.mark.parametrize("base_n", [17, 24, 200])
+def test_quarter_grid_equals_full_grid(base_n):
+    # an integrand invariant under p_x <-> p_y is integrated from one node
+    # per orbit of {e, -1, s, -s}; odd, non-power-of-two and multi-band
+    # grids give the full grid's value and error at about a quarter of it
+    grid = GridSpec(base_n=base_n, max_doublings=1, target_rel_tol=1e-13)
+    res = integrate_bz(_sym_pair, grid)
+    fine, coarse = _full_grid(_sym_pair, 2 * base_n), _full_grid(_sym_pair, base_n)
+    assert np.max(np.abs(res.value - fine)) <= 1e-14 * np.max(np.abs(fine))
+    assert np.max(np.abs(res.error_estimate - np.abs(fine - coarse))) <= 1e-14 * np.max(
+        np.abs(fine)
+    )
+    half = integrate_bz(_half_rule(_sym_pair), grid)
+    assert half.evaluations == (base_n + 1) * 2 * base_n
+    assert res.evaluations <= 0.55 * half.evaluations
+
+
+@pytest.mark.parametrize(
+    "disk, closed",
+    [
+        (((-math.pi, -math.pi), None, True), [(-math.pi, -math.pi)]),
+        (((0.0, 0.0), math.pi / 4, True), [(0.0, 0.0)]),
+        (((0.0, 0.0), 3 * math.pi / 4, True), [(0.0, 0.0)]),
+        (((0.7, -0.7), None, False), [(0.7, -0.7), (-0.7, 0.7)]),
+        (((0.7, -0.7), -math.pi / 4, False), [(0.7, -0.7), (-0.7, 0.7)]),
+        (((0.7, -0.7), math.pi / 4, False), [(0.7, -0.7), (-0.7, 0.7)]),
+    ],
+    ids=["corner-polar", "corner-needle-along", "corner-needle-across", "pair-polar",
+         "pair-needle-along", "pair-needle-across"],
+)
+def test_quarter_rule_matches_the_full_zone(disk, closed):
+    # a corner is fixed by s and -s and integrates a quarter of its disk;
+    # K = (a, -a) is fixed by -s and integrates half of its disk, the half
+    # of a needle grid across the mirror line (soft axis along it) or along
+    # it (soft axis across it); the grid evaluates a quarter of the zone
+    grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
+    res = integrate_bz_refined(_sym_pair, [disk], 5e-4, grid, radius=0.4)
+    ref = full_zone_reference(_sym_pair, closed, 5e-4, 0.4, grid, [disk[1]] * len(closed))
+    assert np.max(np.abs(res.value - ref)) <= 1e-14 * np.max(np.abs(ref))
+    half = integrate_bz_refined(_half_rule(_sym_pair), [disk], 5e-4, grid, radius=0.4)
+    assert res.evaluations <= 0.55 * half.evaluations
+
+
+def test_even_integrand_that_is_not_invariant_takes_the_half_rule():
+    # the half rule written out: of the n grid the rows k <= -k mod n, of
+    # the 2n grid the odd rows and the odd columns of the even rows, each
+    # row summed in full and weighted 2 (1 on its own mirror), every row
+    # sum in one math.fsum per integral
+    n = 24
+    res = integrate_bz(_even_pair, GridSpec(base_n=n, max_doublings=1, target_rel_tol=1e-13))
+
+    def row_sums(m, rows, cols):
+        xs = -math.pi + (2.0 * math.pi / m) * np.arange(m)
+        weights = np.where(rows == (-rows) % m, 1.0, 2.0)
+        return _even_pair(xs[rows][:, None], xs[cols][None, :]).sum(axis=-1) * weights
+
+    k, k2 = np.arange(n), np.arange(2 * n)
+    rows, rows2 = k[k <= (-k) % n], k2[k2 <= (-k2) % (2 * n)]
+    odd = rows2 % 2 == 1
+    coarse = np.array([math.fsum(r) for r in row_sums(n, rows, k)]) / float(n * n)
+    new = np.concatenate(
+        [row_sums(2 * n, rows2[odd], k2), row_sums(2 * n, rows2[~odd], k2[1::2])], axis=-1
+    )
+    fine = np.array(
+        [math.fsum([float(n * n) * c] + r.tolist()) for c, r in zip(coarse, new)]
+    ) / float(4 * n * n)
+    assert np.array_equal(res.value, FOUR_PI_SQ * fine)
+    assert np.array_equal(res.error_estimate, FOUR_PI_SQ * np.abs(fine - coarse))
+    assert res.evaluations == rows.size * n + odd.sum() * 2 * n + (~odd).sum() * n
+
+
+@pytest.mark.parametrize(
+    "disk",
+    [((0.3, -1.1), None, False), ((0.3, -1.1), 0.4, False), ((-math.pi, 0.0), None, True)],
+    ids=["pair-polar", "pair-needle", "corner"],
+)
+def test_invariant_integrand_with_an_unfixed_disk_takes_the_half_rule(disk):
+    # neither s nor -s fixes (0.3, -1.1) or the corner (-pi, 0), so the
+    # disks are not closed under s: the invariant integrand gets, bit for
+    # bit, what it gets beside an integral that is not invariant
+    grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
+    alone = integrate_bz_refined(_sym_pair, [disk], 5e-4, grid, radius=0.4)
+    half = integrate_bz_refined(_half_rule(_sym_pair), [disk], 5e-4, grid, radius=0.4)
+    assert np.array_equal(alone.value, half.value[0])
+    assert np.array_equal(alone.error_estimate, half.error_estimate[0])
+    assert alone.evaluations == half.evaluations
+
+
 def test_odd_integrand_violates_the_contract():
     # the rules evaluate half the zone, so an odd part would be folded away
     # silently; the probe node catches it on every rule
@@ -394,14 +508,24 @@ def test_refined_refuses_a_geometry_it_cannot_integrate(disks, radius, match):
 
 
 def test_ring_angular_counts_are_even():
-    # every polar patch holds the rings of one angular count: the count is
-    # even, and a half disk keeps exactly half of every ring's angles
+    # every polar patch holds the rings of one angular count nphi, a
+    # multiple of 4: a half disk keeps exactly half of every ring's angles,
+    # and the reflections s and -s map the angle 2 pi k / nphi onto the ring
+    # angles +-nphi / 4 - k, so the sectors they leave are made of ring
+    # angles (a quarter of the disk at a corner, a half at K)
     from kitaev_bures.quadrature import _polar_disk
 
     for level in (1, 2, 4):
         for r_min in (1e-6, 1e-3):
             full = _polar_disk(_even_pair, (0.0, 0.0), 0.3, r_min, level, False)
             half = _polar_disk(_even_pair, (0.0, 0.0), 0.3, r_min, level, True)
-            assert sum(rows.size for _, rows, _, _ in full) == 2 * 24 * 2**level + 8
-            for (_, _, _, ring), (_, _, _, half_ring) in zip(full, half):
-                assert ring.size % 2 == 0 and 2 * half_ring.size == ring.size
+            assert sum(p[1].size for p in full) == 2 * 24 * 2**level + 8
+            for (_, _, _, ring, _), (_, _, _, half_ring, _) in zip(full, half):
+                assert ring.size % 4 == 0 and 2 * half_ring.size == ring.size
+            for own_mirror, sector, part in ((True, 1, 4), (False, -1, 2)):
+                folded = _polar_disk(_even_pair, (0.0, 0.0), 0.3, r_min, level, own_mirror, sector)
+                for (_, _, w, ring, _), (_, _, w_fold, kept, halved) in zip(full, folded):
+                    # the kept angles, counted with their weights, are the
+                    # disk's part: two on the mirror lines count half
+                    assert kept.size - 0.5 * halved.size == ring.size / part
+                    assert halved.size == 2 and np.array_equal(w_fold, 2.0 * w)

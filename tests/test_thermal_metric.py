@@ -13,6 +13,7 @@ from kitaev_bures.spectrum import (
     classify_phase,
     dirac_points,
     fermion_gap,
+    mode_angle,
     spectral_arrays,
     wrap_angle,
 )
@@ -155,9 +156,10 @@ def test_mode_state_bloch_vector_convention(rng):
     sp = spectral_arrays(p.px, p.py, j)
     rho = mode_density_matrix(p, tp)
     r = math.tanh(0.5 * 1.7 * sp.lam)
+    theta = mode_angle(sp)
     sx = np.array([[0, 1], [1, 0]])
     sy = np.array([[0, -1j], [1j, 0]])
-    expected = 0.5 * (np.eye(2) + r * (math.sin(sp.theta) * sx + math.cos(sp.theta) * sy))
+    expected = 0.5 * (np.eye(2) + r * (math.sin(theta) * sx + math.cos(theta) * sy))
     assert np.allclose(rho, expected, atol=1e-14)
 
 
@@ -422,6 +424,69 @@ def test_nonclassical_correction_matches_measurable_subtraction():
     )
     assert corr < 0.0  # finite temperature reduces this element
     assert corr == pytest.approx(g_t - g_0, rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# the quarter zone on the cut jx = jy
+
+# every quadrature workload of the benchmark lies on the cut: the four
+# tensor-phases couplings (all 16 elements), the two scaling-sweep couplings
+# (nc:jz-jz over 6 temperatures) and a ratio-map column (c and nc jz-jz over
+# 8 temperatures, tolerance 1e-4)
+ALL_ELEMENTS = None
+JZ_NC = [("nc", P.JZ, P.JZ)]
+JZ_BOTH = [("c", P.JZ, P.JZ), ("nc", P.JZ, P.JZ)]
+CUT_RUNS = {
+    "gapped": ((0.1, 0.8), [0.5], ALL_ELEMENTS, 1e-6),
+    "gapless": ((1 / 3, 1 / 3), [0.01], ALL_ELEMENTS, 1e-6),
+    "critical": ((0.25, 0.5), [0.01], ALL_ELEMENTS, 1e-6),
+    "near-critical": ((0.255, 0.49), [0.002], ALL_ELEMENTS, 1e-6),
+    "gapless-log": ((0.3333, 0.3334), np.geomspace(1e-3, 1e-2, 6), JZ_NC, 1e-6),
+    "critical-power": ((0.25, 0.5), np.geomspace(1e-4, 1e-2, 6), JZ_NC, 1e-6),
+    "ratio-map-column": ((0.2, 0.6), np.geomspace(0.002, 0.05, 8), JZ_BOTH, 1e-4),
+}
+
+
+@pytest.mark.parametrize("name", list(CUT_RUNS))
+def test_quarter_zone_matches_the_half_zone_at_half_the_cost(name):
+    # jy one ulp above jx breaks the reflection p_x <-> p_y bit for bit, so
+    # the perturbed coupling takes the half rule: the quarter rule must give
+    # the same tensors to rounding, from at most 0.55 of the evaluations
+    (j, jz), temps, els, tol = CUT_RUNS[name]
+    grid = GridSpec(target_rel_tol=tol)
+    runs = []
+    for jy in (j, float(np.nextafter(j, 1.0))):
+        points = [ThermoPoint.from_temperature(Couplings(j, jy, jz), t) for t in temps]
+        runs.append(tensors_thermodynamic(points, grid, elements=els))
+    quarter, half = runs
+    for q, h in zip(quarter, half):
+        scale = max(float(np.max(np.abs(h.classical))), float(np.max(np.abs(h.nonclassical))))
+        for part in ("classical", "nonclassical"):
+            assert float(np.max(np.abs(getattr(q, part) - getattr(h, part)))) <= 1e-12 * scale
+    evaluations = [run[0].evaluation.details["evaluations"] for run in runs]
+    assert evaluations[0] <= 0.55 * evaluations[1]
+
+
+def test_cut_integrand_is_the_mean_of_the_reflected_components():
+    # at jx = jy the zone integrand of a partner pair is the mean of the
+    # pair, computed even when only one was asked for, and every component
+    # is invariant under p_x <-> p_y bit for bit; the pointwise integrands
+    # stay the unsymmetrised closed forms
+    from kitaev_bures.thermal_metric import _integrand, _tanh_sq_ratio
+
+    tp = ThermoPoint.from_temperature(Couplings(0.3, 0.3, 0.4), 0.2)
+    px, py = np.array([0.4, -2.1, 1.3]), np.array([1.7, 0.9, -0.2])
+    full = _integrand([tp], list(CLASSICAL_PAIRS), list(NONCLASSICAL_PAIRS), _tanh_sq_ratio)
+    assert np.array_equal(full(px, py), full(py, px))
+    one = _integrand([tp], [(P.BETA, P.JX)], [(P.JX, P.JZ)], _tanh_sq_ratio)(px, py)[0]
+    for value, part, pair, partner in ((one[0], "c", (P.BETA, P.JX), (P.BETA, P.JY)),
+                                       (one[1], "nc", (P.JX, P.JZ), (P.JY, P.JZ))):
+        integrand = classical_integrand if part == "c" else nonclassical_integrand
+        for k in range(px.size):
+            p = Momentum(px[k], py[k])
+            mean = 0.5 * (integrand(*pair, p, tp) + integrand(*partner, p, tp))
+            assert value[k] == pytest.approx(mean, rel=1e-13, abs=1e-300)
+            assert integrand(*pair, p, tp) != pytest.approx(mean, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
