@@ -70,16 +70,15 @@ which it converged, so it gets exactly the value, error and flag it would
 get if it were integrated alone on the same nodes.
 
 Memory and determinism: every node set is a list of row patches ``(g,
-rows, row_weights, cols, halved)``, the nodes ``rows x cols`` on which
-``g(rows[:, None], cols[None, :])`` gives the integrand (the columns at the
-positions ``halved`` count half).  A zone grid level is a few patches of
-grid rows times grid columns (and, for the quarter rule, one of listed
-nodes), a polar disk one patch of rings times angles per ring angular
-count, a needle disk one patch of lines times nodes.  One reduction,
-``_row_sums``, evaluates whole rows in blocks of at most ``_BLOCK_VALUES``
-values (at least one row; the values per node are read off the
-integrand's output at the probe nodes), so memory grows neither with the
-node set nor with the stack of integrals.  Every weighted row sum
+rows, row_weights, cols)``, the nodes ``rows x cols`` on which
+``g(rows[:, None], cols[None, :])`` gives the integrand.  A zone grid level
+is a few patches of grid rows times grid columns (and, for the quarter
+rule, one of listed nodes), a polar disk one patch of rings times angles
+per ring angular count, a needle disk one patch of lines times nodes.  One
+reduction, ``_row_sums``, evaluates whole rows in blocks of at most
+``_BLOCK_VALUES`` values (at least one row; the values per node are read
+off the integrand's output at the probe nodes), so memory grows neither
+with the node set nor with the stack of integrals.  Every weighted row sum
 enters one exactly rounded math.fsum per integral, so a value depends
 neither on the block size, nor on the integrals stacked beside it, nor on
 how many workers evaluate integrals.
@@ -117,8 +116,6 @@ _BLOCK_VALUES = 2 * 128 * 2048
 # squared in listed nodes, and each band one more call of the integrand
 _BAND_ROWS = 64
 _LIST_COLS = 256
-# the empty set of halved columns (see _row_sums)
-_NONE = np.empty(0, dtype=int)
 # ring angles per ring: rings shrink their angular spacing as the radius
 # decreases (narrow angular features near quadratic-dispersion directions
 # need it) from the base count up to the cap
@@ -283,8 +280,7 @@ def _mirror_fold(n: int, first_mirror: int):
 
 
 def _row_sums(patches, m: int):
-    """Weighted sum of every row of every patch ``(g, rows, weights, cols,
-    halved)``, where the columns at the positions ``halved`` count half.
+    """Weighted sum of every row of every patch ``(g, rows, weights, cols)``.
 
     Rows are evaluated in blocks of whole rows holding at most
     ``_BLOCK_VALUES`` values (``m`` values per node), so the integrand's
@@ -294,16 +290,13 @@ def _row_sums(patches, m: int):
     leading axes and one row axis) for ``_fsum`` to combine, the nodes
     evaluated and, per independent integral, the largest |g| seen."""
     sums, nodes, fmax = [], 0, 0.0
-    for g, rows, weights, cols, halved in patches:
+    for g, rows, weights, cols in patches:
         rows_per_block = max(1, _BLOCK_VALUES // (cols.size * m))
         for i in range(0, rows.size, rows_per_block):
             block = rows[i : i + rows_per_block]
             vals = _eval_on_block(g, block[:, None], cols[None, :], (block.size, cols.size))
             fmax = np.maximum(fmax, _per_integral_max(vals, _batch_ndim(vals.ndim - 2)))
-            row = vals.sum(axis=-1)
-            if halved.size:
-                row = row - 0.5 * vals[..., halved].sum(axis=-1)
-            sums.append(row * weights[i : i + block.size])
+            sums.append(vals.sum(axis=-1) * weights[i : i + block.size])
         nodes += rows.size * cols.size
     return sums, nodes, fmax
 
@@ -391,7 +384,7 @@ def _zone_patches(f, xs: np.ndarray, first_mirror: int, invariant: bool, nested=
             parts = [(np.ones(band.size, dtype=bool), window)]
         for on, part in parts:
             if on.any() and part.size:
-                patches.append((g, band[on], weights[on], part, _NONE))
+                patches.append((g, band[on], weights[on], part))
     if listed:
         kx, ky = (np.concatenate(k) for k in zip(*listed))
         if nested:
@@ -410,7 +403,7 @@ def _zone_patches(f, xs: np.ndarray, first_mirror: int, invariant: bool, nested=
             return f(xs[kx[at]], xs[ky[at]]) * weight[at]
 
         starts = np.arange(0, kx.size, length)
-        patches.append((listed_g, starts, np.full(starts.size, 4.0), np.arange(length), _NONE))
+        patches.append((listed_g, starts, np.full(starts.size, 4.0), np.arange(length)))
     return patches
 
 
@@ -473,6 +466,11 @@ def integrate_bz(f: Callable, grid: GridSpec) -> IntegrationResult:
     component; the doubling continues while any integral is open.  Failure
     to meet the tolerance is reported through ``converged=False``, never
     silently.
+
+    An ``f`` marked ``_even_only`` (``integrate_bz_refined``'s masked
+    integrand over disks not closed under s) takes the half rule even where
+    its probe nodes look invariant, so a wrapper of this function must pass
+    such an ``f`` on unwrapped or keep its mark.
     """
     n = grid.base_n
     prev, evaluations, fmax, invariant = _grid_mean(f, _zone_axis(n), 0)
@@ -576,14 +574,17 @@ def _polar_disk(f, center, radius: float, r_min: float, level: int, own_mirror: 
     on the core r < r_min.  Conical zeros have O(1) angular structure at
     every radius; ring angular counts grow mildly toward the centre, which
     guards against moderate cone anisotropy.  The rings with one angular
-    count nphi form one patch per angular weight, whose ring weights carry
-    the uniform angular weight 2 pi / nphi.  An ``own_mirror`` disk keeps
-    the first half of every ring's angles k (angle 2 pi k / nphi), which
-    with weight 2 is the whole disk when the integrand is even about the
-    centre.  A ``sector`` of 1 (-1) folds the kept angles by the reflection
-    s (-s) that fixes the centre, which maps k onto sector * nphi / 4 - k
-    (``_mirror_fold``): every count is a multiple of 64, so the reflection
-    maps ring angles onto ring angles.
+    count nphi form one patch, whose ring weights carry the largest angular
+    weight times the uniform angular weight 2 pi / nphi; the patch
+    integrand scales each angle by its own weight relative to the largest,
+    as the needle disk applies its column weights.  An ``own_mirror`` disk
+    keeps the first half of every ring's angles k (angle 2 pi k / nphi),
+    which with weight 2 is the whole disk when the integrand is even about
+    the centre.  A ``sector`` of 1 (-1) folds the kept angles by the
+    reflection s (-s) that fixes the centre, which maps k onto sector *
+    nphi / 4 - k (``_mirror_fold``): every count is a multiple of 64, so the
+    reflection maps ring angles onto ring angles, and the two angles on its
+    mirror line count half of the others.
     """
     cx, cy = center
     order = 24 * (2 ** max(0, level))
@@ -604,9 +605,6 @@ def _polar_disk(f, center, radius: float, r_min: float, level: int, own_mirror: 
     # multiples of 64, because _ANGULAR_BASE and _ANGULAR_CAP are
     counts = np.minimum(_ANGULAR_CAP, _ANGULAR_BASE * boost * grow).astype(int)
 
-    def rings(rr, phi):
-        return f(wrap_angle(cx + rr * np.cos(phi)), wrap_angle(cy + rr * np.sin(phi)))
-
     patches = []
     for nphi in np.unique(counts):
         on = counts == nphi
@@ -615,11 +613,13 @@ def _polar_disk(f, center, radius: float, r_min: float, level: int, own_mirror: 
             k, wk = _mirror_fold(period, sector * nphi // 4 % period)
         else:
             k, wk = np.arange(period), np.ones(period)
-        phi = (2.0 * math.pi / nphi) * k
         top = wk.max()
-        patches.append(
-            (rings, r[on], w[on] * (top * 2.0 * math.pi / nphi), phi, np.flatnonzero(wk < top))
-        )
+
+        def rings(rr, phi, scale=wk / top):
+            return f(wrap_angle(cx + rr * np.cos(phi)), wrap_angle(cy + rr * np.sin(phi))) * scale
+
+        phi = (2.0 * math.pi / nphi) * k
+        patches.append((rings, r[on], w[on] * (top * 2.0 * math.pi / nphi), phi))
     return patches
 
 
@@ -666,7 +666,7 @@ def _needle_disk(f, center, axis: float, radius: float, r_min: float, level: int
         py = wrap_angle(cy + uu * su + vv * cu)
         return f(px, py) * (wcols * _bump(np.hypot(uu, vv), radius))
 
-    return [(lines, u, wu, cols, _NONE)]
+    return [(lines, u, wu, cols)]
 
 
 def _disk_integral(f, center, radius, r_min, level, axis=None, own_mirror=False, sector=0):

@@ -233,11 +233,10 @@ def _theta_resp(fields: SpectralArrays, idx: ParameterIndex) -> np.ndarray:
     raise ValueError(f"{idx} is not a coupling index")
 
 
-def _classical_component(mu, nu, fields, beta, weight, product_first=False):
+def _classical_component(mu, nu, fields, beta, weight):
     """Classical integrand on arrays; `weight` is 1/(cosh(lam beta)+1).
-    ``product_first`` forms the product of the two responses before the
-    prefactor, which keeps a pair's value the same bit for bit when the
-    responses trade places."""
+    The product of the two responses is formed first, so a pair's value is
+    the same bit for bit when the responses trade places."""
     if mu is ParameterIndex.BETA and nu is ParameterIndex.BETA:
         return weight * fields.lam**2
     if mu is ParameterIndex.BETA or nu is ParameterIndex.BETA:
@@ -246,24 +245,19 @@ def _classical_component(mu, nu, fields, beta, weight, product_first=False):
     lam2 = fields.lam**2
     om_mu, om_nu = _omega(fields, mu), _omega(fields, nu)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if product_first:
-            val = (beta * beta) * weight * (om_mu * om_nu) / lam2
-        else:
-            val = (beta * beta) * weight * om_mu * om_nu / lam2
+        val = (beta * beta) * weight * (om_mu * om_nu) / lam2
     # at a dispersion zero the omega numerators vanish at least as fast as
     # lam^2, so the limit is bounded; the exact zero is measure zero
     return np.where(lam2 > 0.0, val, 0.0)
 
 
-def _nonclassical_component(a, b, fields, ratio, product_first=False):
-    """Nonclassical integrand on arrays; `ratio` is tanh^2(lam beta / 2)."""
+def _nonclassical_component(a, b, fields, ratio):
+    """Nonclassical integrand on arrays; `ratio` is tanh^2(lam beta / 2),
+    and the product of the two responses is formed first."""
     lam4 = fields.lam**4
     th_a, th_b = _theta_resp(fields, a), _theta_resp(fields, b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if product_first:
-            val = ratio * (th_a * th_b) / lam4
-        else:
-            val = ratio * th_a * th_b / lam4
+        val = ratio * (th_a * th_b) / lam4
     return np.where(lam4 > 0.0, val, 0.0)
 
 
@@ -283,7 +277,7 @@ def _minus_sech_sq_ratio(tp: ThermoPoint, lam: np.ndarray) -> np.ndarray:
     return -(sech_half**2)
 
 
-def _components(fields, points, pairs_c, pairs_nc, nc_kernel, product_first=False):
+def _components(fields, points, pairs_c, pairs_nc, nc_kernel):
     """Every point's thermal kernels applied to one evaluation of the
     spectral fields: leading axes (point, component), the classical pairs,
     then the nonclassical pairs under ``nc_kernel(tp, lam)``.  A
@@ -297,11 +291,11 @@ def _components(fields, points, pairs_c, pairs_nc, nc_kernel, product_first=Fals
         elif pairs_c:
             weight = _inv_cosh_plus_one(tp.beta * fields.lam)
             for i, (mu, nu) in enumerate(pairs_c):
-                out[k, i] = _classical_component(mu, nu, fields, tp.beta, weight, product_first)
+                out[k, i] = _classical_component(mu, nu, fields, tp.beta, weight)
         if pairs_nc:
             ratio = nc_kernel(tp, fields.lam)
             for i, (a, b) in enumerate(pairs_nc, n_c):
-                out[k, i] = _nonclassical_component(a, b, fields, ratio, product_first)
+                out[k, i] = _nonclassical_component(a, b, fields, ratio)
     return out
 
 
@@ -325,8 +319,8 @@ def _integrand(points, pairs_c, pairs_nc, nc_kernel):
     so f(s p) is f(p) with the partner components exchanged: c bx/by, xx/yy
     and xz/yz, nc xx/yy and xz/yz.  There ``f`` returns (f + P f) / 2, each
     partner pair replaced by its mean (a partner that was not requested is
-    computed for it and dropped), and forms every response product first,
-    so that the xy components are the same bit for bit at p and s p too.
+    computed for it and dropped); the xy components are the same bit for
+    bit at p and s p, because every response product is formed first.
     Every component is then invariant under s, which lets the quadrature
     evaluate one node per orbit of {e, -1, s, -s}, and integrates to the
     same value, because s preserves the zone and its grids.
@@ -346,7 +340,7 @@ def _integrand(points, pairs_c, pairs_nc, nc_kernel):
 
     def f(px, py):
         fields = spectral_arrays(px, py, couplings)
-        out = _components(fields, points, stack_c, stack_nc, nc_kernel, product_first=True)
+        out = _components(fields, points, stack_c, stack_nc, nc_kernel)
         for i, j in enumerate(partner):
             if i < j:
                 np.add(out[:, i], out[:, j], out=out[:, i])

@@ -1,6 +1,25 @@
 """Shared test utilities."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """``perfbench/<name>.py`` as a module of its own."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up while the class is made
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def entrywise_close(actual, expected, rtol, scale_frac=1e-3):

@@ -9,30 +9,14 @@ test suite too.  Likewise every benchmark operation runs here through
 check against ``perfbench/reference.json``.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
+from helpers import PERFBENCH, load_perfbench as _load
 from kitaev_bures import bures, cli, quadrature, scaling, thermal_metric
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text(encoding="utf-8"))["ops"]
-
-
-def _load(name):
-    """``perfbench/<name>.py`` as a module of its own."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    # a dataclass looks its module up while the class is made
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
 
 
 def test_tracer_installs_and_restores_every_name():
