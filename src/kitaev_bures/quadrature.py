@@ -258,11 +258,14 @@ def _batch_ndim(lead_ndim: int) -> int:
 
 
 def _per_integral_max(x: np.ndarray, nb: int) -> np.ndarray:
-    """Largest |x| over every axis after the first ``nb`` (one per integral)."""
-    x = np.abs(np.asarray(x, dtype=float))
+    """Largest |x| over every axis after the first ``nb`` (one per integral),
+    as max(max x, -min x) without an |x| copy (NaN propagates; adding 0.0
+    turns a -0.0 into 0.0)."""
+    x = np.asarray(x, dtype=float)
     if x.ndim == nb:
-        return x
-    return x.reshape(x.shape[:nb] + (-1,)).max(axis=-1)
+        return np.abs(x)
+    x = x.reshape(x.shape[:nb] + (-1,))
+    return np.maximum(x.max(axis=-1), -x.min(axis=-1)) + 0.0
 
 
 def _mirror_fold(n: int, first_mirror: int):
@@ -279,7 +282,7 @@ def _mirror_fold(n: int, first_mirror: int):
     return k[kept], np.where(k == mirror, 1.0, 2.0)[kept]
 
 
-def _row_sums(patches, m: int):
+def _row_sums(patches, m: int, track_max: bool = True):
     """Weighted sum of every row of every patch ``(g, rows, weights, cols)``.
 
     Rows are evaluated in blocks of whole rows holding at most
@@ -288,14 +291,16 @@ def _row_sums(patches, m: int):
     is reduced before its weight is applied, so no weighted copy of a block
     is made.  Returns the weighted row sums (arrays with the integrand's
     leading axes and one row axis) for ``_fsum`` to combine, the nodes
-    evaluated and, per independent integral, the largest |g| seen."""
+    evaluated and, per independent integral, the largest |g| seen (0.0
+    unless ``track_max``)."""
     sums, nodes, fmax = [], 0, 0.0
     for g, rows, weights, cols in patches:
         rows_per_block = max(1, _BLOCK_VALUES // (cols.size * m))
         for i in range(0, rows.size, rows_per_block):
             block = rows[i : i + rows_per_block]
             vals = _eval_on_block(g, block[:, None], cols[None, :], (block.size, cols.size))
-            fmax = np.maximum(fmax, _per_integral_max(vals, _batch_ndim(vals.ndim - 2)))
+            if track_max:
+                fmax = np.maximum(fmax, _per_integral_max(vals, _batch_ndim(vals.ndim - 2)))
             sums.append(vals.sum(axis=-1) * weights[i : i + block.size])
         nodes += rows.size * cols.size
     return sums, nodes, fmax
@@ -679,7 +684,7 @@ def _disk_integral(f, center, radius, r_min, level, axis=None, own_mirror=False,
         patches = _polar_disk(f, center, radius, r_min, level, own_mirror, sector)
     else:
         patches = _needle_disk(f, center, axis, radius, r_min, level, own_mirror, sector)
-    sums, nodes, _ = _row_sums(patches, _probe(f)[0])
+    sums, nodes, _ = _row_sums(patches, _probe(f)[0], track_max=False)
     return _fsum(sums), nodes
 
 

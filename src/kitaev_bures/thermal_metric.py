@@ -207,58 +207,13 @@ class BuresTensor:
 # integrands
 
 
-def _inv_cosh_plus_one(x: np.ndarray) -> np.ndarray:
-    """1 / (cosh x + 1) for x >= 0 without forming cosh(x)."""
-    e = np.exp(-np.asarray(x, dtype=float))
-    return 2.0 * e / (1.0 + e) ** 2
-
-
-def _omega(fields: SpectralArrays, idx: ParameterIndex) -> np.ndarray:
-    if idx is ParameterIndex.JX:
-        return fields.omega_x
-    if idx is ParameterIndex.JY:
-        return fields.omega_y
-    if idx is ParameterIndex.JZ:
-        return fields.omega_z
-    raise ValueError(f"{idx} is not a coupling index")
-
-
-def _theta_resp(fields: SpectralArrays, idx: ParameterIndex) -> np.ndarray:
-    if idx is ParameterIndex.JX:
-        return fields.theta_x
-    if idx is ParameterIndex.JY:
-        return fields.theta_y
-    if idx is ParameterIndex.JZ:
-        return fields.theta_z
-    raise ValueError(f"{idx} is not a coupling index")
-
-
-def _classical_component(mu, nu, fields, beta, weight):
-    """Classical integrand on arrays; `weight` is 1/(cosh(lam beta)+1).
-    The product of the two responses is formed first, so a pair's value is
-    the same bit for bit when the responses trade places."""
-    if mu is ParameterIndex.BETA and nu is ParameterIndex.BETA:
-        return weight * fields.lam**2
-    if mu is ParameterIndex.BETA or nu is ParameterIndex.BETA:
-        other = nu if mu is ParameterIndex.BETA else mu
-        return beta * weight * _omega(fields, other)
-    lam2 = fields.lam**2
-    om_mu, om_nu = _omega(fields, mu), _omega(fields, nu)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = (beta * beta) * weight * (om_mu * om_nu) / lam2
-    # at a dispersion zero the omega numerators vanish at least as fast as
-    # lam^2, so the limit is bounded; the exact zero is measure zero
-    return np.where(lam2 > 0.0, val, 0.0)
-
-
-def _nonclassical_component(a, b, fields, ratio):
-    """Nonclassical integrand on arrays; `ratio` is tanh^2(lam beta / 2),
-    and the product of the two responses is formed first."""
-    lam4 = fields.lam**4
-    th_a, th_b = _theta_resp(fields, a), _theta_resp(fields, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = ratio * (th_a * th_b) / lam4
-    return np.where(lam4 > 0.0, val, 0.0)
+def _inv_cosh_plus_one(beta: float, lam: np.ndarray) -> np.ndarray:
+    """1 / (cosh x + 1) at x = beta lam >= 0 without forming cosh(x)."""
+    e = np.exp(-beta * lam)
+    d = 1.0 + e
+    e *= 2.0
+    e /= d * d
+    return e
 
 
 def _tanh_sq_ratio(tp: ThermoPoint, lam: np.ndarray) -> np.ndarray:
@@ -277,25 +232,70 @@ def _minus_sech_sq_ratio(tp: ThermoPoint, lam: np.ndarray) -> np.ndarray:
     return -(sech_half**2)
 
 
+# 1/lam^2 is taken only where lam^2 exceeds this floor, which keeps its
+# square finite; a subnormal lam^2 would overflow it (and inf * 0 is NaN)
+_LAM2_FLOOR = 1.0 / math.sqrt(np.finfo(float).max)
+
+
 def _components(fields, points, pairs_c, pairs_nc, nc_kernel):
     """Every point's thermal kernels applied to one evaluation of the
     spectral fields: leading axes (point, component), the classical pairs,
     then the nonclassical pairs under ``nc_kernel(tp, lam)``.  A
     zero-temperature point has zero classical components (frozen
-    eigenvalues); its nonclassical kernel is the kernel's T = 0 value."""
-    n_c = len(pairs_c)
-    out = np.empty((len(points), n_c + len(pairs_nc)) + np.shape(fields.lam))
-    for k, tp in enumerate(points):
+    eigenvalues); its nonclassical kernel is the kernel's T = 0 value.
+
+    Each component is one prefactor times one response product.  The
+    products (lam^2, omega_a, omega_mu omega_nu, theta_a theta_b) do not
+    depend on temperature and are formed once, first, in the first point's
+    slots, so a pair's value is the same bit for bit when its responses
+    trade places.  Each point forms one prefactor per kind: w =
+    1/(cosh(lam beta)+1), beta w, beta^2 w / lam^2 and nc_kernel / lam^4,
+    from one reciprocal of lam^2 per node.  That reciprocal is 0 where
+    lam^2 <= ``_LAM2_FLOOR``, the exact dispersion zero included (measure
+    zero; the numerators vanish at least as fast as lam^2 there)."""
+    beta_idx, lam, n_c = ParameterIndex.BETA, fields.lam, len(pairs_c)
+    coupling = (ParameterIndex.JX, ParameterIndex.JY, ParameterIndex.JZ)
+    omega = dict(zip(coupling, (fields.omega_x, fields.omega_y, fields.omega_z)))
+    theta = dict(zip(coupling, (fields.theta_x, fields.theta_y, fields.theta_z)))
+    out = np.empty((len(points), n_c + len(pairs_nc)) + np.shape(lam))
+    lam2 = lam * lam
+    inv2 = np.divide(1.0, lam2, out=np.zeros_like(lam2), where=lam2 > _LAM2_FLOOR)
+    terms = []
+    for i, (mu, nu) in enumerate(pairs_c):
+        if mu is beta_idx and nu is beta_idx:
+            terms.append(("w", lam2))
+        elif beta_idx in (mu, nu):
+            terms.append(("bw", omega[nu if mu is beta_idx else mu]))
+        else:
+            terms.append(("bbw", np.multiply(omega[mu], omega[nu], out=out[0, i, ...])))
+    for i, (a, b) in enumerate(pairs_nc, n_c):
+        terms.append(("nc", np.multiply(theta[a], theta[b], out=out[0, i, ...])))
+    kinds = {kind for kind, _ in terms}
+    del lam2
+    if pairs_nc:
+        # in place unless the beta^2 w / lam^2 prefactor still needs 1/lam^2
+        inv4 = inv2 * inv2 if "bbw" in kinds else np.square(inv2, out=inv2)
+    # the last point first: the first point's slots hold the products
+    for k in reversed(range(len(points))):
+        tp, factor = points[k], {}
+        if n_c and not tp.zero_temperature:
+            factor["w"] = w = _inv_cosh_plus_one(tp.beta, lam)
+            if "bw" in kinds:
+                factor["bw"] = tp.beta * w
+            if "bbw" in kinds:
+                # scaled in place unless the beta-beta component needs w
+                bbw = w.copy() if "w" in kinds else w
+                bbw *= tp.beta * tp.beta
+                bbw *= inv2
+                factor["bbw"] = bbw
+        if pairs_nc:
+            factor["nc"] = nc_kernel(tp, lam)
+            factor["nc"] *= inv4
+        for i, (kind, product) in enumerate(terms):
+            if kind in factor:
+                np.multiply(factor[kind], product, out=out[k, i, ...])
         if tp.zero_temperature:
             out[k, :n_c] = 0.0
-        elif pairs_c:
-            weight = _inv_cosh_plus_one(tp.beta * fields.lam)
-            for i, (mu, nu) in enumerate(pairs_c):
-                out[k, i] = _classical_component(mu, nu, fields, tp.beta, weight)
-        if pairs_nc:
-            ratio = nc_kernel(tp, fields.lam)
-            for i, (a, b) in enumerate(pairs_nc, n_c):
-                out[k, i] = _nonclassical_component(a, b, fields, ratio)
     return out
 
 

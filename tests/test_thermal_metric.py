@@ -489,6 +489,119 @@ def test_cut_integrand_is_the_mean_of_the_reflected_components():
             assert integrand(*pair, p, tp) != pytest.approx(mean, rel=1e-6)
 
 
+def _reflected_pair(pair):
+    swap = {P.JX: P.JY, P.JY: P.JX}
+    return tuple(sorted(swap.get(i, i) for i in pair))
+
+
+def _reference_components(tp, px, py, kernel):
+    """Every component of CLASSICAL_PAIRS, then NONCLASSICAL_PAIRS, straight
+    from the module docstring's formulas, (1 / (cosh x + 1)) K_mu K_nu with
+    K_beta = lam and K_J = beta omega / lam, and ratio theta_a theta_b /
+    lam^4, with ratio tanh^2(x/2) (``kernel`` "tanh") or -sech^2(x/2)
+    ("sech"), evaluated in long double
+    from the float64 spectral fields and the float64 argument x = beta lam
+    (any float64 evaluation of the formulas starts from that argument; an
+    error of one ulp in x moves e^-x by x ulps).  On the cut jx = jy each
+    component is the mean with its reflected partner, as the zone integrand
+    documents.  Returns the components and, per component, the largest
+    magnitude among them and the partners they average."""
+    fields = spectral_arrays(px, py, tp.couplings)
+    ld = np.longdouble
+    lam = np.asarray(fields.lam, dtype=ld)
+    omega = {P.JX: fields.omega_x, P.JY: fields.omega_y, P.JZ: fields.omega_z}
+    theta = {P.JX: fields.theta_x, P.JY: fields.theta_y, P.JZ: fields.theta_z}
+
+    def classical(mu, nu):
+        if tp.zero_temperature:
+            return np.zeros(np.shape(lam), dtype=ld)
+        beta = ld(tp.beta)
+        x = np.asarray(tp.beta * fields.lam, dtype=ld)
+        k = {P.BETA: lam, **{a: beta * np.asarray(omega[a], dtype=ld) / lam for a in omega}}
+        return k[mu] * k[nu] / (np.cosh(x) + 1)
+
+    def nonclassical(a, b):
+        if tp.zero_temperature:
+            ratio = ld(1) if kernel == "tanh" else ld(0)
+        else:
+            x = np.asarray(tp.beta * fields.lam, dtype=ld)
+            ratio = np.tanh(x / 2) ** 2 if kernel == "tanh" else -1 / np.cosh(x / 2) ** 2
+        th = np.asarray(theta[a], dtype=ld) * np.asarray(theta[b], dtype=ld)
+        return ratio * th / lam**4
+
+    on_cut = tp.couplings.jx == tp.couplings.jy
+    values, scales = [], []
+    for part, pairs in ((classical, CLASSICAL_PAIRS), (nonclassical, NONCLASSICAL_PAIRS)):
+        for pair in pairs:
+            v = part(*pair)
+            scales.append(float(np.max(np.abs(v))))
+            if on_cut:
+                w = part(*_reflected_pair(pair))
+                scales[-1] = max(scales[-1], float(np.max(np.abs(w))))
+                v = (v + w) / 2
+            values.append(v)
+    return np.array(values), scales
+
+
+@pytest.mark.parametrize("couplings", [Couplings(0.3, 0.2, 0.5), Couplings(-0.3, 0.4, 0.35),
+                                       Couplings(0.1, 0.1, 0.8), Couplings(0.25, 0.25, 0.5)],
+                         ids=["critical-off-cut", "gapless-off-cut", "gapped-cut", "critical-cut"])
+@pytest.mark.parametrize("kernel", ["tanh", "sech"])
+@pytest.mark.parametrize("nodes", ["0-d", "2-d"])
+def test_kernels_match_the_docstring_formulas(couplings, kernel, nodes):
+    # every component of a batch of three temperatures (T = 0 included)
+    # against an independent long double evaluation of the closed forms,
+    # within 1e-15 of the component's largest value (on the cut, of the
+    # largest of the two values it averages); each member of the batch is
+    # the same point evaluated alone, bit for bit
+    from kitaev_bures.thermal_metric import _integrand, _minus_sech_sq_ratio, _tanh_sq_ratio
+
+    nc_kernel = _tanh_sq_ratio if kernel == "tanh" else _minus_sech_sq_ratio
+    points = [ThermoPoint.from_temperature(couplings, t) for t in (0.0, 0.05, 0.7)]
+    if nodes == "0-d":
+        px, py = 0.9, -2.3
+    else:
+        rng = np.random.default_rng(11)
+        px, py = rng.uniform(-np.pi, np.pi, (5, 1)), rng.uniform(-np.pi, np.pi, (1, 7))
+    pairs = (list(CLASSICAL_PAIRS), list(NONCLASSICAL_PAIRS))
+    got = _integrand(points, *pairs, nc_kernel)(px, py)
+    for k, tp in enumerate(points):
+        ref, scales = _reference_components(tp, px, py, kernel)
+        assert ref.shape == got[k].shape
+        for i, (g, r, scale) in enumerate(zip(got[k], ref, scales)):
+            assert float(np.max(np.abs(g - r))) <= 1e-15 * scale, (tp.temperature, i)
+        alone = _integrand([tp], *pairs, nc_kernel)(px, py)[0]
+        assert np.array_equal(got[k], alone)
+
+
+def test_kernels_stay_finite_at_degenerate_couplings():
+    # at jx = jy = 0 the dispersion is lam = 2 |jz| everywhere; a subnormal
+    # lam^2 overflows 1/lam^2, so the reciprocal is taken only above a floor
+    # that keeps its square finite, and the components that divide by lam^2
+    # are finite on both sides of it
+    from kitaev_bures.thermal_metric import (
+        _LAM2_FLOOR,
+        _integrand,
+        _minus_sech_sq_ratio,
+        _tanh_sq_ratio,
+    )
+
+    edge = 0.5 * math.sqrt(_LAM2_FLOOR)
+    cases = [Couplings(0.0, 0.0, 8.28e-161), Couplings(0.0, 0.0, edge * (1 + 1e-9)),
+             Couplings(0.0, 0.0, edge * (1 - 1e-9))]
+    lam2 = [(2.0 * c.jz) ** 2 for c in cases]
+    assert lam2[0] < np.finfo(float).tiny and lam2[1] > _LAM2_FLOOR > lam2[2]
+    px, py = np.array([[0.4], [-2.1], [3.0]]), np.array([[1.7, 0.9, -0.2, -3.1]])
+    n_c = len(CLASSICAL_PAIRS)
+    for couplings in cases:
+        for nc_kernel in (_tanh_sq_ratio, _minus_sech_sq_ratio):
+            points = [ThermoPoint.from_temperature(couplings, t) for t in (0.0, 0.05)]
+            vals = _integrand(points, list(CLASSICAL_PAIRS), list(NONCLASSICAL_PAIRS),
+                              nc_kernel)(px, py)
+            assert np.all(np.isfinite(vals))
+            assert np.all(vals[0, :n_c] == 0.0) and not np.any(np.signbit(vals[0, :n_c]))
+
+
 # ---------------------------------------------------------------------------
 # temperature batches
 
