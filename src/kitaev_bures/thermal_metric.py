@@ -79,7 +79,6 @@ from .spectrum import (
     Couplings,
     Momentum,
     PhaseRegion,
-    SpectralArrays,
     _gap_minimum,
     classify_phase,
     dirac_points,
