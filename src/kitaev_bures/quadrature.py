@@ -11,8 +11,8 @@ one disk per mirror class, the disk radius and ``r_min`` (see
 ``thermal_metric._refinement_plan``).  This module integrates exactly
 those disks and refuses a geometry it cannot integrate rather than
 adjusting it.  ``GridSpec`` holds only resolution and tolerance, and
-every other node-rule constant (ring angular counts, Gauss orders, the
-core) is fixed here.
+every other node-rule constant (the ring angles per level, Gauss orders,
+the core) is fixed here.
 
 Refinement uses a smooth partition of unity rather than cutting grid cells:
 the integrand is split as f = f*(1-w) + f*w with w a C-infinity radial bump
@@ -74,7 +74,7 @@ rows, row_weights, cols)``, the nodes ``rows x cols`` on which
 ``g(rows[:, None], cols[None, :])`` gives the integrand.  A zone grid level
 is a few patches of grid rows times grid columns (and, for the quarter
 rule, one of listed nodes), a polar disk one patch of rings times angles
-per ring angular count, a needle disk one patch of lines times nodes.  One
+per radial panel, a needle disk one patch of lines times nodes.  One
 reduction, ``_row_sums``, evaluates whole rows in blocks of at most
 ``_BLOCK_VALUES`` values (at least one row; the values per node are read
 off the integrand's output at the probe nodes), so memory grows neither
@@ -96,7 +96,6 @@ import numpy as np
 from .spectrum import TWO_PI, wrap_angle
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
-_SUM_CHUNK = 1 << 16
 # the probe nodes p0 and q0: on no symmetry line of the zone or of the
 # couplings, so f(p0) = f(-p0) is a test of evenness, and f(s p) = f(p) at
 # both a test of the reflection s: (p_x, p_y) -> (p_y, p_x), not a coincidence
@@ -116,11 +115,8 @@ _BLOCK_VALUES = 2 * 128 * 2048
 # squared in listed nodes, and each band one more call of the integrand
 _BAND_ROWS = 64
 _LIST_COLS = 256
-# ring angles per ring: rings shrink their angular spacing as the radius
-# decreases (narrow angular features near quadratic-dispersion directions
-# need it) from the base count up to the cap
+# ring angles of every ring of a level-1 polar disk, doubled per level
 _ANGULAR_BASE = 64
-_ANGULAR_CAP = 8192
 
 __all__ = [
     "GridSpec",
@@ -154,9 +150,9 @@ class GridSpec:
 
     base_n: points per axis of the periodic trapezoid (doubled until the
         target tolerance or ``max_doublings`` is hit).
-    refine_levels: the disk ladder's highest pair of levels is
-        ``(refine_levels, refine_levels + 1)``; the ladder starts one level
-        below it, no lower than level 1 (see the module docstring).
+    refine_levels: at least 1; the disk ladder's highest pair of levels
+        is ``(refine_levels, refine_levels + 1)``; the ladder starts one
+        level below it, no lower than level 1 (see the module docstring).
     target_rel_tol: relative tolerance, judged against the largest component.
     max_doublings: most doublings of the trapezoid after base_n.
 
@@ -172,8 +168,8 @@ class GridSpec:
     def __post_init__(self):
         if self.base_n < 16:
             raise ValueError(f"base_n must be >= 16, got {self.base_n}")
-        if self.refine_levels < 0:
-            raise ValueError("refine_levels must be non-negative")
+        if self.refine_levels < 1:
+            raise ValueError(f"refine_levels must be >= 1, got {self.refine_levels}")
         if not self.target_rel_tol > 0:
             raise ValueError("target_rel_tol must be positive")
         if self.max_doublings < 1:
@@ -196,21 +192,10 @@ class IntegrationResult:
     converged: bool | np.ndarray = True
 
 
-def compensated_sum(values, *, chunk: int = _SUM_CHUNK) -> float:
-    """Deterministic compensated sum of an array, row-major order.
-
-    The array is flattened in C order and reduced in fixed-size chunks; the
-    chunk totals are combined with math.fsum.  Chunk boundaries depend only
-    on the data layout, never on worker count, so parallel evaluation of the
-    chunks cannot change the result.
-    """
-    arr = np.ascontiguousarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        return 0.0
-    if arr.size <= chunk:
-        return float(math.fsum(arr))
-    parts = [float(np.add.reduce(arr[i : i + chunk])) for i in range(0, arr.size, chunk)]
-    return float(math.fsum(parts))
+def compensated_sum(values) -> float:
+    """Exactly rounded sum of every element of an array (one math.fsum), so
+    neither the order nor the layout of the elements can change a bit."""
+    return math.fsum(np.asarray(values, dtype=np.float64).ravel().tolist())
 
 
 def _eval_on_block(f, px, py, tail) -> np.ndarray:
@@ -570,26 +555,28 @@ def _log_rule(lo: float, hi: float, order: int):
 def _polar_disk(f, center, radius: float, r_min: float, level: int, own_mirror: bool,
                 sector: int = 0):
     """Row patches of one log-polar refinement disk: rings (rows) times
-    ring angles (columns).
+    ring angles (columns), one patch per radial panel.
 
     Three radial panels: a Gauss rule in s = log r over [r_min, radius/2]
     where the partition weight is exactly 1 (geometric clustering toward
     the singular core), a Gauss rule in r over the transition annulus
     [radius/2, radius] where the weight falls to 0, and a small Gauss rule
     on the core r < r_min.  Conical zeros have O(1) angular structure at
-    every radius; ring angular counts grow mildly toward the centre, which
-    guards against moderate cone anisotropy.  The rings with one angular
-    count nphi form one patch, whose ring weights carry the largest angular
-    weight times the uniform angular weight 2 pi / nphi; the patch
-    integrand scales each angle by its own weight relative to the largest,
-    as the needle disk applies its column weights.  An ``own_mirror`` disk
-    keeps the first half of every ring's angles k (angle 2 pi k / nphi),
-    which with weight 2 is the whole disk when the integrand is even about
-    the centre.  A ``sector`` of 1 (-1) folds the kept angles by the
-    reflection s (-s) that fixes the centre, which maps k onto sector *
-    nphi / 4 - k (``_mirror_fold``): every count is a multiple of 64, so the
-    reflection maps ring angles onto ring angles, and the two angles on its
-    mirror line count half of the others.
+    every radius, so every ring of a level takes the same nphi =
+    ``_ANGULAR_BASE * 2**(level - 1)`` angles (soft-axis minima, whose
+    angular structure narrows toward the centre, get a needle disk
+    instead).  A level doubles the angles as it doubles the Gauss orders,
+    so the ladder's ``2 |hi - lo|`` measures the angular error too.  The
+    ring weights carry the largest angular weight times the uniform
+    angular weight 2 pi / nphi; the patch integrand scales each angle by
+    its own weight relative to the largest, as the needle disk applies its
+    column weights.  An ``own_mirror`` disk keeps the first half of every
+    ring's angles k (angle 2 pi k / nphi), which with weight 2 is the
+    whole disk when the integrand is even about the centre.  A ``sector``
+    of 1 (-1) folds the kept angles by the reflection s (-s) that fixes
+    the centre, which maps k onto sector * nphi / 4 - k (``_mirror_fold``):
+    nphi is a multiple of 64, so the reflection maps ring angles onto ring
+    angles, and the two angles on its mirror line count half of the others.
     """
     cx, cy = center
     order = 24 * (2 ** max(0, level))
@@ -598,34 +585,30 @@ def _polar_disk(f, center, radius: float, r_min: float, level: int, own_mirror: 
     r_mid = 0.25 * radius * xs + 0.75 * radius
     xc, wc = _leggauss(8)
     r_core = 0.5 * r_min * (xc + 1.0)
-    r = np.concatenate([r_log, r_mid, r_core])
-    # radial weights with the Jacobian r, and the bump on the annulus
-    w = np.concatenate([
-        w_log * r_log,
-        ws * 0.25 * radius * r_mid * _bump(r_mid, radius),
-        wc * 0.5 * r_min * r_core,
-    ])
-    boost = 2 ** max(0, level - 1)
-    grow = np.maximum(1.0, np.ceil(np.sqrt(radius / (32.0 * r))))
-    # multiples of 64, because _ANGULAR_BASE and _ANGULAR_CAP are
-    counts = np.minimum(_ANGULAR_CAP, _ANGULAR_BASE * boost * grow).astype(int)
+    nphi = _ANGULAR_BASE * 2 ** max(0, level - 1)
+    period = nphi // 2 if own_mirror else nphi
+    if sector:
+        k, wk = _mirror_fold(period, sector * nphi // 4 % period)
+    else:
+        k, wk = np.arange(period), np.ones(period)
+    top = wk.max()
+    scale = wk / top
 
-    patches = []
-    for nphi in np.unique(counts):
-        on = counts == nphi
-        period = nphi // 2 if own_mirror else nphi
-        if sector:
-            k, wk = _mirror_fold(period, sector * nphi // 4 % period)
-        else:
-            k, wk = np.arange(period), np.ones(period)
-        top = wk.max()
+    def rings(rr, phi):
+        return f(wrap_angle(cx + rr * np.cos(phi)), wrap_angle(cy + rr * np.sin(phi))) * scale
 
-        def rings(rr, phi, scale=wk / top):
-            return f(wrap_angle(cx + rr * np.cos(phi)), wrap_angle(cy + rr * np.sin(phi))) * scale
-
-        phi = (2.0 * math.pi / nphi) * k
-        patches.append((rings, r[on], w[on] * (top * 2.0 * math.pi / nphi), phi))
-    return patches
+    phi = (2.0 * math.pi / nphi) * k
+    dphi = top * 2.0 * math.pi / nphi
+    # radial weights with the Jacobian r, and the bump on the annulus.  One
+    # patch per panel, not one of all rings: a disk block forms px, py and
+    # their sines per node, not per row and column, and one patch of every
+    # ring let _row_sums fill the block budget with those temporaries
+    # (a ratio-map column's disks then peaked at 6.4 MiB traced, not 4.7)
+    return [
+        (rings, r_log, w_log * r_log * dphi, phi),
+        (rings, r_mid, ws * 0.25 * radius * r_mid * _bump(r_mid, radius) * dphi, phi),
+        (rings, r_core, wc * 0.5 * r_min * r_core * dphi, phi),
+    ]
 
 
 def _needle_disk(f, center, axis: float, radius: float, r_min: float, level: int,
@@ -780,7 +763,7 @@ def integrate_bz_refined(
     err = np.asarray(base.error_estimate, dtype=float).copy()
     evaluations = base.evaluations
     nb = _batch_ndim(value.ndim)
-    top = max(1, grid.refine_levels)
+    top = grid.refine_levels
     levels = range(max(1, top - 1), top + 2)
     pairs = []
     for (center, axis, own_mirror), sector in zip(disks, sectors):

@@ -747,7 +747,7 @@ def _entry_sums(g: np.ndarray) -> np.ndarray:
     out = np.empty((4, 4))
     for i in range(4):
         for j in range(4):
-            out[i, j] = compensated_sum(np.ascontiguousarray(flat[:, i, j]))
+            out[i, j] = compensated_sum(flat[:, i, j])
     return out
 
 

@@ -138,7 +138,7 @@ def full_zone_reference(f, centres, r_min, radius, grid, axes=None):
     out = np.array(
         [4.0 * math.pi**2 * compensated_sum(v) / (n * n) for v in vals.reshape((-1, n, n))]
     )
-    level = max(1, grid.refine_levels) + 1
+    level = grid.refine_levels + 1
     for c, axis in zip(centres, axes):
         disk, _ = _disk_integral(f, c, radius, r_min, level, axis, False)
         out = out + disk.ravel()

@@ -127,6 +127,16 @@ def test_tensor_even_size_rejected(capsys):
     assert "odd" in err
 
 
+def test_tensor_refine_levels_zero_rejected(capsys):
+    # the lowest disk ladder's highest pair is (1, 2); 0 names no ladder
+    code, out, err = run(
+        capsys, ["tensor", "--jx", "0.3333", "--jy", "0.3333", "--jz", "0.3334", "--temp", "0.05",
+                 "--refine-levels", "0"]
+    )
+    assert code == 2 and out == ""
+    assert "refine_levels must be >= 1" in err
+
+
 def test_tensor_refuses_flags_it_does_not_read(capsys):
     code, out, err = run(
         capsys, ["tensor", "--jx", "0", "--jy", "0", "--jz", "1", "--temp", "1",

@@ -26,6 +26,9 @@ def test_gridspec_validation():
         GridSpec(base_n=8)
     with pytest.raises(ValueError):
         GridSpec(target_rel_tol=-1.0)
+    # level 0 is no ladder: the lowest highest pair is (1, 2)
+    with pytest.raises(ValueError, match="refine_levels must be >= 1"):
+        GridSpec(refine_levels=0)
     # the disk radius is the caller's, checked where it is used
     with pytest.raises(ValueError, match="radius must be positive"):
         integrate_bz_refined(_even_pair, OFF_CORNER, 5e-4, GridSpec(), radius=0.0)
@@ -201,8 +204,13 @@ def test_deterministic_repeatability():
 
 def test_compensated_sum_matches_fsum(rng):
     vals = rng.normal(size=200_001) * np.exp(rng.uniform(-20, 20, size=200_001))
-    assert compensated_sum(vals) == pytest.approx(math.fsum(vals.tolist()), rel=1e-15)
+    assert compensated_sum(vals) == math.fsum(vals.tolist())
     assert compensated_sum(np.array([])) == 0.0
+    # exact at any length: 2^17 ones between +-1e16, which an uncompensated
+    # reduction of any chunk holding 1e16 loses
+    ones = np.ones(1 << 17)
+    ones[0], ones[-1] = 1e16, -1e16
+    assert compensated_sum(ones) == (1 << 17) - 2
 
 
 def _stacked(members):
@@ -279,8 +287,8 @@ def _traced_peak(fn):
 @pytest.mark.parametrize("axis", [None, 0.4], ids=["polar", "needle"])
 def test_disk_memory_is_bounded_by_the_block_budget(axis):
     # 24 values per node on a level-4 disk (about 0.6 M needle nodes, or
-    # 8192-angle rings down to r_min): only one block of rows is held at a
-    # time, never the disk's nodes or a weighted copy of them
+    # 776 rings of 512 angles): only one block of rows is held at a time,
+    # never the disk's nodes or a weighted copy of them
     from kitaev_bures.quadrature import _disk_integral
 
     def f(px, py):
@@ -513,28 +521,30 @@ def test_refined_refuses_a_geometry_it_cannot_integrate(disks, radius, match):
 
 
 def test_ring_angular_counts_are_even():
-    # every polar patch holds the rings of one angular count nphi, a
-    # multiple of 4: a half disk keeps exactly half of every ring's angles,
-    # and the reflections s and -s map the angle 2 pi k / nphi onto the ring
-    # angles +-nphi / 4 - k, so the sectors they leave are made of ring
-    # angles (a quarter of the disk at a corner, a half at K)
+    # every ring of a level holds the same nphi = 64 * 2**(level - 1)
+    # angles, a multiple of 4: a half disk keeps exactly half of every
+    # ring's angles, and the reflections s and -s map the angle 2 pi k /
+    # nphi onto the ring angles +-nphi / 4 - k, so the sectors they leave
+    # are made of ring angles (a quarter of the disk at a corner, a half at K)
     from kitaev_bures.quadrature import _polar_disk
 
     def ones(px, py):
         return np.ones(np.broadcast(px, py).shape)
 
     for level in (1, 2, 4):
+        nphi = 64 * 2 ** max(0, level - 1)
         for r_min in (1e-6, 1e-3):
             full = _polar_disk(ones, (0.0, 0.0), 0.3, r_min, level, False)
             half = _polar_disk(ones, (0.0, 0.0), 0.3, r_min, level, True)
             assert sum(p[1].size for p in full) == 2 * 24 * 2**level + 8
             for (_, _, _, ring), (_, _, _, half_ring) in zip(full, half):
-                assert ring.size % 4 == 0 and 2 * half_ring.size == ring.size
+                assert ring.size == nphi and 2 * half_ring.size == nphi
             for own_mirror, sector, part in ((True, 1, 4), (False, -1, 2)):
                 folded = _polar_disk(ones, (0.0, 0.0), 0.3, r_min, level, own_mirror, sector)
                 for (_, _, w, ring), (g, rings, w_fold, kept) in zip(full, folded):
                     # the kept angles, counted with their weights, are the
                     # disk's part: two on the mirror lines count half
+                    assert kept.size == nphi // part + 1
                     scale = g(rings[:1, None], kept[None, :])[0]
                     assert np.sum(scale == 0.5) == 2 and np.sum(scale == 1.0) == kept.size - 2
                     assert scale.sum() == ring.size / part

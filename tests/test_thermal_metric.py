@@ -690,6 +690,29 @@ def test_refinement_radius_of_a_dirac_pair_stays_below_half_their_distance():
     assert r_min == pytest.approx(1e-3, rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "couplings",
+    [Couplings(0.2535, 0.2535, 0.493), Couplings(0.3, 0.21, 0.49)],
+    ids=["near-needle-on-cut", "near-needle-off-cut"],
+)
+def test_polar_disk_near_a_needle_meets_a_tight_reference(couplings):
+    # cones whose Hessian eigenvalue ratio (0.058 and 0.075) is just above
+    # the needle cut get a polar disk with one ring-angle count per level;
+    # at T = 1e-4 the default tensor must lie within its reported error (or
+    # rounding) of a reference that climbs two more disk levels
+    tp = ThermoPoint.from_temperature(couplings, 1e-4)
+    [(_, axis, _)], _, _ = _refinement_plan([tp])
+    assert axis is None
+    g = tensor_thermodynamic(tp)
+    tight = GridSpec(refine_levels=5, target_rel_tol=1e-11, max_doublings=5)
+    ref = tensor_thermodynamic(tp, tight)
+    for part in ("classical", "nonclassical"):
+        expected = getattr(ref, part)
+        reported = np.max(g.evaluation.details[f"error_{part}"])
+        bound = max(reported, 1e-13 * np.max(np.abs(expected)))
+        assert np.max(np.abs(getattr(g, part) - expected)) <= bound, part
+
+
 SCALING_CASES = [
     pytest.param(SYM, 0.01, id="gapless"),
     pytest.param(Couplings(0.255, 0.255, 0.49), 0.002, id="near-critical"),
