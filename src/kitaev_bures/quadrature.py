@@ -600,10 +600,10 @@ def _polar_disk(f, center, radius: float, r_min: float, level: int, own_mirror: 
     phi = (2.0 * math.pi / nphi) * k
     dphi = top * 2.0 * math.pi / nphi
     # radial weights with the Jacobian r, and the bump on the annulus.  One
-    # patch per panel, not one of all rings: a disk block forms px, py and
-    # their sines per node, not per row and column, and one patch of every
-    # ring let _row_sums fill the block budget with those temporaries
-    # (a ratio-map column's disks then peaked at 6.4 MiB traced, not 4.7)
+    # patch per panel, not one of every ring: a disk block forms px, py and
+    # their sines per node, not per row and column, so a patch of every
+    # ring would let _row_sums fill the block budget with those temporaries
+    # (the traced peak of a ratio-map column's disks: 6.4 MiB, not 4.7)
     return [
         (rings, r_log, w_log * r_log * dphi, phi),
         (rings, r_mid, ws * 0.25 * radius * r_mid * _bump(r_mid, radius) * dphi, phi),
@@ -763,8 +763,7 @@ def integrate_bz_refined(
     err = np.asarray(base.error_estimate, dtype=float).copy()
     evaluations = base.evaluations
     nb = _batch_ndim(value.ndim)
-    top = grid.refine_levels
-    levels = range(max(1, top - 1), top + 2)
+    levels = range(max(1, grid.refine_levels - 1), grid.refine_levels + 2)
     pairs = []
     for (center, axis, own_mirror), sector in zip(disks, sectors):
         lo, n_lo = _disk_integral(f, center, radius, r_min, levels[0], axis, own_mirror, sector)
