@@ -99,8 +99,10 @@ ORACLE_CLASSICAL_RTOL = 1e-3
 # gapped couplings closer to the boundary than this get local refinement
 # around the dispersion minimum, like gapless couplings do at their zeros
 NEAR_CRITICAL_GAP = 0.5
-# refinement disks always cover the integrand shoulder, not just a few T
-MIN_REFINE_RADIUS = 0.3
+# refinement disks always cover the integrand shoulder, not just a few T,
+# and keep the partition step (radius / 2 wide) gentle for the base grid:
+# at 0.5 rather than 0.3 the trapezoid stops a doubling sooner
+MIN_REFINE_RADIUS = 0.5
 # a dispersion minimum whose Hessian eigenvalue ratio is below this has a
 # soft axis and gets a needle disk
 NEEDLE_RATIO_CUT = 0.05
@@ -558,7 +560,9 @@ def _refinement_plan(points: Sequence[ThermoPoint]):
     ``w`` (its temperature, floored); the radius is the largest ``max(8 w,
     MIN_REFINE_RADIUS)``, which covers every integrand shoulder, capped at
     pi/2 and, for +-K, at 0.499 of their distance, and ``r_min = min(min w /
-    100, radius / 64)`` resolves the coldest point.
+    100, radius / 64)`` resolves the coldest point.  The floor also sets the
+    width of the partition step, ``radius / 2``, that the base trapezoid
+    must resolve: the wider the step, the fewer doublings.
     """
     couplings = points[0].couplings
     if classify_phase(couplings) is PhaseRegion.GAPLESS_B:

@@ -204,9 +204,10 @@ def test_column_batched_map_matches_standalone_cells():
 
 
 def test_ratio_map_failed_temperature_invalidates_only_its_cell():
-    # under the column's shared geometry the coarse grid resolves every
-    # temperature of the column but the warmest, T = 0.3, to 2e-3
-    grid = GridSpec(base_n=32, max_doublings=1, target_rel_tol=2e-3, refine_levels=1)
+    # under the column's shared geometry a 64-point grid doubled once
+    # resolves every temperature of the column to 3.3e-6 or better but the
+    # warmest, T = 0.3, only to 8e-6
+    grid = GridSpec(base_n=64, max_doublings=1, target_rel_tol=5e-6, refine_levels=1)
     rmap = ratio_map(lambda jz: SYM, (0.3, 0.34), (0.002, 0.3), 8, grid=grid, threads=2)
     assert np.all(rmap.valid[:7]) and not np.any(rmap.valid[7])
     assert [cell for cell, _ in rmap.failures] == [(7, j) for j in range(8)]

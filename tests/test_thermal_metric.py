@@ -657,12 +657,13 @@ def test_batch_failure_names_only_the_failing_temperature():
 
 def test_refinement_radius_covers_every_member():
     # near-critical gapped (gap 0.24): widths are T floored at gap / 8, the
-    # batch takes the largest max(8 w, 0.3) and r_min from the smallest width
+    # batch takes the largest max(8 w, MIN_REFINE_RADIUS), here 8 T = 0.64,
+    # and r_min from the smallest width
     j = Couplings(0.22, 0.22, 0.56)
-    mixed = [ThermoPoint.from_temperature(j, t) for t in (0.002, 0.05)]
+    mixed = [ThermoPoint.from_temperature(j, t) for t in (0.002, 0.08)]
     disks, radius, r_min = _refinement_plan(mixed)
     assert [(centre, own) for centre, _, own in disks] == [((-math.pi, -math.pi), True)]
-    assert radius == max(8.0 * 0.05, MIN_REFINE_RADIUS)
+    assert radius == max(8.0 * 0.08, MIN_REFINE_RADIUS)
     assert r_min == fermion_gap(j) / 8.0 / 100.0 == pytest.approx(3e-4)
     # every tensor of the batch records the plan it was integrated with
     grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
@@ -671,7 +672,7 @@ def test_refinement_radius_covers_every_member():
         assert recorded == {"disks": disks, "radius": radius, "r_min": r_min}
     # a batch of one keeps the shoulder floor when 8 T is smaller
     _, radius, r_min = _refinement_plan([ThermoPoint.from_temperature(j, 0.01)])
-    assert radius == MIN_REFINE_RADIUS == 0.3
+    assert radius == MIN_REFINE_RADIUS == 0.5
     assert r_min == fermion_gap(j) / 8.0 / 100.0
 
 
@@ -703,14 +704,59 @@ def test_polar_disk_near_a_needle_meets_a_tight_reference(couplings):
     tp = ThermoPoint.from_temperature(couplings, 1e-4)
     [(_, axis, _)], _, _ = _refinement_plan([tp])
     assert axis is None
+    assert_within_reported_error(tp)
+
+
+# a reference on the same refinement plan: two more disk levels, five
+# doublings and a 1e-11 tolerance
+TIGHT = GridSpec(refine_levels=5, target_rel_tol=1e-11, max_doublings=5)
+
+
+def assert_within_reported_error(tp):
+    """The default tensor lies within its reported error, or 1e-13 of the
+    largest entry (rounding), of the ``TIGHT`` reference, per part."""
     g = tensor_thermodynamic(tp)
-    tight = GridSpec(refine_levels=5, target_rel_tol=1e-11, max_doublings=5)
-    ref = tensor_thermodynamic(tp, tight)
+    ref = tensor_thermodynamic(tp, TIGHT)
     for part in ("classical", "nonclassical"):
         expected = getattr(ref, part)
         reported = np.max(g.evaluation.details[f"error_{part}"])
         bound = max(reported, 1e-13 * np.max(np.abs(expected)))
         assert np.max(np.abs(getattr(g, part) - expected)) <= bound, part
+
+
+@pytest.mark.parametrize(
+    "couplings, temperature",
+    [
+        pytest.param(SYM, 0.01, id="gapless"),
+        pytest.param(Couplings(0.255, 0.255, 0.49), 0.01, id="near-critical-gapless"),
+        pytest.param(Couplings(0.2535, 0.2535, 0.493), 1e-4, id="near-needle-gapless"),
+        pytest.param(Couplings(0.4, 0.3, 0.3), 1e-3, id="off-cut-gapless"),
+        pytest.param(Couplings(0.35, 0.25, 0.4), 1e-3, id="off-cut-gapless-2"),
+        pytest.param(Couplings(0.3, 0.21, 0.49), 1e-3, id="off-cut-near-needle"),
+        pytest.param(Couplings(0.6, 0.2, 0.2), 0.05, id="gapped-Ax"),
+        pytest.param(Couplings(0.25, 0.25, 0.5), 0.01, id="critical"),
+        pytest.param(Couplings(0.25, 0.25, 0.5), 1e-4, id="critical-cold"),
+        pytest.param(Couplings(0.3, 0.2, 0.5), 3e-3, id="critical-off-cut"),
+        pytest.param(Couplings(0.24, 0.24, 0.52), 0.01, id="near-critical-gapped"),
+        pytest.param(Couplings(0.2, 0.2, 0.6), 0.002, id="refined-gapped-cold"),
+        pytest.param(Couplings(0.2, 0.2, 0.6), 0.05, id="refined-gapped"),
+        pytest.param(GAPPED, 0.3, id="deep-gapped"),
+    ],
+)
+def test_error_estimate_audit_over_the_phases(couplings, temperature):
+    """A tensor reported as converged lies within its reported error of a
+    tight reference, in every phase: gapless on and off the cut, near a
+    needle, near-critical gapless and gapped, refined gapped-``Ax``, deep
+    gapped, and critical couplings.  This guards the partition of unity
+    (the erf step and the minimum disk radius), whose steepness sets how far
+    the base trapezoid and the disks must climb.
+
+    The reference takes the same refinement plan, so the same ``r_min``:
+    the needle-core truncation at critical couplings (the core ``|u|, |v| <
+    r_min`` moves with ``T`` and is never refined, see the strict xfails of
+    ``test_exact_scaling_law``) is excluded from this audit.
+    """
+    assert_within_reported_error(ThermoPoint.from_temperature(couplings, temperature))
 
 
 SCALING_CASES = [
