@@ -512,10 +512,9 @@ def _corner_dist(px, py, cx: float, cy: float):
 
 # sharpness of the partition step: the erf tails at the clamp points are
 # erfc(5) ~ 1.5e-12 and the slope jumps there by ~ 8e-11 per unit t, which
-# moves smooth integrals by rounding only, while the step is gentle enough
-# for the trapezoid to resolve one or two doublings sooner than at 13
-# (tails 4e-20); at 8 the tails grow to 1.5e-8, a 1e-13 tolerance becomes
-# unreachable and tensors drift by up to 3e-11 of their largest entry
+# moves smooth integrals by rounding only; a sharper step costs the base
+# trapezoid doublings, and at 8 the 1.5e-8 tails make a 1e-13 tolerance
+# unreachable
 _STEP_SHARPNESS = 10.0
 _STEP_LO = math.erf(-0.5 * _STEP_SHARPNESS)
 _STEP_HI = math.erf(0.5 * _STEP_SHARPNESS)

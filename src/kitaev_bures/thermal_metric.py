@@ -100,8 +100,8 @@ ORACLE_CLASSICAL_RTOL = 1e-3
 # around the dispersion minimum, like gapless couplings do at their zeros
 NEAR_CRITICAL_GAP = 0.5
 # refinement disks always cover the integrand shoulder, not just a few T,
-# and keep the partition step (radius / 2 wide) gentle for the base grid:
-# at 0.5 rather than 0.3 the trapezoid stops a doubling sooner
+# and keep the partition step (radius / 2 wide) gentle for the base grid;
+# a larger floor saves no doublings on the phase tensors
 MIN_REFINE_RADIUS = 0.5
 # a dispersion minimum whose Hessian eigenvalue ratio is below this has a
 # soft axis and gets a needle disk
