@@ -7,18 +7,18 @@ integrands are smooth except near dispersion zeros, where they develop
 features of width ~ T; ``integrate_bz_refined`` handles those with local
 polar grids whose radii cluster geometrically down to ``r_min``.  The
 caller decides the whole refinement geometry from the features it knows:
-one disk per mirror class, the disk radius and ``r_min`` (see
-``thermal_metric._refinement_plan``).  This module integrates exactly
-those disks and refuses a geometry it cannot integrate rather than
-adjusting it.  ``GridSpec`` holds only resolution and tolerance, and
+one disk ``(centre, axis)`` for the one mirror class of dispersion zeros,
+its radius and ``r_min`` (see ``thermal_metric._refinement_plan``).  This
+module integrates exactly that disk and refuses a geometry it cannot
+integrate rather than adjusting it.  ``GridSpec`` holds only resolution and tolerance, and
 every other node-rule constant (the ring angles per level, Gauss orders,
 the core) is fixed here.
 
 Refinement uses a smooth partition of unity rather than cutting grid cells:
 the integrand is split as f = f*(1-w) + f*w with w a C-infinity radial bump
-equal to 1 on the inner half of each refinement disk and 0 outside it.  The
+equal to 1 on the inner half of the refinement disk and 0 outside it.  The
 base rule sees the globally smooth f*(1-w) (so it keeps spectral accuracy),
-each disk integrates f*w in log-polar coordinates, and nothing is counted
+the disk integrates f*w in log-polar coordinates, and nothing is counted
 twice.  A hard cell cut-out would destroy the trapezoid's convergence, which
 is why the split is smooth.
 
@@ -26,12 +26,12 @@ No node is evaluated twice, and no disk is refined past what the tolerance
 asks.  The n-point trapezoid grid is the even-index subgrid of the 2n-point
 grid on both axes, so each doubling evaluates only the nodes it adds (the
 odd rows, and the odd columns of the even rows) and adds their sum to the
-previous level's (nested doublings).  Each refinement disk climbs a ladder
+previous level's (nested doublings).  The refinement disk climbs a ladder
 of levels: it first integrates the pair ``(refine_levels - 1,
 refine_levels)`` (no lower than level 1) and moves to ``refine_levels + 1``
-only for the integrals whose disk error ``2 |hi - lo|`` misses their share
-of the tolerance, ``(tol * scale - base error) / number of disks`` with
-``scale`` the largest component of base plus disks.  An integral that
+only for the integrals whose disk error ``2 |hi - lo|`` misses what the
+tolerance leaves after the base error, ``tol * scale - base error`` with
+``scale`` the largest component of base plus disk.  An integral that
 climbs gets exactly the value and error of the pair ``(refine_levels,
 refine_levels + 1)``.
 
@@ -46,11 +46,11 @@ makes it {e, -1, s, -s} (the quarter rule).
 
 * Under -1 only one row of each mirror pair of grid rows is evaluated and
   its row sum counts twice (the rows that are their own mirror count once);
-  each refinement disk stands for its mirror class, so the disk at K counts
+  the refinement disk stands for its mirror class, so a disk at K counts
   twice for K and -K and a disk on its own mirror (a zone corner)
   integrates half its disk, twice.
 * Under s as well the grid keeps, of those rows, a triangle (on the zone
-  grid p_x in [-pi, 0] and |p_y| >= |p_x|, see ``_zone_patches``), and each
+  grid p_x in [-pi, 0] and |p_y| >= |p_x|, see ``_zone_patches``), and the
   disk the sector of the reflection that fixes its centre: a corner (fixed
   by s and -s) a quarter, K = (a, -a) (fixed by -s) a half.
 
@@ -58,7 +58,7 @@ Evenness is the contract, checked, not assumed: every grid and disk
 compares f(p0) with f(-p0) at a generic probe node and raises ValueError if
 they differ beyond rounding.  Invariance under s is detected: f(s p) must
 equal f(p) bit for bit at two generic probe nodes, and for a refined
-integral every disk centre must be fixed by s or -s; otherwise the rules
+integral the disk centre must be fixed by s or -s; otherwise the rules
 stay the half rule.
 
 The optional leading axes let one quadrature pass integrate a whole stack
@@ -89,7 +89,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -213,7 +213,7 @@ def _probe(f) -> tuple[int, bool]:
     rounding.  Invariance under s is detected, not required: ``f`` counts as
     invariant when f(s p) equals f(p) bit for bit at both probe nodes (a
     coupling an ulp off jx = jy is not), unless ``integrate_bz_refined``
-    marked it ``_even_only`` because its disks are not closed under s.
+    marked it ``_even_only`` because its disk is not closed under s.
     Both are read from the output, so a wrapped integrand is integrated
     exactly as the bare one is."""
     (x0, y0), (x1, y1) = _PROBE
@@ -458,7 +458,7 @@ def integrate_bz(f: Callable, grid: GridSpec) -> IntegrationResult:
     silently.
 
     An ``f`` marked ``_even_only`` (``integrate_bz_refined``'s masked
-    integrand over disks not closed under s) takes the half rule even where
+    integrand over a disk not closed under s) takes the half rule even where
     its probe nodes look invariant, so a wrapper of this function must pass
     such an ``f`` on unwrapped or keep its mark.
     """
@@ -675,54 +675,48 @@ def _disk_integral(f, center, radius, r_min, level, axis=None, own_mirror=False,
 
 def integrate_bz_refined(
     f: Callable,
-    disks: Sequence[tuple[tuple[float, float], float | None, bool]],
+    disk: tuple[tuple[float, float], float | None],
     r_min: float,
     grid: GridSpec,
     *,
     radius: float,
 ) -> IntegrationResult:
-    """Zone integral with local refinement on exactly the caller's disks.
+    """Zone integral with local refinement on exactly the caller's disk.
 
-    Each disk ``(centre, axis, own_mirror)`` stands for one mirror class of
-    the singular points and has the caller's ``radius``.  Inside, log-polar
+    The disk ``(centre, axis)`` stands for the one mirror class of the
+    singular points and has the caller's ``radius``.  Inside, log-polar
     rings resolve radii down to ``r_min``; a disk with a soft (quadratic)
     dispersion direction ``axis`` gets an axis-aligned log-log grid instead.
-    An ``own_mirror`` disk sits on a zone corner (each coordinate exactly 0
-    or -pi) and integrates half of itself twice; any other disk at K stands
-    for K and -K (``f`` is even, so one axis serves both) and counts twice.
-    So the partition-of-unity mask is even and the base rule evaluates at
-    most half the zone.
+    The centre fixes the mirror class: a zone corner (each coordinate
+    exactly 0 or -pi) is its own mirror and integrates half of itself twice;
+    any other centre K stands for K and -K (``f`` is even, so one axis
+    serves both) and counts twice.  So the partition-of-unity mask is even
+    and the base rule evaluates at most half the zone.
 
-    When ``f`` is also invariant under s (``_probe``) and every centre is
-    fixed by s (cx == cy) or by -s (cx == -cy), the disk set and the mask
-    are closed under s as well: the base rule evaluates a quarter of the
-    zone, and each disk only the sector that its reflection leaves (the
-    corner disk a quarter, the disk at K a half).  Otherwise every rule
-    stays the half rule; the masked integrand is then marked
-    ``_even_only``, since its probe nodes need not see the disks.
+    When ``f`` is also invariant under s (``_probe``) and the centre is
+    fixed by s (cx == cy) or by -s (cx == -cy), the disk and the mask are
+    closed under s as well: the base rule evaluates a quarter of the zone,
+    and the disk only the sector that its reflection leaves (the corner
+    disk a quarter, the disk at K a half).  Otherwise every rule stays the
+    half rule; the masked integrand is then marked ``_even_only``, since
+    its probe nodes need not see the disk.
 
     Nothing is closed, moved or shrunk: ValueError unless ``0 < r_min <
-    radius / 2``, every ``own_mirror`` centre is a corner, and no disk
-    overlaps another disk, a mirror or its own periodic image.  With no
-    disks this is exactly ``integrate_bz``.
+    radius / 2`` and the disk overlaps neither its mirror nor its own
+    periodic image.
     """
+    (cx, cy), axis = disk
     if not 0 < r_min < 0.5 * radius:
         raise ValueError(f"radius must be positive, r_min in (0, radius / 2): {radius}, {r_min}")
-    if not disks:
-        return integrate_bz(f, grid)
-    centres = []
-    for (cx, cy), _, own_mirror in disks:
-        if own_mirror and not (cx in (0.0, -math.pi) and cy in (0.0, -math.pi)):
-            raise ValueError(f"own_mirror centre ({cx!r}, {cy!r}) is not a corner in {{0, -pi}}^2")
-        centres += [(cx, cy)] if own_mirror else [(cx, cy), (-cx, -cy)]
-    # a centre's nearest periodic image is 2 pi away
-    gaps = [_torus_dist(*a, *b) for i, a in enumerate(centres) for b in centres[i + 1 :]]
-    if 2.0 * radius > min([TWO_PI] + gaps):
-        raise ValueError(f"disks of radius {radius} overlap another disk, a mirror or themselves")
-    # the reflection that fixes each centre: s (1), -s (-1), or neither (0)
-    sectors = [1 if cx == cy else -1 if cx == -cy else 0 for (cx, cy), _, _ in disks]
-    if not (all(sectors) and _probe(f)[1]):
-        sectors = [0] * len(disks)
+    own_mirror = cx in (0.0, -math.pi) and cy in (0.0, -math.pi)
+    # a centre's nearest periodic image is 2 pi away, and -K is nearer to K
+    gap = TWO_PI if own_mirror else float(_torus_dist(cx, cy, -cx, -cy))
+    if 2.0 * radius > gap:
+        raise ValueError(f"a disk of radius {radius} overlaps its mirror or itself")
+    # the reflection that fixes the centre: s (1), -s (-1), or neither (0)
+    sector = 1 if cx == cy else -1 if cx == -cy else 0
+    if not (sector and _probe(f)[1]):
+        sector = 0
 
     def masked(px, py):
         vals = np.asarray(f(px, py), dtype=float)
@@ -730,68 +724,53 @@ def integrate_bz_refined(
         # w is exactly 0 at a node where a component of every distance
         # (computed as the distances compute it) reaches the radius, so it
         # is formed and applied only at the other nodes
-        near = np.zeros(shape, dtype=bool)
-        for (cx, cy), _, own_mirror in disks:
-            if own_mirror:
-                near |= (_fold(_fold(px) - abs(cx)) < radius) & (
-                    _fold(_fold(py) - abs(cy)) < radius
-                )
-            else:
-                near |= (_fold(px - cx) < radius) & (_fold(py - cy) < radius)
-                near |= (_fold(px + cx) < radius) & (_fold(py + cy) < radius)
+        if own_mirror:
+            near = (_fold(_fold(px) - abs(cx)) < radius) & (_fold(_fold(py) - abs(cy)) < radius)
+        else:
+            near = (_fold(px - cx) < radius) & (_fold(py - cy) < radius)
+            near |= (_fold(px + cx) < radius) & (_fold(py + cy) < radius)
         at = np.unravel_index(np.flatnonzero(near), shape)
         if at[0].size == 0:
             return vals
         qx, qy = np.broadcast_to(px, shape)[at], np.broadcast_to(py, shape)[at]
-        w = np.zeros(qx.shape)
         # even bit for bit: a corner's distance is even in p, and K and -K
         # trade places under p -> -p in a sum whose order does not matter
-        for (cx, cy), _, own_mirror in disks:
-            if own_mirror:
-                w = w + _bump(_corner_dist(qx, qy, cx, cy), radius)
-            else:
-                w = w + (
-                    _bump(_torus_dist(qx, qy, cx, cy), radius)
-                    + _bump(_torus_dist(qx, qy, -cx, -cy), radius)
-                )
+        if own_mirror:
+            w = _bump(_corner_dist(qx, qy, cx, cy), radius)
+        else:
+            w = _bump(_torus_dist(qx, qy, cx, cy), radius)
+            w = w + _bump(_torus_dist(qx, qy, -cx, -cy), radius)
         if not vals.flags.owndata or vals.shape[vals.ndim - len(shape) :] != shape:
             vals = vals * np.ones(shape)  # scaled in place below: own a full copy
         vals[(Ellipsis,) + at] *= 1.0 - w
         return vals
 
-    masked._even_only = not sectors[0]
+    masked._even_only = not sector
     base = integrate_bz(masked, grid)
-    value = np.asarray(base.value, dtype=float).copy()
-    err = np.asarray(base.error_estimate, dtype=float).copy()
-    evaluations = base.evaluations
+    value = np.asarray(base.value, dtype=float)
+    err = np.asarray(base.error_estimate, dtype=float)
     nb = _batch_ndim(value.ndim)
     levels = range(max(1, grid.refine_levels - 1), grid.refine_levels + 2)
-    pairs = []
-    for (center, axis, own_mirror), sector in zip(disks, sectors):
-        lo, n_lo = _disk_integral(f, center, radius, r_min, levels[0], axis, own_mirror, sector)
-        hi, n_hi = _disk_integral(f, center, radius, r_min, levels[1], axis, own_mirror, sector)
-        evaluations += n_lo + n_hi
-        pairs.append((lo, hi))
-    # each disk's share of what the tolerance leaves after the base error,
-    # against the largest component of base plus disks
-    scale = _per_integral_max(value + sum(2.0 * hi for _, hi in pairs), nb)
-    share = (grid.target_rel_tol * scale - _per_integral_max(err, nb)) / len(disks)
-    for (center, axis, own_mirror), sector, (lo, hi) in zip(disks, sectors, pairs):
-        # a member climbs to the next level only while its disk error misses
-        # its share, and keeps the first pair that meets it
-        for level in levels[2:]:
-            open_ = _per_integral_max(2.0 * np.abs(hi - lo), nb) > share
-            if not np.any(open_):
-                break
-            finer, nodes = _disk_integral(
-                f, center, radius, r_min, level, axis, own_mirror, sector
-            )
-            evaluations += nodes
-            lo, hi = _freeze(open_, hi, lo), _freeze(open_, finer, hi)
-        # the disk at -K, or the corner disk's other half, is the mirror
-        # image of the one integrated (and a sector stands for its disk)
-        value = value + 2.0 * hi
-        err = err + 2.0 * np.abs(hi - lo)
+    lo, n_lo = _disk_integral(f, (cx, cy), radius, r_min, levels[0], axis, own_mirror, sector)
+    hi, n_hi = _disk_integral(f, (cx, cy), radius, r_min, levels[1], axis, own_mirror, sector)
+    evaluations = base.evaluations + n_lo + n_hi
+    # what the tolerance leaves after the base error, against the largest
+    # component of base plus disk
+    share = grid.target_rel_tol * _per_integral_max(value + 2.0 * hi, nb)
+    share = share - _per_integral_max(err, nb)
+    # a member climbs to the next level only while its disk error misses
+    # the share, and keeps the first pair that meets it
+    for level in levels[2:]:
+        open_ = _per_integral_max(2.0 * np.abs(hi - lo), nb) > share
+        if not np.any(open_):
+            break
+        finer, nodes = _disk_integral(f, (cx, cy), radius, r_min, level, axis, own_mirror, sector)
+        evaluations += nodes
+        lo, hi = _freeze(open_, hi, lo), _freeze(open_, finer, hi)
+    # the disk at -K, or the corner disk's other half, is the mirror image
+    # of the one integrated (and a sector stands for its disk)
+    value = value + 2.0 * hi
+    err = err + 2.0 * np.abs(hi - lo)
     # the base flag judged its error against the masked partial value only;
     # what matters is the combined error against the full integral
     scale = np.maximum(_per_integral_max(value, nb), 1e-300)

@@ -553,25 +553,28 @@ def _refinement_plan(points: Sequence[ThermoPoint]):
     """One refinement geometry for a batch of points sharing one coupling,
     decided here alone: ``integrate_bz_refined`` takes it as it is.
 
-    Returns ``(disks, radius, r_min)``.  ``disks`` holds one ``(centre,
-    axis, own_mirror)`` per mirror class of the dispersion zeros, from the
-    coupling alone: the Dirac point ``dirac_points(c)[0]``, which stands for
-    +-K, or the exact gap corner, with its soft axis.  Each point has a width
-    ``w`` (its temperature, floored); the radius is the largest ``max(8 w,
-    MIN_REFINE_RADIUS)``, which covers every integrand shoulder, capped at
-    pi/2 and, for +-K, at 0.499 of their distance, and ``r_min = min(min w /
-    100, radius / 64)`` resolves the coldest point.  The floor also sets the
+    Returns ``(disk, radius, r_min)``, with ``disk`` None for couplings
+    gapped beyond ``NEAR_CRITICAL_GAP``.  The dispersion zeros form one
+    mirror class, so ``disk`` is one ``(centre, axis)``, from the coupling
+    alone: the Dirac point ``dirac_points(c)[0]``, which stands for +-K, or
+    the exact gap corner, its own mirror, with its soft axis.  Each point
+    has a width ``w`` (its temperature, floored); the radius is the largest
+    ``max(8 w, MIN_REFINE_RADIUS)``, which covers every integrand shoulder,
+    capped at pi/2 and, for +-K, at 0.499 of their distance, and ``r_min =
+    min(min w / 100, radius / 64)`` resolves the coldest point.  The floor also sets the
     width of the partition step, ``radius / 2``, that the base trapezoid
     must resolve: the wider the step, the fewer doublings.
     """
     couplings = points[0].couplings
+    cap = 0.5 * math.pi
     if classify_phase(couplings) is PhaseRegion.GAPLESS_B:
-        zero, own_mirror = dirac_points(couplings)[0], False
+        zero = dirac_points(couplings)[0]
+        cap = min(cap, 0.499 * float(_torus_dist(zero.px, zero.py, -zero.px, -zero.py)))
         floor = 1e-6
     else:
         gap = fermion_gap(couplings)
         if gap >= NEAR_CRITICAL_GAP:
-            return [], 0.0, 0.0
+            return None, 0.0, 0.0
         jx, jy, jz = couplings.jx, couplings.jy, couplings.jz
         # a zero coupling drops a momentum from lam = 2 |jx e^{ipx} + jy e^{ipy}
         # + jz|, so on the boundary its zeros fill a line, not a corner
@@ -583,15 +586,12 @@ def _refinement_plan(points: Sequence[ThermoPoint]):
                     f"whole line {line} = {'pi' if other > 0 else '0'}, which point "
                     "refinement cannot resolve"
                 )
-        zero, own_mirror = _gap_minimum(couplings), True
+        zero = _gap_minimum(couplings)
         floor = max(gap / 8.0, 1e-6)
     widths = [max(tp.temperature, floor) for tp in points]
-    radius = min(max(8.0 * max(widths), MIN_REFINE_RADIUS), 0.5 * math.pi)
-    if not own_mirror:
-        radius = min(radius, 0.499 * float(_torus_dist(zero.px, zero.py, -zero.px, -zero.py)))
+    radius = min(max(8.0 * max(widths), MIN_REFINE_RADIUS), cap)
     r_min = min(min(widths) / 100.0, radius / 64.0)
-    disks = [((zero.px, zero.py), _needle_axis(couplings, zero), own_mirror)]
-    return disks, radius, r_min
+    return ((zero.px, zero.py), _needle_axis(couplings, zero)), radius, r_min
 
 
 def _tolerance_missed(points, raw_errors, result, members=()):
@@ -630,11 +630,11 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
     n_c = len(stack_c)
     f = _integrand(points, stack_c, pairs_nc, nc_kernel)
 
-    disks, radius, r_min = _refinement_plan(points)
-    if disks:
-        result = integrate_bz_refined(f, disks, r_min, grid, radius=radius)
-    else:
+    disk, radius, r_min = _refinement_plan(points)
+    if disk is None:
         result = integrate_bz(f, grid)
+    else:
+        result = integrate_bz_refined(f, disk, r_min, grid, radius=radius)
     shape = (len(points), n_c + len(pairs_nc))
     raw_errors = np.reshape(result.error_estimate, shape)
     converged = np.reshape(result.converged, (len(points),))
@@ -647,7 +647,7 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
             details={
                 "grid": grid,
                 "temperature": tp.temperature,
-                "refinement": {"disks": disks, "radius": radius, "r_min": r_min},
+                "refinement": {"disk": disk, "radius": radius, "r_min": r_min},
                 "evaluations": result.evaluations,
                 "error_classical": _assemble(stack_c, list(errs[:n_c])),
                 "error_nonclassical": _assemble(pairs_nc, list(errs[n_c:])),

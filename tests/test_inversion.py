@@ -84,16 +84,21 @@ TENSOR_PHASES = [
     "couplings, temperature", TENSOR_PHASES, ids=["gapped", "gapless", "critical", "near-critical"]
 )
 def test_refined_tensors_equal_full_zone_reference(couplings, temperature):
-    # half grid, one disk per +-K pair and half corner disks against every
+    # half grid, one disk for the +-K pair or a half corner disk against every
     # node of the same rule (one doubling, one disk level: the rule, not its
     # accuracy, is compared, so the tolerance admits any error estimate)
     grid = GridSpec(base_n=64, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
     tp = ThermoPoint.from_temperature(couplings, temperature)
     t = tensor_thermodynamic(tp, grid)
-    disks, radius, r_min = _refinement_plan([tp])
-    # the reference integrates every disk of the closed centre set in full
-    centres = [c for c, _, _ in disks] + [(-x, -y) for (x, y), _, own in disks if not own]
-    axes = [a for _, a, _ in disks] + [a for _, a, own in disks if not own]
+    disk, radius, r_min = _refinement_plan([tp])
+    # the reference integrates every disk of the closed centre set in full:
+    # a corner alone, K with -K
+    centres, axes = [], []
+    if disk is not None:
+        (x, y), axis = disk
+        corner = x in (0.0, -math.pi) and y in (0.0, -math.pi)
+        centres = [(x, y)] if corner else [(x, y), (-x, -y)]
+        axes = [axis] * len(centres)
     f = _integrand([tp], list(CLASSICAL_PAIRS), list(NONCLASSICAL_PAIRS), _tanh_sq_ratio)
     ref = full_zone_reference(f, centres, r_min, radius, grid, axes)[0] / (32.0 * math.pi**2)
     got = np.array(
@@ -139,7 +144,7 @@ def test_gap_centre_is_the_exact_corner(couplings):
     assert float(spectral_arrays(c.px, c.py, couplings).lam) == pytest.approx(
         fermion_gap(couplings), abs=1e-12
     )
-    assert Momentum(-c.px, -c.py) == c
+    assert Momentum(-c.px, -c.py) == c and {c.px, c.py} <= {0.0, -math.pi}
     if fermion_gap(couplings) < 0.5:  # refined: the plan uses this centre
-        disks = _refinement_plan([ThermoPoint(couplings, 100.0)])[0]
-        assert [(centre, own_mirror) for centre, _, own_mirror in disks] == [((c.px, c.py), True)]
+        (centre, _), _, _ = _refinement_plan([ThermoPoint(couplings, 100.0)])
+        assert centre == (c.px, c.py)

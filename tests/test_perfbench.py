@@ -54,7 +54,7 @@ def test_benchmark_output_passes_its_gate(workloads, name):
 @pytest.mark.parametrize("name", ["critical", "gapped"])
 def test_benchmark_output_passes_its_gate_under_the_tracer(workloads, name):
     # the tracer calls integrate_bz(f, grid) and integrate_bz_refined(f,
-    # disks, r_min, grid, radius=...) through its own wrappers: a call
+    # disk, r_min, grid, radius=...) through its own wrappers: a call
     # shape they do not pass on breaks only traced runs, and fails here
     tracing = _load("tracing")
     [op] = [op for op in workloads.WORKLOADS["tensor-phases"].ops if op.name == name]

@@ -15,10 +15,10 @@ from kitaev_bures.quadrature import (
 
 FOUR_PI_SQ = 4 * math.pi**2
 TIGHT = GridSpec(base_n=64, target_rel_tol=1e-13, max_doublings=5)
-# refinement disks (centre, axis, own_mirror): one on the zone corner (0, 0),
-# its own mirror, and one at K = (0.3, -1.1), which stands for K and -K
-CORNER = [((0.0, 0.0), None, True)]
-OFF_CORNER = [((0.3, -1.1), None, False)]
+# refinement disks (centre, axis): one on the zone corner (0, 0), its own
+# mirror, and one at K = (0.3, -1.1), which stands for K and -K
+CORNER = ((0.0, 0.0), None)
+OFF_CORNER = ((0.3, -1.1), None)
 
 
 def test_gridspec_validation():
@@ -73,24 +73,17 @@ def test_vector_valued_integrand():
     assert res.value[1] == pytest.approx(2 * math.pi**2, rel=1e-14)
 
 
-def test_refined_noop_without_singular_points():
-    f = lambda px, py: np.exp(np.cos(px)) * np.cos(py) ** 2
-    plain = integrate_bz(f, TIGHT)
-    ref = integrate_bz_refined(f, [], 1e-3, TIGHT, radius=0.8)
-    assert ref.value == plain.value  # identical code path, bit-identical
-
-
 @pytest.mark.parametrize("width", [0.05, 0.2])
 def test_refined_matches_plain_on_smooth_integrands(width):
-    # two +-K pairs, the nearest centres 1.92 apart: radius 8 width, kept
-    # below half of that
+    # a corner disk and a +-K pair 2.28 apart: radius 8 width, kept below
+    # half of that
     f = lambda px, py: np.exp(np.cos(px) + 0.5 * np.sin(px) * np.sin(py))
     plain = integrate_bz(f, TIGHT)
-    disks = OFF_CORNER + [((-2.0, 2.0), None, False)]
     radius = min(8 * width, 0.95)
-    ref = integrate_bz_refined(f, disks, width / 100, TIGHT, radius=radius)
-    assert ref.converged
-    assert abs(ref.value - plain.value) / abs(plain.value) < 1e-12
+    for disk in (CORNER, OFF_CORNER):
+        ref = integrate_bz_refined(f, disk, width / 100, TIGHT, radius=radius)
+        assert ref.converged
+        assert abs(ref.value - plain.value) / abs(plain.value) < 1e-12
 
 
 def test_refined_near_singular_peak():
@@ -196,7 +189,7 @@ def test_deterministic_repeatability():
     a = integrate_bz(f, g)
     b = integrate_bz(f, g)
     assert a.value == b.value and a.error_estimate == b.error_estimate
-    disk = [((0.5, 0.5), None, False)]
+    disk = ((0.5, 0.5), None)
     ra = integrate_bz_refined(f, disk, 1e-3, g, radius=0.7)
     rb = integrate_bz_refined(f, disk, 1e-3, g, radius=0.7)
     assert ra.value == rb.value
@@ -370,12 +363,12 @@ def test_quarter_grid_equals_full_grid(base_n):
 @pytest.mark.parametrize(
     "disk, closed",
     [
-        (((-math.pi, -math.pi), None, True), [(-math.pi, -math.pi)]),
-        (((0.0, 0.0), math.pi / 4, True), [(0.0, 0.0)]),
-        (((0.0, 0.0), 3 * math.pi / 4, True), [(0.0, 0.0)]),
-        (((0.7, -0.7), None, False), [(0.7, -0.7), (-0.7, 0.7)]),
-        (((0.7, -0.7), -math.pi / 4, False), [(0.7, -0.7), (-0.7, 0.7)]),
-        (((0.7, -0.7), math.pi / 4, False), [(0.7, -0.7), (-0.7, 0.7)]),
+        (((-math.pi, -math.pi), None), [(-math.pi, -math.pi)]),
+        (((0.0, 0.0), math.pi / 4), [(0.0, 0.0)]),
+        (((0.0, 0.0), 3 * math.pi / 4), [(0.0, 0.0)]),
+        (((0.7, -0.7), None), [(0.7, -0.7), (-0.7, 0.7)]),
+        (((0.7, -0.7), -math.pi / 4), [(0.7, -0.7), (-0.7, 0.7)]),
+        (((0.7, -0.7), math.pi / 4), [(0.7, -0.7), (-0.7, 0.7)]),
     ],
     ids=["corner-polar", "corner-needle-along", "corner-needle-across", "pair-polar",
          "pair-needle-along", "pair-needle-across"],
@@ -386,10 +379,10 @@ def test_quarter_rule_matches_the_full_zone(disk, closed):
     # of a needle grid across the mirror line (soft axis along it) or along
     # it (soft axis across it); the grid evaluates a quarter of the zone
     grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
-    res = integrate_bz_refined(_sym_pair, [disk], 5e-4, grid, radius=0.4)
+    res = integrate_bz_refined(_sym_pair, disk, 5e-4, grid, radius=0.4)
     ref = full_zone_reference(_sym_pair, closed, 5e-4, 0.4, grid, [disk[1]] * len(closed))
     assert np.max(np.abs(res.value - ref)) <= 1e-14 * np.max(np.abs(ref))
-    half = integrate_bz_refined(_half_rule(_sym_pair), [disk], 5e-4, grid, radius=0.4)
+    half = integrate_bz_refined(_half_rule(_sym_pair), disk, 5e-4, grid, radius=0.4)
     assert res.evaluations <= 0.55 * half.evaluations
 
 
@@ -423,20 +416,20 @@ def test_even_integrand_that_is_not_invariant_takes_the_half_rule():
 
 @pytest.mark.parametrize(
     "disk",
-    [((0.3, -1.1), None, False), ((0.3, -1.1), 0.4, False), ((-math.pi, 0.0), None, True)],
+    [((0.3, -1.1), None), ((0.3, -1.1), 0.4), ((-math.pi, 0.0), None)],
     ids=["pair-polar", "pair-needle", "corner"],
 )
 @pytest.mark.parametrize("traced", [False, True], ids=["bare", "traced"])
 def test_invariant_integrand_with_an_unfixed_disk_takes_the_half_rule(disk, traced):
     # neither s nor -s fixes (0.3, -1.1) or the corner (-pi, 0), so the
-    # disks are not closed under s: the invariant integrand gets, bit for
+    # disk is not closed under s: the invariant integrand gets, bit for
     # bit, what it gets beside an integral that is not invariant.  The
     # masked integrand carries that as its _even_only mark, which the
     # benchmark's tracer, rebinding quadrature.integrate_bz, must pass on
     grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
-    half = integrate_bz_refined(_half_rule(_sym_pair), [disk], 5e-4, grid, radius=0.4)
+    half = integrate_bz_refined(_half_rule(_sym_pair), disk, 5e-4, grid, radius=0.4)
     with load_perfbench("tracing").Tracer().installed() if traced else contextlib.nullcontext():
-        alone = integrate_bz_refined(_sym_pair, [disk], 5e-4, grid, radius=0.4)
+        alone = integrate_bz_refined(_sym_pair, disk, 5e-4, grid, radius=0.4)
     assert np.array_equal(alone.value, half.value[0])
     assert np.array_equal(alone.error_estimate, half.error_estimate[0])
     assert alone.evaluations == half.evaluations
@@ -481,10 +474,10 @@ def test_half_grid_equals_full_grid(base_n):
 @pytest.mark.parametrize(
     "disk, closed",
     [
-        (((-math.pi, 0.0), None, True), [(-math.pi, 0.0)]),  # corner, polar half disk
-        (((0.0, 0.0), 0.4, True), [(0.0, 0.0)]),  # corner, needle half grid
-        (((0.7, -1.9), None, False), [(0.7, -1.9), (-0.7, 1.9)]),  # +-K, polar
-        (((0.7, -1.9), 0.4, False), [(0.7, -1.9), (-0.7, 1.9)]),  # +-K, needle
+        (((-math.pi, 0.0), None), [(-math.pi, 0.0)]),  # corner, polar half disk
+        (((0.0, 0.0), 0.4), [(0.0, 0.0)]),  # corner, needle half grid
+        (((0.7, -1.9), None), [(0.7, -1.9), (-0.7, 1.9)]),  # +-K, polar
+        (((0.7, -1.9), 0.4), [(0.7, -1.9), (-0.7, 1.9)]),  # +-K, needle
     ],
     ids=["corner-polar", "corner-needle", "pair-closed", "pair-needle"],
 )
@@ -493,31 +486,28 @@ def test_half_disks_equal_full_disks(disk, closed):
     # of) angles, and the rest are their phi + pi mirrors; the disk at K
     # counts once more for -K
     grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
-    res = integrate_bz_refined(_even_pair, [disk], 5e-4, grid, radius=0.4)
+    res = integrate_bz_refined(_even_pair, disk, 5e-4, grid, radius=0.4)
     ref = full_zone_reference(_even_pair, closed, 5e-4, 0.4, grid, [disk[1]] * len(closed))
     assert np.max(np.abs(res.value - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize(
-    "disks, radius, match",
+    "disk, radius",
     [
-        ([((0.7, -1.9), None, False), ((-0.7, 1.9), None, False)], 0.4, "overlap"),
-        (OFF_CORNER + [((0.3, -0.5), None, False)], 0.4, "overlap"),
-        ([((0.1, -0.2), None, False)], 0.4, "overlap"),
-        (CORNER, 3.5, "overlap"),
-        ([((0.3, 0.0), None, True)], 0.4, "not a corner"),
-        ([((math.pi, 0.0), None, True)], 0.4, "not a corner"),
+        (((0.1, -0.2), None), 0.4),
+        (CORNER, 3.5),
+        (((0.3, 0.0), None), 0.4),
+        (((math.pi, 0.0), None), 0.4),
     ],
-    ids=["pair-given", "closer-than-two-radii", "near-own-mirror", "own-image",
-         "off-corner", "unwrapped-corner"],
+    ids=["near-own-mirror", "own-image", "off-corner", "unwrapped-corner"],
 )
-def test_refined_refuses_a_geometry_it_cannot_integrate(disks, radius, match):
-    # the geometry is the caller's: K given with -K, two centres (or a
-    # centre and a mirror, or a disk and its own periodic image) closer
-    # than twice the radius, and an own-mirror centre off {0, -pi}^2 are
-    # refused, never merged, capped or snapped
-    with pytest.raises(ValueError, match=match):
-        integrate_bz_refined(_even_pair, disks, 1e-3, GridSpec(), radius=radius)
+def test_refined_refuses_a_geometry_it_cannot_integrate(disk, radius):
+    # the geometry is the caller's: a disk closer than twice the radius to
+    # its mirror or to its own periodic image is refused, never capped or
+    # snapped.  Only a centre in {0, -pi}^2 is its own mirror: (0.3, 0) and
+    # the unwrapped corner (pi, 0) stand for a +-K pair 0.6 and 0 apart
+    with pytest.raises(ValueError, match="overlap"):
+        integrate_bz_refined(_even_pair, disk, 1e-3, GridSpec(), radius=radius)
 
 
 def test_ring_angular_counts_are_even():

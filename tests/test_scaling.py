@@ -263,7 +263,7 @@ def test_piecewise_ratio_approximation_consistency():
             return np.where(lam4 > 0, v, 0.0)
 
         # one disk at K stands for the +-K pair
-        disk = [((zeros[0].px, zeros[0].py), None, False)]
+        disk = ((zeros[0].px, zeros[0].py), None)
         res = integrate_bz_refined(f, disk, temp / 100.0, grid, radius=max(8.0 * temp, 0.3))
         return float(res.value) / (32 * math.pi**2)
 

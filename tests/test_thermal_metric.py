@@ -661,15 +661,15 @@ def test_refinement_radius_covers_every_member():
     # and r_min from the smallest width
     j = Couplings(0.22, 0.22, 0.56)
     mixed = [ThermoPoint.from_temperature(j, t) for t in (0.002, 0.08)]
-    disks, radius, r_min = _refinement_plan(mixed)
-    assert [(centre, own) for centre, _, own in disks] == [((-math.pi, -math.pi), True)]
+    disk, radius, r_min = _refinement_plan(mixed)
+    assert disk[0] == (-math.pi, -math.pi)
     assert radius == max(8.0 * 0.08, MIN_REFINE_RADIUS)
     assert r_min == fermion_gap(j) / 8.0 / 100.0 == pytest.approx(3e-4)
     # every tensor of the batch records the plan it was integrated with
     grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
     for t in tensors_thermodynamic(mixed, grid, elements=[("c", P.BETA, P.BETA)]):
         recorded = t.evaluation.details["refinement"]
-        assert recorded == {"disks": disks, "radius": radius, "r_min": r_min}
+        assert recorded == {"disk": disk, "radius": radius, "r_min": r_min}
     # a batch of one keeps the shoulder floor when 8 T is smaller
     _, radius, r_min = _refinement_plan([ThermoPoint.from_temperature(j, 0.01)])
     assert radius == MIN_REFINE_RADIUS == 0.5
@@ -681,9 +681,8 @@ def test_refinement_radius_of_a_dirac_pair_stays_below_half_their_distance():
     # capped at 0.499 of their distance, and r_min = T / 100
     j = Couplings(0.255, 0.255, 0.49)
     k, minus_k = dirac_points(j)
-    disks, radius, r_min = _refinement_plan([ThermoPoint.from_temperature(j, 0.1)])
-    [((cx, cy), _, own_mirror)] = disks
-    assert (cx, cy) == (k.px, k.py) and not own_mirror
+    ((cx, cy), _), radius, r_min = _refinement_plan([ThermoPoint.from_temperature(j, 0.1)])
+    assert (cx, cy) == (k.px, k.py)
     # the disk stands for -K, its mirror
     assert np.max(np.abs(wrap_angle(np.array([-cx, -cy]) - [minus_k.px, minus_k.py]))) < 1e-12
     distance = math.hypot(*wrap_angle(np.array([2.0 * cx, 2.0 * cy])))
@@ -702,7 +701,7 @@ def test_polar_disk_near_a_needle_meets_a_tight_reference(couplings):
     # at T = 1e-4 the default tensor must lie within its reported error (or
     # rounding) of a reference that climbs two more disk levels
     tp = ThermoPoint.from_temperature(couplings, 1e-4)
-    [(_, axis, _)], _, _ = _refinement_plan([tp])
+    (_, axis), _, _ = _refinement_plan([tp])
     assert axis is None
     assert_within_reported_error(tp)
 
