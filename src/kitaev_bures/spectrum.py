@@ -88,14 +88,16 @@ class Couplings:
 
 @dataclass(frozen=True)
 class Momentum:
-    """A Brillouin-zone momentum; construction wraps into [-pi, pi)."""
+    """A Brillouin-zone momentum; construction wraps a coordinate outside
+    [-pi, pi) into it and keeps one inside bit for bit."""
 
     px: float
     py: float
 
     def __post_init__(self):
-        object.__setattr__(self, "px", float(wrap_angle(self.px)))
-        object.__setattr__(self, "py", float(wrap_angle(self.py)))
+        for name in ("px", "py"):
+            v = float(getattr(self, name))
+            object.__setattr__(self, name, v if -math.pi <= v < math.pi else float(wrap_angle(v)))
 
 
 class PhaseRegion(Enum):
@@ -235,7 +237,10 @@ def dirac_points(couplings: Couplings) -> list[Momentum]:
     Gapless couplings have the +-K pair: cos(px - pi) = (jx^2 + jz^2 - jy^2)
     / (2 jx jz) and the analogous py equation make epsilon vanish, and
     delta = -2 (sx jx sin ux + sy jy sin uy) vanishes on the branches
-    sy = -sx sign(jx jy), because |jx| sin ux = |jy| sin uy.  On the
+    sy = -sx sign(jx jy), because |jx| sin ux = |jy| sin uy.  K = (pi + ux,
+    sy (pi + uy)) mod 2 pi wraps each of pi + ux and pi + uy once, and -K
+    is its exact negation, so on the cut jx == jy (where ux == uy and sy =
+    -1) K = (a, -a) bit for bit, the point the reflection -s fixes.  On the
     critical boundary the pair merges at the gap corner (``_gap_minimum``),
     returned once.  Gapped couplings, and boundary couplings with a zero
     coupling (whose zeros form a line, not points), return an empty list.
@@ -249,7 +254,6 @@ def dirac_points(couplings: Couplings) -> list[Momentum]:
     ux = math.acos(min(1.0, max(-1.0, (jx * jx + jz * jz - jy * jy) / (2.0 * jx * jz))))
     uy = math.acos(min(1.0, max(-1.0, (jy * jy + jz * jz - jx * jx) / (2.0 * jy * jz))))
     sy = -math.copysign(1.0, jx * jy)
-    return [
-        Momentum(math.pi + ux, math.pi + sy * uy),
-        Momentum(math.pi - ux, math.pi - sy * uy),
-    ]
+    a, b = (float(wrap_angle(math.pi + u)) for u in (ux, uy))
+    k = Momentum(a, sy * b)
+    return [k, Momentum(-k.px, -k.py)]

@@ -57,6 +57,10 @@ def test_momentum_wraps_into_zone():
     assert -math.pi <= p.py < math.pi
     assert p.px == pytest.approx(-math.pi)
     assert p.py == pytest.approx(-math.pi / 2)
+    # a coordinate already in the zone is kept bit for bit, which wrapping
+    # through +pi would round away
+    q = Momentum(1e-20, -math.pi)
+    assert (q.px, q.py) == (1e-20, -math.pi)
 
 
 def test_couplings_must_be_finite():
@@ -235,6 +239,18 @@ def test_gapless_dirac_points_are_a_mirror_pair(a, b, t, signs, order):
     assert abs(wrap_angle(pts[0].py + pts[1].py)) < 1e-12
     for p in pts:
         assert spectral_arrays(p.px, p.py, j).lam <= 1e-12 * j.abs_max()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_dirac_point_on_the_cut_is_fixed_by_minus_s(sign):
+    # on the cut jx == jy the pair is K = (a, -a), which the reflection
+    # -s: (px, py) -> (-py, -px) fixes; the quarter rule needs that bit for
+    # bit, and K an ulp off it silently takes the half rule
+    for jz in np.linspace(0.0005, 0.4995, 20000):
+        j = sign * (1.0 - jz) / 2.0
+        k, minus_k = dirac_points(Couplings(j, j, jz))
+        assert k.px == -k.py
+        assert (minus_k.px, minus_k.py) == (-k.px, -k.py)
 
 
 def test_dispersion_locally_linear_at_interior_zeros(rng):

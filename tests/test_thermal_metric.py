@@ -444,6 +444,9 @@ CUT_RUNS = {
     "gapless-log": ((0.3333, 0.3334), np.geomspace(1e-3, 1e-2, 6), JZ_NC, 1e-6),
     "critical-power": ((0.25, 0.5), np.geomspace(1e-4, 1e-2, 6), JZ_NC, 1e-6),
     "ratio-map-column": ((0.2, 0.6), np.geomspace(0.002, 0.05, 8), JZ_BOTH, 1e-4),
+    # not a benchmark coupling: its Dirac point was once formed an ulp off
+    # K = (a, -a), which silently took the half rule
+    "gapless-dirac-ulp": (((1 - 0.386228) / 2, 0.386228), [0.01], ALL_ELEMENTS, 1e-6),
 }
 
 
