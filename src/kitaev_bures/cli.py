@@ -309,8 +309,8 @@ def cmd_scaling(argv: list[str]) -> int:
     _add_grid(parser)
     args = _parse(parser, argv)
     couplings = Couplings(args.jx, args.jy, args.jz)
-    if not (0 < args.tmin < args.tmax):
-        raise ValueError("need 0 < tmin < tmax")
+    if not (0 < args.tmin < args.tmax < np.inf):
+        raise ValueError("need 0 < tmin < tmax < inf")
     if args.points < 6:
         raise ValueError("points must be >= 6 for the fits")
     if ":" not in args.element:

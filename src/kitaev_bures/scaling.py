@@ -264,13 +264,14 @@ def map_axes(
     """The axes of a ratio map: couplings linear over ``jz_range`` and
     temperatures log-spaced over ``t_range``, ``resolution`` points each (or
     a ``(couplings, temperatures)`` pair).  Each axis needs at least 8
-    points and an increasing range; the temperatures must be positive."""
+    points and an increasing finite range; the temperatures must be
+    positive."""
     n_jz, n_t = (resolution, resolution) if isinstance(resolution, int) else resolution
     if n_jz < 8 or n_t < 8:
         raise ValueError("resolution must be at least 8 per axis")
     (j_lo, j_hi), (t_lo, t_hi) = jz_range, t_range
-    if not (j_lo < j_hi and 0 < t_lo < t_hi):
-        raise ValueError("ranges must be positive and ordered")
+    if not (-math.inf < j_lo < j_hi < math.inf and 0 < t_lo < t_hi < math.inf):
+        raise ValueError("ranges must be finite, ordered and, for temperatures, positive")
     return np.linspace(j_lo, j_hi, n_jz), np.geomspace(t_lo, t_hi, n_t)
 
 
@@ -294,8 +295,11 @@ def ratio_map(
     assembled by index, so the worker count cannot change values.  A
     temperature whose quadrature misses the tolerance marks only its own
     cell invalid, with its own reason; the column's converged cells keep
-    their values.  Failures never abort the map.
+    their values.  Failures never abort the map.  ``threads`` unset or 0
+    picks the worker count automatically; a negative count is refused.
     """
+    if threads is not None and threads < 0:
+        raise ValueError(f"threads must be unset or >= 0 (0: automatic), got {threads}")
     jz_values, temperatures = map_axes(jz_range, t_range, resolution)
     n_jz, n_t = len(jz_values), len(temperatures)
     quad = grid or GridSpec(target_rel_tol=1e-4)
@@ -324,7 +328,7 @@ def ratio_map(
     out = np.zeros((n_t, n_jz))
     valid = np.ones((n_t, n_jz), dtype=bool)
     failures = []
-    workers = threads if threads and threads > 0 else None
+    workers = threads or None
     with ThreadPoolExecutor(max_workers=workers) as pool:
         columns = list(pool.map(column, range(n_jz)))
     for i in range(n_t):

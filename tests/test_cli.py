@@ -333,6 +333,8 @@ def test_scaling_fit_failure_exit_code(tmp_path, capsys):
         # the library's long part names are not CLI part names
         (("0.3", "0.3", "0.4"), ["--element", "classical:jz-jz"],
          "unknown tensor part 'classical'"),
+        # refused before the temperatures are spaced
+        (("0.3", "0.3", "0.4"), ["--tmax", "inf"], "need 0 < tmin < tmax < inf"),
     ],
 )
 def test_scaling_input_failures_are_usage_errors(tmp_path, capsys, couplings, flags, message):
@@ -435,6 +437,25 @@ def test_scaling_critical_power_dispatch(tmp_path, capsys):
 def test_ratio_map_resolution_validation(capsys):
     code, _, err = run(capsys, ["ratio-map", "--res", "1x1"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--t-max", "inf"], "ranges must be finite"),
+        (["--jz-max", "inf"], "ranges must be finite"),
+        (["--threads", "-3"], "threads must be unset or >= 0"),
+    ],
+    ids=["t-max-inf", "jz-max-inf", "negative-threads"],
+)
+def test_ratio_map_input_failures_are_usage_errors(tmp_path, capsys, flags, message):
+    # refused before any cell is integrated: exit 2, not the exit 3 of
+    # failed cells
+    path = tmp_path / "map.csv"
+    code, _, err = run(capsys, ["ratio-map", "--res", "8x8", *flags, "--out", str(path)])
+    assert code == 2
+    assert message in err
+    assert not path.exists()
 
 
 def test_ratio_map_invalid_contour_level_writes_nothing(tmp_path, capsys):

@@ -177,6 +177,9 @@ def test_ratio_map_thread_count_does_not_change_values():
     a = ratio_map(figure_of_merit_trajectory, (0.62, 0.66), (0.5, 1.0), 8, grid=grid, threads=1)
     b = ratio_map(figure_of_merit_trajectory, (0.62, 0.66), (0.5, 1.0), 8, grid=grid, threads=4)
     assert np.array_equal(a.grid, b.grid)
+    # 0 is automatic, a negative count is refused rather than read as 0
+    with pytest.raises(ValueError, match="threads must be unset or >= 0"):
+        ratio_map(figure_of_merit_trajectory, (0.62, 0.66), (0.5, 1.0), 8, threads=-3)
 
 
 def test_column_batched_map_matches_standalone_cells():
