@@ -561,9 +561,9 @@ def _refinement_plan(points: Sequence[ThermoPoint]):
     has a width ``w`` (its temperature, floored); the radius is the largest
     ``max(8 w, MIN_REFINE_RADIUS)``, which covers every integrand shoulder,
     capped at pi/2 and, for +-K, at 0.499 of their distance, and ``r_min =
-    min(min w / 100, radius / 64)`` resolves the coldest point.  The floor also sets the
-    width of the partition step, ``radius / 2``, that the base trapezoid
-    must resolve: the wider the step, the fewer doublings.
+    min(min w / 100, radius / 64)`` resolves the coldest point.  The floor
+    also sets the width of the partition step, ``radius / 2``, that the
+    base trapezoid must resolve: the wider the step, the fewer doublings.
     """
     couplings = points[0].couplings
     cap = 0.5 * math.pi
