@@ -217,6 +217,13 @@ def analytic_metric(
         drho: sequence of k Hermitian, traceless parameter derivatives of
             rho, each possibly stacked ``(..., d, d)``.
 
+    The directions broadcast against one another and against the
+    eigensystem's leading axes: an unstacked ``(d, d)`` direction next to
+    stacked ``(n, d, d)`` ones, or next to a stacked eigensystem, stands for
+    the same derivative at every state.  The eigenbasis matrices
+    ``A^mu = V^dagger (d_mu rho) V`` of all k directions are formed in one
+    contraction.
+
     Eigenvalues below ``EIGENVALUE_FLOOR`` are admitted in the classical sum
     only when the matching derivative is below ``DERIVATIVE_FLOOR`` (the term
     is then a 0/0 limit and contributes 0); otherwise EigenvalueFloorError is
@@ -240,8 +247,11 @@ def analytic_metric(
             if tr > 1e-10:
                 raise ValueError(f"drho[{mu}] not traceless (max trace {tr:.3e})")
         mats.append(d)
-    # A^mu = V^dagger (d_mu rho) V in the eigenbasis
-    a = np.stack([v.conj().swapaxes(-1, -2) @ d @ v for d in mats])  # (k, ..., d, d)
+    # A^mu = V^dagger (d_mu rho) V in the eigenbasis, all k at once
+    a = np.einsum(
+        "...ji,m...jl,...lk->m...ik", v.conj(), np.stack(np.broadcast_arrays(*mats)), v,
+        optimize=True,
+    )  # (k, ..., d, d)
     dp = np.einsum("m...ii->m...i", a).real  # eigenvalue derivatives (k, ..., d)
 
     small = p < EIGENVALUE_FLOOR
@@ -270,8 +280,12 @@ def analytic_metric(
                 )
     safe = np.where(off & ~psum_small, psum, 1.0)
     weight = np.where(off & ~psum_small, 1.0 / safe, 0.0)
-    prod = np.einsum("m...ij,n...ij->mn...ij", a, a.conj()).real
-    nonclassical = 0.5 * np.einsum("mn...ij,...ij->...mn", prod, weight)
+    # Re(a_m conj(a_n)) = Re a_m Re a_n + Im a_m Im a_n, with no (k, k, ...) temporary
+    pair = "m...ij,n...ij,...ij->...mn"
+    nonclassical = 0.5 * (
+        np.einsum(pair, a.real, a.real, weight, optimize=True)
+        + np.einsum(pair, a.imag, a.imag, weight, optimize=True)
+    )
     # enforce exact symmetry against fp round-off
     classical = 0.5 * (classical + classical.swapaxes(-1, -2))
     nonclassical = 0.5 * (nonclassical + nonclassical.swapaxes(-1, -2))

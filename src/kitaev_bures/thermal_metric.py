@@ -746,12 +746,21 @@ def nonclassical_corrections(
 
 
 def _entry_sums(g: np.ndarray) -> np.ndarray:
-    """Compensated per-entry sum of a stack of (..., 4, 4) metrics."""
+    """Compensated per-entry sum of a stack of (..., 4, 4) metrics.
+
+    Only the 10 entries on or above the diagonal are summed; the rest are
+    their mirrors.  The stack must therefore be symmetric bit for bit, which
+    each of the oracle's four stacks is: ``analytic_metric`` returns each
+    part as ``0.5 * (g + g^T)``, whose mirrored entries are the same sum of
+    the same two floats, and ``finite_difference_metric_pairs`` writes one
+    value into both off-diagonal slots, so the difference of its two stacks
+    is symmetric too.
+    """
     flat = g.reshape(-1, 4, 4)
     out = np.empty((4, 4))
     for i in range(4):
-        for j in range(4):
-            out[i, j] = compensated_sum(flat[:, i, j])
+        for j in range(i, 4):
+            out[i, j] = out[j, i] = compensated_sum(flat[:, i, j])
     return out
 
 
@@ -804,8 +813,10 @@ def _mode_pair_fidelities(px, py, r0, theta0, sech0, x0):
 def tensor_oracle(tp: ThermoPoint, L: int) -> BuresTensor:
     """Per-site tensor rebuilt from per-mode density matrices.
 
-    For every momentum of the L x L grid the thermal qubit family
-    (beta, jx, jy, jz) -> mode_density_matrix is differentiated twice over:
+    For every momentum of the L x L grid (the broadcast grid
+    ``xs[:, None], xs[None, :]``, every node, no symmetry used) the thermal
+    qubit family (beta, jx, jy, jz) -> mode_density_matrix is differentiated
+    twice over:
 
     * one finite-difference pass (Richardson-refined central differences,
       step ``ORACLE_STEP``) over the stacked Uhlmann fidelity and
@@ -845,8 +856,7 @@ def tensor_oracle(tp: ThermoPoint, L: int) -> BuresTensor:
     if L < 3 or L % 2 == 0:
         raise ValueError(f"L must be odd and >= 3, got {L}")
     xs = _momentum_axis(L)
-    px = np.repeat(xs, L)
-    py = np.tile(xs, L)
+    px, py = xs[:, None], xs[None, :]
     lam0 = np.array([tp.beta, tp.couplings.jx, tp.couplings.jy, tp.couplings.jz])
     bloch0 = _mode_bloch(px, py, lam0)
     g_total_fd, g_classical_fd = bures.finite_difference_metric_pairs(

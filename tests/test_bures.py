@@ -209,6 +209,75 @@ def test_eigenvalue_floor_error():
         analytic_metric(decomp, bad)
 
 
+def _random_stacked_states(rng, lead, dim):
+    a = rng.normal(size=lead + (dim, dim)) + 1j * rng.normal(size=lead + (dim, dim))
+    rho = a @ a.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
+def _random_traceless_hermitian(rng, lead, dim):
+    a = rng.normal(size=lead + (dim, dim)) + 1j * rng.normal(size=lead + (dim, dim))
+    h = 0.5 * (a + a.conj().swapaxes(-1, -2))
+    return h - (np.trace(h, axis1=-2, axis2=-1)[..., None, None] / dim) * np.eye(dim)
+
+
+def _loop_reference_metric(decomp, drho):
+    """The Bures metric parts from one V^dagger d V product per direction and
+    explicit sums over eigenvalues and pairs."""
+    p, v = decomp.eigenvalues, decomp.eigenvectors
+    a = [v.conj().swapaxes(-1, -2) @ d @ v for d in drho]
+    k, dim = len(a), p.shape[-1]
+    classical = np.zeros(p.shape[:-1] + (k, k))
+    nonclassical = np.zeros(p.shape[:-1] + (k, k))
+    for m in range(k):
+        for n in range(k):
+            for i in range(dim):
+                classical[..., m, n] += 0.25 * (
+                    a[m][..., i, i].real * a[n][..., i, i].real / p[..., i]
+                )
+                for j in range(dim):
+                    if i != j:
+                        nonclassical[..., m, n] += 0.5 * (
+                            (a[m][..., i, j] * a[n][..., i, j].conj()).real
+                            / (p[..., i] + p[..., j])
+                        )
+    return classical, nonclassical
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (3, 4)], ids=["single", "stack", "grid"])
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_analytic_metric_matches_a_per_direction_loop(rng, dim, lead):
+    # the one-contraction eigenbasis step and the real/imaginary pair sums
+    # against one V^dagger d V product per direction
+    decomp = spectral_decomposition(_random_stacked_states(rng, lead, dim))
+    drho = [_random_traceless_hermitian(rng, lead, dim) for _ in range(3)]
+    md = analytic_metric(decomp, drho)
+    classical, nonclassical = _loop_reference_metric(decomp, drho)
+    for got, want in ((md.classical, classical), (md.nonclassical, nonclassical)):
+        assert got.shape == lead + (3, 3)
+        scale = float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(got - want))) <= 1e-13 * scale
+
+
+def test_analytic_metric_broadcasts_directions(rng):
+    # an unstacked (d, d) direction stands for the same derivative at every
+    # state of a stack, next to stacked directions or on its own
+    decomp = spectral_decomposition(_random_stacked_states(rng, (5,), 3))
+    fixed = _random_traceless_hermitian(rng, (), 3)
+    stacked = _random_traceless_hermitian(rng, (5,), 3)
+    md = analytic_metric(decomp, [fixed, stacked])
+    explicit = analytic_metric(decomp, [np.broadcast_to(fixed, (5, 3, 3)), stacked])
+    assert md.classical.shape == md.nonclassical.shape == (5, 2, 2)
+    assert np.array_equal(md.classical, explicit.classical)
+    assert np.array_equal(md.nonclassical, explicit.nonclassical)
+    alone = analytic_metric(decomp, [fixed])
+    assert alone.classical.shape == (5, 1, 1)
+    assert max_rel_dev(alone.total, explicit.total[:, :1, :1]) < 1e-13
+    # and a stacked direction at a single state gives one metric per direction
+    single = spectral_decomposition(_random_stacked_states(rng, (), 3))
+    assert analytic_metric(single, [fixed, stacked]).total.shape == (5, 2, 2)
+
+
 def test_finite_difference_constant_family_is_zero(rng):
     rho = random_density_matrix(rng, 3)
     fd = finite_difference_metric(lambda lam: rho, np.zeros(2), 1e-4)

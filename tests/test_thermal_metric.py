@@ -879,6 +879,36 @@ def test_oracle_refuses_unresolved_classical_part():
         tensor_oracle(tp, 41)
 
 
+@pytest.mark.parametrize("couplings", [Couplings(0.4, 0.3, 0.3), Couplings(0.35, 0.35, 0.3)],
+                         ids=["off-cut", "cut-jx-eq-jy"])
+def test_mode_family_on_the_broadcast_grid_equals_the_flat_grid(couplings):
+    # the oracle evaluates its mode family on xs[:, None] x xs[None, :]; each
+    # field must equal the flat np.repeat / np.tile grid's, bit for bit
+    from kitaev_bures.thermal_metric import _mode_bloch, _momentum_axis
+
+    L = 21
+    xs = _momentum_axis(L)
+    lam = np.array([2.0, couplings.jx, couplings.jy, couplings.jz])
+    grid = _mode_bloch(xs[:, None], xs[None, :], lam)
+    flat = _mode_bloch(np.repeat(xs, L), np.tile(xs, L), lam)
+    for g, f in zip(grid, flat):
+        assert g.shape == (L, L)
+        assert np.array_equal(g, f.reshape(L, L))
+
+
+def test_entry_sums_mirror_the_upper_triangle(rng):
+    # _entry_sums sums the 10 entries i <= j of an exactly symmetric stack;
+    # that must equal one compensated sum per entry over all 16, bit for bit
+    from kitaev_bures.thermal_metric import _entry_sums
+
+    r = rng.normal(size=(3, 7, 4, 4)) * np.exp(rng.normal(scale=8.0, size=(3, 7, 4, 4)))
+    g = r + r.swapaxes(-1, -2)
+    assert np.array_equal(g, g.swapaxes(-1, -2))
+    flat = g.reshape(-1, 4, 4)
+    full = np.array([[compensated_sum(flat[:, i, j]) for j in range(4)] for i in range(4)])
+    assert np.array_equal(_entry_sums(g), full)
+
+
 def test_stable_mode_fidelity_matches_matrix_route(rng):
     # the closed-form pair fidelities used by the oracle (Uhlmann, then
     # Bhattacharyya) must equal the generic matrix fidelities wherever
