@@ -56,15 +56,15 @@ def random_couplings(rng, region=None, lo=0.1, hi=0.9):
             return j
 
 
-def random_density_matrix(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
+def random_density_matrix(rng, dim, lead=()):
+    a = rng.normal(size=lead + (dim, dim)) + 1j * rng.normal(size=lead + (dim, dim))
+    rho = a @ a.conj().swapaxes(-1, -2)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
-def random_hermitian(rng, dim, scale=1.0):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * 0.5 * (a + a.conj().T)
+def random_hermitian(rng, dim, scale=1.0, lead=()):
+    a = rng.normal(size=lead + (dim, dim)) + 1j * rng.normal(size=lead + (dim, dim))
+    return scale * 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 def smooth_state_family(rng, dim, n_params=3):

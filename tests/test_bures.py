@@ -209,15 +209,8 @@ def test_eigenvalue_floor_error():
         analytic_metric(decomp, bad)
 
 
-def _random_stacked_states(rng, lead, dim):
-    a = rng.normal(size=lead + (dim, dim)) + 1j * rng.normal(size=lead + (dim, dim))
-    rho = a @ a.conj().swapaxes(-1, -2)
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
-
-
-def _random_traceless_hermitian(rng, lead, dim):
-    a = rng.normal(size=lead + (dim, dim)) + 1j * rng.normal(size=lead + (dim, dim))
-    h = 0.5 * (a + a.conj().swapaxes(-1, -2))
+def _random_traceless_hermitian(rng, dim, lead=()):
+    h = random_hermitian(rng, dim, lead=lead)
     return h - (np.trace(h, axis1=-2, axis2=-1)[..., None, None] / dim) * np.eye(dim)
 
 
@@ -249,8 +242,8 @@ def _loop_reference_metric(decomp, drho):
 def test_analytic_metric_matches_a_per_direction_loop(rng, dim, lead):
     # the one-contraction eigenbasis step and the real/imaginary pair sums
     # against one V^dagger d V product per direction
-    decomp = spectral_decomposition(_random_stacked_states(rng, lead, dim))
-    drho = [_random_traceless_hermitian(rng, lead, dim) for _ in range(3)]
+    decomp = spectral_decomposition(random_density_matrix(rng, dim, lead))
+    drho = [_random_traceless_hermitian(rng, dim, lead) for _ in range(3)]
     md = analytic_metric(decomp, drho)
     classical, nonclassical = _loop_reference_metric(decomp, drho)
     for got, want in ((md.classical, classical), (md.nonclassical, nonclassical)):
@@ -262,9 +255,9 @@ def test_analytic_metric_matches_a_per_direction_loop(rng, dim, lead):
 def test_analytic_metric_broadcasts_directions(rng):
     # an unstacked (d, d) direction stands for the same derivative at every
     # state of a stack, next to stacked directions or on its own
-    decomp = spectral_decomposition(_random_stacked_states(rng, (5,), 3))
-    fixed = _random_traceless_hermitian(rng, (), 3)
-    stacked = _random_traceless_hermitian(rng, (5,), 3)
+    decomp = spectral_decomposition(random_density_matrix(rng, 3, (5,)))
+    fixed = _random_traceless_hermitian(rng, 3)
+    stacked = _random_traceless_hermitian(rng, 3, (5,))
     md = analytic_metric(decomp, [fixed, stacked])
     explicit = analytic_metric(decomp, [np.broadcast_to(fixed, (5, 3, 3)), stacked])
     assert md.classical.shape == md.nonclassical.shape == (5, 2, 2)
@@ -273,8 +266,8 @@ def test_analytic_metric_broadcasts_directions(rng):
     alone = analytic_metric(decomp, [fixed])
     assert alone.classical.shape == (5, 1, 1)
     assert max_rel_dev(alone.total, explicit.total[:, :1, :1]) < 1e-13
-    # and a stacked direction at a single state gives one metric per direction
-    single = spectral_decomposition(_random_stacked_states(rng, (), 3))
+    # and stacked directions at a single state broadcast that state
+    single = spectral_decomposition(random_density_matrix(rng, 3))
     assert analytic_metric(single, [fixed, stacked]).total.shape == (5, 2, 2)
 
 
