@@ -127,7 +127,7 @@ def _add_grid(parser: argparse.ArgumentParser):
     parser.add_argument("--tol", type=float, help="relative quadrature tolerance")
     parser.add_argument(
         "--refine-levels", type=int,
-        help="highest disk level pair (N, N+1); the ladder starts one level below it",
+        help="highest disk level pair (N, N+1); the ladder climbs up to it from (1, 2)",
     )
 
 

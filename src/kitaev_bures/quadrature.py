@@ -22,18 +22,21 @@ the disk integrates f*w in log-polar coordinates, and nothing is counted
 twice.  A hard cell cut-out would destroy the trapezoid's convergence, which
 is why the split is smooth.
 
-No node is evaluated twice, and no disk is refined past what the tolerance
-asks.  The n-point trapezoid grid is the even-index subgrid of the 2n-point
-grid on both axes, so each doubling evaluates only the nodes it adds (the
-odd rows, and the odd columns of the even rows) and adds their sum to the
-previous level's (nested doublings).  The refinement disk climbs a ladder
-of levels: it first integrates the pair ``(refine_levels - 1,
-refine_levels)`` (no lower than level 1) and moves to ``refine_levels + 1``
-only for the integrals whose disk error ``2 |hi - lo|`` misses what the
-tolerance leaves after the base error, ``tol * scale - base error`` with
-``scale`` the largest component of base plus disk.  An integral that
-climbs gets exactly the value and error of the pair ``(refine_levels,
-refine_levels + 1)``.
+No node is evaluated twice, and neither the grid nor the disk is refined
+past what the tolerance asks: both ladders start at their coarsest rung.
+The n-point trapezoid grid is the even-index subgrid of the 2n-point grid
+on both axes, so each doubling evaluates only the nodes it adds (the odd
+rows, and the odd columns of the even rows) and adds their sum to the
+previous level's (nested doublings); the default ladder runs from n = 32
+to 2048.  The refinement disk climbs a ladder of levels: it first
+integrates the pair ``(1, 2)`` and moves one level up, at most to
+``refine_levels + 1``, only for the integrals whose disk error ``2 |hi -
+lo|`` misses what the tolerance leaves after the base error, ``tol *
+scale - base error`` with ``scale`` the largest component of base plus
+disk.  An integral keeps the first pair that meets it; one that climbs to
+the top gets exactly the value and error of the pair ``(refine_levels,
+refine_levels + 1)``.  The index geometry of a grid level depends on no
+integrand, so it is built once per process (``_zone_geometry``).
 
 Integrands are callables ``f(px, py)`` taking broadcastable float arrays and
 returning an array of shape ``lead + broadcast(px, py).shape``, and they must
@@ -148,22 +151,23 @@ class QuadratureConvergenceError(RuntimeError):
 class GridSpec:
     """Quadrature controls: resolution and tolerance only.
 
-    base_n: points per axis of the periodic trapezoid (doubled until the
-        target tolerance or ``max_doublings`` is hit).
-    refine_levels: at least 1; the disk ladder's highest pair of levels
-        is ``(refine_levels, refine_levels + 1)``; the ladder starts one
-        level below it, no lower than level 1 (see the module docstring).
+    base_n: points per axis of the coarsest periodic trapezoid (doubled
+        until the target tolerance or ``max_doublings`` is hit).
+    refine_levels: at least 1; the disk ladder starts at the pair of
+        levels ``(1, 2)`` and climbs up to ``(refine_levels,
+        refine_levels + 1)`` (see the module docstring).
     target_rel_tol: relative tolerance, judged against the largest component.
-    max_doublings: most doublings of the trapezoid after base_n.
+    max_doublings: most doublings of the trapezoid after base_n; the
+        defaults climb from 32 to 32 * 2**6 = 2048 points per axis.
 
     The disk radius is not a grid setting: ``integrate_bz_refined`` takes it
     from the caller, who knows the features it must cover.
     """
 
-    base_n: int = 128
+    base_n: int = 32
     refine_levels: int = 3
     target_rel_tol: float = 1e-6
-    max_doublings: int = 4
+    max_doublings: int = 6
 
     def __post_init__(self):
         if self.base_n < 16:
@@ -319,7 +323,38 @@ def _orbit_weights(kx, ky, mirror, dist):
 def _zone_patches(f, xs: np.ndarray, first_mirror: int, invariant: bool, nested=False):
     """Row patches of one node per orbit of the grid ``xs x xs`` (with
     ``nested``, of the nodes the grid adds to its even-index subgrid), each
-    weighted by the number of nodes it stands for.
+    weighted by the number of nodes it stands for: the cached index
+    geometry of ``_zone_geometry`` bound to ``f`` and ``xs``."""
+    bands, listed = _zone_geometry(xs.size, first_mirror, invariant, nested)
+
+    def g(kx, ky):
+        return f(xs[kx], xs[ky])
+
+    patches = [(g, rows, weights, cols) for rows, weights, cols in bands]
+    if listed is not None:
+        kx, ky, weight, starts, row_w, cols = listed
+
+        def listed_g(start, j):
+            at = start + j
+            return f(xs[kx[at]], xs[ky[at]]) * weight[at]
+
+        patches.append((listed_g, starts, row_w, cols))
+    return patches
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=64)
+def _zone_geometry(n: int, first_mirror: int, invariant: bool, nested: bool):
+    """Index geometry of ``_zone_patches`` on an axis of n nodes, as
+    read-only arrays: the band patches ``(rows, weights, cols)`` and the
+    listed nodes ``(kx, ky, weight, starts, row_weights, cols)`` (None for
+    the half rule).  It depends on the integrand only through
+    ``invariant``, so every integral on a grid level shares one.
 
     Node k of the axis is minus node ``mirror(k) = (first_mirror - k) % n``
     (0 on the zone axis, n - 1 on the centred odd axis).  The kept rows
@@ -345,13 +380,8 @@ def _zone_patches(f, xs: np.ndarray, first_mirror: int, invariant: bool, nested=
     A doubling adds the nodes with kx or ky odd: the odd rows in full and
     the odd columns of the even rows (negation maps odd columns onto odd
     columns)."""
-    n = xs.size
     rows, row_w = _mirror_fold(n, first_mirror)
     cols = np.arange(n)
-
-    def g(kx, ky):
-        return f(xs[kx], xs[ky])
-
     if not invariant:
         bands, listed = [(rows, row_w, cols)], []
     else:
@@ -374,27 +404,23 @@ def _zone_patches(f, xs: np.ndarray, first_mirror: int, invariant: bool, nested=
             parts = [(np.ones(band.size, dtype=bool), window)]
         for on, part in parts:
             if on.any() and part.size:
-                patches.append((g, band[on], weights[on], part))
-    if listed:
-        kx, ky = (np.concatenate(k) for k in zip(*listed))
-        if nested:
-            new = (kx % 2 == 1) | (ky % 2 == 1)
-            kx, ky = kx[new], ky[new]
-        # relative to 4, so that no listed value exceeds |f|; rows of at most
-        # _LIST_COLS nodes, the last filled up with its last node at weight 0
-        weight = 0.25 * _orbit_weights(kx, ky, mirror, dist)
-        length = -(-kx.size // -(-kx.size // _LIST_COLS))
-        fill = -kx.size % length
-        kx, ky = np.pad(kx, (0, fill), "edge"), np.pad(ky, (0, fill), "edge")
-        weight = np.pad(weight, (0, fill))
-
-        def listed_g(start, j):
-            at = start + j
-            return f(xs[kx[at]], xs[ky[at]]) * weight[at]
-
-        starts = np.arange(0, kx.size, length)
-        patches.append((listed_g, starts, np.full(starts.size, 4.0), np.arange(length)))
-    return patches
+                patches.append(_read_only(band[on], weights[on], part))
+    if not listed:
+        return tuple(patches), None
+    kx, ky = (np.concatenate(k) for k in zip(*listed))
+    if nested:
+        new = (kx % 2 == 1) | (ky % 2 == 1)
+        kx, ky = kx[new], ky[new]
+    # relative to 4, so that no listed value exceeds |f|; rows of at most
+    # _LIST_COLS nodes, the last filled up with its last node at weight 0
+    weight = 0.25 * _orbit_weights(kx, ky, mirror, dist)
+    length = -(-kx.size // -(-kx.size // _LIST_COLS))
+    fill = -kx.size % length
+    kx, ky = np.pad(kx, (0, fill), "edge"), np.pad(ky, (0, fill), "edge")
+    weight = np.pad(weight, (0, fill))
+    starts = np.arange(0, kx.size, length)
+    listed = (kx, ky, weight, starts, np.full(starts.size, 4.0), np.arange(length))
+    return tuple(patches), _read_only(*listed)
 
 
 def _grid_mean(f, xs: np.ndarray, first_mirror: int):
@@ -659,17 +685,17 @@ def _needle_disk(f, center, axis: float, radius: float, r_min: float, level: int
     return [(lines, u, wu, cols)]
 
 
-def _disk_integral(f, center, radius, r_min, level, axis=None, own_mirror=False, sector=0):
-    """Half the integral of f over the disk's mirror class (the disk at K
-    for K and -K, half the disk on its own mirror), from the nodes its
-    stabiliser leaves (see ``_polar_disk`` and ``_needle_disk``), reduced
-    like every other node set.  Returns the integral and the nodes
-    evaluated."""
+def _disk_integral(f, m, center, radius, r_min, level, axis=None, own_mirror=False, sector=0):
+    """Half the integral of f (``m`` values per node, from the caller's
+    ``_probe``) over the disk's mirror class (the disk at K for K and -K,
+    half the disk on its own mirror), from the nodes its stabiliser leaves
+    (see ``_polar_disk`` and ``_needle_disk``), reduced like every other
+    node set.  Returns the integral and the nodes evaluated."""
     if axis is None:
         patches = _polar_disk(f, center, radius, r_min, level, own_mirror, sector)
     else:
         patches = _needle_disk(f, center, axis, radius, r_min, level, own_mirror, sector)
-    sums, nodes, _ = _row_sums(patches, _probe(f)[0], track_max=False)
+    sums, nodes, _ = _row_sums(patches, m, track_max=False)
     return _fsum(sums), nodes
 
 
@@ -714,9 +740,8 @@ def integrate_bz_refined(
     if 2.0 * radius > gap:
         raise ValueError(f"a disk of radius {radius} overlaps its mirror or itself")
     # the reflection that fixes the centre: s (1), -s (-1), or neither (0)
-    sector = 1 if cx == cy else -1 if cx == -cy else 0
-    if not (sector and _probe(f)[1]):
-        sector = 0
+    m, invariant = _probe(f)
+    sector = (1 if cx == cy else -1 if cx == -cy else 0) if invariant else 0
 
     def masked(px, py):
         vals = np.asarray(f(px, py), dtype=float)
@@ -750,9 +775,12 @@ def integrate_bz_refined(
     value = np.asarray(base.value, dtype=float)
     err = np.asarray(base.error_estimate, dtype=float)
     nb = _batch_ndim(value.ndim)
-    levels = range(max(1, grid.refine_levels - 1), grid.refine_levels + 2)
-    lo, n_lo = _disk_integral(f, (cx, cy), radius, r_min, levels[0], axis, own_mirror, sector)
-    hi, n_hi = _disk_integral(f, (cx, cy), radius, r_min, levels[1], axis, own_mirror, sector)
+
+    def disk_at(level):
+        return _disk_integral(f, m, (cx, cy), radius, r_min, level, axis, own_mirror, sector)
+
+    lo, n_lo = disk_at(1)
+    hi, n_hi = disk_at(2)
     evaluations = base.evaluations + n_lo + n_hi
     # what the tolerance leaves after the base error, against the largest
     # component of base plus disk
@@ -760,11 +788,11 @@ def integrate_bz_refined(
     share = share - _per_integral_max(err, nb)
     # a member climbs to the next level only while its disk error misses
     # the share, and keeps the first pair that meets it
-    for level in levels[2:]:
+    for level in range(3, grid.refine_levels + 2):
         open_ = _per_integral_max(2.0 * np.abs(hi - lo), nb) > share
         if not np.any(open_):
             break
-        finer, nodes = _disk_integral(f, (cx, cy), radius, r_min, level, axis, own_mirror, sector)
+        finer, nodes = disk_at(level)
         evaluations += nodes
         lo, hi = _freeze(open_, hi, lo), _freeze(open_, finer, hi)
     # the disk at -K, or the corner disk's other half, is the mirror image

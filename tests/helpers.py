@@ -119,7 +119,7 @@ def full_zone_reference(f, centres, r_min, radius, grid, axes=None):
     with the integrand's leading axes."""
     import math
 
-    from kitaev_bures.quadrature import _bump, _disk_integral, compensated_sum
+    from kitaev_bures.quadrature import _bump, _disk_integral, _probe, compensated_sum
     from kitaev_bures.spectrum import wrap_angle
 
     axes = [None] * len(centres) if axes is None else axes
@@ -140,6 +140,6 @@ def full_zone_reference(f, centres, r_min, radius, grid, axes=None):
     )
     level = grid.refine_levels + 1
     for c, axis in zip(centres, axes):
-        disk, _ = _disk_integral(f, c, radius, r_min, level, axis, False)
+        disk, _ = _disk_integral(f, _probe(f)[0], c, radius, r_min, level, axis, False)
         out = out + disk.ravel()
     return out.reshape(lead)

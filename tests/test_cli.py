@@ -398,13 +398,15 @@ def test_ratio_map_real_cells(tmp_path, capsys):
 
 
 def test_ratio_map_names_failed_cells(tmp_path, capsys):
-    # a 1e-12 tolerance on a 16-point base grid fails the refined
-    # near-critical column jz = 0.62 (gap 0.48), whose estimates stay near
-    # 2e-5 from T = 0.02 to 0.1; the gapped columns beside it converge
+    # a 1e-15 tolerance on a 16-point base grid fails the refined
+    # near-critical column jz = 0.62 (gap 0.48), whose combined estimates
+    # stay at 9e-14 to 3e-13 from T = 0.02 to 0.1 (the grid climbs to
+    # 16 * 2^6 = 1024); the gapped columns beside it converge at the
+    # round-off floor of their trapezoid
     code, _, err = run(
         capsys,
         ["ratio-map", "--jz-min", "0.62", "--jz-max", "0.7", "--t-min", "0.02",
-         "--t-max", "0.1", "--res", "8x8", "--grid-n", "16", "--tol", "1e-12",
+         "--t-max", "0.1", "--res", "8x8", "--grid-n", "16", "--tol", "1e-15",
          "--threads", "2", "--out", str(tmp_path / "map.csv")],
     )
     assert code == 3

@@ -119,7 +119,7 @@ def _fixed_pair(f, grid):
     # rule, assembled from the module's own pieces: f is invariant under s
     # and the corner (0, 0) is fixed by it, so the disk is its quarter
     # sector (sector 1) and the masked base grid is quartered too
-    from kitaev_bures.quadrature import _bump, _corner_dist, _disk_integral
+    from kitaev_bures.quadrature import _bump, _corner_dist, _disk_integral, _probe
 
     radius, r_min = 0.3, 1e-5
     base = integrate_bz(
@@ -127,8 +127,8 @@ def _fixed_pair(f, grid):
         grid,
     )
     level = grid.refine_levels
-    lo, n_lo = _disk_integral(f, (0.0, 0.0), radius, r_min, level, None, True, 1)
-    hi, n_hi = _disk_integral(f, (0.0, 0.0), radius, r_min, level + 1, None, True, 1)
+    lo, n_lo = _disk_integral(f, _probe(f)[0], (0.0, 0.0), radius, r_min, level, None, True, 1)
+    hi, n_hi = _disk_integral(f, _probe(f)[0], (0.0, 0.0), radius, r_min, level + 1, None, True, 1)
     return (
         base.value + 2.0 * hi,
         base.error_estimate + 2.0 * np.abs(hi - lo),
@@ -137,13 +137,13 @@ def _fixed_pair(f, grid):
 
 
 def test_disk_ladder_that_misses_gives_the_fixed_pair():
-    # the base error alone exceeds 1e-9 of the value, so the early pair
-    # (2, 3) misses its share and the disk climbs to (3, 4)
+    # the base error alone exceeds 1e-9 of the value, so the early pairs
+    # (1, 2) and (2, 3) miss their share and the disk climbs to (3, 4)
     f, grid, res = _peak_ladder(1e-9)
     value, err, evaluations = _fixed_pair(f, grid)
     assert not res.converged
     assert res.value == value and res.error_estimate == err
-    assert res.evaluations > evaluations  # level 2 was evaluated as well
+    assert res.evaluations > evaluations  # levels 1 and 2 were evaluated as well
 
 
 def test_disk_ladder_stops_early_within_its_error():
@@ -262,8 +262,8 @@ def test_batched_integrals_match_standalone_bit_for_bit():
         assert np.array_equal(res.error_estimate[k], alone.error_estimate)
     # nor on either kind of level-4 disk
     for axis in (None, 0.4):
-        stack, n = _disk_integral(_stacked(members), (0.3, -1.2), 0.3, 1e-5, 4, axis)
-        alone, n_alone = _disk_integral(members[5], (0.3, -1.2), 0.3, 1e-5, 4, axis)
+        stack, n = _disk_integral(_stacked(members), 16, (0.3, -1.2), 0.3, 1e-5, 4, axis)
+        alone, n_alone = _disk_integral(members[5], 2, (0.3, -1.2), 0.3, 1e-5, 4, axis)
         assert n == n_alone and np.array_equal(stack[5], alone)
 
 
@@ -291,7 +291,7 @@ def test_disk_memory_is_bounded_by_the_block_budget(axis):
         return vals
 
     (value, n), peak = _traced_peak(
-        lambda: _disk_integral(f, (0.3, -1.2), 0.3, 2e-5, 4, axis)
+        lambda: _disk_integral(f, 24, (0.3, -1.2), 0.3, 2e-5, 4, axis)
     )
     assert value.shape == (24,) and n > 300_000
     assert peak < 20 * 2**20, f"peak {peak / 2**20:.1f} MiB"
@@ -539,3 +539,38 @@ def test_ring_angular_counts_are_even():
                     assert np.sum(scale == 0.5) == 2 and np.sum(scale == 1.0) == kept.size - 2
                     assert scale.sum() == ring.size / part
                     assert np.array_equal(w_fold, 2.0 * w)
+
+
+@pytest.mark.parametrize("invariant", [False, True], ids=["half", "quarter"])
+@pytest.mark.parametrize(
+    "n, first_mirror, nested",
+    [(64, 0, False), (64, 0, True), (200, 0, True), (101, 100, False)],
+    ids=["even", "even-nested", "multi-band-nested", "odd-L"],
+)
+def test_cached_zone_geometry_is_read_only_and_equals_a_fresh_build(
+    n, first_mirror, nested, invariant
+):
+    # every integral on a grid level shares one index geometry: it must be
+    # frozen, so no caller can corrupt the next integral's rule, and equal
+    # bit for bit to the geometry built afresh
+    from kitaev_bures.quadrature import _zone_geometry, _zone_patches
+
+    cached = _zone_geometry(n, first_mirror, invariant, nested)
+    assert _zone_geometry(n, first_mirror, invariant, nested) is cached
+    fresh = _zone_geometry.__wrapped__(n, first_mirror, invariant, nested)
+    bands, listed = cached
+    assert (listed is None) == (not invariant)
+    arrays = [a for band in bands for a in band] + list(listed or ())
+    fresh_arrays = [a for band in fresh[0] for a in band] + list(fresh[1] or ())
+    assert len(arrays) == len(fresh_arrays)
+    for a, b in zip(arrays, fresh_arrays):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0
+    # the patches bind these very arrays to the integrand and the axis
+    xs = -math.pi + (2.0 * math.pi / n) * np.arange(n)
+    patches = _zone_patches(_sym_pair, xs, first_mirror, invariant, nested)
+    assert len(patches) == len(bands) + (listed is not None)
+    for (_, rows, weights, cols), band in zip(patches, bands):
+        assert rows is band[0] and weights is band[1] and cols is band[2]

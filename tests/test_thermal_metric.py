@@ -381,10 +381,13 @@ def test_critical_jx_sign_flip_covariance(temperature):
 def test_critical_beta_beta_invariant_under_coupling_permutations(temperature):
     # c:beta-beta depends only on the distribution of lam over the zone,
     # which a permutation of the couplings leaves unchanged; each
-    # permutation closes the gap at another corner
+    # permutation closes the gap at another corner.  The permutations stop
+    # at different disk rungs, so they agree to the 1e-12 bound only at a
+    # tolerance that asks for it (at 1e-6 they spread by 7.1e-10)
     els = [("c", P.BETA, P.BETA)]
+    grid = GridSpec(target_rel_tol=1e-12)
     vals = [
-        tensor_thermodynamic(ThermoPoint.from_temperature(j, temperature), elements=els)
+        tensor_thermodynamic(ThermoPoint.from_temperature(j, temperature), grid, elements=els)
         .element("classical", P.BETA, P.BETA)
         for j in (
             Couplings(0.3, 0.2, 0.5),
@@ -719,11 +722,7 @@ def assert_within_reported_error(points, batch=tensors_thermodynamic):
     reported error, or 1e-13 of the largest entry (rounding), of the same
     member of a ``TIGHT`` batch of the same points, per part."""
     for g, ref in zip(batch(points), batch(points, TIGHT), strict=True):
-        for part in ("classical", "nonclassical"):
-            expected = getattr(ref, part)
-            reported = np.max(g.evaluation.details[f"error_{part}"])
-            bound = max(reported, 1e-13 * np.max(np.abs(expected)))
-            assert np.max(np.abs(getattr(g, part) - expected)) <= bound, (g, part)
+        assert_near(g, ref)
 
 
 TENSORS, CORRECTIONS = tensors_thermodynamic, nonclassical_corrections
@@ -777,6 +776,52 @@ def test_error_estimate_audit_over_the_phases(batch, couplings, temperatures):
     """
     points = [ThermoPoint.from_temperature(couplings, t) for t in temperatures]
     assert_within_reported_error(points, batch)
+
+
+def assert_near(g, ref):
+    """``g`` lies within its reported error, or 1e-13 of the largest entry
+    (rounding), of ``ref``, per part."""
+    for part in ("classical", "nonclassical"):
+        expected = getattr(ref, part)
+        reported = np.max(g.evaluation.details[f"error_{part}"])
+        bound = max(reported, 1e-13 * np.max(np.abs(expected)))
+        assert np.max(np.abs(getattr(g, part) - expected)) <= bound, (g, part)
+
+
+def test_smooth_gapped_tensor_stops_on_a_coarse_grid():
+    # deep in the gapped phase at T = 0.5 the integrand is smooth on the
+    # scale of the zone: the n = 32 and n = 64 trapezoids already agree at
+    # the default 1e-6, on 1,088 nodes of the quarter rule (a ladder that
+    # starts at n = 128 spends 16,648), against a finer grid of its own
+    tp = ThermoPoint.from_temperature(GAPPED, 0.5)
+    g = tensor_thermodynamic(tp)
+    assert g.evaluation.details["evaluations"] <= 1088
+    assert_near(g, tensor_thermodynamic(tp, GridSpec(base_n=256, target_rel_tol=1e-13)))
+
+
+def test_default_ladders_still_reach_their_top_rungs(monkeypatch):
+    # on the near-critical cut at jz = 0.4975 the +-K cap shrinks the disk
+    # to radius 0.199, and at T = 0.002 and tol 1e-4 the base trapezoid
+    # climbs from n = 32 to the finest grid of the default ladder, 2048;
+    # the disk climbs to (3, 4) in test_disk_ladder_that_misses_gives_the_fixed_pair
+    from kitaev_bures import quadrature
+    from kitaev_bures.scaling import figure_of_merit_trajectory
+
+    doubled, reached = quadrature._doubled_mean, []
+
+    def spy(f, mean, n, invariant):
+        reached.append(2 * n)
+        return doubled(f, mean, n, invariant)
+
+    tp = ThermoPoint.from_temperature(figure_of_merit_trajectory(0.4975), 0.002)
+    els = [("c", P.JZ, P.JZ), ("nc", P.JZ, P.JZ)]
+    with monkeypatch.context() as m:
+        m.setattr(quadrature, "_doubled_mean", spy)
+        g = tensor_thermodynamic(tp, GridSpec(target_rel_tol=1e-4), elements=els)
+    default = GridSpec()
+    assert max(reached) == default.base_n * 2**default.max_doublings == 2048
+    ref = GridSpec(refine_levels=5, target_rel_tol=1e-11, max_doublings=7)
+    assert_near(g, tensor_thermodynamic(tp, ref, elements=els))
 
 
 SCALING_CASES = [
