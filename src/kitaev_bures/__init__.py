@@ -14,7 +14,6 @@ from .bures import (
     classical_fidelity,
     finite_difference_metric,
     finite_difference_metric_pairs,
-    optimal_observable,
     spectral_decomposition,
     uhlmann_fidelity,
     validate_density_matrix,

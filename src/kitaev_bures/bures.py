@@ -33,7 +33,6 @@ import numpy as np
 __all__ = [
     "DensityMatrixError",
     "EigenvalueFloorError",
-    "SingularStateError",
     "SpectralDecomposition",
     "MetricDecomposition",
     "validate_density_matrix",
@@ -43,7 +42,6 @@ __all__ = [
     "analytic_metric",
     "finite_difference_metric",
     "finite_difference_metric_pairs",
-    "optimal_observable",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -61,10 +59,6 @@ class EigenvalueFloorError(ValueError):
     """A vanishing eigenvalue carries a non-vanishing derivative: the
     classical Fisher term would blow up.  Thermal states are strictly
     positive, so this indicates misuse rather than physics."""
-
-
-class SingularStateError(ValueError):
-    """Operation requires a strictly positive density matrix."""
 
 
 def _as_square(a, name: str) -> np.ndarray:
@@ -376,27 +370,3 @@ def finite_difference_metric(
 
     return finite_difference_metric_pairs(pair, lambda0, step)
 
-
-def optimal_observable(rho, sigma) -> np.ndarray:
-    """Hermitian observable whose statistics saturate the Bures distance.
-
-    M = rho^{-1/2} sqrt(sqrt(rho) sigma sqrt(rho)) rho^{-1/2}.  Satisfies
-    Tr(rho M) = uhlmann_fidelity(rho, sigma).  Requires rho strictly positive
-    definite; raises SingularStateError otherwise.
-    """
-    rho = validate_density_matrix(rho)
-    sigma = validate_density_matrix(sigma)
-    if rho.shape[-1] != sigma.shape[-1]:
-        raise DensityMatrixError(
-            f"dimension mismatch: {rho.shape[-1]} vs {sigma.shape[-1]}"
-        )
-    w, v = np.linalg.eigh(rho)
-    if float(np.min(w)) <= 1e-12:
-        raise SingularStateError(
-            f"rho is singular (min eigenvalue {float(np.min(w)):.3e})"
-        )
-    sqrt_rho = np.einsum("...ik,...k,...jk->...ij", v, np.sqrt(w), v.conj())
-    inv_sqrt = np.einsum("...ik,...k,...jk->...ij", v, 1.0 / np.sqrt(w), v.conj())
-    core = _psd_sqrt(sqrt_rho @ sigma @ sqrt_rho)
-    m = inv_sqrt @ core @ inv_sqrt
-    return 0.5 * (m + m.conj().swapaxes(-1, -2))

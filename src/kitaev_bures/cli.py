@@ -415,12 +415,7 @@ def cmd_ratio_map(argv: list[str]) -> int:
         _refuse_unread(args, "--synthetic-check", [*_GRID_FLAGS, "threads"])
         jz, ts = scaling.map_axes(jz_range, t_range, (nx, nt))
         grid_vals = ((np.abs(jz[None, :] - 0.5) + 1e-300) / ts[:, None]) ** 2
-        rmap = scaling.RatioMap(
-            jz_values=jz,
-            temperatures=ts,
-            grid=grid_vals,
-            element=(ParameterIndex.JZ, ParameterIndex.JZ),
-        )
+        rmap = scaling.RatioMap(jz_values=jz, temperatures=ts, grid=grid_vals)
     else:
         rmap = scaling.ratio_map(
             scaling.figure_of_merit_trajectory,

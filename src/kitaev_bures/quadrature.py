@@ -106,9 +106,6 @@ _PROBE = ((0.5772156649015329, -1.2020569031595942), (1.6180339887498949, 0.3678
 # relative difference of f(p0) and f(-p0) (per independent integral, against
 # its largest value) beyond which the integrand is not even
 _EVEN_RTOL = 1e-12
-# angle (radians) within which a needle disk's soft axis counts as along or
-# across the mirror line of the reflection that fixes its centre
-_ALIGN_ATOL = 1e-14
 # integrand values held per evaluated block (patch rows times columns times
 # the values per node): bounds the integrand's memory whatever the batch,
 # down to one row
@@ -653,11 +650,13 @@ def _needle_disk(f, center, axis: float, radius: float, r_min: float, level: int
     ``own_mirror`` disk keeps the second half of the u axis, u > 0 (the
     rule is symmetric with no node at 0), the mirrors of the nodes with u <
     0.  A ``sector`` of 1 (-1) folds by the reflection s (-s) that fixes
-    the centre, whose mirror line lies at sector * pi / 4: a soft axis
-    along it negates v, one across it negates u, and the kept half (t > 0)
-    of the negated coordinate gets weight 2.  An own-mirror disk folds v
-    either way, since with -1 each reflection negates one coordinate.  A
-    soft axis neither along nor across the mirror line is not folded.
+    the centre: u is laid along its mirror line, at sector * pi / 4, which
+    the reflection leaves while negating v, and the kept half v > 0 gets
+    weight 2.  This is the soft axis's frame: the rule depends on its axis
+    only modulo pi / 2 (both coordinates take one symmetric rule, and the
+    bump is radial), and the Hessian of lam^2 at a point fixed by the
+    reflection commutes with it, so the soft axis lies along or across the
+    mirror line.
     """
     cx, cy = center
     order = 24 * (2 ** max(0, level))
@@ -669,12 +668,8 @@ def _needle_disk(f, center, axis: float, radius: float, r_min: float, level: int
     u, wu = (v[half], wv[half]) if own_mirror else (v, wv)
     cols, wcols = v, wv
     if sector:
-        d = abs(math.remainder(axis - sector * math.pi / 4, math.pi))
-        along, across = d <= _ALIGN_ATOL, math.pi / 2 - d <= _ALIGN_ATOL
-        if along or (across and own_mirror):
-            cols, wcols = v[half], 2.0 * wv[half]
-        elif across:
-            u, wu = v[half], 2.0 * wv[half]
+        axis = sector * math.pi / 4
+        cols, wcols = v[half], 2.0 * wv[half]
     cu, su = math.cos(axis), math.sin(axis)
 
     def lines(uu, vv):
@@ -723,7 +718,8 @@ def integrate_bz_refined(
     fixed by s (cx == cy) or by -s (cx == -cy), the disk and the mask are
     closed under s as well: the base rule evaluates a quarter of the zone,
     and the disk only the sector that its reflection leaves (the corner
-    disk a quarter, the disk at K a half).  Otherwise every rule stays the
+    disk a quarter, the disk at K a half; a needle grid is laid along the
+    mirror line, see ``_needle_disk``).  Otherwise every rule stays the
     half rule; the masked integrand is then marked ``_even_only``, since
     its probe nodes need not see the disk.
 

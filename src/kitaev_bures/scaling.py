@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -236,24 +236,25 @@ def figure_of_merit_trajectory(jz: float) -> Couplings:
 
 @dataclass(frozen=True)
 class RatioMap:
-    """Grid of classical/nonclassical element ratios over (coupling, T).
+    """Grid of g^c_zz / g^nc_zz ratios over (coupling, T).
 
     ``grid[i, j]`` is the ratio at temperature ``temperatures[i]`` and
-    coupling parameter ``jz_values[j]``.  ``valid`` flags cells whose
-    quadrature converged; invalid cells hold 0 in ``grid`` (never NaN) and
-    are listed with their reason in ``failures``.
+    coupling parameter ``jz_values[j]``.  Cells whose quadrature failed
+    hold 0 in ``grid`` (never NaN) and are listed with their reason in
+    ``failures``; ``valid`` flags the others.
     """
 
     jz_values: np.ndarray
     temperatures: np.ndarray
     grid: np.ndarray
-    element: tuple[ParameterIndex, ParameterIndex]
-    valid: np.ndarray = field(default=None)  # type: ignore[assignment]
     failures: tuple = ()
 
-    def __post_init__(self):
-        if self.valid is None:
-            object.__setattr__(self, "valid", np.ones_like(self.grid, dtype=bool))
+    @property
+    def valid(self) -> np.ndarray:
+        valid = np.ones_like(self.grid, dtype=bool)
+        for cell, _ in self.failures:
+            valid[cell] = False
+        return valid
 
 
 def map_axes(
@@ -281,11 +282,10 @@ def ratio_map(
     t_range: tuple[float, float],
     resolution: int | tuple[int, int],
     *,
-    element: tuple[ParameterIndex, ParameterIndex] = (ParameterIndex.JZ, ParameterIndex.JZ),
     grid: GridSpec | None = None,
     threads: int | None = None,
 ) -> RatioMap:
-    """Map of g^c/g^nc for one element pair along a coupling trajectory.
+    """Map of g^c_zz / g^nc_zz along a coupling trajectory.
 
     The axes come from ``map_axes``; each coupling parameter is mapped
     through ``trajectory``.  Each coupling column is one job:
@@ -303,16 +303,16 @@ def ratio_map(
     jz_values, temperatures = map_axes(jz_range, t_range, resolution)
     n_jz, n_t = len(jz_values), len(temperatures)
     quad = grid or GridSpec(target_rel_tol=1e-4)
-    mu, nu = element
-    elements = [("c", mu, nu), ("nc", mu, nu)]
+    zz = (ParameterIndex.JZ, ParameterIndex.JZ)
+    elements = [("c", *zz), ("nc", *zz)]
 
     def ratio(tensor):
         if isinstance(tensor, Exception):
             return tensor
-        nc = tensor.element("nonclassical", mu, nu)
+        nc = tensor.element("nonclassical", *zz)
         if nc == 0.0:
             return QuadratureConvergenceError("nonclassical element vanished")
-        return tensor.element("classical", mu, nu) / nc
+        return tensor.element("classical", *zz) / nc
 
     def column(j):
         try:
@@ -326,7 +326,6 @@ def ratio_map(
         return [ratio(t) for t in tensors]
 
     out = np.zeros((n_t, n_jz))
-    valid = np.ones((n_t, n_jz), dtype=bool)
     failures = []
     workers = threads or None
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -335,17 +334,11 @@ def ratio_map(
         for j in range(n_jz):
             res = columns[j][i]
             if isinstance(res, Exception):
-                valid[i, j] = False
                 failures.append(((i, j), str(res)))
             else:
                 out[i, j] = res
     return RatioMap(
-        jz_values=jz_values,
-        temperatures=temperatures,
-        grid=out,
-        element=(mu, nu),
-        valid=valid,
-        failures=tuple(failures),
+        jz_values=jz_values, temperatures=temperatures, grid=out, failures=tuple(failures)
     )
 
 

@@ -431,16 +431,16 @@ def _select_pairs(elements):
         mu, nu = ParameterIndex(mu), ParameterIndex(nu)
         if mu > nu:
             mu, nu = nu, mu
-        if part in ("classical", "c"):
+        if part == "c":
             if (mu, nu) not in pairs_c:
                 pairs_c.append((mu, nu))
-        elif part in ("nonclassical", "nc"):
+        elif part == "nc":
             if mu is ParameterIndex.BETA:
                 raise ValueError("nonclassical elements exist only for coupling indices")
             if (mu, nu) not in pairs_nc:
                 pairs_nc.append((mu, nu))
         else:
-            raise ValueError(f"unknown tensor part {part!r}")
+            raise ValueError(f"unknown tensor part {part!r} (expected c or nc)")
     return pairs_c, pairs_nc
 
 

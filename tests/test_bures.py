@@ -13,11 +13,9 @@ from helpers import (
 from kitaev_bures.bures import (
     DensityMatrixError,
     EigenvalueFloorError,
-    SingularStateError,
     analytic_metric,
     classical_fidelity,
     finite_difference_metric,
-    optimal_observable,
     spectral_decomposition,
     uhlmann_fidelity,
     validate_density_matrix,
@@ -282,37 +280,3 @@ def test_finite_difference_validates_step(rng):
     with pytest.raises(ValueError):
         finite_difference_metric(lambda lam: rho, np.zeros(1), 0.0)
 
-
-# ---------------------------------------------------------------------------
-# optimal observable
-
-
-def test_optimal_observable_identity_case(rng):
-    rho = random_density_matrix(rng, 3)
-    m = optimal_observable(rho, rho)
-    assert np.allclose(m, np.eye(3), atol=1e-9)
-
-
-def test_optimal_observable_commuting_case():
-    p = np.array([0.7, 0.3])
-    q = np.array([0.4, 0.6])
-    m = optimal_observable(np.diag(p).astype(complex), np.diag(q).astype(complex))
-    assert np.allclose(m, np.diag(np.sqrt(q / p)), atol=1e-10)
-
-
-def test_optimal_observable_expectation_equals_fidelity(rng):
-    for _ in range(10):
-        rho = random_density_matrix(rng, 2)
-        sigma = random_density_matrix(rng, 2)
-        m = optimal_observable(rho, sigma)
-        assert np.trace(rho @ m).real == pytest.approx(
-            uhlmann_fidelity(rho, sigma), abs=1e-9
-        )
-        assert np.allclose(m, m.conj().T, atol=1e-12)
-
-
-def test_optimal_observable_rejects_singular_state():
-    rho = np.diag([1.0, 0.0]).astype(complex)
-    sigma = np.diag([0.5, 0.5]).astype(complex)
-    with pytest.raises(SingularStateError):
-        optimal_observable(rho, sigma)

@@ -361,26 +361,32 @@ def test_quarter_grid_equals_full_grid(base_n):
 
 
 @pytest.mark.parametrize(
-    "disk, closed",
+    "disk, closed, ref_axis",
     [
-        (((-math.pi, -math.pi), None), [(-math.pi, -math.pi)]),
-        (((0.0, 0.0), math.pi / 4), [(0.0, 0.0)]),
-        (((0.0, 0.0), 3 * math.pi / 4), [(0.0, 0.0)]),
-        (((0.7, -0.7), None), [(0.7, -0.7), (-0.7, 0.7)]),
-        (((0.7, -0.7), -math.pi / 4), [(0.7, -0.7), (-0.7, 0.7)]),
-        (((0.7, -0.7), math.pi / 4), [(0.7, -0.7), (-0.7, 0.7)]),
+        (((-math.pi, -math.pi), None), [(-math.pi, -math.pi)], None),
+        (((0.0, 0.0), math.pi / 4), [(0.0, 0.0)], math.pi / 4),
+        (((0.0, 0.0), 3 * math.pi / 4), [(0.0, 0.0)], 3 * math.pi / 4),
+        (((0.0, 0.0), 0.3), [(0.0, 0.0)], math.pi / 4),
+        (((0.7, -0.7), None), [(0.7, -0.7), (-0.7, 0.7)], None),
+        (((0.7, -0.7), -math.pi / 4), [(0.7, -0.7), (-0.7, 0.7)], -math.pi / 4),
+        (((0.7, -0.7), math.pi / 4), [(0.7, -0.7), (-0.7, 0.7)], math.pi / 4),
+        (((0.7, -0.7), 0.3), [(0.7, -0.7), (-0.7, 0.7)], -math.pi / 4),
     ],
-    ids=["corner-polar", "corner-needle-along", "corner-needle-across", "pair-polar",
-         "pair-needle-along", "pair-needle-across"],
+    ids=["corner-polar", "corner-needle-along", "corner-needle-across",
+         "corner-needle-oblique", "pair-polar", "pair-needle-along", "pair-needle-across",
+         "pair-needle-oblique"],
 )
-def test_quarter_rule_matches_the_full_zone(disk, closed):
+def test_quarter_rule_matches_the_full_zone(disk, closed, ref_axis):
     # a corner is fixed by s and -s and integrates a quarter of its disk;
-    # K = (a, -a) is fixed by -s and integrates half of its disk, the half
-    # of a needle grid across the mirror line (soft axis along it) or along
-    # it (soft axis across it); the grid evaluates a quarter of the zone
+    # K = (a, -a) is fixed by -s and integrates half of its disk.  A needle
+    # grid is laid along the mirror line and keeps the half across it: a
+    # grid turned by a right angle is the same grid, so a soft axis along
+    # or across the line matches its own full disk, and an oblique axis
+    # the full disk on the mirror line.  The grid evaluates a quarter of
+    # the zone
     grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
     res = integrate_bz_refined(_sym_pair, disk, 5e-4, grid, radius=0.4)
-    ref = full_zone_reference(_sym_pair, closed, 5e-4, 0.4, grid, [disk[1]] * len(closed))
+    ref = full_zone_reference(_sym_pair, closed, 5e-4, 0.4, grid, [ref_axis] * len(closed))
     assert np.max(np.abs(res.value - ref)) <= 1e-14 * np.max(np.abs(ref))
     half = integrate_bz_refined(_half_rule(_sym_pair), disk, 5e-4, grid, radius=0.4)
     assert res.evaluations <= 0.55 * half.evaluations

@@ -140,7 +140,7 @@ def synthetic_map(n_jz=15, n_t=12):
     jz = np.linspace(0.48, 0.52, n_jz)
     ts = np.geomspace(0.002, 0.05, n_t)
     grid = ((np.abs(jz[None, :] - 0.5) + 1e-300) / ts[:, None]) ** 2
-    return RatioMap(jz_values=jz, temperatures=ts, grid=grid, element=(P.JZ, P.JZ))
+    return RatioMap(jz_values=jz, temperatures=ts, grid=grid)
 
 
 def test_crossover_contour_on_constructed_map():

@@ -356,6 +356,15 @@ def test_thermodynamic_element_subset_matches_full():
         tensor_thermodynamic(tp, grid, elements=[("nc", P.BETA, P.JZ)])
 
 
+@pytest.mark.parametrize("part", ["classical", "nonclassical", "total"])
+def test_requested_elements_name_their_part_c_or_nc(part):
+    # the long part names read an element back (BuresTensor.element); a
+    # request names its part by the short form only
+    tp = ThermoPoint.from_temperature(GAPPED, 0.7)
+    with pytest.raises(ValueError, match=f"unknown tensor part '{part}' \\(expected c or nc\\)"):
+        tensor_thermodynamic(tp, GridSpec(base_n=32), elements=[(part, P.JZ, P.JZ)])
+
+
 def test_thermodynamic_xy_swap_covariance():
     j = Couplings(0.25, 0.4, 0.35)
     grid = GridSpec(base_n=64, target_rel_tol=1e-9)
