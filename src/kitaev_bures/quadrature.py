@@ -39,13 +39,16 @@ refine_levels + 1)``.  The index geometry of a grid level depends on no
 integrand, so it is built once per process (``_zone_geometry``).
 
 Integrands are callables ``f(px, py)`` taking broadcastable float arrays and
-returning an array of shape ``lead + broadcast(px, py).shape``, and they must
-be even under p -> -p.  Every rule here is one orbit rule: it evaluates one
-node per orbit of the integrand's symmetry group and weights it by the
-nodes of its orbit, which every node set allows because it is closed under
-the group.  The group is {e, -1} (the half rule) unless the integrand is
-also invariant under the reflection s: (p_x, p_y) -> (p_y, p_x), which
-makes it {e, -1, s, -s} (the quarter rule).
+returning an array of shape ``lead + broadcast(px, py).shape``.  They must be
+2 pi-periodic in each coordinate: a refinement disk passes its nodes as
+``centre + offset``, unwrapped, so a disk node may lie up to the disk radius
+outside [-pi, pi)^2 (the thermal integrands read only sines and cosines of
+the momenta).  They must also be even under p -> -p.  Every rule here is
+one orbit rule: it evaluates one node per orbit of the integrand's symmetry
+group and weights it by the nodes of its orbit, which every node set allows
+because it is closed under the group.  The group is {e, -1} (the half rule)
+unless the integrand is also invariant under the reflection s: (p_x, p_y)
+-> (p_y, p_x), which makes it {e, -1, s, -s} (the quarter rule).
 
 * Under -1 only one row of each mirror pair of grid rows is evaluated and
   its row sum counts twice (the rows that are their own mirror count once);
@@ -96,7 +99,7 @@ from typing import Callable
 
 import numpy as np
 
-from .spectrum import TWO_PI, wrap_angle
+from .spectrum import TWO_PI
 
 FOUR_PI_SQ = 4.0 * math.pi * math.pi
 # the probe nodes p0 and q0: on no symmetry line of the zone or of the
@@ -268,7 +271,7 @@ def _mirror_fold(n: int, first_mirror: int):
     return k[kept], np.where(k == mirror, 1.0, 2.0)[kept]
 
 
-def _row_sums(patches, m: int, track_max: bool = True):
+def _row_sums(patches, m: int, track_max: bool):
     """Weighted sum of every row of every patch ``(g, rows, weights, cols)``.
 
     Rows are evaluated in blocks of whole rows holding at most
@@ -420,16 +423,16 @@ def _zone_geometry(n: int, first_mirror: int, invariant: bool, nested: bool):
     return tuple(patches), _read_only(*listed)
 
 
-def _grid_mean(f, xs: np.ndarray, first_mirror: int):
+def _grid_mean(f, xs: np.ndarray, first_mirror: int, track_max: bool = False):
     """Mean of the even f over the grid ``xs x xs``, from one node per orbit
     (``_zone_patches``).
 
     Returns the mean, the integrand nodes evaluated, per independent
-    integral the largest |f| seen (which sets the absolute floor below
-    which a vanishing integral counts as converged), and whether ``f`` is
-    invariant under s (see ``_probe``)."""
+    integral the largest |f| seen if ``track_max`` (which sets the absolute
+    floor below which a vanishing integral counts as converged; 0.0
+    otherwise), and whether ``f`` is invariant under s (see ``_probe``)."""
     m, invariant = _probe(f)
-    sums, nodes, fmax = _row_sums(_zone_patches(f, xs, first_mirror, invariant), m)
+    sums, nodes, fmax = _row_sums(_zone_patches(f, xs, first_mirror, invariant), m, track_max)
     return _fsum(sums) / float(xs.size**2), nodes, fmax, invariant
 
 
@@ -441,7 +444,7 @@ def _doubled_mean(f, mean: np.ndarray, n: int, invariant: bool):
     and their rows are added to ``n^2 mean`` by math.fsum.  Returns the
     mean, the nodes evaluated and the largest |f| seen on them."""
     patches = _zone_patches(f, _zone_axis(2 * n), 0, invariant, nested=True)
-    sums, nodes, fmax = _row_sums(patches, mean.size)
+    sums, nodes, fmax = _row_sums(patches, mean.size, True)
     total = _fsum([float(n * n) * mean[..., None]] + sums)
     return total / float(4 * n * n), nodes, fmax
 
@@ -486,7 +489,7 @@ def integrate_bz(f: Callable, grid: GridSpec) -> IntegrationResult:
     such an ``f`` on unwrapped or keep its mark.
     """
     n = grid.base_n
-    prev, evaluations, fmax, invariant = _grid_mean(f, _zone_axis(n), 0)
+    prev, evaluations, fmax, invariant = _grid_mean(f, _zone_axis(n), 0, track_max=True)
     nb = _batch_ndim(prev.ndim)
     value = err = np.zeros(prev.shape)
     done = np.zeros(prev.shape[:nb], dtype=bool)
@@ -620,7 +623,7 @@ def _polar_disk(f, center, radius: float, r_min: float, level: int, own_mirror: 
     scale = wk / top
 
     def rings(rr, phi):
-        return f(wrap_angle(cx + rr * np.cos(phi)), wrap_angle(cy + rr * np.sin(phi))) * scale
+        return f(cx + rr * np.cos(phi), cy + rr * np.sin(phi)) * scale
 
     phi = (2.0 * math.pi / nphi) * k
     dphi = top * 2.0 * math.pi / nphi
@@ -673,8 +676,8 @@ def _needle_disk(f, center, axis: float, radius: float, r_min: float, level: int
     cu, su = math.cos(axis), math.sin(axis)
 
     def lines(uu, vv):
-        px = wrap_angle(cx + uu * cu - vv * su)
-        py = wrap_angle(cy + uu * su + vv * cu)
+        px = cx + uu * cu - vv * su
+        py = cy + uu * su + vv * cu
         return f(px, py) * (wcols * _bump(np.hypot(uu, vv), radius))
 
     return [(lines, u, wu, cols)]
@@ -690,7 +693,7 @@ def _disk_integral(f, m, center, radius, r_min, level, axis=None, own_mirror=Fal
         patches = _polar_disk(f, center, radius, r_min, level, own_mirror, sector)
     else:
         patches = _needle_disk(f, center, axis, radius, r_min, level, own_mirror, sector)
-    sums, nodes, _ = _row_sums(patches, m, track_max=False)
+    sums, nodes, _ = _row_sums(patches, m, False)
     return _fsum(sums), nodes
 
 
@@ -704,15 +707,18 @@ def integrate_bz_refined(
 ) -> IntegrationResult:
     """Zone integral with local refinement on exactly the caller's disk.
 
-    The disk ``(centre, axis)`` stands for the one mirror class of the
-    singular points and has the caller's ``radius``.  Inside, log-polar
-    rings resolve radii down to ``r_min``; a disk with a soft (quadratic)
-    dispersion direction ``axis`` gets an axis-aligned log-log grid instead.
-    The centre fixes the mirror class: a zone corner (each coordinate
-    exactly 0 or -pi) is its own mirror and integrates half of itself twice;
-    any other centre K stands for K and -K (``f`` is even, so one axis
-    serves both) and counts twice.  So the partition-of-unity mask is even
-    and the base rule evaluates at most half the zone.
+    ``f`` must be 2 pi-periodic in each coordinate and even under p -> -p
+    (see the module docstring): the disk nodes are passed unwrapped, up to
+    ``radius`` outside [-pi, pi)^2.  The disk ``(centre, axis)`` stands for
+    the one mirror class of the singular points and has the caller's
+    ``radius``.  Inside, log-polar rings resolve radii down to ``r_min``; a
+    disk with a soft (quadratic) dispersion direction ``axis`` gets an
+    axis-aligned log-log grid instead.  The centre fixes the mirror class:
+    a zone corner (each coordinate exactly 0 or -pi) is its own mirror and
+    integrates half of itself twice; any other centre K stands for K and -K
+    (``f`` is even, so one axis serves both) and counts twice.  So the
+    partition-of-unity mask is even and the base rule evaluates at most
+    half the zone.
 
     When ``f`` is also invariant under s (``_probe``) and the centre is
     fixed by s (cx == cy) or by -s (cx == -cy), the disk and the mask are

@@ -14,13 +14,17 @@ the thermal metric integrands,
 
     omega_a = 2 (cos(p_a) epsilon + sin(p_a) delta)   for a = x, y
     omega_z = 2 epsilon
-    theta_x = 4 (jz sin px + jy sin(px - py))
-    theta_y = 4 (jz sin py - jx sin(px - py))
+    theta_x = 4 (jz sin px + jy s_xy)
+    theta_y = 4 (jz sin py - jx s_xy)
     theta_z = -2 delta
 
-These satisfy omega_a = lam * d(lam)/dJ_a and theta_a = lam^2 * d(theta)/dJ_a
-for all three couplings (omega_z = 2 epsilon is the z-row of the same
-identity), which the test suite checks by finite differences.
+with s_xy = sin px cos py - cos px sin py = sin(px - py), evaluated in
+exactly these forms.  These satisfy omega_a = lam * d(lam)/dJ_a and
+theta_a = lam^2 * d(theta)/dJ_a for all three couplings (omega_z = 2
+epsilon is the z-row of the same identity), which the test suite checks by
+finite differences.  ``spectral_arrays`` forms epsilon, delta and lam at
+once and each response (s_xy with the first theta_x or theta_y) on its
+first read, so a caller pays only for the responses it reads.
 
 The phase diagram splits into a gapless region where all three triangle
 inequalities |J_a| <= |J_b| + |J_c| hold strictly, three gapped regions
@@ -32,7 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -114,27 +117,52 @@ class PhaseRegion(Enum):
         return self in (PhaseRegion.GAPPED_AX, PhaseRegion.GAPPED_AY, PhaseRegion.GAPPED_AZ)
 
 
-class SpectralArrays(NamedTuple):
+class _Response:
+    """A field formed on its first read and then kept in the instance, whose
+    entry shadows this descriptor: later reads are plain attribute reads."""
+
+    def __init__(self, form):
+        self.form = form
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, fields, owner=None):
+        if fields is None:
+            return self
+        value = fields.__dict__[self.name] = self.form(fields)
+        return value
+
+
+class SpectralArrays:
     """Spectral fields on a batch of momenta (see module docstring).
 
-    Each field has the broadcast shape of the momenta: 0-d at a single
-    momentum.  The mode angle theta is not a field: only the mode states
-    read it, and ``mode_angle`` forms it from epsilon and delta.
+    ``epsilon``, ``delta`` and ``lam`` are formed with the object.  Each
+    response (``omega_x``, ``omega_y``, ``omega_z``, ``theta_x``,
+    ``theta_y``, ``theta_z``) is formed from the held sines and cosines on
+    its first read and kept, so it is the same array on every read.  Each
+    field has the broadcast shape of the momenta: 0-d at a single momentum.
+    The mode angle theta is not a field: only the mode states read it, and
+    ``mode_angle`` forms it from epsilon and delta.
     """
 
-    epsilon: np.ndarray
-    delta: np.ndarray
-    lam: np.ndarray
-    omega_x: np.ndarray
-    omega_y: np.ndarray
-    omega_z: np.ndarray
-    theta_x: np.ndarray
-    theta_y: np.ndarray
-    theta_z: np.ndarray
+    def __init__(self, couplings: Couplings, cx, sx, cy, sy, epsilon, delta, lam):
+        self._couplings = couplings
+        self._cx, self._sx, self._cy, self._sy = cx, sx, cy, sy
+        self.epsilon, self.delta, self.lam = epsilon, delta, lam
+
+    omega_x = _Response(lambda f: 2.0 * (f._cx * f.epsilon + f._sx * f.delta))
+    omega_y = _Response(lambda f: 2.0 * (f._cy * f.epsilon + f._sy * f.delta))
+    omega_z = _Response(lambda f: 2.0 * f.epsilon)
+    theta_x = _Response(lambda f: 4.0 * (f._couplings.jz * f._sx + f._couplings.jy * f._sxy))
+    theta_y = _Response(lambda f: 4.0 * (f._couplings.jz * f._sy - f._couplings.jx * f._sxy))
+    theta_z = _Response(lambda f: -2.0 * f.delta)
+    _sxy = _Response(lambda f: f._sx * f._cy - f._cx * f._sy)  # s_xy
 
 
 def spectral_arrays(px, py, couplings: Couplings) -> SpectralArrays:
-    """Evaluate all spectral fields on arrays of momenta (broadcasting)."""
+    """The spectral fields on arrays of momenta (broadcasting): epsilon,
+    delta and lam now, each response on its first read."""
     jx, jy, jz = couplings.jx, couplings.jy, couplings.jz
     px = np.asarray(px, dtype=float)
     py = np.asarray(py, dtype=float)
@@ -142,17 +170,7 @@ def spectral_arrays(px, py, couplings: Couplings) -> SpectralArrays:
     cy, sy = np.cos(py), np.sin(py)
     epsilon = 2.0 * (jx * cx + jy * cy + jz)
     delta = 2.0 * (jx * sx + jy * sy)
-    lam = np.hypot(epsilon, delta)
-    sxy = sx * cy - cx * sy  # sin(px - py)
-    omega_x = 2.0 * (cx * epsilon + sx * delta)
-    omega_y = 2.0 * (cy * epsilon + sy * delta)
-    omega_z = 2.0 * epsilon
-    theta_x = 4.0 * (jz * sx + jy * sxy)
-    theta_y = 4.0 * (jz * sy - jx * sxy)
-    theta_z = -2.0 * delta
-    return SpectralArrays(
-        epsilon, delta, lam, omega_x, omega_y, omega_z, theta_x, theta_y, theta_z
-    )
+    return SpectralArrays(couplings, cx, sx, cy, sy, epsilon, delta, np.hypot(epsilon, delta))
 
 
 def mode_angle(fields: SpectralArrays) -> np.ndarray:

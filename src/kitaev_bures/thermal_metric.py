@@ -238,6 +238,11 @@ def _minus_sech_sq_ratio(tp: ThermoPoint, lam: np.ndarray) -> np.ndarray:
 _LAM2_FLOOR = 1.0 / math.sqrt(np.finfo(float).max)
 
 
+# the spectral response of each coupling index
+_OMEGA = {ParameterIndex.JX: "omega_x", ParameterIndex.JY: "omega_y", ParameterIndex.JZ: "omega_z"}
+_THETA = {ParameterIndex.JX: "theta_x", ParameterIndex.JY: "theta_y", ParameterIndex.JZ: "theta_z"}
+
+
 def _components(fields, points, pairs_c, pairs_nc, nc_kernel):
     """Every point's thermal kernels applied to one evaluation of the
     spectral fields: leading axes (point, component), the classical pairs,
@@ -245,7 +250,8 @@ def _components(fields, points, pairs_c, pairs_nc, nc_kernel):
     zero-temperature point has zero classical components (frozen
     eigenvalues); its nonclassical kernel is the kernel's T = 0 value.
 
-    Each component is one prefactor times one response product.  The
+    Each component is one prefactor times one response product, and only
+    the responses the pairs name are read, so only they are formed.  The
     products (lam^2, omega_a, omega_mu omega_nu, theta_a theta_b) do not
     depend on temperature and are formed once, first, in the first point's
     slots, so a pair's value is the same bit for bit when its responses
@@ -255,9 +261,11 @@ def _components(fields, points, pairs_c, pairs_nc, nc_kernel):
     lam^2 <= ``_LAM2_FLOOR``, the exact dispersion zero included (measure
     zero; the numerators vanish at least as fast as lam^2 there)."""
     beta_idx, lam, n_c = ParameterIndex.BETA, fields.lam, len(pairs_c)
-    coupling = (ParameterIndex.JX, ParameterIndex.JY, ParameterIndex.JZ)
-    omega = dict(zip(coupling, (fields.omega_x, fields.omega_y, fields.omega_z)))
-    theta = dict(zip(coupling, (fields.theta_x, fields.theta_y, fields.theta_z)))
+    omega = {i: getattr(fields, _OMEGA[i]) for q in pairs_c for i in q if i is not beta_idx}
+    theta = {i: getattr(fields, _THETA[i]) for q in pairs_nc for i in q}
+    # the integrands pass the only reference: the sines, cosines and unread
+    # fields are freed here, before the block-sized products are allocated
+    del fields
     out = np.empty((len(points), n_c + len(pairs_nc)) + np.shape(lam))
     lam2 = lam * lam
     inv2 = np.divide(1.0, lam2, out=np.zeros_like(lam2), where=lam2 > _LAM2_FLOOR)
@@ -340,8 +348,7 @@ def _integrand(points, pairs_c, pairs_nc, nc_kernel):
     ]
 
     def f(px, py):
-        fields = spectral_arrays(px, py, couplings)
-        out = _components(fields, points, stack_c, stack_nc, nc_kernel)
+        out = _components(spectral_arrays(px, py, couplings), points, stack_c, stack_nc, nc_kernel)
         for i, j in enumerate(partner):
             if i < j:
                 np.add(out[:, i], out[:, j], out=out[:, i])

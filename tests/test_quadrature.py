@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import math
 import tracemalloc
 
@@ -360,10 +361,39 @@ def test_quarter_grid_equals_full_grid(base_n):
     assert res.evaluations <= 0.55 * half.evaluations
 
 
+def _ridges(px, py):
+    # _sym_pair beside three needle-shaped ridges 1 / (W + a + b^2): a
+    # vanishes quadratically across a mirror line and b quadratically along
+    # it at the ridge's centre, so a ridge is about W^(1/2) wide and W^(1/4)
+    # long.  At (0, 0) and (-pi, -pi) the ridge lies on the line of s,
+    # p_x = p_y; at +-(0.7, -0.7) on the line of -s, p_x = -p_y.  Even and
+    # invariant under s bit for bit (sums of two terms, products of two
+    # factors, and a - b = -(b - a) squared), and 2 pi-periodic
+    cx, sx, cy, sy = np.cos(px), np.sin(px), np.cos(py), np.sin(py)
+    across_s = (sx * cy - cx * sy) ** 2  # sin^2(p_x - p_y)
+    across_minus_s = (sx * cy + cx * sy) ** 2  # sin^2(p_x + p_y)
+    w, c = 1e-3, cx + cy
+    ridges = [
+        1.0 / (w + across_s + (2.0 - c) ** 2),
+        1.0 / (w + across_s + (2.0 + c) ** 2),
+        1.0 / (w + across_minus_s + (c - 2.0 * math.cos(0.7)) ** 4),
+    ]
+    return np.concatenate([_sym_pair(px, py), np.stack(ridges)])
+
+
+@functools.lru_cache(maxsize=1)
+def _ridges_plain():
+    # the ridges' integrals by the plain trapezoid alone, to 1e-12
+    res = integrate_bz(_ridges, GridSpec(base_n=256, max_doublings=3, target_rel_tol=1e-13))
+    assert res.converged
+    return res.value
+
+
 @pytest.mark.parametrize(
     "disk, closed, ref_axis",
     [
         (((-math.pi, -math.pi), None), [(-math.pi, -math.pi)], None),
+        (((-math.pi, -math.pi), 0.3), [(-math.pi, -math.pi)], math.pi / 4),
         (((0.0, 0.0), math.pi / 4), [(0.0, 0.0)], math.pi / 4),
         (((0.0, 0.0), 3 * math.pi / 4), [(0.0, 0.0)], 3 * math.pi / 4),
         (((0.0, 0.0), 0.3), [(0.0, 0.0)], math.pi / 4),
@@ -372,7 +402,7 @@ def test_quarter_grid_equals_full_grid(base_n):
         (((0.7, -0.7), math.pi / 4), [(0.7, -0.7), (-0.7, 0.7)], math.pi / 4),
         (((0.7, -0.7), 0.3), [(0.7, -0.7), (-0.7, 0.7)], -math.pi / 4),
     ],
-    ids=["corner-polar", "corner-needle-along", "corner-needle-across",
+    ids=["corner-polar", "far-corner-needle", "corner-needle-along", "corner-needle-across",
          "corner-needle-oblique", "pair-polar", "pair-needle-along", "pair-needle-across",
          "pair-needle-oblique"],
 )
@@ -383,13 +413,49 @@ def test_quarter_rule_matches_the_full_zone(disk, closed, ref_axis):
     # grid turned by a right angle is the same grid, so a soft axis along
     # or across the line matches its own full disk, and an oblique axis
     # the full disk on the mirror line.  The grid evaluates a quarter of
-    # the zone
+    # the zone.  The ridges make the disk rule's error depend on its frame:
+    # the full disks on axes turned by pi / 8 move the reference by 5e-12
+    # of its largest value, 500 times the bound below.  The reference
+    # shares the disk rule, so the plain trapezoid checks the disk's nodes:
+    # read anywhere but at their points modulo 2 pi, they would miss the
+    # ridge the disk covers
     grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
-    res = integrate_bz_refined(_sym_pair, disk, 5e-4, grid, radius=0.4)
-    ref = full_zone_reference(_sym_pair, closed, 5e-4, 0.4, grid, [ref_axis] * len(closed))
+    res = integrate_bz_refined(_ridges, disk, 5e-4, grid, radius=0.4)
+    ref = full_zone_reference(_ridges, closed, 5e-4, 0.4, grid, [ref_axis] * len(closed))
     assert np.max(np.abs(res.value - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.all(np.abs(res.value - _ridges_plain()) <= res.error_estimate)
     half = integrate_bz_refined(_half_rule(_sym_pair), disk, 5e-4, grid, radius=0.4)
     assert res.evaluations <= 0.55 * half.evaluations
+
+
+@pytest.mark.parametrize(
+    "disk",
+    [((-math.pi, -math.pi), None), ((-math.pi, -math.pi), 0.4), ((0.3, -1.1), None),
+     ((0.3, -1.1), 0.4)],
+    ids=["corner-polar", "corner-needle", "pair-polar", "pair-needle"],
+)
+@pytest.mark.parametrize("f", [_sym_pair, _even_pair], ids=["invariant", "even"])
+def test_unwrapped_disk_nodes_give_the_wrapped_integral(disk, f):
+    # disk nodes reach the integrand unwrapped, up to the radius outside
+    # [-pi, pi)^2; for a 2 pi-periodic integrand that is the integral of the
+    # same integrand read at the wrapped nodes
+    from kitaev_bures.spectrum import wrap_angle
+
+    seen = []
+
+    def bare(px, py):
+        seen.append(min(np.min(px), np.min(py)))
+        return f(px, py)
+
+    grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
+    got = integrate_bz_refined(bare, disk, 5e-4, grid, radius=0.4)
+    wrapped = integrate_bz_refined(
+        lambda px, py: f(wrap_angle(px), wrap_angle(py)), disk, 5e-4, grid, radius=0.4
+    )
+    if disk[0][0] == -math.pi:
+        assert min(seen) < -math.pi - 0.2
+    assert got.evaluations == wrapped.evaluations
+    assert np.max(np.abs(got.value - wrapped.value)) <= 1e-14 * np.max(np.abs(wrapped.value))
 
 
 def test_even_integrand_that_is_not_invariant_takes_the_half_rule():

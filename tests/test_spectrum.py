@@ -91,6 +91,59 @@ def test_xy_exchange_symmetry(rng):
         assert a.omega_y == pytest.approx(b.omega_x, abs=1e-14)
 
 
+RESPONSES = ("omega_x", "omega_y", "omega_z", "theta_x", "theta_y", "theta_z")
+
+
+@pytest.mark.parametrize("nodes", ["separable", "per-node", "0-d"])
+def test_responses_equal_the_docstring_formulas_bit_for_bit(nodes):
+    # each response, formed on its first read, is the module docstring's
+    # formula evaluated in its stated form, whatever was read before it
+    rng = np.random.default_rng(7)
+    j = Couplings(0.3, -0.45, 0.6)
+    if nodes == "separable":
+        px, py = rng.uniform(-math.pi, math.pi, (6, 1)), rng.uniform(-math.pi, math.pi, (1, 9))
+    elif nodes == "per-node":
+        px, py = rng.uniform(-math.pi, math.pi, (2, 2, 7))
+    else:
+        px, py = 0.9, -2.3
+    cx, sx = np.cos(np.asarray(px)), np.sin(np.asarray(px))
+    cy, sy = np.cos(np.asarray(py)), np.sin(np.asarray(py))
+    eps = 2.0 * (j.jx * cx + j.jy * cy + j.jz)
+    delta = 2.0 * (j.jx * sx + j.jy * sy)
+    sxy = sx * cy - cx * sy
+    formulas = {
+        "omega_x": 2.0 * (cx * eps + sx * delta),
+        "omega_y": 2.0 * (cy * eps + sy * delta),
+        "omega_z": 2.0 * eps,
+        "theta_x": 4.0 * (j.jz * sx + j.jy * sxy),
+        "theta_y": 4.0 * (j.jz * sy - j.jx * sxy),
+        "theta_z": -2.0 * delta,
+    }
+    for order in (RESPONSES, RESPONSES[::-1]):
+        sp = spectral_arrays(px, py, j)
+        assert np.array_equal(sp.epsilon, eps) and np.array_equal(sp.delta, delta)
+        assert np.array_equal(sp.lam, np.hypot(eps, delta))
+        for name in order:
+            value = getattr(sp, name)
+            assert np.shape(value) == np.shape(eps), name
+            assert np.array_equal(value, formulas[name]), name
+            assert getattr(sp, name) is value  # formed once, then kept
+
+
+def test_reading_the_basic_fields_forms_no_response():
+    sp = spectral_arrays(np.linspace(-3.0, 3.0, 5)[:, None], np.linspace(-3.0, 3.0, 4), SYM)
+    sp.lam, sp.epsilon, sp.delta
+    mode_angle(sp)
+    assert not set(vars(sp)) & {*RESPONSES, "_sxy"}
+    # a response forms itself and what it reads, nothing else
+    sp.theta_z
+    assert set(vars(sp)) & {*RESPONSES, "_sxy"} == {"theta_z"}
+    sp.theta_y
+    assert set(vars(sp)) & {*RESPONSES, "_sxy"} == {"theta_z", "theta_y", "_sxy"}
+    with pytest.raises(AttributeError, match="theta"):
+        sp.theta
+
+
 def _theta_fd(p, j, axis, h=1e-6):
     shifts = {"jx": (h, 0, 0), "jy": (0, h, 0), "jz": (0, 0, h)}[axis]
     jp = Couplings(j.jx + shifts[0], j.jy + shifts[1], j.jz + shifts[2])

@@ -589,6 +589,30 @@ def test_kernels_match_the_docstring_formulas(couplings, kernel, nodes):
         assert np.array_equal(got[k], alone)
 
 
+@pytest.mark.parametrize("couplings", [Couplings(0.25, 0.25, 0.5), Couplings(0.3, 0.2, 0.5)],
+                         ids=["cut", "off-cut"])
+def test_zz_integrand_forms_no_transverse_response(couplings, monkeypatch):
+    # the zz elements read lam, omega_z and theta_z only, so a tensor of
+    # them, on the zone and on the finite grid, forms no x or y response
+    import kitaev_bures.thermal_metric as tm
+
+    made = []
+
+    def recording(px, py, c):
+        made.append(spectral_arrays(px, py, c))
+        return made[-1]
+
+    monkeypatch.setattr(tm, "spectral_arrays", recording)
+    zz = [("c", P.JZ, P.JZ), ("nc", P.JZ, P.JZ)]
+    tp = ThermoPoint.from_temperature(couplings, 0.05)
+    tensor_thermodynamic(tp, GridSpec(target_rel_tol=1e-4), elements=zz)
+    tensor_finite(tp, 31, elements=zz)
+    assert len(made) > 2
+    for fields in made:
+        assert not set(vars(fields)) & {"omega_x", "omega_y", "theta_x", "theta_y", "_sxy"}
+    assert any("omega_z" in vars(f) and "theta_z" in vars(f) for f in made)
+
+
 def test_kernels_stay_finite_at_degenerate_couplings():
     # at jx = jy = 0 the dispersion is lam = 2 |jz| everywhere; a subnormal
     # lam^2 overflows 1/lam^2, so the reciprocal is taken only above a floor
