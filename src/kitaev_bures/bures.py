@@ -138,20 +138,17 @@ def _fidelity_from_sqrt(sqrt_rho: np.ndarray, sigma: np.ndarray):
     return float(f) if np.ndim(f) == 0 else f
 
 
-def classical_fidelity(rho, sigma, *, validate: bool = False):
+def classical_fidelity(rho, sigma):
     """Bhattacharyya overlap sum_i sqrt(p_i q_i) of the eigenvalue spectra.
 
     Eigenvalues of both states are sorted descending and paired by rank,
     which follows the smooth branch as long as no crossing occurs between
     the two states.  This is the classical (commuting) reduction of
-    uhlmann_fidelity and serves as the finite-difference oracle for the
-    classical metric part.
+    uhlmann_fidelity, whose finite differences give the classical metric
+    part.
     """
     rho = _as_square(rho, "rho")
     sigma = _as_square(sigma, "sigma")
-    if validate:
-        validate_density_matrix(rho)
-        validate_density_matrix(sigma)
     p = np.clip(np.linalg.eigvalsh(rho), 0.0, None)[..., ::-1]
     q = np.clip(np.linalg.eigvalsh(sigma), 0.0, None)[..., ::-1]
     f = np.sqrt(p * q).sum(axis=-1)
@@ -336,37 +333,20 @@ def finite_difference_metric_pairs(
 
 
 def finite_difference_metric(
-    family: Callable[[np.ndarray], np.ndarray],
-    lambda0,
-    step: float,
-    *,
-    fidelity: Callable | None = None,
-    validate: bool = False,
+    family: Callable[[np.ndarray], np.ndarray], lambda0, step: float
 ) -> np.ndarray:
-    """Bures metric by central finite differences of the fidelity.
+    """Bures metric by central finite differences of the Uhlmann fidelity.
 
     The family maps a parameter vector of length k to a density matrix
     (optionally stacked ``(..., d, d)``); see finite_difference_metric_pairs
-    for the difference scheme.  ``fidelity`` defaults to uhlmann_fidelity;
-    passing classical_fidelity yields the finite-difference classical
-    (Fisher) part instead.  This function is the independent oracle for
+    for the difference scheme.  This function is the independent oracle for
     analytic_metric: it never touches eigenbasis derivatives, only fidelity
     evaluations.
     """
     lambda0 = np.asarray(lambda0, dtype=float)
-    rho0 = np.asarray(family(lambda0), dtype=complex)
-    if validate:
-        validate_density_matrix(rho0)
-    if fidelity is None:
-        sqrt0 = _psd_sqrt(rho0)
+    sqrt0 = _psd_sqrt(np.asarray(family(lambda0), dtype=complex))
 
-        def pair(lam_a, lam_b):
-            return _fidelity_from_sqrt(sqrt0, np.asarray(family(lam_b), dtype=complex))
-
-    else:
-
-        def pair(lam_a, lam_b):
-            return fidelity(rho0, family(lam_b))
+    def pair(lam_a, lam_b):
+        return _fidelity_from_sqrt(sqrt0, np.asarray(family(lam_b), dtype=complex))
 
     return finite_difference_metric_pairs(pair, lambda0, step)
-

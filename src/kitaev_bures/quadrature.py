@@ -56,9 +56,11 @@ unless the integrand is also invariant under the reflection s: (p_x, p_y)
   twice for K and -K and a disk on its own mirror (a zone corner)
   integrates half its disk, twice.
 * Under s as well the grid keeps, of those rows, a triangle (on the zone
-  grid p_x in [-pi, 0] and |p_y| >= |p_x|, see ``_zone_patches``), and the
-  disk the sector of the reflection that fixes its centre: a corner (fixed
-  by s and -s) a quarter, K = (a, -a) (fixed by -s) a half.
+  grid p_x in [-pi, 0] and |p_y| >= |p_x|, see ``_zone_geometry``): s and
+  -s exchange the nodes on the two sides of |p_y| = |p_x|, so, as -1 does
+  on the rows, a kept node counts twice and a node on that line once.  The
+  disk keeps the sector of the reflection that fixes its centre: a corner
+  (fixed by s and -s) a quarter, K = (a, -a) (fixed by -s) a half.
 
 Evenness is the contract, checked, not assumed: every grid and disk
 compares f(p0) with f(-p0) at a generic probe node and raises ValueError if
@@ -304,22 +306,6 @@ def _fsum(parts) -> np.ndarray:
     return np.array([math.fsum(r) for r in flat]).reshape(rows.shape[:-1])
 
 
-def _orbit_weights(kx, ky, mirror, dist):
-    """Nodes each fundamental node (kx, ky) stands for: the size of its
-    orbit under {e, -1, s, -s} over the number of its members in the
-    fundamental domain, the nodes with a kept row and ``dist[ky] <=
-    dist[kx]`` (see ``_zone_patches``)."""
-    members = [(kx, ky), (mirror[kx], mirror[ky]), (ky, kx), (mirror[ky], mirror[kx])]
-    size, inside = np.zeros(kx.shape), np.zeros(kx.shape)
-    for i, (a, b) in enumerate(members):
-        first = np.ones(kx.shape, dtype=bool)
-        for a_seen, b_seen in members[:i]:
-            first &= (a != a_seen) | (b != b_seen)
-        size += first
-        inside += first & (a <= mirror[a]) & (dist[b] <= dist[a])
-    return size / inside
-
-
 def _zone_patches(f, xs: np.ndarray, first_mirror: int, invariant: bool, nested=False):
     """Row patches of one node per orbit of the grid ``xs x xs`` (with
     ``nested``, of the nodes the grid adds to its even-index subgrid), each
@@ -363,19 +349,22 @@ def _zone_geometry(n: int, first_mirror: int, invariant: bool, nested: bool):
     (the orbits of {e, -1}) every kept row in full is the rule, each row sum
     counting twice and a self-mirror row once.
 
-    For an ``f`` also invariant under s the rule keeps, of each kept row kx,
-    the columns with ``dist(ky) <= dist(kx) = kx``, ``dist(k) = min(k,
-    mirror(k))``: s or -s maps each node it drops onto a kept node of a
-    row with a larger dist, so every orbit of {e, -1, s, -s} keeps a node.
-    These columns are a window that widens with kx, a triangle of the grid.
-    The rows are cut into bands of ``_BAND_ROWS``: the columns every row of
-    a band keeps form one patch, whose nodes stand for four (two on a
+    For an ``f`` also invariant under s the rule is ``_mirror_fold``'s
+    applied to the order of ``dist(k) = min(k, mirror(k))``, which a node
+    and its mirror share: s exchanges the nodes with ``dist(ky) <
+    dist(kx)`` and those with ``dist(ky) > dist(kx)``, so the full grid sum
+    is the sum over kept rows kx (``dist(kx) = kx``) of ``w_row(kx) * (2 *
+    sum over dist(ky) < kx + sum over dist(ky) = kx)``, ``w_row`` the row
+    weight.  A kept node weighs ``w_row(kx) * (2 if dist(ky) < kx else
+    1)``.  These columns are a window that widens with kx, a triangle of
+    the grid.  The rows are cut into bands of ``_BAND_ROWS``: the columns
+    every row of a band keeps form one patch, whose nodes weigh 4 (2 on a
     self-mirror row), and the rest of the band, a small triangle on the
-    fixed lines of s and -s, is listed node by node with the weights that
-    ``_orbit_weights`` counts and evaluated in rows of ``_LIST_COLS``
-    nodes.  The band patches keep ``f`` separable (one p_x per row, one p_y
-    per column), as the half rule does, so the integrand takes its sines
-    and cosines per row and column; the listed nodes take them per node.
+    fixed lines of s and -s, is listed node by node with its weights and
+    evaluated in rows of ``_LIST_COLS`` nodes.  The band patches keep ``f``
+    separable (one p_x per row, one p_y per column), as the half rule does,
+    so the integrand takes its sines and cosines per row and column; the
+    listed nodes take them per node.
 
     A doubling adds the nodes with kx or ky odd: the odd rows in full and
     the odd columns of the even rows (negation maps odd columns onto odd
@@ -413,7 +402,7 @@ def _zone_geometry(n: int, first_mirror: int, invariant: bool, nested: bool):
         kx, ky = kx[new], ky[new]
     # relative to 4, so that no listed value exceeds |f|; rows of at most
     # _LIST_COLS nodes, the last filled up with its last node at weight 0
-    weight = 0.25 * _orbit_weights(kx, ky, mirror, dist)
+    weight = 0.25 * np.where(kx == mirror[kx], 1.0, 2.0) * np.where(dist[ky] < kx, 2.0, 1.0)
     length = -(-kx.size // -(-kx.size // _LIST_COLS))
     fill = -kx.size % length
     kx, ky = np.pad(kx, (0, fill), "edge"), np.pad(ky, (0, fill), "edge")

@@ -835,8 +835,7 @@ def tensor_oracle(tp: ThermoPoint, L: int) -> BuresTensor:
 
     Mode sums are normalized per site, and the classical part is scaled by
     CLASSICAL_MODE_CALIBRATION (see module docstring).  The returned parts
-    come from the analytic route; the finite-difference parts and the worst
-    per-mode disagreement between the two routes are stored in
+    come from the analytic route; the finite-difference parts are stored in
     evaluation.details.
 
     The classical part is returned only where the finite-difference route
@@ -897,8 +896,6 @@ def tensor_oracle(tp: ThermoPoint, L: int) -> BuresTensor:
             "finite-difference derivatives resolve"
         )
 
-    per_mode_gap = np.max(np.abs(g_total_fd - md.total))
-    mode_scale = max(float(np.max(np.abs(g_total_fd))), 1e-300)
     info = EvaluationInfo(
         method="mode-oracle",
         details={
@@ -907,7 +904,6 @@ def tensor_oracle(tp: ThermoPoint, L: int) -> BuresTensor:
             "fd_nonclassical": fd_nc,
             "beta_row_residual": residual_an,
             "fd_beta_row_residual": residual_fd,
-            "max_mode_discrepancy": float(per_mode_gap) / mode_scale,
         },
     )
     return BuresTensor(an_c, an_nc, info)
