@@ -125,6 +125,16 @@ def _r_squared(y: np.ndarray, fitted: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+def _prefactor(log_prefactor: float) -> float:
+    """e^log_prefactor, refused where it overflows a float."""
+    try:
+        return math.exp(log_prefactor)
+    except OverflowError:
+        raise ValueError(
+            f"the fitted prefactor e^{log_prefactor:.6g} overflows a float"
+        ) from None
+
+
 def _fit(t, g, y, columns, make_model, warnings=()) -> ScalingFitResult:
     """Least squares of ``y`` on the design ``columns``: the model built from
     the coefficients, with r_squared and residuals in ``y``'s coordinates
@@ -196,7 +206,7 @@ def fit_power_law(samples) -> ScalingFitResult:
         raise ValueError("power-law fit requires positive sample values")
     return _fit(
         t, g, np.log(g), [np.ones_like(t), np.log(t)],
-        lambda coef: PowerLawFit(exponent=float(coef[1]), prefactor=float(math.exp(coef[0]))),
+        lambda coef: PowerLawFit(exponent=float(coef[1]), prefactor=_prefactor(coef[0])),
     )
 
 
@@ -219,7 +229,7 @@ def fit_gapped_nonclassical(
         lambda coef: GappedNonclassicalFit(
             gap=float(gap),
             exponent=float(coef[1]),
-            coefficient=float(math.exp(coef[0])),
+            coefficient=_prefactor(coef[0]),
             offset=float(zero_temperature_value),
         ),
     )

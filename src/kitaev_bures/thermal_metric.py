@@ -106,6 +106,8 @@ MIN_REFINE_RADIUS = 0.5
 # a dispersion minimum whose Hessian eigenvalue ratio is below this has a
 # soft axis and gets a needle disk
 NEEDLE_RATIO_CUT = 0.05
+# the largest beta whose square is finite
+_BETA_MAX = math.sqrt(np.finfo(float).max)
 
 __all__ = [
     "ParameterIndex",
@@ -145,7 +147,9 @@ NONCLASSICAL_PAIRS: tuple[tuple[ParameterIndex, ParameterIndex], ...] = tuple(
 
 @dataclass(frozen=True)
 class ThermoPoint:
-    """Couplings plus inverse temperature; T = 0 is an explicit limit flag."""
+    """Couplings plus inverse temperature; T = 0 is an explicit limit flag.
+
+    A finite beta is refused above sqrt(DBL_MAX), where beta^2 overflows."""
 
     couplings: Couplings
     beta: float
@@ -158,6 +162,12 @@ class ThermoPoint:
         b = float(self.beta)
         if not (math.isfinite(b) and b > 0):
             raise ValueError(f"beta must be positive and finite, got {self.beta!r}")
+        if b > _BETA_MAX:
+            # the classical kernel forms beta^2, which would overflow
+            raise ValueError(
+                f"beta must be at most sqrt(DBL_MAX) = {_BETA_MAX:.6g} "
+                f"(T >= {1.0 / _BETA_MAX:.6g}), got {self.beta!r}"
+            )
         object.__setattr__(self, "beta", b)
 
     @classmethod
@@ -463,6 +473,18 @@ def _assemble(pairs, values) -> np.ndarray:
 # finite size
 
 
+def _grid_size(L) -> int:
+    """``L`` as an int, refused unless it is an odd integer >= 3 (a float
+    with a fraction or a string is not truncated or parsed)."""
+    try:
+        n = int(L)
+    except (OverflowError, TypeError):  # inf, None: refused below
+        n = 0
+    if n != L or n < 3 or n % 2 == 0:
+        raise ValueError(f"L must be an odd integer >= 3, got {L!r}")
+    return n
+
+
 def _momentum_axis(L: int) -> np.ndarray:
     half = (L - 1) // 2
     return (2.0 * math.pi / L) * np.arange(-half, half + 1)
@@ -493,9 +515,7 @@ def tensor_finite(tp: ThermoPoint, L: int, *, elements=None) -> BuresTensor:
     L avoids them in the gapless interior, but not on special commensurate
     couplings) and the classical part is exactly zero.
     """
-    L = int(L)
-    if L < 3 or L % 2 == 0:
-        raise ValueError(f"L must be odd and >= 3, got {L}")
+    L = _grid_size(L)
     pairs_c, pairs_nc = _select_pairs(elements)
     if not pairs_c and not pairs_nc:
         raise ValueError("no tensor elements requested")
@@ -565,7 +585,8 @@ def _refinement_plan(points: Sequence[ThermoPoint]):
     mirror class, so ``disk`` is one ``(centre, axis)``, from the coupling
     alone: the Dirac point ``dirac_points(c)[0]``, which stands for +-K, or
     the exact gap corner, its own mirror, with its soft axis.  Each point
-    has a width ``w`` (its temperature, floored); the radius is the largest
+    has a width ``w``: its temperature, floored at ``gap / 8`` for a gapped
+    coupling, and 1e-6 at T = 0 without a gap; the radius is the largest
     ``max(8 w, MIN_REFINE_RADIUS)``, which covers every integrand shoulder,
     capped at pi/2 and, for +-K, at 0.499 of their distance, and ``r_min =
     min(min w / 100, radius / 64)`` resolves the coldest point.  The floor
@@ -577,7 +598,7 @@ def _refinement_plan(points: Sequence[ThermoPoint]):
     if classify_phase(couplings) is PhaseRegion.GAPLESS_B:
         zero = dirac_points(couplings)[0]
         cap = min(cap, 0.499 * float(_torus_dist(zero.px, zero.py, -zero.px, -zero.py)))
-        floor = 1e-6
+        floor = 0.0
     else:
         gap = fermion_gap(couplings)
         if gap >= NEAR_CRITICAL_GAP:
@@ -594,8 +615,9 @@ def _refinement_plan(points: Sequence[ThermoPoint]):
                     "refinement cannot resolve"
                 )
         zero = _gap_minimum(couplings)
-        floor = max(gap / 8.0, 1e-6)
-    widths = [max(tp.temperature, floor) for tp in points]
+        floor = gap / 8.0
+    # 1e-6 only where nothing else sets a width: T = 0 without a gap
+    widths = [max(tp.temperature, floor) or 1e-6 for tp in points]
     radius = min(max(8.0 * max(widths), MIN_REFINE_RADIUS), cap)
     r_min = min(min(widths) / 100.0, radius / 64.0)
     return ((zero.px, zero.py), _needle_axis(couplings, zero)), radius, r_min
@@ -858,9 +880,7 @@ def tensor_oracle(tp: ThermoPoint, L: int) -> BuresTensor:
     """
     if tp.zero_temperature:
         raise ValueError("the per-mode oracle requires a finite temperature")
-    L = int(L)
-    if L < 3 or L % 2 == 0:
-        raise ValueError(f"L must be odd and >= 3, got {L}")
+    L = _grid_size(L)
     xs = _momentum_axis(L)
     px, py = xs[:, None], xs[None, :]
     lam0 = np.array([tp.beta, tp.couplings.jx, tp.couplings.jy, tp.couplings.jz])

@@ -127,6 +127,17 @@ def test_tensor_even_size_rejected(capsys):
     assert "odd" in err
 
 
+def test_tensor_temperature_whose_beta_squared_overflows_rejected(capsys):
+    # below T = 1 / sqrt(DBL_MAX) the classical kernel's beta^2 overflowed
+    # and the tensor held NaN, which is not JSON
+    code, out, err = run(
+        capsys, ["tensor", "--jx", "0.3", "--jy", "0.3", "--jz", "0.3", "--temp", "1e-160",
+                 "--size", "5"]
+    )
+    assert code == 2 and out == ""
+    assert "sqrt(DBL_MAX)" in err and "NaN" not in err
+
+
 def test_tensor_refine_levels_zero_rejected(capsys):
     # the lowest disk ladder's highest pair is (1, 2); 0 names no ladder
     code, out, err = run(
@@ -318,6 +329,21 @@ def test_scaling_fit_failure_exit_code(tmp_path, capsys):
     )
     assert code == 4
     assert "fit failure" in err
+
+
+def test_scaling_fit_whose_prefactor_overflows_exit_code(tmp_path, capsys):
+    # deep in the gapped phase c:jz-jz falls as e^{-gap/T}: a power law
+    # through it has the intercept ln(prefactor) ~ 2091, which overflows
+    path = tmp_path / "fit.json"
+    code, _, err = run(
+        capsys,
+        ["scaling", "--jx", "0.1", "--jy", "0.1", "--jz", "0.8",
+         "--tmin", "0.002", "--tmax", "0.004", "--element", "c:jz-jz", "--model", "power",
+         "--out", str(path)],
+    )
+    assert code == 4
+    assert "fit failure" in err and "overflows" in err and "Traceback" not in err
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(

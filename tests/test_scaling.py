@@ -96,6 +96,18 @@ def test_fit_validation_errors():
         fit_log_divergence(degenerate)
 
 
+def test_fit_whose_prefactor_overflows_is_a_value_error():
+    # e^{-1.2/T} over T in [0.002, 0.004] is no power law: the line through
+    # ln g against ln T has a slope of about 400 and an intercept of about
+    # 2090, whose exponential overflows a float (an OverflowError, which the
+    # CLI does not read as a failed fit)
+    samples = samples_from(lambda t: np.exp(-1.2 / t), 0.002, 0.004)
+    with pytest.raises(ValueError, match="overflows"):
+        fit_power_law(samples)
+    with pytest.raises(ValueError, match="overflows"):
+        fit_gapped_nonclassical(samples, gap=0.1, zero_temperature_value=0.0)
+
+
 # ---------------------------------------------------------------------------
 # physics: the gapped exponents in their asymptotic window
 

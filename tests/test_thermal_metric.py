@@ -53,6 +53,14 @@ def test_thermo_point_validation():
         ThermoPoint(SYM, 0.0)
     with pytest.raises(ValueError):
         ThermoPoint(SYM, math.inf)
+    # beta^2 must be finite: the classical kernel forms it, and below T =
+    # 1 / sqrt(DBL_MAX) = 7.46e-155 it overflowed to a NaN tensor
+    beta_max = math.sqrt(np.finfo(float).max)
+    assert ThermoPoint(SYM, beta_max).beta == beta_max
+    with pytest.raises(ValueError, match="sqrt"):
+        ThermoPoint(SYM, np.nextafter(beta_max, math.inf))
+    with pytest.raises(ValueError, match=r"T >= 7\.458"):
+        ThermoPoint.from_temperature(SYM, 1e-160)
     tp = ThermoPoint.from_temperature(SYM, 0.0)
     assert tp.zero_temperature and tp.temperature == 0.0
     assert ThermoPoint.from_temperature(SYM, 0.5).beta == pytest.approx(2.0)
@@ -175,6 +183,12 @@ def test_finite_size_validation():
         tensor_finite(tp, 1)
     with pytest.raises(ValueError, match="no tensor elements"):
         tensor_finite(tp, 5, elements=[])
+    # a size is an odd integer, never truncated (5.5 -> 5) or parsed ("7")
+    for route in (tensor_finite, tensor_oracle):
+        for size in (5.5, "7", math.inf, None):
+            with pytest.raises(ValueError, match="odd integer"):
+                route(tp, size)
+    assert np.array_equal(tensor_finite(tp, 5.0).total, tensor_finite(tp, 5).total)
 
 
 def test_finite_grid_zero_temperature_dirac_hit_raises():
@@ -891,6 +905,35 @@ def test_exact_scaling_law(couplings, temperature, s):
         expected = factor[:, None] * getattr(g, part) * factor[None, :]
         gap = np.max(np.abs(getattr(gs, part) - expected))
         assert gap <= 1e-12 * np.max(np.abs(expected)), part
+
+
+def _nc_zz(couplings, temperature):
+    tp = ThermoPoint.from_temperature(couplings, temperature)
+    return tensor_thermodynamic(tp, elements=[("nc", P.JZ, P.JZ)]).nonclassical[3, 3]
+
+
+def test_gapless_log_law_holds_down_to_t_1e_12():
+    # inside the gapless phase g^nc_zz = a ln(1/T) + b, so equal steps in
+    # ln T give equal steps in g.  The refinement width is T itself: a
+    # width floored at 1e-6 refined every colder point as if it sat at
+    # 1e-6, and the steps came out 1.0243, 1.0213 and 0.4161 (the value
+    # froze at 5.4849 below 1e-12).  The needle-core share of r_min = T /
+    # 100 is the same at every T, so it cancels in the steps
+    g = [_nc_zz(Couplings(0.3, 0.3, 0.4), t) for t in (1e-6, 1e-8, 1e-10, 1e-12)]
+    steps = np.diff(g)
+    assert np.ptp(steps) <= 1e-6 * max(g)
+
+
+def test_critical_power_law_holds_down_to_t_1e_8():
+    # on the critical line g^nc_zz sqrt(T) tends to its limit linearly in
+    # sqrt(T) (g = c T^(-1/2) + d + ...): the line through the values at T
+    # = 1e-6 and 1e-7 predicts the one at 1e-8.  With the width floored at
+    # 1e-6 the prediction missed by 1.5e-3
+    temps = (1e-6, 1e-7, 1e-8)
+    s = [math.sqrt(t) for t in temps]
+    f = [_nc_zz(Couplings(0.25, 0.25, 0.5), t) * r for t, r in zip(temps, s)]
+    predicted = f[0] + (f[1] - f[0]) * (s[2] - s[0]) / (s[1] - s[0])
+    assert abs(predicted - f[2]) <= 1e-6 * abs(f[2])
 
 
 def test_batch_requires_one_coupling():
