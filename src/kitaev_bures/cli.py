@@ -397,7 +397,8 @@ def cmd_ratio_map(argv: list[str]) -> int:
     parser.add_argument(
         "--threads",
         type=int,
-        help="worker cap for map columns (default or 0: automatic)",
+        help="workers for map columns (default or 0: one per usable core, "
+        "at most one per column)",
     )
     _add_grid(parser)
     args = _parse(parser, argv)

@@ -16,6 +16,7 @@ clean for T in [1e-4, 1e-2].
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -286,6 +287,14 @@ def map_axes(
     return np.linspace(j_lo, j_hi, n_jz), np.geomspace(t_lo, t_hi, n_t)
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one, else the CPU count (1 when that is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def ratio_map(
     trajectory: Callable[[float], Couplings],
     jz_range: tuple[float, float],
@@ -306,7 +315,8 @@ def ratio_map(
     temperature whose quadrature misses the tolerance marks only its own
     cell invalid, with its own reason; the column's converged cells keep
     their values.  Failures never abort the map.  ``threads`` unset or 0
-    picks the worker count automatically; a negative count is refused.
+    means one worker per usable core (``_usable_cores``), at most one per
+    column; a negative count is refused.
     """
     if threads is not None and threads < 0:
         raise ValueError(f"threads must be unset or >= 0 (0: automatic), got {threads}")
@@ -337,7 +347,7 @@ def ratio_map(
 
     out = np.zeros((n_t, n_jz))
     failures = []
-    workers = threads or None
+    workers = threads or min(_usable_cores(), n_jz)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         columns = list(pool.map(column, range(n_jz)))
     for i in range(n_t):

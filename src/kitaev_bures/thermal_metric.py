@@ -218,8 +218,9 @@ class BuresTensor:
 # integrands
 
 
-def _inv_cosh_plus_one(beta: float, lam: np.ndarray) -> np.ndarray:
-    """1 / (cosh x + 1) at x = beta lam >= 0 without forming cosh(x)."""
+def _inv_cosh_plus_one(beta, lam: np.ndarray) -> np.ndarray:
+    """1 / (cosh x + 1) at x = beta lam >= 0 without forming cosh(x)
+    (``beta`` a float or a column, as in ``_tanh_sq_ratio``)."""
     e = np.exp(-beta * lam)
     d = 1.0 + e
     e *= 2.0
@@ -227,18 +228,21 @@ def _inv_cosh_plus_one(beta: float, lam: np.ndarray) -> np.ndarray:
     return e
 
 
-def _tanh_sq_ratio(tp: ThermoPoint, lam: np.ndarray) -> np.ndarray:
-    """Nonclassical thermal kernel tanh^2(beta lam / 2) (1 at T = 0)."""
-    if tp.zero_temperature:
-        return np.ones_like(lam)
-    return np.tanh(0.5 * tp.beta * lam) ** 2
+def _tanh_sq_ratio(beta, lam: np.ndarray) -> np.ndarray:
+    """Nonclassical thermal kernel tanh^2(beta lam / 2), ``beta`` a float
+    or a column along a leading point axis; 1 where beta is inf (T = 0)."""
+    cold = np.isinf(beta)
+    if not cold.any():
+        return np.tanh(0.5 * beta * lam) ** 2
+    return np.where(cold, 1.0, np.tanh(0.5 * np.where(cold, 0.0, beta) * lam) ** 2)
 
 
-def _minus_sech_sq_ratio(tp: ThermoPoint, lam: np.ndarray) -> np.ndarray:
+def _minus_sech_sq_ratio(beta, lam: np.ndarray) -> np.ndarray:
     """Kernel of the correction g^nc(T) - g^nc(0): tanh^2(x/2) - 1 =
-    -sech^2(x/2) = -4 e^-x / (1 + e^-x)^2 with x = beta lam, exactly
-    representable where the difference of the two tensors would cancel."""
-    e = np.exp(-0.5 * tp.beta * lam)
+    -sech^2(x/2) = -4 e^-x / (1 + e^-x)^2 with x = beta lam (``beta`` as
+    in ``_tanh_sq_ratio``), exactly representable where the difference of
+    the two tensors would cancel."""
+    e = np.exp(-0.5 * beta * lam)
     sech_half = 2.0 * e / (1.0 + e * e)
     return -(sech_half**2)
 
@@ -246,6 +250,11 @@ def _minus_sech_sq_ratio(tp: ThermoPoint, lam: np.ndarray) -> np.ndarray:
 # 1/lam^2 is taken only where lam^2 exceeds this floor, which keeps its
 # square finite; a subnormal lam^2 would overflow it (and inf * 0 is NaN)
 _LAM2_FLOOR = 1.0 / math.sqrt(np.finfo(float).max)
+# kernel values formed per group of points (see _components): 2**15
+# doubles, 256 KB, fit a core's L2 cache (ratio-map gained less at 8192
+# and 16000), and a block larger than that goes a point at a time, so its
+# temporaries stay those of one point
+_KERNEL_SLAB = 2**15
 
 
 # the spectral response of each coupling index
@@ -256,20 +265,28 @@ _THETA = {ParameterIndex.JX: "theta_x", ParameterIndex.JY: "theta_y", ParameterI
 def _components(fields, points, pairs_c, pairs_nc, nc_kernel):
     """Every point's thermal kernels applied to one evaluation of the
     spectral fields: leading axes (point, component), the classical pairs,
-    then the nonclassical pairs under ``nc_kernel(tp, lam)``.  A
+    then the nonclassical pairs under ``nc_kernel(beta, lam)``.  A
     zero-temperature point has zero classical components (frozen
-    eigenvalues); its nonclassical kernel is the kernel's T = 0 value.
+    eigenvalues); its nonclassical kernel is the kernel's value at beta =
+    inf.
 
     Each component is one prefactor times one response product, and only
     the responses the pairs name are read, so only they are formed.  The
     products (lam^2, omega_a, omega_mu omega_nu, theta_a theta_b) do not
     depend on temperature and are formed once, first, in the first point's
     slots, so a pair's value is the same bit for bit when its responses
-    trade places.  Each point forms one prefactor per kind: w =
-    1/(cosh(lam beta)+1), beta w, beta^2 w / lam^2 and nc_kernel / lam^4,
-    from one reciprocal of lam^2 per node.  That reciprocal is 0 where
-    lam^2 <= ``_LAM2_FLOOR``, the exact dispersion zero included (measure
-    zero; the numerators vanish at least as fast as lam^2 there)."""
+    trade places.  The prefactors of one kind, w = 1/(cosh(lam beta)+1),
+    beta w, beta^2 w / lam^2 and nc_kernel / lam^4, are formed for a group
+    of points at once, along a leading point axis against the nodes, from
+    one reciprocal of lam^2 per node.  That reciprocal is 0 where lam^2 <=
+    ``_LAM2_FLOOR``, the exact dispersion zero included (measure zero; the
+    numerators vanish at least as fast as lam^2 there).  A group holds at
+    most ``_KERNEL_SLAB`` values per prefactor (and at least one point), so
+    a small block takes the whole batch in one pass and a large one a point
+    at a time; each value is the same float operation on the same operands
+    whatever the grouping, so a member of a batch is bit for bit the point
+    evaluated alone.  The groups run last to first, and the first group
+    writes the first point last: its slots hold the products until then."""
     beta_idx, lam, n_c = ParameterIndex.BETA, fields.lam, len(pairs_c)
     omega = {i: getattr(fields, _OMEGA[i]) for q in pairs_c for i in q if i is not beta_idx}
     theta = {i: getattr(fields, _THETA[i]) for q in pairs_nc for i in q}
@@ -294,27 +311,44 @@ def _components(fields, points, pairs_c, pairs_nc, nc_kernel):
     if pairs_nc:
         # in place unless the beta^2 w / lam^2 prefactor still needs 1/lam^2
         inv4 = inv2 * inv2 if "bbw" in kinds else np.square(inv2, out=inv2)
-    # the last point first: the first point's slots hold the products
-    for k in reversed(range(len(points))):
-        tp, factor = points[k], {}
-        if n_c and not tp.zero_temperature:
-            factor["w"] = w = _inv_cosh_plus_one(tp.beta, lam)
+    # one beta per point, inf at T = 0, where the classical kernels are
+    # formed at beta = 0 and then replaced by zeros; a group's betas form a
+    # column along a leading point axis, and a lone point's stays a float,
+    # so a point that goes alone makes the calls a per-point loop made
+    column = (-1,) + (1,) * np.ndim(lam)
+
+    def betas(lo, hi, cold_beta=math.inf):
+        values = [cold_beta if tp.zero_temperature else tp.beta for tp in points[lo:hi]]
+        return values[0] if len(values) == 1 else np.reshape(values, column)
+
+    step = max(1, _KERNEL_SLAB // max(np.size(lam), 1))
+    for lo in reversed(range(0, len(points), step)):
+        hi, factor = min(lo + step, len(points)), {}
+        lone = hi - lo == 1
+        if n_c:
+            beta = betas(lo, hi, cold_beta=0.0)
+            factor["w"] = w = _inv_cosh_plus_one(beta, lam)
             if "bw" in kinds:
-                factor["bw"] = tp.beta * w
+                factor["bw"] = beta * w
             if "bbw" in kinds:
                 # scaled in place unless the beta-beta component needs w
                 bbw = w.copy() if "w" in kinds else w
-                bbw *= tp.beta * tp.beta
+                bbw *= beta * beta
                 bbw *= inv2
                 factor["bbw"] = bbw
         if pairs_nc:
-            factor["nc"] = nc_kernel(tp, lam)
+            factor["nc"] = nc_kernel(betas(lo, hi), lam)
             factor["nc"] *= inv4
         for i, (kind, product) in enumerate(terms):
-            if kind in factor:
-                np.multiply(factor[kind], product, out=out[k, i, ...])
-        if tp.zero_temperature:
-            out[k, :n_c] = 0.0
+            if lone:
+                np.multiply(factor[kind], product, out=out[lo, i, ...])
+            else:
+                # the first point's slots hold the products: written last
+                np.multiply(factor[kind][1:], product, out=out[lo + 1 : hi, i])
+                np.multiply(factor[kind][0], product, out=out[lo, i, ...])
+    cold = [tp.zero_temperature for tp in points]
+    if n_c and any(cold):
+        out[cold, :n_c] = 0.0
     return out
 
 

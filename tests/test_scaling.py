@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -184,11 +185,41 @@ def test_ratio_map_parameterization_invariance():
     assert np.all(a.grid >= 0.0)
 
 
-def test_ratio_map_thread_count_does_not_change_values():
+def test_ratio_map_thread_count_does_not_change_values(monkeypatch):
+    # unset and 0 give one worker per usable core (the CPU affinity where
+    # the platform reports one, else the CPU count), never more than the
+    # 8 columns; the pool is recorded, not replaced
+    import kitaev_bures.scaling as scaling
+
+    workers = []
+
+    class Recording(scaling.ThreadPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(scaling, "ThreadPoolExecutor", Recording)
     grid = GridSpec(base_n=32, target_rel_tol=1e-4, max_doublings=2, refine_levels=1)
-    a = ratio_map(figure_of_merit_trajectory, (0.62, 0.66), (0.5, 1.0), 8, grid=grid, threads=1)
-    b = ratio_map(figure_of_merit_trajectory, (0.62, 0.66), (0.5, 1.0), 8, grid=grid, threads=4)
-    assert np.array_equal(a.grid, b.grid)
+
+    def run(threads):
+        return ratio_map(figure_of_merit_trajectory, (0.62, 0.66), (0.5, 1.0), 8, grid=grid,
+                         threads=threads).grid
+
+    a = run(1)
+    for threads in (4, None, 0):
+        assert np.array_equal(a, run(threads))
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count()
+    assert workers == [1, 4] + 2 * [min(usable, 8)]
+    # the cap by columns, and the CPU count where no affinity is reported
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    run(None)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    run(0)
+    assert workers[-2:] == [8, 3]
     # 0 is automatic, a negative count is refused rather than read as 0
     with pytest.raises(ValueError, match="threads must be unset or >= 0"):
         ratio_map(figure_of_merit_trajectory, (0.62, 0.66), (0.5, 1.0), 8, threads=-3)

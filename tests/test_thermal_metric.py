@@ -655,6 +655,60 @@ def test_kernels_stay_finite_at_degenerate_couplings():
             assert np.all(vals[0, :n_c] == 0.0) and not np.any(np.signbit(vals[0, :n_c]))
 
 
+@pytest.mark.parametrize("couplings", [Couplings(0.3, 0.2, 0.5), Couplings(0.25, 0.25, 0.5)],
+                         ids=["off-cut", "cut"])
+@pytest.mark.parametrize("kernel", ["tanh", "sech"])
+def test_batch_members_across_kernel_groups_match_each_point_alone(couplings, kernel):
+    # a block of about a third of _KERNEL_SLAB nodes puts three points in a
+    # kernel group, so ten temperatures take four groups, with T = 0 inside
+    # one of them; each member is the point evaluated alone, bit for bit
+    from kitaev_bures.thermal_metric import (
+        _KERNEL_SLAB,
+        _integrand,
+        _minus_sech_sq_ratio,
+        _tanh_sq_ratio,
+    )
+
+    nc_kernel = _tanh_sq_ratio if kernel == "tanh" else _minus_sech_sq_ratio
+    temperatures = (0.3, 0.01, 0.05, 0.7, 0.0, 0.002, 0.1, 1.5, 0.02, 0.2)
+    points = [ThermoPoint.from_temperature(couplings, t) for t in temperatures]
+    rng = np.random.default_rng(3)
+    px = rng.uniform(-np.pi, np.pi, (8, 1))
+    py = rng.uniform(-np.pi, np.pi, (1, _KERNEL_SLAB // 24))
+    group = _KERNEL_SLAB // (px.size * py.size)
+    assert 1 < group < len(points) and len(points) % group
+    pairs = (list(CLASSICAL_PAIRS), list(NONCLASSICAL_PAIRS))
+    got = _integrand(points, *pairs, nc_kernel)(px, py)
+    for k, tp in enumerate(points):
+        assert np.array_equal(got[k], _integrand([tp], *pairs, nc_kernel)(px, py)[0]), k
+    assert np.all(got[temperatures.index(0.0), : len(CLASSICAL_PAIRS)] == 0.0)
+
+
+@pytest.mark.parametrize("part", ["c", "nc"])
+def test_batched_kernel_memory_stays_near_its_output_block(part):
+    # 8 temperatures of one component on a block at the quadrature's budget:
+    # the kernels go a point at a time there, so the temporaries are a few
+    # node-sized arrays on top of the output (1.9 times it for the classical
+    # component); kernels formed for all 8 points at once would take 3.4-4.4
+    from kitaev_bures.quadrature import _BLOCK_VALUES
+    from kitaev_bures.thermal_metric import _integrand, _tanh_sq_ratio
+
+    points = [ThermoPoint.from_temperature(Couplings(0.3, 0.2, 0.5), t)
+              for t in np.geomspace(0.002, 0.05, 8)]
+    zz = [(P.JZ, P.JZ)]
+    f = _integrand(points, zz if part == "c" else [], zz if part == "nc" else [], _tanh_sq_ratio)
+    px = np.linspace(-3.0, 3.0, 32)[:, None]
+    py = np.linspace(-3.0, 3.0, _BLOCK_VALUES // (8 * 32))[None, :]
+    tracemalloc.start()
+    try:
+        out = f(px, py)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.size == _BLOCK_VALUES
+    assert peak < 2.5 * out.nbytes
+
+
 # ---------------------------------------------------------------------------
 # temperature batches
 
