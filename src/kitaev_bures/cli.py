@@ -250,11 +250,12 @@ def cmd_sweep(argv: list[str]) -> int:
     if args.elements:
         pairs = [_parse_element(tok) for tok in args.elements.split(",")]
         pairs = [(min(a, b), max(a, b)) for a, b in pairs]
+        elements = [("c", mu, nu) for mu, nu in pairs]
+        elements += [("nc", mu, nu) for mu, nu in pairs if mu is not ParameterIndex.BETA]
     else:
-        pairs = list(CLASSICAL_PAIRS)
+        # every pair: the full tensor, 9 entries integrated and 7 derived
+        pairs, elements = list(CLASSICAL_PAIRS), None
     params = np.linspace(0.0, 1.0, args.steps) if args.steps > 1 else np.array([0.0])
-    elements = [("c", mu, nu) for mu, nu in pairs]
-    elements += [("nc", mu, nu) for mu, nu in pairs if mu is not ParameterIndex.BETA]
     a, b = start.as_array(), end.as_array()
     path = [Couplings(*(a + s * (b - a))) for s in params]
 

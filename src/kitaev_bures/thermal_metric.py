@@ -29,6 +29,17 @@ periodic trapezoid rule on the lattice's own grid, reduced in the
 quadrature's fixed row blocks; normalized per site, the momentum sum is
 4 pi^2 / (32 pi^2 L^2) = 1 / (8 L^2) times the sum, i.e. the mean over 8.
 
+Full tensors: H is linear in J, so the Gibbs state depends on beta J alone,
+and the metric has two exact null vectors, g^c (-beta, J) = 0 and g^nc_JJ J
+= 0.  Both hold pointwise in the integrands (sum_a J_a omega_a = lam^2 and
+sum_a J_a theta_a = 0), so every linear rule keeps them.  A full request
+(``elements=None``) of the quadrature or the finite sums therefore
+integrates 9 entries, the classical coupling block and the nonclassical
+2 x 2 block without the index of the largest |J_c|, and derives the other 7
+from the null vectors (``_derive_full``); a request for named elements
+integrates exactly those.  ``tensor_oracle``, the independent check,
+computes all 16.
+
 Oracle and normalization calibration
 ------------------------------------
 ``tensor_oracle`` rebuilds the tensor with no reference to the closed forms
@@ -58,7 +69,7 @@ the metric, and the oracle equivalence test certifies the choice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from typing import Sequence
 
@@ -503,6 +514,65 @@ def _assemble(pairs, values) -> np.ndarray:
     return m
 
 
+_COUPLING_INDICES = (ParameterIndex.JX, ParameterIndex.JY, ParameterIndex.JZ)
+
+
+def _eliminated(couplings: Couplings) -> ParameterIndex:
+    """The coupling index c whose nonclassical row a full tensor derives:
+    the largest |J_c|, ties broken toward z and then y."""
+    j = couplings.as_array()
+    return max(reversed(_COUPLING_INDICES), key=lambda i: abs(j[i - 1]))
+
+
+def _integrated_pairs(couplings: Couplings, pairs_c, pairs_nc):
+    """The 9 of a full request's 16 pairs that are integrated: the classical
+    coupling block and the nonclassical block without ``_eliminated``."""
+    c = _eliminated(couplings)
+    return (
+        [q for q in pairs_c if ParameterIndex.BETA not in q],
+        [q for q in pairs_nc if c not in q],
+    )
+
+
+def _null_row(m: np.ndarray, r: int, others, coeffs):
+    """Row and column ``r`` of the symmetric ``m`` from the other rows:
+    m[i, r] = sum_k coeffs_k m[i, k] over ``others`` for each other i, then
+    m[r, r] from the new row the same way."""
+    for i in others:
+        m[i, r] = m[r, i] = sum(a * m[i, k] for k, a in zip(others, coeffs))
+    m[r, r] = sum(a * m[r, k] for k, a in zip(others, coeffs))
+
+
+def _derive_full(tp: ThermoPoint, classical, nonclassical, errors=None):
+    """Complete a full tensor from its 9 integrated entries, in place.
+
+    H is linear in J, so the Gibbs state depends on beta J alone, and both
+    null vectors hold pointwise in the integrands (sum_a J_a omega_a = lam^2
+    and sum_a J_a theta_a = 0), hence in every linear rule:
+
+        g^c (-beta, J) = 0:  g_{beta,i} = sum_k J_k g_{ik} / beta
+        g^nc_JJ J = 0:       g_{ic} = -sum_{k != c} J_k g_{ik} / J_c
+
+    each followed by the diagonal entry from the new row, with c =
+    ``_eliminated``, so every |J_k / J_c| <= 1.  A zero-temperature point
+    keeps its identically zero classical part.  ``errors``, the pair of
+    error matrices, get the same rows with |J| and the computed errors.
+    """
+    j = tp.couplings.as_array()
+    c = _eliminated(tp.couplings)
+    rest = [i for i in _COUPLING_INDICES if i != c]
+    # all couplings zero: every theta_a vanishes, and so does the row
+    nc_coeffs = [-j[k - 1] / j[c - 1] if j[c - 1] else 0.0 for k in rest]
+    err_c, err_nc = (None, None) if errors is None else errors
+    rows = [(nonclassical, err_nc, c, rest, nc_coeffs)]
+    if not tp.zero_temperature:
+        rows.append((classical, err_c, ParameterIndex.BETA, _COUPLING_INDICES, j / tp.beta))
+    for m, err, r, others, coeffs in rows:
+        _null_row(m, r, others, coeffs)
+        if err is not None:
+            _null_row(err, r, others, np.abs(coeffs))
+
+
 # ---------------------------------------------------------------------------
 # finite size
 
@@ -544,7 +614,8 @@ def tensor_finite(tp: ThermoPoint, L: int, *, elements=None) -> BuresTensor:
     reduced in the same fixed row blocks as the zone quadrature's base grid,
     so memory grows with L, not L^2.  The integrands are even, so only the
     rows n_x <= 0 are evaluated, and on the cut jx = jy only a triangle of
-    them (see ``quadrature._grid_mean``).  At the
+    them (see ``quadrature._grid_mean``).  A full tensor sums 9 entries
+    and derives 7, as ``tensors_thermodynamic`` does.  At the
     zero-temperature flag the grid is checked against dispersion zeros (odd
     L avoids them in the gapless interior, but not on special commensurate
     couplings) and the classical part is exactly zero.
@@ -553,6 +624,8 @@ def tensor_finite(tp: ThermoPoint, L: int, *, elements=None) -> BuresTensor:
     pairs_c, pairs_nc = _select_pairs(elements)
     if not pairs_c and not pairs_nc:
         raise ValueError("no tensor elements requested")
+    if elements is None:
+        pairs_c, pairs_nc = _integrated_pairs(tp.couplings, pairs_c, pairs_nc)
     xs = _momentum_axis(L)
     if tp.zero_temperature and pairs_nc:
         scale = max(1.0, 2.0 * sum(abs(j) for j in tp.couplings.as_array()))
@@ -570,9 +643,12 @@ def tensor_finite(tp: ThermoPoint, L: int, *, elements=None) -> BuresTensor:
         details={"L": L, "sites": 2 * L * L, "temperature": tp.temperature},
     )
     n_c = len(pairs_c)
-    return BuresTensor(
+    tensor = BuresTensor(
         _assemble(pairs_c, values[:n_c]), _assemble(pairs_nc, values[n_c:]), info
     )
+    if elements is None:
+        _derive_full(tp, tensor.classical, tensor.nonclassical)
+    return tensor
 
 
 # ---------------------------------------------------------------------------
@@ -657,24 +733,28 @@ def _refinement_plan(points: Sequence[ThermoPoint]):
     return ((zero.px, zero.py), _needle_axis(couplings, zero)), radius, r_min
 
 
-def _tolerance_missed(points, raw_errors, result, members=()):
+def _tolerance_missed(points, worst, result, members=()):
     temps = ", ".join(format(tp.temperature, ".6g") for tp in points)
     return QuadratureConvergenceError(
         f"zone quadrature did not reach the requested tolerance at T = {temps} "
-        f"(error estimate {np.max(raw_errors):.3e})",
+        f"(error estimate {np.max(worst):.3e})",
         result,
         members,
     )
 
 
-def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
+def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method, *, full=False):
     """Integrate the requested elements of every point in one quadrature pass.
 
     The integrand (``_integrand``) has leading axes (point, component), so
     the quadrature judges and freezes every point on its own.  The zero
     classical components of zero-temperature points integrate to exactly 0;
     a batch with no finite temperature integrates no classical components
-    unless they are all that was requested.  When points miss the
+    unless they are all that was requested.  A ``full`` request integrates
+    only ``_integrated_pairs`` and completes each point by ``_derive_full``;
+    its flag is then judged again over the whole tensor, as the quadrature
+    judges a stack of components: the largest error against the tolerance
+    times the largest entry.  When points miss the
     tolerance, the QuadratureConvergenceError names them and carries every
     point's outcome in ``members``: the tensor of each converged point, an
     error naming its own temperature for each failed one.
@@ -688,6 +768,8 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
         raise ValueError("a batch of thermal points must share one coupling")
     if not pairs_c and not pairs_nc:
         raise ValueError("no tensor elements requested")
+    if full:
+        pairs_c, pairs_nc = _integrated_pairs(couplings, pairs_c, pairs_nc)
     finite_temperature = any(not tp.zero_temperature for tp in points)
     stack_c = pairs_c if finite_temperature or not pairs_nc else []
     n_c = len(stack_c)
@@ -700,11 +782,13 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
         result = integrate_bz_refined(f, disk, r_min, grid, radius=radius)
     shape = (len(points), n_c + len(pairs_nc))
     raw_errors = np.reshape(result.error_estimate, shape)
-    converged = np.reshape(result.converged, (len(points),))
+    converged = np.array(result.converged, dtype=bool).reshape(len(points))
+    worst = np.max(raw_errors, axis=1)
     values = np.reshape(result.value, shape) / THIRTY_TWO_PI_SQ
     errors = raw_errors / THIRTY_TWO_PI_SQ
     tensors = []
-    for tp, vals, errs in zip(points, values, errors):
+    for i, (tp, vals, errs) in enumerate(zip(points, values, errors)):
+        err = (_assemble(stack_c, list(errs[:n_c])), _assemble(pairs_nc, list(errs[n_c:])))
         info = EvaluationInfo(
             method=method,
             details={
@@ -712,21 +796,27 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method):
                 "temperature": tp.temperature,
                 "refinement": {"disk": disk, "radius": radius, "r_min": r_min},
                 "evaluations": result.evaluations,
-                "error_classical": _assemble(stack_c, list(errs[:n_c])),
-                "error_nonclassical": _assemble(pairs_nc, list(errs[n_c:])),
+                "error_classical": err[0],
+                "error_nonclassical": err[1],
             },
         )
-        tensors.append(
-            BuresTensor(_assemble(stack_c, list(vals[:n_c])),
-                        _assemble(pairs_nc, list(vals[n_c:])), info)
-        )
+        tensor = BuresTensor(_assemble(stack_c, list(vals[:n_c])),
+                             _assemble(pairs_nc, list(vals[n_c:])), info)
+        if full:
+            _derive_full(tp, tensor.classical, tensor.nonclassical, err)
+            worst[i] = np.max(err) * THIRTY_TWO_PI_SQ
+            scale = max(np.max(np.abs(tensor.classical)), np.max(np.abs(tensor.nonclassical)))
+            converged[i] = np.max(err) <= grid.target_rel_tol * max(scale, 1e-300)
+        tensors.append(tensor)
+    if full:
+        result = replace(result, converged=converged)
     if not np.all(converged):
         members = [
             tensor if ok else _tolerance_missed([tp], err, result)
-            for tp, tensor, ok, err in zip(points, tensors, converged, raw_errors)
+            for tp, tensor, ok, err in zip(points, tensors, converged, worst)
         ]
         failed = [tp for tp, ok in zip(points, converged) if not ok]
-        raise _tolerance_missed(failed, raw_errors[~converged], result, members)
+        raise _tolerance_missed(failed, worst[~converged], result, members)
     return tensors
 
 
@@ -743,7 +833,12 @@ def tensors_thermodynamic(
     (see ``_refinement_plan``).  Each point is judged against the grid's
     tolerance on its own and keeps the value of the doubling at which it
     converged; ``evaluations`` in each tensor's details counts the nodes
-    actually evaluated, which the batch shares.  Raises
+    actually evaluated, which the batch shares.  A full tensor
+    (``elements=None``) integrates 9 entries and derives the other 7 from
+    the null vectors (see the module docstring); each derived entry's error
+    is propagated from the computed ones by the same linear formula with
+    |J|, and the point counts as converged when its largest error over all
+    16 entries meets the tolerance against its largest entry.  Raises
     QuadratureConvergenceError naming the temperatures whose error estimate
     misses the tolerance; its ``members`` hold the tensors of the points
     that converged and, for each failed point, an error naming that point
@@ -759,7 +854,9 @@ def tensors_thermodynamic(
             "the nonclassical metric diverges in the thermodynamic limit at "
             "T = 0 outside the gapped phase"
         )
-    return _zone_tensors(points, grid, pairs_c, pairs_nc, _tanh_sq_ratio, "thermodynamic")
+    return _zone_tensors(
+        points, grid, pairs_c, pairs_nc, _tanh_sq_ratio, "thermodynamic", full=elements is None
+    )
 
 
 def tensor_thermodynamic(
@@ -788,7 +885,9 @@ def nonclassical_corrections(
     ~1e-11 of g^nc(0), which in the gapped phase happens while the
     temperature is still far from the asymptotic regime.  Each returned
     tensor's nonclassical part holds the (negative) correction; the
-    classical part is zero by construction.
+    classical part is zero by construction.  With ``elements=None`` the
+    nonclassical null vector holds for this kernel too: 3 entries are
+    integrated and 3 derived.
     """
     if any(tp.zero_temperature for tp in points):
         raise ValueError("the thermal correction is defined for T > 0")
@@ -800,7 +899,8 @@ def nonclassical_corrections(
     if not pairs_nc:
         raise ValueError("no nonclassical elements requested")
     return _zone_tensors(
-        points, grid, [], pairs_nc, _minus_sech_sq_ratio, "thermodynamic-correction"
+        points, grid, [], pairs_nc, _minus_sech_sq_ratio, "thermodynamic-correction",
+        full=elements is None,
     )
 
 

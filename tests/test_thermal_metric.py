@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import entrywise_close, max_rel_dev, random_couplings
 from kitaev_bures.bures import EigenvalueFloorError, validate_density_matrix
@@ -23,6 +25,7 @@ from kitaev_bures.thermal_metric import (
     NONCLASSICAL_PAIRS,
     ParameterIndex as P,
     ThermoPoint,
+    _eliminated,
     _refinement_plan,
     classical_integrand,
     mode_density_matrix,
@@ -996,6 +999,181 @@ def test_batch_requires_one_coupling():
         tensors_thermodynamic(points)
     with pytest.raises(ValueError):
         tensors_thermodynamic([])
+
+
+# ---------------------------------------------------------------------------
+# null vectors, and the entries a full tensor derives from them
+
+# every element named, so that nothing is derived
+EVERY_ELEMENT = [("c", mu, nu) for mu, nu in CLASSICAL_PAIRS] + [
+    ("nc", a, b) for a, b in NONCLASSICAL_PAIRS
+]
+NULL_RTOL = 1e-13
+
+
+def null_residuals(tensor, tp):
+    """|g^c v| / (max|g^c| max|v|) with v = (-beta, J), and |g^nc_JJ J| /
+    (max|g^nc| max|J|): the Gibbs state depends on beta J only, and both
+    null vectors hold pointwise in the integrands, so in every linear rule."""
+    v = np.array([-tp.beta, *tp.couplings.as_array()])
+    j = v[1:]
+
+    def ratio(residual, m, w):
+        scale = np.max(np.abs(m)) * np.max(np.abs(w))
+        return float(np.max(np.abs(residual)) / scale) if scale else 0.0
+
+    return (
+        ratio(tensor.classical @ v, tensor.classical, v),
+        ratio(tensor.nonclassical[1:, 1:] @ j, tensor.nonclassical, j),
+    )
+
+
+@pytest.mark.parametrize(
+    "couplings, temperature",
+    [
+        pytest.param(GAPPED, 0.5, id="gapped"),
+        pytest.param(SYM, 0.01, id="gapless"),
+        pytest.param(Couplings(0.25, 0.25, 0.5), 0.01, id="critical"),
+        pytest.param(Couplings(0.255, 0.255, 0.49), 0.002, id="near-critical"),
+        pytest.param(Couplings(0.35, -0.25, 0.4), 0.01, id="off-cut"),
+    ],
+)
+def test_zone_quadrature_keeps_the_null_vectors(couplings, temperature):
+    # a wrong response formula (a sign in theta_x, say) breaks these
+    tp = ThermoPoint.from_temperature(couplings, temperature)
+    g = tensor_thermodynamic(tp, elements=EVERY_ELEMENT)
+    assert max(null_residuals(g, tp)) <= NULL_RTOL
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    # below |J| ~ 1e-77 every lam^2 is under _LAM2_FLOOR, which zeroes the
+    # coupling block and leaves the beta row: no null vector there
+    couplings=st.builds(Couplings, *[st.floats(-1.0, 1.0, allow_nan=False)] * 3).filter(
+        lambda c: c.abs_max() >= 1e-3
+    ),
+    temperature=st.floats(0.05, 5.0),
+    L=st.sampled_from([3, 5, 7, 9, 11]),
+)
+@example(Couplings(0.0, 0.3, 0.7), 0.5, 5)
+@example(Couplings(-0.45, 0.2, -0.35), 0.1, 3)
+def test_finite_sums_keep_the_null_vectors(couplings, temperature, L):
+    tp = ThermoPoint.from_temperature(couplings, temperature)
+    g = tensor_finite(tp, L, elements=EVERY_ELEMENT)
+    assert max(null_residuals(g, tp)) <= NULL_RTOL
+
+
+@pytest.mark.parametrize(
+    "couplings, temperature",
+    [(Couplings(0.3, 0.2, 0.5), 1.0), (Couplings(0.45, -0.2, 0.35), 0.3)],
+    ids=["positive", "negative-jy"],
+)
+def test_oracle_keeps_the_null_vectors(couplings, temperature):
+    # the oracle differentiates the mode family by central differences of
+    # step h = 1e-6, so its derivatives carry eps / h ~ 2.2e-10 of rounding,
+    # far above the closed forms' 1e-13; the null vectors hold to that
+    tp = ThermoPoint.from_temperature(couplings, temperature)
+    g = tensor_oracle(tp, 11)
+    assert max(null_residuals(g, tp)) <= np.finfo(float).eps / 1e-6
+
+
+def test_eliminated_index_is_the_largest_coupling_ties_toward_z_then_y():
+    assert _eliminated(Couplings(0.5, -0.2, 0.3)) is P.JX
+    assert _eliminated(Couplings(0.2, -0.5, 0.3)) is P.JY
+    assert _eliminated(Couplings(0.4, 0.4, 0.2)) is P.JY
+    assert _eliminated(Couplings(0.4, 0.1, -0.4)) is P.JZ
+    assert _eliminated(Couplings(1 / 3, 1 / 3, 1 / 3)) is P.JZ
+    assert _eliminated(Couplings(0.0, 0.0, 0.0)) is P.JZ
+
+
+def assert_derived_equal_computed(full, named):
+    """A full tensor (9 entries integrated, 7 derived) and the explicit
+    16-element request agree to 1e-13 of the largest entry, per part."""
+    for part in ("classical", "nonclassical"):
+        expected = getattr(named, part)
+        gap = np.max(np.abs(getattr(full, part) - expected))
+        assert gap <= 1e-13 * np.max(np.abs(expected)), part
+
+
+# the four tensor-phases couplings, a cut coupling whose jx = jy is the
+# largest (the eliminated index is y), a zero and a negative coupling
+DERIVED_CASES = {
+    "gapped": (GAPPED, [0.5]),
+    "gapless": (SYM, [0.01]),
+    "critical": (Couplings(0.25, 0.25, 0.5), [0.01]),
+    "near-critical": (Couplings(0.255, 0.255, 0.49), [0.002]),
+    "cut-jx-largest": (Couplings(0.4, 0.4, 0.2), [0.05]),
+    "zero-jx": (Couplings(0.0, 0.3, 0.7), [0.5]),
+    "negative-jy": (Couplings(0.45, -0.2, 0.35), [0.05]),
+    "mixed-zero-temperature": (GAPPED, [0.0, 0.3, 0.5]),
+}
+TENSOR_PHASES = ("gapped", "gapless", "critical", "near-critical")
+
+
+@pytest.mark.parametrize("name", list(DERIVED_CASES))
+def test_full_tensor_derives_what_the_named_request_computes(name):
+    couplings, temperatures = DERIVED_CASES[name]
+    points = [ThermoPoint.from_temperature(couplings, t) for t in temperatures]
+    full = tensors_thermodynamic(points)
+    named = tensors_thermodynamic(points, elements=EVERY_ELEMENT)
+    for f, n in zip(full, named, strict=True):
+        assert_derived_equal_computed(f, n)
+        if name in TENSOR_PHASES:
+            assert f.evaluation.details["evaluations"] == n.evaluation.details["evaluations"]
+
+
+def test_full_correction_derives_what_the_named_request_computes():
+    points = [ThermoPoint.from_temperature(Couplings(0.2, 0.2, 0.6), t) for t in (0.05, 0.1)]
+    nc = [("nc", a, b) for a, b in NONCLASSICAL_PAIRS]
+    named = nonclassical_corrections(points, elements=nc)
+    for f, n in zip(nonclassical_corrections(points), named, strict=True):
+        assert_derived_equal_computed(f, n)
+        assert np.array_equal(f.classical, np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize(
+    "couplings", [Couplings(0.3, 0.2, 0.5), Couplings(0.4, 0.4, 0.2), Couplings(0.0, -0.3, 0.7)],
+    ids=str,
+)
+def test_full_finite_sum_derives_what_the_named_request_computes(couplings):
+    for temperature in (0.0, 0.2):
+        tp = ThermoPoint.from_temperature(couplings, temperature)
+        assert_derived_equal_computed(
+            tensor_finite(tp, 41), tensor_finite(tp, 41, elements=EVERY_ELEMENT)
+        )
+
+
+def test_derived_errors_are_propagated():
+    # each derived error is the derivation's linear formula with |J| and the
+    # computed errors
+    tp = ThermoPoint.from_temperature(Couplings(0.3, 0.2, 0.5), 0.01)
+    g = tensor_thermodynamic(tp, GridSpec(target_rel_tol=1e-4))
+    ec, enc = (g.evaluation.details[f"error_{part}"] for part in ("classical", "nonclassical"))
+    j = np.abs(tp.couplings.as_array())
+    assert ec[0, 1:] == pytest.approx(ec[1:, 1:] @ j / tp.beta, rel=1e-15)
+    assert ec[0, 0] == pytest.approx(ec[0, 1:] @ j / tp.beta, rel=1e-15)
+    # jz is the largest coupling: its row is derived from the x-y block
+    assert enc[1:3, 3] == pytest.approx(enc[1:3, 1:3] @ j[:2] / j[2], rel=1e-15)
+    assert enc[3, 3] == pytest.approx(enc[3, 1:3] @ j[:2] / j[2], rel=1e-15)
+
+
+def test_full_tensor_is_judged_over_all_16_errors():
+    # on ladders that cannot climb, the errors do not depend on the
+    # tolerance: at (1/3, 1/3, 1/3), T = 0.01 the 9 integrated entries
+    # report at most 1.4e-2 of the largest entry and the derived ones 5.0e-2,
+    # so a tolerance of 3e-2 passes the 9 integrals and fails the tensor
+    tp = ThermoPoint.from_temperature(SYM, 0.01)
+    fixed = dict(base_n=32, max_doublings=1, refine_levels=1)
+    integrated = [("c", mu, nu) for mu, nu in CLASSICAL_PAIRS if P.BETA not in (mu, nu)]
+    integrated += [("nc", a, b) for a, b in NONCLASSICAL_PAIRS if P.JZ not in (a, b)]
+    tensor_thermodynamic(tp, GridSpec(target_rel_tol=3e-2, **fixed), elements=integrated)
+    with pytest.raises(QuadratureConvergenceError, match="T = 0.01 "):
+        tensor_thermodynamic(tp, GridSpec(target_rel_tol=3e-2, **fixed))
+    g = tensor_thermodynamic(tp, GridSpec(target_rel_tol=6e-2, **fixed))
+    scale = max(np.max(np.abs(g.classical)), np.max(np.abs(g.nonclassical)))
+    details = g.evaluation.details
+    worst = max(np.max(details["error_classical"]), np.max(details["error_nonclassical"]))
+    assert 3e-2 * scale < worst <= 6e-2 * scale
 
 
 # ---------------------------------------------------------------------------
