@@ -143,3 +143,18 @@ def full_zone_reference(f, centres, r_min, radius, grid, axes=None):
         disk, _ = _disk_integral(f, _probe(f)[0], c, radius, r_min, level, axis, False)
         out = out + disk.ravel()
     return out.reshape(lead)
+
+
+def null_residuals(classical, nonclassical, beta, couplings):
+    """|g^c v| / (max|g^c| max|v|) with v = (-beta, J), and |g^nc_JJ J| /
+    (max|g^nc| max|J|) (0 for a zero part).  The Gibbs state depends on
+    beta J only, so both vanish for the metric of any route that keeps the
+    identity: the closed forms hold it pointwise, the Fock state exactly."""
+    v = np.array([-beta, *couplings.as_array()])
+    j = v[1:]
+
+    def ratio(residual, m, w):
+        scale = np.max(np.abs(m)) * np.max(np.abs(w))
+        return float(np.max(np.abs(residual)) / scale) if scale else 0.0
+
+    return ratio(classical @ v, classical, v), ratio(nonclassical[1:, 1:] @ j, nonclassical, j)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import entrywise_close, max_rel_dev, random_couplings
+from helpers import entrywise_close, max_rel_dev, null_residuals, random_couplings
 from kitaev_bures.bures import EigenvalueFloorError, validate_density_matrix
 from kitaev_bures.quadrature import GridSpec, QuadratureConvergenceError, compensated_sum
 from kitaev_bures.spectrum import (
@@ -1011,21 +1011,8 @@ EVERY_ELEMENT = [("c", mu, nu) for mu, nu in CLASSICAL_PAIRS] + [
 NULL_RTOL = 1e-13
 
 
-def null_residuals(tensor, tp):
-    """|g^c v| / (max|g^c| max|v|) with v = (-beta, J), and |g^nc_JJ J| /
-    (max|g^nc| max|J|): the Gibbs state depends on beta J only, and both
-    null vectors hold pointwise in the integrands, so in every linear rule."""
-    v = np.array([-tp.beta, *tp.couplings.as_array()])
-    j = v[1:]
-
-    def ratio(residual, m, w):
-        scale = np.max(np.abs(m)) * np.max(np.abs(w))
-        return float(np.max(np.abs(residual)) / scale) if scale else 0.0
-
-    return (
-        ratio(tensor.classical @ v, tensor.classical, v),
-        ratio(tensor.nonclassical[1:, 1:] @ j, tensor.nonclassical, j),
-    )
+def residuals(tensor, tp):
+    return null_residuals(tensor.classical, tensor.nonclassical, tp.beta, tp.couplings)
 
 
 @pytest.mark.parametrize(
@@ -1042,7 +1029,7 @@ def test_zone_quadrature_keeps_the_null_vectors(couplings, temperature):
     # a wrong response formula (a sign in theta_x, say) breaks these
     tp = ThermoPoint.from_temperature(couplings, temperature)
     g = tensor_thermodynamic(tp, elements=EVERY_ELEMENT)
-    assert max(null_residuals(g, tp)) <= NULL_RTOL
+    assert max(residuals(g, tp)) <= NULL_RTOL
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1060,7 +1047,7 @@ def test_zone_quadrature_keeps_the_null_vectors(couplings, temperature):
 def test_finite_sums_keep_the_null_vectors(couplings, temperature, L):
     tp = ThermoPoint.from_temperature(couplings, temperature)
     g = tensor_finite(tp, L, elements=EVERY_ELEMENT)
-    assert max(null_residuals(g, tp)) <= NULL_RTOL
+    assert max(residuals(g, tp)) <= NULL_RTOL
 
 
 @pytest.mark.parametrize(
@@ -1074,7 +1061,7 @@ def test_oracle_keeps_the_null_vectors(couplings, temperature):
     # far above the closed forms' 1e-13; the null vectors hold to that
     tp = ThermoPoint.from_temperature(couplings, temperature)
     g = tensor_oracle(tp, 11)
-    assert max(null_residuals(g, tp)) <= np.finfo(float).eps / 1e-6
+    assert max(residuals(g, tp)) <= np.finfo(float).eps / 1e-6
 
 
 def test_eliminated_index_is_the_largest_coupling_ties_toward_z_then_y():
