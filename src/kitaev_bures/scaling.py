@@ -381,53 +381,45 @@ class CrossoverContour:
     exponent_above: float | None
 
 
+def _crossing(x0: float, x1: float, s: float, origin: float) -> float:
+    """The point the fraction ``s`` of the way from ``x0`` to ``x1``: linear
+    in log |x - origin| where both lie on one side of ``origin``, else
+    linear in x."""
+    d0, d1 = x0 - origin, x1 - origin
+    if d0 * d1 > 0.0 and abs(d0) > 1e-300:
+        u0 = math.log(abs(d0))
+        return origin + math.copysign(math.exp(u0 + s * (math.log(abs(d1)) - u0)), d0)
+    return x0 + s * (x1 - x0)
+
+
 def _edge_crossings(
     rmap: RatioMap, level: float, jz_critical: float
 ) -> list[tuple[float, float]]:
-    """Marching-squares edge crossings of log-ratio.
+    """Marching-squares edge crossings of log-ratio, as (jz, T) pairs.
 
-    Crossing positions are interpolated in log T along temperature edges and
-    in log |jz - jz_critical| along coupling edges (falling back to linear jz
-    across the critical coupling), so maps that are pure power laws of both
-    variables come out exact."""
+    An edge joins two valid cells next to each other along the temperature
+    or the coupling axis.  Where log-ratio crosses the level along it, the
+    crossing lies at the fraction of the edge where the linear interpolation
+    of log-ratio meets the level, measured (``_crossing``) in log T along
+    temperature edges and in log |jz - jz_critical| along coupling edges,
+    linear in jz across the critical coupling, so maps that are pure power
+    laws of both variables come out exact."""
     g = rmap.grid
     ok = rmap.valid & (g > 0.0)
-    logg = np.where(ok, np.log(np.where(ok, g, 1.0)), 0.0)
+    logg = np.log(np.where(ok, g, 1.0))
     ll = math.log(level)
+    axes, origins = (rmap.temperatures, rmap.jz_values), (0.0, jz_critical)
     pts: list[tuple[float, float]] = []
-    n_t, n_jz = g.shape
-    log_t = np.log(rmap.temperatures)
-    for i in range(n_t):
-        for j in range(n_jz):
-            if not ok[i, j]:
-                continue
-            # edge to the next coupling column
-            if j + 1 < n_jz and ok[i, j + 1]:
-                a, b = logg[i, j], logg[i, j + 1]
-                if (a - ll) * (b - ll) < 0.0:
-                    s = (ll - a) / (b - a)
-                    j0, j1 = rmap.jz_values[j], rmap.jz_values[j + 1]
-                    d0, d1 = j0 - jz_critical, j1 - jz_critical
-                    if d0 * d1 > 0.0 and abs(d0) > 1e-300:
-                        sign = math.copysign(1.0, d0)
-                        dist = math.exp(
-                            math.log(abs(d0)) + s * (math.log(abs(d1)) - math.log(abs(d0)))
-                        )
-                        jz_cross = jz_critical + sign * dist
-                    else:
-                        jz_cross = j0 + s * (j1 - j0)
-                    pts.append((float(jz_cross), float(rmap.temperatures[i])))
-            # edge to the next temperature row
-            if i + 1 < n_t and ok[i + 1, j]:
-                a, b = logg[i, j], logg[i + 1, j]
-                if (a - ll) * (b - ll) < 0.0:
-                    s = (ll - a) / (b - a)
-                    pts.append(
-                        (
-                            float(rmap.jz_values[j]),
-                            float(math.exp(log_t[i] + s * (log_t[i + 1] - log_t[i]))),
-                        )
-                    )
+    # k is the axis an edge runs along: 0 temperature, 1 coupling
+    for k, (di, dj) in enumerate(((1, 0), (0, 1))):
+        for i in range(g.shape[0] - di):
+            for j in range(g.shape[1] - dj):
+                a, b = logg[i, j], logg[i + di, j + dj]
+                if ok[i, j] and ok[i + di, j + dj] and (a - ll) * (b - ll) < 0.0:
+                    at = [axes[0][i], axes[1][j]]
+                    n = (i, j)[k]
+                    at[k] = _crossing(axes[k][n], axes[k][n + 1], (ll - a) / (b - a), origins[k])
+                    pts.append((float(at[1]), float(at[0])))
     return pts
 
 
@@ -454,15 +446,11 @@ def crossover_contour(
     """
     if not level > 0:
         raise ValueError("level must be positive")
-    pts = _edge_crossings(rmap, level, jz_critical)
-    if not pts:
-        return CrossoverContour(level, np.zeros((0, 2)), None, None, None, None, None)
-    arr = np.array(sorted(pts))
-    exponent, intercept, r2 = _branch_fit(arr, jz_critical)
-    below = arr[arr[:, 0] < jz_critical]
-    above = arr[arr[:, 0] > jz_critical]
-    exp_below, _, _ = _branch_fit(below, jz_critical) if below.size else (None, None, None)
-    exp_above, _, _ = _branch_fit(above, jz_critical) if above.size else (None, None, None)
+    arr = np.array(sorted(_edge_crossings(rmap, level, jz_critical))).reshape(-1, 2)
+    (exponent, intercept, r2), (exp_below, _, _), (exp_above, _, _) = (
+        _branch_fit(branch, jz_critical)
+        for branch in (arr, arr[arr[:, 0] < jz_critical], arr[arr[:, 0] > jz_critical])
+    )
     return CrossoverContour(
         level=level,
         points=arr,

@@ -47,12 +47,13 @@ and on the full L x L grid, without the symmetries the other routes assume:
 each momentum hosts a thermal qubit (``mode_density_matrix``) and the bures
 module differentiates it, by finite-difference fidelities and by the
 analytic eigen-decomposition formula.  Summed per site (N = 2 L^2), the
-qubit construction reproduces the nonclassical closed form exactly, while
-the classical closed form carries an extra factor 2 relative to the same
-sum.  The closed forms (and the decoupled-point values they imply) are
-definitional here, so the oracle scales its classical part by
-CLASSICAL_MODE_CALIBRATION = 2; the acceptance suite pins this choice
-against the closed-form values.
+qubit construction reproduces the nonclassical closed form exactly.  Its
+classical part is the Gibbs state's per site (independent occupations, as
+for the qubits), which the classical closed form counts per unit cell of 2
+sites: the many-body check (tests/test_many_body.py) finds it half the
+closed form's.  So CLASSICAL_MODE_CALIBRATION = 2, by which the oracle
+scales its classical part, is derived, not chosen: the sites per unit
+cell.  Whether the closed forms should count per site is still open.
 
 Zero temperature is a distinct limit flag (not beta = inf arithmetic): the
 classical part vanishes identically and the nonclassical thermal ratio is 1.
@@ -220,9 +221,11 @@ class BuresTensor:
         return self.classical + self.nonclassical
 
     def element(self, part: str, mu: ParameterIndex, nu: ParameterIndex) -> float:
-        m = {"classical": self.classical, "nonclassical": self.nonclassical,
-             "total": self.total}[part]
-        return float(m[int(mu), int(nu)])
+        """One entry of the part named ``part`` (classical, nonclassical or
+        total); KeyError for any other name."""
+        if part not in ("classical", "nonclassical", "total"):
+            raise KeyError(part)
+        return getattr(self, part).item(mu, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +488,8 @@ def mode_density_matrix(p: Momentum, tp: ThermoPoint) -> np.ndarray:
 
 
 def _select_pairs(elements):
+    """The classical and nonclassical pairs a request names (all for
+    ``None``), each once; ValueError for an unknown part or an empty request."""
     if elements is None:
         return list(CLASSICAL_PAIRS), list(NONCLASSICAL_PAIRS)
     pairs_c: list = []
@@ -503,15 +508,19 @@ def _select_pairs(elements):
                 pairs_nc.append((mu, nu))
         else:
             raise ValueError(f"unknown tensor part {part!r} (expected c or nc)")
+    if not pairs_c and not pairs_nc:
+        raise ValueError("no tensor elements requested")
     return pairs_c, pairs_nc
 
 
-def _assemble(pairs, values) -> np.ndarray:
-    m = np.zeros((4, 4))
-    for (mu, nu), v in zip(pairs, values):
-        m[int(mu), int(nu)] = v
-        m[int(nu), int(mu)] = v
-    return m
+def _parts(pairs_c, pairs_nc, row) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric classical and nonclassical 4x4 parts of ``row``, which
+    stacks the entries of ``pairs_c`` and then those of ``pairs_nc``."""
+    parts = (np.zeros((4, 4)), np.zeros((4, 4)))
+    for k, ((mu, nu), v) in enumerate(zip(pairs_c + pairs_nc, row)):
+        m = parts[0] if k < len(pairs_c) else parts[1]
+        m[mu, nu] = m[nu, mu] = v
+    return parts
 
 
 _COUPLING_INDICES = (ParameterIndex.JX, ParameterIndex.JY, ParameterIndex.JZ)
@@ -622,8 +631,6 @@ def tensor_finite(tp: ThermoPoint, L: int, *, elements=None) -> BuresTensor:
     """
     L = _grid_size(L)
     pairs_c, pairs_nc = _select_pairs(elements)
-    if not pairs_c and not pairs_nc:
-        raise ValueError("no tensor elements requested")
     if elements is None:
         pairs_c, pairs_nc = _integrated_pairs(tp.couplings, pairs_c, pairs_nc)
     xs = _momentum_axis(L)
@@ -636,16 +643,12 @@ def tensor_finite(tp: ThermoPoint, L: int, *, elements=None) -> BuresTensor:
             )
     # node k of the centred axis is minus node L - 1 - k
     mean = _grid_mean(_integrand([tp], pairs_c, pairs_nc, _tanh_sq_ratio), xs, L - 1)[0]
-    # (1 / (8 L^2)) * sum = mean / 8
-    values = list(mean[0] / 8.0)
     info = EvaluationInfo(
         method="finite",
         details={"L": L, "sites": 2 * L * L, "temperature": tp.temperature},
     )
-    n_c = len(pairs_c)
-    tensor = BuresTensor(
-        _assemble(pairs_c, values[:n_c]), _assemble(pairs_nc, values[n_c:]), info
-    )
+    # (1 / (8 L^2)) * sum = mean / 8
+    tensor = BuresTensor(*_parts(pairs_c, pairs_nc, mean[0] / 8.0), info)
     if elements is None:
         _derive_full(tp, tensor.classical, tensor.nonclassical)
     return tensor
@@ -766,13 +769,10 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method, *, full=Fa
     couplings = points[0].couplings
     if any(tp.couplings != couplings for tp in points):
         raise ValueError("a batch of thermal points must share one coupling")
-    if not pairs_c and not pairs_nc:
-        raise ValueError("no tensor elements requested")
     if full:
         pairs_c, pairs_nc = _integrated_pairs(couplings, pairs_c, pairs_nc)
     finite_temperature = any(not tp.zero_temperature for tp in points)
     stack_c = pairs_c if finite_temperature or not pairs_nc else []
-    n_c = len(stack_c)
     f = _integrand(points, stack_c, pairs_nc, nc_kernel)
 
     disk, radius, r_min = _refinement_plan(points)
@@ -780,7 +780,7 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method, *, full=Fa
         result = integrate_bz(f, grid)
     else:
         result = integrate_bz_refined(f, disk, r_min, grid, radius=radius)
-    shape = (len(points), n_c + len(pairs_nc))
+    shape = (len(points), len(stack_c) + len(pairs_nc))
     raw_errors = np.reshape(result.error_estimate, shape)
     converged = np.array(result.converged, dtype=bool).reshape(len(points))
     worst = np.max(raw_errors, axis=1)
@@ -788,7 +788,7 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method, *, full=Fa
     errors = raw_errors / THIRTY_TWO_PI_SQ
     tensors = []
     for i, (tp, vals, errs) in enumerate(zip(points, values, errors)):
-        err = (_assemble(stack_c, list(errs[:n_c])), _assemble(pairs_nc, list(errs[n_c:])))
+        err = _parts(stack_c, pairs_nc, errs)
         info = EvaluationInfo(
             method=method,
             details={
@@ -800,8 +800,7 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method, *, full=Fa
                 "error_nonclassical": err[1],
             },
         )
-        tensor = BuresTensor(_assemble(stack_c, list(vals[:n_c])),
-                             _assemble(pairs_nc, list(vals[n_c:])), info)
+        tensor = BuresTensor(*_parts(stack_c, pairs_nc, vals), info)
         if full:
             _derive_full(tp, tensor.classical, tensor.nonclassical, err)
             worst[i] = np.max(err) * THIRTY_TWO_PI_SQ
@@ -892,12 +891,8 @@ def nonclassical_corrections(
     if any(tp.zero_temperature for tp in points):
         raise ValueError("the thermal correction is defined for T > 0")
     pairs_c, pairs_nc = _select_pairs(elements)
-    if elements is None:
-        pairs_c = []
-    if pairs_c:
+    if pairs_c and elements is not None:
         raise ValueError("the thermal correction has no classical part")
-    if not pairs_nc:
-        raise ValueError("no nonclassical elements requested")
     return _zone_tensors(
         points, grid, [], pairs_nc, _minus_sech_sq_ratio, "thermodynamic-correction",
         full=elements is None,
@@ -990,7 +985,8 @@ def tensor_oracle(tp: ThermoPoint, L: int) -> BuresTensor:
     * the analytic eigen-decomposition formula (``bures.analytic_metric``).
 
     Mode sums are normalized per site, and the classical part is scaled by
-    CLASSICAL_MODE_CALIBRATION (see module docstring).  The returned parts
+    CLASSICAL_MODE_CALIBRATION = 2, the sites per unit cell, because the
+    classical closed form counts per unit cell (see module docstring).  The returned parts
     come from the analytic route; the finite-difference parts are stored in
     evaluation.details.
 

@@ -5,6 +5,14 @@ import numpy as np
 import pytest
 
 from kitaev_bures import cli
+from kitaev_bures.quadrature import GridSpec
+from kitaev_bures.spectrum import Couplings
+from kitaev_bures.thermal_metric import (
+    ParameterIndex as P,
+    ThermoPoint,
+    nonclassical_corrections,
+    tensor_thermodynamic,
+)
 
 
 def run(capsys, argv):
@@ -315,6 +323,34 @@ def test_scaling_auto_dispatch_log_at_gapless(tmp_path, capsys):
     assert doc["params"]["model"] == "log"
     assert doc["fit"]["model"] == "LogDivergenceFit"
     assert doc["fit"]["r_squared"] > 0.99
+
+
+def test_scaling_gapped_nonclassical_fits_the_thermal_correction(tmp_path, capsys):
+    # the samples are the corrections g^nc(T) - g^nc(0), integrated as one
+    # zone integral, and the offset is the T = 0 element
+    path = tmp_path / "fit.json"
+    code, _, _ = run(
+        capsys,
+        ["scaling", "--jx", "0.1", "--jy", "0.1", "--jz", "0.8",
+         "--tmin", "0.1", "--tmax", "0.3", "--points", "6", "--element", "nc:jz-jz",
+         "--model", "gapped-nc", "--grid-n", "32", "--tol", "1e-6", "--out", str(path)],
+    )
+    assert code == 0
+    doc = json.loads(path.read_text())
+    assert doc["params"]["model"] == "gapped-nc"
+    assert doc["fit"]["model"] == "GappedNonclassicalFit"
+    couplings, grid = Couplings(0.1, 0.1, 0.8), GridSpec(base_n=32, target_rel_tol=1e-6)
+    els = [("nc", P.JZ, P.JZ)]
+    cold = ThermoPoint.from_temperature(couplings, 0.0)
+    offset = tensor_thermodynamic(cold, grid, elements=els).element("nonclassical", P.JZ, P.JZ)
+    assert doc["fit"]["params"]["offset"] == offset
+    temps = np.geomspace(0.1, 0.3, 6)
+    points = [ThermoPoint.from_temperature(couplings, t) for t in temps]
+    corrections = nonclassical_corrections(points, grid, elements=els)
+    assert doc["samples"] == [
+        [t, c.element("nonclassical", P.JZ, P.JZ)] for t, c in zip(temps.tolist(), corrections)
+    ]
+    assert all(g < 0.0 for _, g in doc["samples"])
 
 
 def test_scaling_fit_failure_exit_code(tmp_path, capsys):

@@ -49,6 +49,24 @@ def test_sin_squared():
     assert res.value == pytest.approx(2 * math.pi**2, rel=1e-14)
 
 
+def test_integrand_of_p_x_alone_broadcasts_over_its_block():
+    # on band patches px is a (rows, 1) column and py a (1, cols) row, so an
+    # integrand of p_x alone returns (rows, 1): the block broadcasts it to
+    # (rows, cols), and it integrates as its full-shape twin does
+    shapes = []
+
+    def column(px, py):
+        shapes.append(np.shape(px))
+        return np.sin(px) ** 2
+
+    res = integrate_bz(column, TIGHT)
+    twin = integrate_bz(lambda px, py: np.sin(px) ** 2 + 0 * py, TIGHT)
+    assert any(len(s) == 2 and s[1] == 1 for s in shapes)
+    assert (res.value, res.error_estimate, res.evaluations) == (
+        twin.value, twin.error_estimate, twin.evaluations
+    )
+
+
 def test_cos_cos_orthogonality():
     res = integrate_bz(lambda px, py: np.cos(px) * np.cos(py), TIGHT)
     assert abs(res.value) < 1e-14

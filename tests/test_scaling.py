@@ -269,6 +269,34 @@ def test_ratio_map_failed_temperature_invalidates_only_its_cell():
         assert np.all(rmap.grid[i] == r)
 
 
+def test_ratio_map_failed_columns_leave_the_others_alone():
+    # a trajectory that raises ValueError fails every cell of its column
+    # with its reason; at jx = jy = 0 every theta_a vanishes, so nc:jz-jz
+    # is exactly 0 and the ratio is refused
+    grid = GridSpec(base_n=32, target_rel_tol=1e-4, max_doublings=2, refine_levels=1)
+    jz = np.linspace(0.6, 0.66, 8)
+
+    def trajectory(u):
+        if u == jz[2]:
+            raise ValueError("no coupling at this jz")
+        if u == jz[5]:
+            return Couplings(0.0, 0.0, u)
+        return figure_of_merit_trajectory(u)
+
+    rmap = ratio_map(trajectory, (0.6, 0.66), (0.5, 1.0), 8, grid=grid, threads=2)
+    plain = ratio_map(figure_of_merit_trajectory, (0.6, 0.66), (0.5, 1.0), 8, grid=grid,
+                      threads=2)
+    reasons = dict(rmap.failures)
+    assert sorted(reasons) == sorted((i, j) for i in range(8) for j in (2, 5))
+    for i in range(8):
+        assert reasons[i, 2] == "no coupling at this jz"
+        assert reasons[i, 5] == "nonclassical element vanished"
+    assert np.all(rmap.grid[:, [2, 5]] == 0.0)
+    kept = [j for j in range(8) if j not in (2, 5)]
+    assert np.array_equal(rmap.grid[:, kept], plain.grid[:, kept])
+    assert np.all(plain.grid > 0.0)
+
+
 def test_ratio_map_validation():
     with pytest.raises(ValueError):
         ratio_map(figure_of_merit_trajectory, (0.48, 0.52), (0.002, 0.05), 4)

@@ -64,6 +64,9 @@ def test_thermo_point_validation():
         ThermoPoint(SYM, np.nextafter(beta_max, math.inf))
     with pytest.raises(ValueError, match=r"T >= 7\.458"):
         ThermoPoint.from_temperature(SYM, 1e-160)
+    for temperature in (-1.0, math.inf):
+        with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+            ThermoPoint.from_temperature(SYM, temperature)
     tp = ThermoPoint.from_temperature(SYM, 0.0)
     assert tp.zero_temperature and tp.temperature == 0.0
     assert ThermoPoint.from_temperature(SYM, 0.5).beta == pytest.approx(2.0)
@@ -174,6 +177,35 @@ def test_mode_state_bloch_vector_convention(rng):
     assert np.allclose(rho, expected, atol=1e-14)
 
 
+def test_element_reads_the_part_it_names():
+    t = tensor_finite(ThermoPoint(GAPPED, 2.0), 5)
+    for part in ("classical", "nonclassical", "total"):
+        m = getattr(t, part)
+        for mu in P:
+            for nu in P:
+                value = t.element(part, mu, nu)
+                assert type(value) is float and value == m[mu, nu]
+    for part in ("c", "nc", "evaluation"):
+        with pytest.raises(KeyError):
+            t.element(part, P.JZ, P.JZ)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda tp, els: tensor_finite(tp, 5, elements=els),
+        lambda tp, els: tensor_thermodynamic(tp, elements=els),
+        lambda tp, els: tensors_thermodynamic([tp], elements=els),
+        lambda tp, els: nonclassical_corrections([tp], elements=els),
+    ],
+    ids=["finite", "thermodynamic", "batch", "corrections"],
+)
+def test_every_entry_point_refuses_an_empty_request(route):
+    for empty in ([], ()):
+        with pytest.raises(ValueError, match="^no tensor elements requested$"):
+            route(ThermoPoint(GAPPED, 2.0), empty)
+
+
 # ---------------------------------------------------------------------------
 # finite-size tensor
 
@@ -184,8 +216,6 @@ def test_finite_size_validation():
         tensor_finite(tp, 20)
     with pytest.raises(ValueError):
         tensor_finite(tp, 1)
-    with pytest.raises(ValueError, match="no tensor elements"):
-        tensor_finite(tp, 5, elements=[])
     # a size is an odd integer, never truncated (5.5 -> 5) or parsed ("7")
     for route in (tensor_finite, tensor_oracle):
         for size in (5.5, "7", math.inf, None):
@@ -436,6 +466,14 @@ def test_refined_quadrature_matches_huge_finite_grid():
     a = quad.element("nonclassical", P.JZ, P.JZ)
     b = fin.element("nonclassical", P.JZ, P.JZ)
     assert a == pytest.approx(b, rel=1e-3)
+
+
+def test_correction_refuses_zero_temperature_and_classical_elements():
+    warm = ThermoPoint(GAPPED, 2.0)
+    with pytest.raises(ValueError, match="defined for T > 0"):
+        nonclassical_corrections([warm, ThermoPoint.from_temperature(GAPPED, 0.0)])
+    with pytest.raises(ValueError, match="no classical part"):
+        nonclassical_corrections([warm], elements=[("nc", P.JZ, P.JZ), ("c", P.JZ, P.JZ)])
 
 
 def test_nonclassical_correction_matches_measurable_subtraction():
