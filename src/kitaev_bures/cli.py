@@ -433,8 +433,13 @@ def cmd_ratio_map(argv: list[str]) -> int:
                     f"cell jz={_fmt(rmap.jz_values[j])} T={_fmt(rmap.temperatures[i])} "
                     f"failed: {reason}\n"
                 )
-            sys.stderr.write(f"{len(rmap.failures)} cells failed quadrature\n")
-            return EXIT_NUMERICS
+            undefined = len(rmap.failures) - len(rmap.unconverged)
+            if undefined:
+                sys.stderr.write(f"{undefined} cells have no defined ratio\n")
+            if rmap.unconverged:
+                sys.stderr.write(f"{len(rmap.unconverged)} cells failed quadrature\n")
+                return EXIT_NUMERICS
+            return EXIT_USAGE
     lines = ["jz,temp,ratio"]
     for i, t in enumerate(rmap.temperatures):
         for j, jz_v in enumerate(rmap.jz_values):

@@ -32,11 +32,13 @@ to 2048.  The refinement disk climbs a ladder of levels: it first
 integrates the pair ``(1, 2)`` and moves one level up, at most to
 ``refine_levels + 1``, only for the integrals whose disk error ``2 |hi -
 lo|`` misses what the tolerance leaves after the base error, ``tol *
-scale - base error`` with ``scale`` the largest component of base plus
-disk.  An integral keeps the first pair that meets it; one that climbs to
-the top gets exactly the value and error of the pair ``(refine_levels,
-refine_levels + 1)``.  The index geometry of a grid level depends on no
-integrand, so it is built once per process (``_zone_geometry``).
+scale - base error``, with ``scale`` the largest component of the total,
+of the base or of the disk part (the parts of an integral that vanishes
+by symmetry cancel; the flag is judged on the same scale).  An integral
+keeps the first pair that meets it; one that climbs to the top gets
+exactly the value and error of the pair ``(refine_levels, refine_levels +
+1)``.  The index geometry of a grid level depends on no integrand, so it
+is built once per process (``_zone_geometry``).
 
 Integrands are callables ``f(px, py)`` taking broadcastable float arrays and
 returning an array of shape ``lead + broadcast(px, py).shape``.  They must be
@@ -65,9 +67,9 @@ unless the integrand is also invariant under the reflection s: (p_x, p_y)
 Evenness is the contract, checked, not assumed: every grid and disk
 compares f(p0) with f(-p0) at a generic probe node and raises ValueError if
 they differ beyond rounding.  Invariance under s is detected: f(s p) must
-equal f(p) bit for bit at two generic probe nodes, and for a refined
-integral the disk centre must be fixed by s or -s; otherwise the rules
-stay the half rule.
+equal f(p) bit for bit at two generic probe nodes; otherwise the rules
+stay the half rule.  A refined integral of an invariant f needs a disk
+centre fixed by s or -s and is refused otherwise.
 
 The optional leading axes let one quadrature pass integrate a whole stack
 of components on shared evaluations.  The last leading axis holds the
@@ -218,10 +220,9 @@ def _probe(f) -> tuple[int, bool]:
     contract of every rule: ValueError when f(p0) and f(-p0) differ beyond
     rounding.  Invariance under s is detected, not required: ``f`` counts as
     invariant when f(s p) equals f(p) bit for bit at both probe nodes (a
-    coupling an ulp off jx = jy is not), unless ``integrate_bz_refined``
-    marked it ``_even_only`` because its disk is not closed under s.
-    Both are read from the output, so a wrapped integrand is integrated
-    exactly as the bare one is."""
+    coupling an ulp off jx = jy is not).  Both are read from the output
+    alone, so a wrapped integrand is integrated exactly as the bare one
+    is."""
     (x0, y0), (x1, y1) = _PROBE
     px = np.array([x0, -x0, y0, x1, y1])
     py = np.array([y0, -y0, x0, y1, x1])
@@ -235,11 +236,7 @@ def _probe(f) -> tuple[int, bool]:
             f"p0 = {_PROBE[0]}; the zone rules evaluate at most half the zone "
             "and require f(-p) = f(p)"
         )
-    invariant = (
-        not getattr(f, "_even_only", False)
-        and np.array_equal(at_p0, vals[..., 2])
-        and np.array_equal(vals[..., 3], vals[..., 4])
-    )
+    invariant = np.array_equal(at_p0, vals[..., 2]) and np.array_equal(vals[..., 3], vals[..., 4])
     return at_p0.size, invariant
 
 
@@ -471,11 +468,6 @@ def integrate_bz(f: Callable, grid: GridSpec) -> IntegrationResult:
     component; the doubling continues while any integral is open.  Failure
     to meet the tolerance is reported through ``converged=False``, never
     silently.
-
-    An ``f`` marked ``_even_only`` (``integrate_bz_refined``'s masked
-    integrand over a disk not closed under s) takes the half rule even where
-    its probe nodes look invariant, so a wrapper of this function must pass
-    such an ``f`` on unwrapped or keep its mark.
     """
     n = grid.base_n
     prev, evaluations, fmax, invariant = _grid_mean(f, _zone_axis(n), 0, track_max=True)
@@ -714,13 +706,14 @@ def integrate_bz_refined(
     closed under s as well: the base rule evaluates a quarter of the zone,
     and the disk only the sector that its reflection leaves (the corner
     disk a quarter, the disk at K a half; a needle grid is laid along the
-    mirror line, see ``_needle_disk``).  Otherwise every rule stays the
-    half rule; the masked integrand is then marked ``_even_only``, since
-    its probe nodes need not see the disk.
+    mirror line, see ``_needle_disk``).  An invariant ``f`` whose centre
+    neither reflection fixes is refused: its features come at K, s K, -K
+    and -s K, and the disk class {K, -K} leaves s K and -s K unrefined.
+    An ``f`` that is not invariant takes the half rule on every disk.
 
     Nothing is closed, moved or shrunk: ValueError unless ``0 < r_min <
-    radius / 2`` and the disk overlaps neither its mirror nor its own
-    periodic image.
+    radius / 2``, the disk overlaps neither its mirror nor its own
+    periodic image, and its centre suits the integrand's symmetry.
     """
     (cx, cy), axis = disk
     if not 0 < r_min < 0.5 * radius:
@@ -733,6 +726,12 @@ def integrate_bz_refined(
     # the reflection that fixes the centre: s (1), -s (-1), or neither (0)
     m, invariant = _probe(f)
     sector = (1 if cx == cy else -1 if cx == -cy else 0) if invariant else 0
+    if invariant and not sector:
+        raise ValueError(
+            f"neither p_x <-> p_y nor its negation fixes the disk centre {(cx, cy)}, "
+            "so the disk leaves the reflected features of an integrand invariant "
+            "under them unrefined"
+        )
 
     def masked(px, py):
         vals = np.asarray(f(px, py), dtype=float)
@@ -761,7 +760,6 @@ def integrate_bz_refined(
         vals[(Ellipsis,) + at] *= 1.0 - w
         return vals
 
-    masked._even_only = not sector
     base = integrate_bz(masked, grid)
     value = np.asarray(base.value, dtype=float)
     err = np.asarray(base.error_estimate, dtype=float)
@@ -770,13 +768,16 @@ def integrate_bz_refined(
     def disk_at(level):
         return _disk_integral(f, m, (cx, cy), radius, r_min, level, axis, own_mirror, sector)
 
+    def scale(hi):
+        # of the total, the base and the disk part, which may cancel
+        parts = (value + 2.0 * hi, value, 2.0 * hi)
+        return np.maximum.reduce([_per_integral_max(x, nb) for x in parts])
+
     lo, n_lo = disk_at(1)
     hi, n_hi = disk_at(2)
     evaluations = base.evaluations + n_lo + n_hi
-    # what the tolerance leaves after the base error, against the largest
-    # component of base plus disk
-    share = grid.target_rel_tol * _per_integral_max(value + 2.0 * hi, nb)
-    share = share - _per_integral_max(err, nb)
+    # what the tolerance leaves after the base error
+    share = grid.target_rel_tol * scale(hi) - _per_integral_max(err, nb)
     # a member climbs to the next level only while its disk error misses
     # the share, and keeps the first pair that meets it
     for level in range(3, grid.refine_levels + 2):
@@ -786,14 +787,13 @@ def integrate_bz_refined(
         finer, nodes = disk_at(level)
         evaluations += nodes
         lo, hi = _freeze(open_, hi, lo), _freeze(open_, finer, hi)
+    # the base flag judged its error against the masked partial value only;
+    # what matters is the combined error against the integral and its parts
+    err = err + 2.0 * np.abs(hi - lo)
+    converged = _per_integral_max(err, nb) <= grid.target_rel_tol * np.maximum(scale(hi), 1e-300)
     # the disk at -K, or the corner disk's other half, is the mirror image
     # of the one integrated (and a sector stands for its disk)
     value = value + 2.0 * hi
-    err = err + 2.0 * np.abs(hi - lo)
-    # the base flag judged its error against the masked partial value only;
-    # what matters is the combined error against the full integral
-    scale = np.maximum(_per_integral_max(value, nb), 1e-300)
-    converged = _per_integral_max(err, nb) <= grid.target_rel_tol * scale
     return IntegrationResult(
         _as_scalar_like(value), _as_scalar_like(err), evaluations, _as_flag(converged)
     )

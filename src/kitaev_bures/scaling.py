@@ -250,15 +250,18 @@ class RatioMap:
     """Grid of g^c_zz / g^nc_zz ratios over (coupling, T).
 
     ``grid[i, j]`` is the ratio at temperature ``temperatures[i]`` and
-    coupling parameter ``jz_values[j]``.  Cells whose quadrature failed
-    hold 0 in ``grid`` (never NaN) and are listed with their reason in
-    ``failures``; ``valid`` flags the others.
+    coupling parameter ``jz_values[j]``.  Cells without a ratio hold 0 in
+    ``grid`` (never NaN) and are listed with their reason in ``failures``;
+    ``valid`` flags the others.  ``unconverged`` holds the failed cells
+    whose quadrature missed the tolerance; at the others the ratio is
+    undefined (a refused coupling, or a vanished ``nc:jz-jz``).
     """
 
     jz_values: np.ndarray
     temperatures: np.ndarray
     grid: np.ndarray
     failures: tuple = ()
+    unconverged: tuple = ()
 
     @property
     def valid(self) -> np.ndarray:
@@ -331,7 +334,7 @@ def ratio_map(
             return tensor
         nc = tensor.element("nonclassical", *zz)
         if nc == 0.0:
-            return QuadratureConvergenceError("nonclassical element vanished")
+            return ValueError("nonclassical element vanished")
         return tensor.element("classical", *zz) / nc
 
     def column(j):
@@ -346,7 +349,7 @@ def ratio_map(
         return [ratio(t) for t in tensors]
 
     out = np.zeros((n_t, n_jz))
-    failures = []
+    failures, unconverged = [], []
     workers = threads or min(_usable_cores(), n_jz)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         columns = list(pool.map(column, range(n_jz)))
@@ -355,11 +358,11 @@ def ratio_map(
             res = columns[j][i]
             if isinstance(res, Exception):
                 failures.append(((i, j), str(res)))
+                if isinstance(res, QuadratureConvergenceError):
+                    unconverged.append((i, j))
             else:
                 out[i, j] = res
-    return RatioMap(
-        jz_values=jz_values, temperatures=temperatures, grid=out, failures=tuple(failures)
-    )
+    return RatioMap(jz_values, temperatures, out, tuple(failures), tuple(unconverged))
 
 
 @dataclass(frozen=True)

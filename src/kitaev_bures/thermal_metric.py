@@ -198,9 +198,8 @@ class ThermoPoint:
 
 @dataclass(frozen=True)
 class EvaluationInfo:
-    """How a tensor was produced (method plus free-form diagnostics)."""
+    """How a tensor was produced: free-form diagnostics."""
 
-    method: str
     details: dict = field(default_factory=dict)
 
 
@@ -643,10 +642,7 @@ def tensor_finite(tp: ThermoPoint, L: int, *, elements=None) -> BuresTensor:
             )
     # node k of the centred axis is minus node L - 1 - k
     mean = _grid_mean(_integrand([tp], pairs_c, pairs_nc, _tanh_sq_ratio), xs, L - 1)[0]
-    info = EvaluationInfo(
-        method="finite",
-        details={"L": L, "sites": 2 * L * L, "temperature": tp.temperature},
-    )
+    info = EvaluationInfo({"L": L, "sites": 2 * L * L, "temperature": tp.temperature})
     # (1 / (8 L^2)) * sum = mean / 8
     tensor = BuresTensor(*_parts(pairs_c, pairs_nc, mean[0] / 8.0), info)
     if elements is None:
@@ -746,7 +742,7 @@ def _tolerance_missed(points, worst, result, members=()):
     )
 
 
-def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method, *, full=False):
+def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, *, full=False):
     """Integrate the requested elements of every point in one quadrature pass.
 
     The integrand (``_integrand``) has leading axes (point, component), so
@@ -790,15 +786,14 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, method, *, full=Fa
     for i, (tp, vals, errs) in enumerate(zip(points, values, errors)):
         err = _parts(stack_c, pairs_nc, errs)
         info = EvaluationInfo(
-            method=method,
-            details={
+            {
                 "grid": grid,
                 "temperature": tp.temperature,
                 "refinement": {"disk": disk, "radius": radius, "r_min": r_min},
                 "evaluations": result.evaluations,
                 "error_classical": err[0],
                 "error_nonclassical": err[1],
-            },
+            }
         )
         tensor = BuresTensor(*_parts(stack_c, pairs_nc, vals), info)
         if full:
@@ -853,9 +848,7 @@ def tensors_thermodynamic(
             "the nonclassical metric diverges in the thermodynamic limit at "
             "T = 0 outside the gapped phase"
         )
-    return _zone_tensors(
-        points, grid, pairs_c, pairs_nc, _tanh_sq_ratio, "thermodynamic", full=elements is None
-    )
+    return _zone_tensors(points, grid, pairs_c, pairs_nc, _tanh_sq_ratio, full=elements is None)
 
 
 def tensor_thermodynamic(
@@ -893,10 +886,7 @@ def nonclassical_corrections(
     pairs_c, pairs_nc = _select_pairs(elements)
     if pairs_c and elements is not None:
         raise ValueError("the thermal correction has no classical part")
-    return _zone_tensors(
-        points, grid, [], pairs_nc, _minus_sech_sq_ratio, "thermodynamic-correction",
-        full=elements is None,
-    )
+    return _zone_tensors(points, grid, [], pairs_nc, _minus_sech_sq_ratio, full=elements is None)
 
 
 # ---------------------------------------------------------------------------
@@ -1047,13 +1037,12 @@ def tensor_oracle(tp: ThermoPoint, L: int) -> BuresTensor:
         )
 
     info = EvaluationInfo(
-        method="mode-oracle",
-        details={
+        {
             "L": L,
             "fd_classical": fd_c,
             "fd_nonclassical": fd_nc,
             "beta_row_residual": residual_an,
             "fd_beta_row_residual": residual_fd,
-        },
+        }
     )
     return BuresTensor(an_c, an_nc, info)

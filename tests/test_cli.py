@@ -481,6 +481,25 @@ def test_ratio_map_names_failed_cells(tmp_path, capsys):
         assert "did not reach the requested tolerance at T = " in line
 
 
+def test_ratio_map_vanished_ratio_is_undefined_not_a_quadrature_failure(tmp_path, capsys):
+    # at jz = 1 the figure-of-merit trajectory decouples (jx = jy = 0), so
+    # nc:jz-jz is exactly 0 at every temperature of that column: every
+    # cell converged, and the ratio is undefined there, which is a usage
+    # error (exit 2), not non-convergence (exit 3)
+    code, _, err = run(
+        capsys,
+        ["ratio-map", "--res", "8x8", "--jz-min", "0.93", "--jz-max", "1.0", "--t-min", "0.2",
+         "--t-max", "0.5", "--tol", "1e-3", "--out", str(tmp_path / "map.csv")],
+    )
+    assert code == 2
+    lines = err.strip().splitlines()
+    assert lines[-1] == "8 cells have no defined ratio"
+    assert len(lines) == 9
+    for line in lines[:-1]:
+        assert line.startswith("cell jz=1 T=")
+        assert line.endswith(" failed: nonclassical element vanished")
+
+
 def test_scaling_critical_power_dispatch(tmp_path, capsys):
     path = tmp_path / "fit.json"
     code, _, _ = run(

@@ -9,6 +9,7 @@ import pytest
 from helpers import full_zone_reference, load_perfbench
 from kitaev_bures.quadrature import (
     GridSpec,
+    _zone_axis,
     compensated_sum,
     integrate_bz,
     integrate_bz_refined,
@@ -446,14 +447,28 @@ def test_quarter_rule_matches_the_full_zone(disk, closed, ref_axis):
     assert res.evaluations <= 0.55 * half.evaluations
 
 
+# a +-K pair on the line of -s, p_x = -p_y, so an invariant integrand
+# takes the quarter rule there (a centre off both lines is refused); a
+# disk of radius 0.4 at it reaches past p_y = pi
+ON_MINUS_S = (-2.8, 2.8)
+
+
 @pytest.mark.parametrize(
-    "disk",
-    [((-math.pi, -math.pi), None), ((-math.pi, -math.pi), 0.4), ((0.3, -1.1), None),
-     ((0.3, -1.1), 0.4)],
-    ids=["corner-polar", "corner-needle", "pair-polar", "pair-needle"],
+    "f, disk",
+    [
+        (_sym_pair, ((-math.pi, -math.pi), None)),
+        (_sym_pair, ((-math.pi, -math.pi), 0.4)),
+        (_sym_pair, (ON_MINUS_S, None)),
+        (_sym_pair, (ON_MINUS_S, 0.4)),
+        (_even_pair, ((-math.pi, -math.pi), None)),
+        (_even_pair, ((-math.pi, -math.pi), 0.4)),
+        (_even_pair, ((0.3, -1.1), None)),
+        (_even_pair, ((0.3, -1.1), 0.4)),
+    ],
+    ids=[f"{f}-{d}" for f in ("invariant", "even")
+         for d in ("corner-polar", "corner-needle", "pair-polar", "pair-needle")],
 )
-@pytest.mark.parametrize("f", [_sym_pair, _even_pair], ids=["invariant", "even"])
-def test_unwrapped_disk_nodes_give_the_wrapped_integral(disk, f):
+def test_unwrapped_disk_nodes_give_the_wrapped_integral(f, disk):
     # disk nodes reach the integrand unwrapped, up to the radius outside
     # [-pi, pi)^2; for a 2 pi-periodic integrand that is the integral of the
     # same integrand read at the wrapped nodes
@@ -462,7 +477,7 @@ def test_unwrapped_disk_nodes_give_the_wrapped_integral(disk, f):
     seen = []
 
     def bare(px, py):
-        seen.append(min(np.min(px), np.min(py)))
+        seen.append(max(np.max(np.abs(px)), np.max(np.abs(py))))
         return f(px, py)
 
     grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
@@ -470,8 +485,8 @@ def test_unwrapped_disk_nodes_give_the_wrapped_integral(disk, f):
     wrapped = integrate_bz_refined(
         lambda px, py: f(wrap_angle(px), wrap_angle(py)), disk, 5e-4, grid, radius=0.4
     )
-    if disk[0][0] == -math.pi:
-        assert min(seen) < -math.pi - 0.2
+    if disk[0][0] < -2.5:
+        assert max(seen) > math.pi + 0.05
     assert got.evaluations == wrapped.evaluations
     assert np.max(np.abs(got.value - wrapped.value)) <= 1e-14 * np.max(np.abs(wrapped.value))
 
@@ -504,25 +519,60 @@ def test_even_integrand_that_is_not_invariant_takes_the_half_rule():
     assert res.evaluations == rows.size * n + odd.sum() * 2 * n + (~odd).sum() * n
 
 
-@pytest.mark.parametrize(
-    "disk",
-    [((0.3, -1.1), None), ((0.3, -1.1), 0.4), ((-math.pi, 0.0), None)],
-    ids=["pair-polar", "pair-needle", "corner"],
-)
+# disk centres fixed by neither s nor -s: a +-K pair off both lines
+# p_x = +-p_y, and a corner that s maps onto another corner
+UNFIXED = {
+    "pair-polar": ((0.3, -1.1), None),
+    "pair-needle": ((0.3, -1.1), 0.4),
+    "corner": ((-math.pi, 0.0), None),
+}
+
+
+@pytest.mark.parametrize("disk", UNFIXED.values(), ids=UNFIXED.keys())
 @pytest.mark.parametrize("traced", [False, True], ids=["bare", "traced"])
-def test_invariant_integrand_with_an_unfixed_disk_takes_the_half_rule(disk, traced):
-    # neither s nor -s fixes (0.3, -1.1) or the corner (-pi, 0), so the
-    # disk is not closed under s: the invariant integrand gets, bit for
-    # bit, what it gets beside an integral that is not invariant.  The
-    # masked integrand carries that as its _even_only mark, which the
-    # benchmark's tracer, rebinding quadrature.integrate_bz, must pass on
+def test_integrand_not_invariant_takes_the_half_rule_on_an_unfixed_disk(disk, traced):
+    # an integrand that is not invariant under s takes the half rule on
+    # any disk; its masked integrand, which zeroes no probe node (see
+    # test_no_legal_disk_masks_every_probe_node), tells the base rule so
+    # by its output alone, so the benchmark's tracer, which wraps it, gets
+    # the same bits
     grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
-    half = integrate_bz_refined(_half_rule(_sym_pair), disk, 5e-4, grid, radius=0.4)
+    f = _half_rule(_sym_pair)
     with load_perfbench("tracing").Tracer().installed() if traced else contextlib.nullcontext():
-        alone = integrate_bz_refined(_sym_pair, disk, 5e-4, grid, radius=0.4)
-    assert np.array_equal(alone.value, half.value[0])
-    assert np.array_equal(alone.error_estimate, half.error_estimate[0])
-    assert alone.evaluations == half.evaluations
+        res = integrate_bz_refined(f, disk, 5e-4, grid, radius=0.4)
+    bare = integrate_bz_refined(f, disk, 5e-4, grid, radius=0.4)
+    assert np.array_equal(res.value, bare.value)
+    assert np.array_equal(res.error_estimate, bare.error_estimate)
+    assert res.evaluations == bare.evaluations
+    (cx, cy), axis = disk
+    closed = [(cx, cy)] if cx == -math.pi else [(cx, cy), (-cx, -cy)]
+    ref = full_zone_reference(f, closed, 5e-4, 0.4, grid, [axis] * len(closed))
+    assert np.max(np.abs(res.value - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_no_legal_disk_masks_every_probe_node():
+    # an integrand that is not invariant would pass for invariant if the
+    # partition mask zeroed all four probe nodes p0, s p0, q0, s q0; it is
+    # exactly 1 only within half the radius of the centre or its mirror,
+    # and no legal disk reaches that far.  A corner's radius is at most
+    # pi, so its inner half is at most pi / 2.  A +-K disk's radius is at
+    # most half the distance |2K| from K to -K: at every K on a grid of
+    # step h some probe node misses the inner half by a slack, and the
+    # slack changes by at most 1 + 1/2 per unit move of K (distances are
+    # 1-Lipschitz, |2K| / 4 is 1/2-Lipschitz), so a slack above 1.5 h /
+    # sqrt(2) at every node of the grid holds for every K
+    from kitaev_bures.quadrature import _PROBE, _corner_dist, _torus_dist
+
+    (x0, y0), (x1, y1) = _PROBE
+    px, py = np.array([x0, y0, x1, y1]), np.array([y0, x0, y1, x1])
+    for c in [(0.0, 0.0), (0.0, -math.pi), (-math.pi, 0.0), (-math.pi, -math.pi)]:
+        # the nearest miss: (0, 0) at radius pi, q0 0.089 outside
+        assert np.max(_corner_dist(px, py, *c)) > 0.5 * math.pi + 0.08
+    k = _zone_axis(64)
+    kx, ky = np.meshgrid(k, k, indexing="ij")
+    near = [_torus_dist(px, py, c[..., None], d[..., None]) for c, d in ((kx, ky), (-kx, -ky))]
+    slack = np.max(np.minimum(*near), axis=-1) - 0.25 * _torus_dist(kx, ky, -kx, -ky)
+    assert np.min(slack) > 1.5 * (k[1] - k[0]) / math.sqrt(2.0)
 
 
 def test_odd_integrand_violates_the_contract():
@@ -590,22 +640,27 @@ def test_half_disks_equal_full_disks(disk, closed):
 
 
 @pytest.mark.parametrize(
-    "disk, radius",
+    "f, disk, radius, reason",
     [
-        (((0.1, -0.2), None), 0.4),
-        (CORNER, 3.5),
-        (((0.3, 0.0), None), 0.4),
-        (((math.pi, 0.0), None), 0.4),
+        (_even_pair, ((0.1, -0.2), None), 0.4, "overlap"),
+        (_even_pair, CORNER, 3.5, "overlap"),
+        (_even_pair, ((0.3, 0.0), None), 0.4, "overlap"),
+        (_even_pair, ((math.pi, 0.0), None), 0.4, "overlap"),
+        *((_sym_pair, disk, 0.4, "fixes the disk centre") for disk in UNFIXED.values()),
     ],
-    ids=["near-own-mirror", "own-image", "off-corner", "unwrapped-corner"],
+    ids=["near-own-mirror", "own-image", "off-corner", "unwrapped-corner",
+         *(f"unfixed-{name}" for name in UNFIXED)],
 )
-def test_refined_refuses_a_geometry_it_cannot_integrate(disk, radius):
+def test_refined_refuses_a_geometry_it_cannot_integrate(f, disk, radius, reason):
     # the geometry is the caller's: a disk closer than twice the radius to
     # its mirror or to its own periodic image is refused, never capped or
     # snapped.  Only a centre in {0, -pi}^2 is its own mirror: (0.3, 0) and
-    # the unwrapped corner (pi, 0) stand for a +-K pair 0.6 and 0 apart
-    with pytest.raises(ValueError, match="overlap"):
-        integrate_bz_refined(_even_pair, disk, 1e-3, GridSpec(), radius=radius)
+    # the unwrapped corner (pi, 0) stand for a +-K pair 0.6 and 0 apart.
+    # An integrand invariant under s has its features at K, s K, -K and
+    # -s K, so a disk class {K, -K} that neither s nor -s fixes would leave
+    # half of them unrefined: refused, never integrated by the half rule
+    with pytest.raises(ValueError, match=reason):
+        integrate_bz_refined(f, disk, 1e-3, GridSpec(), radius=radius)
 
 
 def test_ring_angular_counts_are_even():

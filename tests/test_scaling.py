@@ -257,6 +257,7 @@ def test_ratio_map_failed_temperature_invalidates_only_its_cell():
     rmap = ratio_map(lambda jz: SYM, (0.3, 0.34), (0.002, 0.3), 8, grid=grid, threads=2)
     assert np.all(rmap.valid[:7]) and not np.any(rmap.valid[7])
     assert [cell for cell, _ in rmap.failures] == [(7, j) for j in range(8)]
+    assert rmap.unconverged == tuple((7, j) for j in range(8))
     for _, reason in rmap.failures:
         assert "tolerance at T = 0.3 " in reason and "0.002" not in reason
     assert np.all(rmap.grid[7] == 0.0)
@@ -291,6 +292,8 @@ def test_ratio_map_failed_columns_leave_the_others_alone():
     for i in range(8):
         assert reasons[i, 2] == "no coupling at this jz"
         assert reasons[i, 5] == "nonclassical element vanished"
+    # every cell converged: the failed ones have no ratio, by input
+    assert rmap.unconverged == ()
     assert np.all(rmap.grid[:, [2, 5]] == 0.0)
     kept = [j for j in range(8) if j not in (2, 5)]
     assert np.array_equal(rmap.grid[:, kept], plain.grid[:, kept])

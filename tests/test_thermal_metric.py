@@ -838,6 +838,61 @@ def test_refinement_radius_of_a_dirac_pair_stays_below_half_their_distance():
     assert r_min == pytest.approx(1e-3, rel=1e-15)
 
 
+# couplings (j, j, jz) on the cut jx = jy: Dirac pairs, the critical gap
+# corner, a near-critical gapped corner, one gapped beyond the disk, tied
+# corners (j = 0) and a zero coupling on the critical boundary
+ON_CUT = {
+    "gapless": (0.3, 0.5),
+    "near-gapless": (0.255, 0.49),
+    "critical": (0.25, 0.5),
+    "near-critical": (0.22, 0.56),
+    "gapped": (0.1, 0.8),
+    "tied-corners": (0.0, 0.1),
+    "zero-jz": (0.3, 0.0),
+}
+
+
+@pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)],
+                         ids=["++", "+-", "-+", "--"])
+@pytest.mark.parametrize("j, jz", ON_CUT.values(), ids=ON_CUT.keys())
+def test_refinement_centres_on_the_cut_are_fixed_by_a_reflection(j, jz, signs):
+    # an integrand on the cut is invariant under s: (p_x, p_y) -> (p_y,
+    # p_x), and the quadrature refuses its disk unless s or -s fixes the
+    # centre, so every plan on the cut must give such a centre (or no disk,
+    # or refuse the coupling itself)
+    couplings = Couplings(signs[0] * j, signs[0] * j, signs[1] * jz)
+    for temp in (0.0, 0.01, 0.3):
+        tp = ThermoPoint.from_temperature(couplings, temp)
+        if jz == 0.0:
+            with pytest.raises(ValueError, match="on the critical boundary"):
+                _refinement_plan([tp])
+            continue
+        disk, _, _ = _refinement_plan([tp])
+        if jz == 0.8:
+            assert disk is None
+            continue
+        (cx, cy), _ = disk
+        assert cx == cy or cx == -cy
+
+
+@pytest.mark.parametrize("element", [("c", P.BETA, P.JY), ("nc", P.JX, P.JY)],
+                         ids=["beta-jy", "nc-jx-jy"])
+def test_refined_integral_that_vanishes_by_symmetry_converges(element):
+    # at jy = 0 these entries vanish: their base and disk parts cancel,
+    # so the refined integral is judged against its parts, not only its
+    # total, as the unrefined one at (0.8, 0, 0.1) converges at its round-
+    # off floor.  Judged against the total alone, both missed the tolerance
+    # on the same nodes and errors
+    part = {"c": "classical", "nc": "nonclassical"}[element[0]]
+    for couplings, refined in ((Couplings(0.4, 0.0, 0.3), True),
+                               (Couplings(0.8, 0.0, 0.1), False)):
+        tp = ThermoPoint.from_temperature(couplings, 0.05)
+        assert (_refinement_plan([tp])[0] is not None) == refined
+        t = tensor_thermodynamic(tp, elements=[element])
+        error = t.evaluation.details["error_" + part][element[1], element[2]]
+        assert abs(t.element(part, element[1], element[2])) <= max(error, 1e-15)
+
+
 @pytest.mark.parametrize(
     "couplings",
     [Couplings(0.2535, 0.2535, 0.493), Couplings(0.3, 0.21, 0.49)],
