@@ -69,7 +69,8 @@ compares f(p0) with f(-p0) at a generic probe node and raises ValueError if
 they differ beyond rounding.  Invariance under s is detected: f(s p) must
 equal f(p) bit for bit at two generic probe nodes; otherwise the rules
 stay the half rule.  A refined integral of an invariant f needs a disk
-centre fixed by s or -s and is refused otherwise.
+centre fixed by s or -s, or one whose image under s lies within r_min of
+the disk's class (taken by the half rule), and is refused otherwise.
 
 The optional leading axes let one quadrature pass integrate a whole stack
 of components on shared evaluations.  The last leading axis holds the
@@ -160,7 +161,8 @@ class GridSpec:
     refine_levels: at least 1; the disk ladder starts at the pair of
         levels ``(1, 2)`` and climbs up to ``(refine_levels,
         refine_levels + 1)`` (see the module docstring).
-    target_rel_tol: relative tolerance, judged against the largest component.
+    target_rel_tol: relative tolerance, judged against the largest component
+        (of a refined integral, of its total, base part or disk part).
     max_doublings: most doublings of the trapezoid after base_n; the
         defaults climb from 32 to 32 * 2**6 = 2048 points per axis.
 
@@ -220,9 +222,9 @@ def _probe(f) -> tuple[int, bool]:
     contract of every rule: ValueError when f(p0) and f(-p0) differ beyond
     rounding.  Invariance under s is detected, not required: ``f`` counts as
     invariant when f(s p) equals f(p) bit for bit at both probe nodes (a
-    coupling an ulp off jx = jy is not).  Both are read from the output
-    alone, so a wrapped integrand is integrated exactly as the bare one
-    is."""
+    coupling an ulp off jx = jy can still match there).  Both are read from
+    the output alone, so a wrapped integrand is integrated exactly as the
+    bare one is."""
     (x0, y0), (x1, y1) = _PROBE
     px = np.array([x0, -x0, y0, x1, y1])
     py = np.array([y0, -y0, x0, y1, x1])
@@ -441,11 +443,8 @@ def _zone_axis(n: int) -> np.ndarray:
 
 
 def _as_scalar_like(x: np.ndarray):
-    return float(x) if np.ndim(x) == 0 else x
-
-
-def _as_flag(done: np.ndarray):
-    return bool(done) if np.ndim(done) == 0 else done
+    """A Python float or bool for a single integral, the array for a batch."""
+    return x.item() if np.ndim(x) == 0 else x
 
 
 def _freeze(mask: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
@@ -491,7 +490,7 @@ def integrate_bz(f: Callable, grid: GridSpec) -> IntegrationResult:
             break
         prev = cur
     return IntegrationResult(
-        _as_scalar_like(value), _as_scalar_like(err), evaluations, _as_flag(done)
+        _as_scalar_like(value), _as_scalar_like(err), evaluations, _as_scalar_like(done)
     )
 
 
@@ -708,8 +707,13 @@ def integrate_bz_refined(
     disk a quarter, the disk at K a half; a needle grid is laid along the
     mirror line, see ``_needle_disk``).  An invariant ``f`` whose centre
     neither reflection fixes is refused: its features come at K, s K, -K
-    and -s K, and the disk class {K, -K} leaves s K and -s K unrefined.
-    An ``f`` that is not invariant takes the half rule on every disk.
+    and -s K, and the disk class {K, -K} leaves s K and -s K unrefined,
+    unless s K lies within ``r_min`` of K or -K, below the disk's
+    resolution (a Dirac point a few ulps off p_x = -p_y, whose coupling a
+    few ulps off jx = jy matches f(s p) = f(p) at the probe nodes): the
+    disk then takes the half rule, and the base rule the mean of the
+    masked f at p and s p.  An ``f`` that is not invariant takes the
+    half rule on every disk.
 
     Nothing is closed, moved or shrunk: ValueError unless ``0 < r_min <
     radius / 2``, the disk overlaps neither its mirror nor its own
@@ -726,11 +730,13 @@ def integrate_bz_refined(
     # the reflection that fixes the centre: s (1), -s (-1), or neither (0)
     m, invariant = _probe(f)
     sector = (1 if cx == cy else -1 if cx == -cy else 0) if invariant else 0
-    if invariant and not sector:
+    unfixed = invariant and not sector
+    # s K = (cy, cx) no nearer than r_min to K or -K
+    if unfixed and min(_torus_dist(cy, cx, cx, cy), _torus_dist(cy, cx, -cx, -cy)) >= r_min:
         raise ValueError(
-            f"neither p_x <-> p_y nor its negation fixes the disk centre {(cx, cy)}, "
-            "so the disk leaves the reflected features of an integrand invariant "
-            "under them unrefined"
+            f"neither p_x <-> p_y nor its negation fixes the disk centre {(cx, cy)} "
+            "or maps it within r_min of its mirror class, so the disk leaves the "
+            "reflected features of an integrand invariant under them unrefined"
         )
 
     def masked(px, py):
@@ -760,7 +766,10 @@ def integrate_bz_refined(
         vals[(Ellipsis,) + at] *= 1.0 - w
         return vals
 
-    base = integrate_bz(masked, grid)
+    # an unfixed mask is not closed under s; its mean over p and s p is,
+    # with the same sum on the zone grid, which s maps onto itself
+    base_f = (lambda px, py: 0.5 * (masked(px, py) + masked(py, px))) if unfixed else masked
+    base = integrate_bz(base_f, grid)
     value = np.asarray(base.value, dtype=float)
     err = np.asarray(base.error_estimate, dtype=float)
     nb = _batch_ndim(value.ndim)
@@ -775,7 +784,7 @@ def integrate_bz_refined(
 
     lo, n_lo = disk_at(1)
     hi, n_hi = disk_at(2)
-    evaluations = base.evaluations + n_lo + n_hi
+    evaluations = base.evaluations * (2 if unfixed else 1) + n_lo + n_hi
     # what the tolerance leaves after the base error
     share = grid.target_rel_tol * scale(hi) - _per_integral_max(err, nb)
     # a member climbs to the next level only while its disk error misses
@@ -795,5 +804,5 @@ def integrate_bz_refined(
     # of the one integrated (and a sector stands for its disk)
     value = value + 2.0 * hi
     return IntegrationResult(
-        _as_scalar_like(value), _as_scalar_like(err), evaluations, _as_flag(converged)
+        _as_scalar_like(value), _as_scalar_like(err), evaluations, _as_scalar_like(converged)
     )

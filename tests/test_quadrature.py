@@ -474,10 +474,11 @@ def test_unwrapped_disk_nodes_give_the_wrapped_integral(f, disk):
     # same integrand read at the wrapped nodes
     from kitaev_bures.spectrum import wrap_angle
 
-    seen = []
+    lowest, farthest = [], []
 
     def bare(px, py):
-        seen.append(max(np.max(np.abs(px)), np.max(np.abs(py))))
+        lowest.append(min(np.min(px), np.min(py)))
+        farthest.append(max(np.max(np.abs(px)), np.max(np.abs(py))))
         return f(px, py)
 
     grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
@@ -485,8 +486,11 @@ def test_unwrapped_disk_nodes_give_the_wrapped_integral(f, disk):
     wrapped = integrate_bz_refined(
         lambda px, py: f(wrap_angle(px), wrap_angle(py)), disk, 5e-4, grid, radius=0.4
     )
-    if disk[0][0] < -2.5:
-        assert max(seen) > math.pi + 0.05
+    if disk[0][0] == -math.pi:
+        assert min(lowest) < -math.pi - 0.2
+    elif disk[0] == ON_MINUS_S:
+        # the half that the sector of -s keeps reaches past p_y = pi
+        assert max(farthest) > math.pi + 0.05
     assert got.evaluations == wrapped.evaluations
     assert np.max(np.abs(got.value - wrapped.value)) <= 1e-14 * np.max(np.abs(wrapped.value))
 
@@ -532,10 +536,10 @@ UNFIXED = {
 @pytest.mark.parametrize("traced", [False, True], ids=["bare", "traced"])
 def test_integrand_not_invariant_takes_the_half_rule_on_an_unfixed_disk(disk, traced):
     # an integrand that is not invariant under s takes the half rule on
-    # any disk; its masked integrand, which zeroes no probe node (see
-    # test_no_legal_disk_masks_every_probe_node), tells the base rule so
-    # by its output alone, so the benchmark's tracer, which wraps it, gets
-    # the same bits
+    # any disk; the base rule reads that from the masked integrand's output
+    # alone (no legal mask zeroes both probe pairs, see
+    # test_no_legal_disk_masks_every_probe_node), so the benchmark's
+    # tracer, which wraps it, gets the same bits
     grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
     f = _half_rule(_sym_pair)
     with load_perfbench("tracing").Tracer().installed() if traced else contextlib.nullcontext():
@@ -550,11 +554,34 @@ def test_integrand_not_invariant_takes_the_half_rule_on_an_unfixed_disk(disk, tr
     assert np.max(np.abs(res.value - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("axis", [None, 0.4], ids=["polar", "needle"])
+@pytest.mark.parametrize("offset", [math.ulp(2.8), 3e-4], ids=["one-ulp", "below-r_min"])
+def test_invariant_integrand_just_off_a_mirror_line_takes_the_half_rule(offset, axis):
+    # the Dirac point of a coupling a few ulps off jx = jy lies a few ulps
+    # off p_x = -p_y, where its integrand can match f(s p) = f(p) at the
+    # probe nodes: s K then misses -K by less than r_min (5e-4), below what
+    # the disk resolves, and the disk takes the half rule instead of being
+    # refused.  On the zone grid, closed under s, the quarter rule of the
+    # masked f is the half rule's sum for an invariant f
+    grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
+    cx, cy = -2.8, 2.8 + offset
+    res = integrate_bz_refined(_sym_pair, ((cx, cy), axis), 5e-4, grid, radius=0.4)
+    ref = full_zone_reference(_sym_pair, [(cx, cy), (-cx, -cy)], 5e-4, 0.4, grid, [axis] * 2)
+    assert np.max(np.abs(res.value - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_no_legal_disk_masks_every_probe_node():
-    # an integrand that is not invariant would pass for invariant if the
-    # partition mask zeroed all four probe nodes p0, s p0, q0, s q0; it is
-    # exactly 1 only within half the radius of the centre or its mirror,
-    # and no legal disk reaches that far.  A corner's radius is at most
+    # _probe calls f invariant when f(s p) = f(p) bit for bit at both
+    # pairs (p0, s p0) and (q0, s q0).  The base rule probes the masked
+    # f (1 - w), which is 0 where w is 1, within half the radius of the
+    # centre or its mirror: a pair with both nodes there reads equal
+    # whatever f is.  No legal disk holds all four nodes, so a pair with a
+    # node outside always decides, where f (1 - w) differs as f does.  A
+    # legal disk can hold one pair (below), so the premise left is that an
+    # f that is not invariant differs at the other pair.  That is generic;
+    # a thermal integrand a few ulps off the cut can match there, and is
+    # then invariant to within rounding, which is all the quarter rule
+    # needs.  A corner's radius is at most
     # pi, so its inner half is at most pi / 2.  A +-K disk's radius is at
     # most half the distance |2K| from K to -K: at every K on a grid of
     # step h some probe node misses the inner half by a slack, and the
@@ -573,6 +600,12 @@ def test_no_legal_disk_masks_every_probe_node():
     near = [_torus_dist(px, py, c[..., None], d[..., None]) for c, d in ((kx, ky), (-kx, -ky))]
     slack = np.max(np.minimum(*near), axis=-1) - 0.25 * _torus_dist(kx, ky, -kx, -ky)
     assert np.min(slack) > 1.5 * (k[1] - k[0]) / math.sqrt(2.0)
+    # a +-K disk at (0.89, -0.89) of radius 1 (legal: |2K| = 2.52) holds
+    # the pair (p0, s p0), which then reads equal, and leaves q0 outside
+    kx, ky = np.array([0.89]), np.array([-0.89])
+    near = np.minimum(_torus_dist(px, py, kx, ky), _torus_dist(px, py, -kx, -ky))
+    assert 2.0 * 1.0 < _torus_dist(kx[0], ky[0], -kx[0], -ky[0])
+    assert np.all(near[:2] < 0.5) and np.all(near[2:] > 0.5)
 
 
 def test_odd_integrand_violates_the_contract():
@@ -647,9 +680,10 @@ def test_half_disks_equal_full_disks(disk, closed):
         (_even_pair, ((0.3, 0.0), None), 0.4, "overlap"),
         (_even_pair, ((math.pi, 0.0), None), 0.4, "overlap"),
         *((_sym_pair, disk, 0.4, "fixes the disk centre") for disk in UNFIXED.values()),
+        (_sym_pair, ((-2.8, 2.8 + 2e-3), None), 0.4, "fixes the disk centre"),
     ],
     ids=["near-own-mirror", "own-image", "off-corner", "unwrapped-corner",
-         *(f"unfixed-{name}" for name in UNFIXED)],
+         *(f"unfixed-{name}" for name in UNFIXED), "unfixed-beyond-r_min"],
 )
 def test_refined_refuses_a_geometry_it_cannot_integrate(f, disk, radius, reason):
     # the geometry is the caller's: a disk closer than twice the radius to
@@ -658,7 +692,8 @@ def test_refined_refuses_a_geometry_it_cannot_integrate(f, disk, radius, reason)
     # the unwrapped corner (pi, 0) stand for a +-K pair 0.6 and 0 apart.
     # An integrand invariant under s has its features at K, s K, -K and
     # -s K, so a disk class {K, -K} that neither s nor -s fixes would leave
-    # half of them unrefined: refused, never integrated by the half rule
+    # half of them unrefined: refused, never integrated by the half rule,
+    # also where s K misses -K by just more than r_min (2.8e-3 against 1e-3)
     with pytest.raises(ValueError, match=reason):
         integrate_bz_refined(f, disk, 1e-3, GridSpec(), radius=radius)
 

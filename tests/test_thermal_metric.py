@@ -838,12 +838,11 @@ def test_refinement_radius_of_a_dirac_pair_stays_below_half_their_distance():
     assert r_min == pytest.approx(1e-3, rel=1e-15)
 
 
-# couplings (j, j, jz) on the cut jx = jy: Dirac pairs, the critical gap
-# corner, a near-critical gapped corner, one gapped beyond the disk, tied
-# corners (j = 0) and a zero coupling on the critical boundary
+# couplings (j, j, jz) on the cut jx = jy: the critical gap corner, a
+# near-critical gapped corner, one gapped beyond the disk, tied corners
+# (j = 0) and a zero coupling on the critical boundary.  A Dirac pair's
+# centre is checked by test_dirac_point_on_the_cut_is_fixed_by_minus_s
 ON_CUT = {
-    "gapless": (0.3, 0.5),
-    "near-gapless": (0.255, 0.49),
     "critical": (0.25, 0.5),
     "near-critical": (0.22, 0.56),
     "gapped": (0.1, 0.8),
@@ -873,6 +872,34 @@ def test_refinement_centres_on_the_cut_are_fixed_by_a_reflection(j, jz, signs):
             continue
         (cx, cy), _ = disk
         assert cx == cy or cx == -cy
+
+
+@pytest.mark.parametrize("ulps", [1, 2, 3, 4])
+def test_lone_element_a_few_ulps_off_the_cut_is_integrated(ulps):
+    # jy a few ulps above jx puts the Dirac point a few ulps off p_x = -p_y
+    # (up to 1e-11 next to the critical line), while a lone element's
+    # integrand can match f(s p) = f(p) bit for bit at the probe nodes.
+    # s K then lies within r_min of -K, so the quadrature integrates the
+    # disk by the half rule instead of refusing it, and the entry is the
+    # cut's to within rounding
+    off_line = 0
+    for jx, jz in ((0.1, 0.02), (0.3, 0.5), (1 / 3, 0.6)):
+        jy = jx
+        for _ in range(ulps):
+            jy = math.nextafter(jy, math.inf)
+        for temp in (0.0, 0.01, 0.3):
+            near, cut = (ThermoPoint.from_temperature(Couplings(jx, j, jz), temp) for j in (jy, jx))
+            (cx, cy), _ = _refinement_plan([near])[0]
+            off_line += cx != -cy
+            elements = [("c", P.JZ, P.JZ), ("c", P.BETA, P.BETA)]
+            for element in elements + ([("nc", P.JZ, P.JZ)] if temp else []):
+                part = {"c": "classical", "nc": "nonclassical"}[element[0]]
+                got, want = (
+                    tensor_thermodynamic(tp, elements=[element]).element(part, *element[1:])
+                    for tp in (near, cut)
+                )
+                assert abs(got - want) <= 1e-12 * abs(want)
+    assert off_line
 
 
 @pytest.mark.parametrize("element", [("c", P.BETA, P.JY), ("nc", P.JX, P.JY)],
