@@ -561,8 +561,10 @@ def test_invariant_integrand_just_off_a_mirror_line_takes_the_half_rule(offset, 
     # off p_x = -p_y, where its integrand can match f(s p) = f(p) at the
     # probe nodes: s K then misses -K by less than r_min (5e-4), below what
     # the disk resolves, and the disk takes the half rule instead of being
-    # refused.  On the zone grid, closed under s, the quarter rule of the
-    # masked f is the half rule's sum for an invariant f
+    # refused.  The mask is then not closed under s, so the base rule takes
+    # the mean of the masked f at p and s p, whose sum on the zone grid
+    # (closed under s) is the masked f's; the quarter rule of the masked f
+    # itself missed by 2.4e-5 of the value at the 3e-4 offset
     grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
     cx, cy = -2.8, 2.8 + offset
     res = integrate_bz_refined(_sym_pair, ((cx, cy), axis), 5e-4, grid, radius=0.4)
