@@ -253,7 +253,7 @@ def cmd_sweep(argv: list[str]) -> int:
         elements = [("c", mu, nu) for mu, nu in pairs]
         elements += [("nc", mu, nu) for mu, nu in pairs if mu is not ParameterIndex.BETA]
     else:
-        # every pair: the full tensor, 9 entries integrated and 7 derived
+        # every pair: the full tensor, 7 entries derived from the others
         pairs, elements = list(CLASSICAL_PAIRS), None
     params = np.linspace(0.0, 1.0, args.steps) if args.steps > 1 else np.array([0.0])
     a, b = start.as_array(), end.as_array()
@@ -427,23 +427,13 @@ def cmd_ratio_map(argv: list[str]) -> int:
             grid=_grid_from(args, tol=1e-4),
             threads=args.threads,
         )
-        if rmap.failures:
-            for (i, j), reason in rmap.failures:
-                sys.stderr.write(
-                    f"cell jz={_fmt(rmap.jz_values[j])} T={_fmt(rmap.temperatures[i])} "
-                    f"failed: {reason}\n"
-                )
-            undefined = len(rmap.failures) - len(rmap.unconverged)
-            if undefined:
-                sys.stderr.write(f"{undefined} cells have no defined ratio\n")
-            if rmap.unconverged:
-                sys.stderr.write(f"{len(rmap.unconverged)} cells failed quadrature\n")
-                return EXIT_NUMERICS
-            return EXIT_USAGE
+    # every cell is written, a failed one with an empty ratio field
+    valid = rmap.valid
     lines = ["jz,temp,ratio"]
     for i, t in enumerate(rmap.temperatures):
         for j, jz_v in enumerate(rmap.jz_values):
-            lines.append(f"{_fmt(jz_v)},{_fmt(t)},{_fmt(rmap.grid[i, j])}")
+            ratio = _fmt(rmap.grid[i, j]) if valid[i, j] else ""
+            lines.append(f"{_fmt(jz_v)},{_fmt(t)},{ratio}")
     _write_text(args.out, "\n".join(lines) + "\n")
     if args.contour is not None:
         contour = scaling.crossover_contour(rmap, args.contour)
@@ -462,7 +452,17 @@ def cmd_ratio_map(argv: list[str]) -> int:
             exponent_below=contour.exponent_below,
             exponent_above=contour.exponent_above,
         )
-    return EXIT_OK
+    for (i, j), reason in rmap.failures:
+        sys.stderr.write(
+            f"cell jz={_fmt(rmap.jz_values[j])} T={_fmt(rmap.temperatures[i])} failed: {reason}\n"
+        )
+    undefined = len(rmap.failures) - len(rmap.unconverged)
+    if undefined:
+        sys.stderr.write(f"{undefined} cells have no defined ratio\n")
+    if rmap.unconverged:
+        sys.stderr.write(f"{len(rmap.unconverged)} cells failed quadrature\n")
+        return EXIT_NUMERICS
+    return EXIT_USAGE if undefined else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

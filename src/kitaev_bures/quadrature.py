@@ -510,12 +510,6 @@ def _torus_dist(px, py, cx: float, cy: float):
     return np.hypot(_fold(px - cx), _fold(py - cy))
 
 
-def _corner_dist(px, py, cx: float, cy: float):
-    """Distance on the torus to a zone corner (each coordinate 0 or -pi),
-    from |p| per axis: exactly even in p."""
-    return np.hypot(_fold(_fold(px) - abs(cx)), _fold(_fold(py) - abs(cy)))
-
-
 # sharpness of the partition step: the erf tails at the clamp points are
 # erfc(5) ~ 1.5e-12 and the slope jumps there by ~ 8e-11 per unit t, which
 # moves smooth integrals by rounding only; a sharper step costs the base
@@ -696,9 +690,10 @@ def integrate_bz_refined(
     axis-aligned log-log grid instead.  The centre fixes the mirror class:
     a zone corner (each coordinate exactly 0 or -pi) is its own mirror and
     integrates half of itself twice; any other centre K stands for K and -K
-    (``f`` is even, so one axis serves both) and counts twice.  So the
-    partition-of-unity mask is even and the base rule evaluates at most
-    half the zone.
+    (``f`` is even, so one axis serves both) and counts twice.  The mask
+    bumps the distance to the nearer of K and -K (one point at a corner),
+    even bit for bit, as -p is as far from K as p is from -K, so the base
+    rule evaluates at most half the zone.
 
     When ``f`` is also invariant under s (``_probe``) and the centre is
     fixed by s (cx == cy) or by -s (cx == -cy), the disk and the mask are
@@ -742,25 +737,16 @@ def integrate_bz_refined(
     def masked(px, py):
         vals = np.asarray(f(px, py), dtype=float)
         shape = np.broadcast(np.asarray(px), np.asarray(py)).shape
-        # w is exactly 0 at a node where a component of every distance
+        # w is exactly 0 at a node where a component of both distances
         # (computed as the distances compute it) reaches the radius, so it
         # is formed and applied only at the other nodes
-        if own_mirror:
-            near = (_fold(_fold(px) - abs(cx)) < radius) & (_fold(_fold(py) - abs(cy)) < radius)
-        else:
-            near = (_fold(px - cx) < radius) & (_fold(py - cy) < radius)
-            near |= (_fold(px + cx) < radius) & (_fold(py + cy) < radius)
+        near = (_fold(px - cx) < radius) & (_fold(py - cy) < radius)
+        near |= (_fold(px + cx) < radius) & (_fold(py + cy) < radius)
         at = np.unravel_index(np.flatnonzero(near), shape)
         if at[0].size == 0:
             return vals
         qx, qy = np.broadcast_to(px, shape)[at], np.broadcast_to(py, shape)[at]
-        # even bit for bit: a corner's distance is even in p, and K and -K
-        # trade places under p -> -p in a sum whose order does not matter
-        if own_mirror:
-            w = _bump(_corner_dist(qx, qy, cx, cy), radius)
-        else:
-            w = _bump(_torus_dist(qx, qy, cx, cy), radius)
-            w = w + _bump(_torus_dist(qx, qy, -cx, -cy), radius)
+        w = _bump(np.minimum(_torus_dist(qx, qy, cx, cy), _torus_dist(qx, qy, -cx, -cy)), radius)
         if not vals.flags.owndata or vals.shape[vals.ndim - len(shape) :] != shape:
             vals = vals * np.ones(shape)  # scaled in place below: own a full copy
         vals[(Ellipsis,) + at] *= 1.0 - w

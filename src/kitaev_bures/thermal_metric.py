@@ -21,9 +21,9 @@ under p -> -p (epsilon, lam and omega_a are even; delta and every theta_a
 are odd and enter in pairs), which lets the quadrature and the finite sums
 evaluate half the zone.  On the paper's cut jx = jy the zone integrand is
 also made invariant under the reflection s: (p_x, p_y) -> (p_y, p_x) by
-averaging each pair of components that s exchanges (see ``_integrand``),
-and the quadrature and the finite sums, which detect that, evaluate a
-quarter.  ``tensor_finite`` takes the mean of the same
+averaging each response product with its image under s (see
+``_integrand``), and the quadrature and the finite sums, which detect
+that, evaluate a quarter.  ``tensor_finite`` takes the mean of the same
 integrands over the L x L momentum grid p = 2 pi n / L (L odd), the
 periodic trapezoid rule on the lattice's own grid, reduced in the
 quadrature's fixed row blocks; normalized per site, the momentum sum is
@@ -36,9 +36,10 @@ sum_a J_a theta_a = 0), so every linear rule keeps them.  A full request
 (``elements=None``) of the quadrature or the finite sums therefore
 integrates 9 entries, the classical coupling block and the nonclassical
 2 x 2 block without the index of the largest |J_c|, and derives the other 7
-from the null vectors (``_derive_full``); a request for named elements
-integrates exactly those.  ``tensor_oracle``, the independent check,
-computes all 16.
+from the null vectors (``_derive_full``).  On the cut it integrates one
+entry of each pair that s exchanges, 6 at c = z, and writes each at its
+image as well.  A request for named elements integrates exactly those.
+``tensor_oracle``, the independent check, computes all 16.
 
 Oracle and normalization calibration
 ------------------------------------
@@ -273,9 +274,11 @@ _KERNEL_SLAB = 2**15
 # the spectral response of each coupling index
 _OMEGA = {ParameterIndex.JX: "omega_x", ParameterIndex.JY: "omega_y", ParameterIndex.JZ: "omega_z"}
 _THETA = {ParameterIndex.JX: "theta_x", ParameterIndex.JY: "theta_y", ParameterIndex.JZ: "theta_z"}
+# on the cut jx == jy, s: (p_x, p_y) -> (p_y, p_x) exchanges these responses
+_SWAP_XY = {ParameterIndex.JX: ParameterIndex.JY, ParameterIndex.JY: ParameterIndex.JX}
 
 
-def _components(fields, points, pairs_c, pairs_nc, nc_kernel):
+def _components(fields, points, pairs_c, pairs_nc, nc_kernel, cut=False):
     """Every point's thermal kernels applied to one evaluation of the
     spectral fields: leading axes (point, component), the classical pairs,
     then the nonclassical pairs under ``nc_kernel(beta, lam)``.  A
@@ -284,29 +287,50 @@ def _components(fields, points, pairs_c, pairs_nc, nc_kernel):
     inf.
 
     Each component is one prefactor times one response product, and only
-    the responses the pairs name are read, so only they are formed.  The
-    products (lam^2, omega_a, omega_mu omega_nu, theta_a theta_b) do not
-    depend on temperature and are formed once, first, in the first point's
-    slots, so a pair's value is the same bit for bit when its responses
-    trade places.  The prefactors of one kind, w = 1/(cosh(lam beta)+1),
-    beta w, beta^2 w / lam^2 and nc_kernel / lam^4, are formed for a group
-    of points at once, along a leading point axis against the nodes, from
-    one reciprocal of lam^2 per node.  That reciprocal is 0 where lam^2 <=
-    ``_LAM2_FLOOR``, the exact dispersion zero included (measure zero; the
-    numerators vanish at least as fast as lam^2 there).  A group holds at
-    most ``_KERNEL_SLAB`` values per prefactor (and at least one point), so
-    a small block takes the whole batch in one pass and a large one a point
+    the responses the pairs name (and, on the cut, their images) are read,
+    so only they are formed.  The products (lam^2, omega_a, omega_mu
+    omega_nu, theta_a theta_b) do not depend on temperature and are formed
+    once, first, in the first point's slots, so a pair's value is the same
+    bit for bit when its responses trade places.  On the cut jx == jy
+    (``cut``) each product is the mean of itself and its image under s (see
+    ``_integrand``), formed once per node before any kernel multiplies it.
+    The prefactors of one kind, w = 1/(cosh(lam beta)+1), beta w, beta^2 w
+    / lam^2 and nc_kernel / lam^4, are formed for a group of points at
+    once, along a leading point axis against the nodes, from one reciprocal
+    of lam^2 per node.  That reciprocal is 0 where lam^2 <= ``_LAM2_FLOOR``,
+    the exact dispersion zero included (measure zero; the numerators vanish
+    at least as fast as lam^2 there).  A group holds at most
+    ``_KERNEL_SLAB`` values per prefactor (and at least one point), so a
+    small block takes the whole batch in one pass and a large one a point
     at a time; each value is the same float operation on the same operands
     whatever the grouping, so a member of a batch is bit for bit the point
     evaluated alone.  The groups run last to first, and the first group
     writes the first point last: its slots hold the products until then."""
     beta_idx, lam, n_c = ParameterIndex.BETA, fields.lam, len(pairs_c)
-    omega = {i: getattr(fields, _OMEGA[i]) for q in pairs_c for i in q if i is not beta_idx}
-    theta = {i: getattr(fields, _THETA[i]) for q in pairs_nc for i in q}
+    image = _SWAP_XY if cut else {}
+    read_c, read_nc = ({k for q in pairs for i in q for k in (i, image.get(i, i))}
+                       for pairs in (pairs_c, pairs_nc))
+    omega = {k: getattr(fields, _OMEGA[k]) for k in read_c - {beta_idx}}
+    theta = {k: getattr(fields, _THETA[k]) for k in read_nc}
     # the integrands pass the only reference: the sines, cosines and unread
     # fields are freed here, before the block-sized products are allocated
     del fields
     out = np.empty((len(points), n_c + len(pairs_nc)) + np.shape(lam))
+
+    def product(resp, ks, i):
+        # the responses ks multiplied in the first point's slot i (a lone
+        # one is read as it is); on the cut, averaged with its image under s
+        slot, images = out[0, i, ...], [image.get(k, k) for k in ks]
+        if sorted(images) == sorted(ks):
+            return resp[ks[0]] if len(ks) == 1 else np.multiply(resp[ks[0]], resp[ks[1]], out=slot)
+        if len(ks) == 1:
+            np.add(resp[ks[0]], resp[images[0]], out=slot)
+        else:
+            np.multiply(resp[ks[0]], resp[ks[1]], out=slot)
+            slot += resp[images[0]] * resp[images[1]]
+        slot *= 0.5
+        return slot
+
     lam2 = lam * lam
     inv2 = np.divide(1.0, lam2, out=np.zeros_like(lam2), where=lam2 > _LAM2_FLOOR)
     terms = []
@@ -314,11 +338,11 @@ def _components(fields, points, pairs_c, pairs_nc, nc_kernel):
         if mu is beta_idx and nu is beta_idx:
             terms.append(("w", lam2))
         elif beta_idx in (mu, nu):
-            terms.append(("bw", omega[nu if mu is beta_idx else mu]))
+            terms.append(("bw", product(omega, [nu if mu is beta_idx else mu], i)))
         else:
-            terms.append(("bbw", np.multiply(omega[mu], omega[nu], out=out[0, i, ...])))
+            terms.append(("bbw", product(omega, [mu, nu], i)))
     for i, (a, b) in enumerate(pairs_nc, n_c):
-        terms.append(("nc", np.multiply(theta[a], theta[b], out=out[0, i, ...])))
+        terms.append(("nc", product(theta, [a, b], i)))
     kinds = {kind for kind, _ in terms}
     del lam2
     if pairs_nc:
@@ -365,14 +389,6 @@ def _components(fields, points, pairs_c, pairs_nc, nc_kernel):
     return out
 
 
-def _reflected(pair):
-    """The component the reflection s: (p_x, p_y) -> (p_y, p_x) maps
-    ``pair`` to at jx == jy: the jx and jy indices trade places."""
-    swap = {ParameterIndex.JX: ParameterIndex.JY, ParameterIndex.JY: ParameterIndex.JX}
-    mu, nu = sorted(swap.get(i, i) for i in pair)
-    return (mu, nu)
-
-
 def _integrand(points, pairs_c, pairs_nc, nc_kernel):
     """The zone integrand of a batch of points sharing one coupling.
 
@@ -382,38 +398,20 @@ def _integrand(points, pairs_c, pairs_nc, nc_kernel):
 
     On the cut jx == jy (bit for bit) the reflection s: (p_x, p_y) -> (p_y,
     p_x) maps every field onto itself with the x and y responses exchanged,
-    so f(s p) is f(p) with the partner components exchanged: c bx/by, xx/yy
-    and xz/yz, nc xx/yy and xz/yz.  There ``f`` returns (f + P f) / 2, each
-    partner pair replaced by its mean (a partner that was not requested is
-    computed for it and dropped); the xy components are the same bit for
-    bit at p and s p, because every response product is formed first.
-    Every component is then invariant under s, which lets the quadrature
+    so f(s p) is f(p) with the pairs that s exchanges exchanged: c bx/by,
+    xx/yy and xz/yz, nc xx/yy and xz/yz.  There ``_components`` averages
+    each response product with its image under s, so every component is
+    the mean of its pair, and the same bit for bit at p and s p (a sum or
+    product of two responses does not depend on their order).  Every
+    component is then invariant under s, which lets the quadrature
     evaluate one node per orbit of {e, -1, s, -s}, and integrates to the
     same value, because s preserves the zone and its grids.
     """
     couplings = points[0].couplings
-    if couplings.jx != couplings.jy:
-        return lambda px, py: _components(
-            spectral_arrays(px, py, couplings), points, pairs_c, pairs_nc, nc_kernel
-        )
-    stack_c = pairs_c + [_reflected(q) for q in pairs_c if _reflected(q) not in pairs_c]
-    stack_nc = pairs_nc + [_reflected(q) for q in pairs_nc if _reflected(q) not in pairs_nc]
-    stack = [("c", q) for q in stack_c] + [("nc", q) for q in stack_nc]
-    partner = [stack.index((part, _reflected(q))) for part, q in stack]
-    requested = [stack.index(("c", q)) for q in pairs_c] + [
-        stack.index(("nc", q)) for q in pairs_nc
-    ]
-
-    def f(px, py):
-        out = _components(spectral_arrays(px, py, couplings), points, stack_c, stack_nc, nc_kernel)
-        for i, j in enumerate(partner):
-            if i < j:
-                np.add(out[:, i], out[:, j], out=out[:, i])
-                out[:, i] *= 0.5
-                out[:, j] = out[:, i]
-        return out if len(requested) == len(stack) else out[:, requested]
-
-    return f
+    cut = couplings.jx == couplings.jy
+    return lambda px, py: _components(
+        spectral_arrays(px, py, couplings), points, pairs_c, pairs_nc, nc_kernel, cut
+    )
 
 
 def _integrand_at(p: Momentum, tp: ThermoPoint, element) -> float:
@@ -512,13 +510,17 @@ def _select_pairs(elements):
     return pairs_c, pairs_nc
 
 
-def _parts(pairs_c, pairs_nc, row) -> tuple[np.ndarray, np.ndarray]:
+def _parts(pairs_c, pairs_nc, row, cut=False) -> tuple[np.ndarray, np.ndarray]:
     """The symmetric classical and nonclassical 4x4 parts of ``row``, which
-    stacks the entries of ``pairs_c`` and then those of ``pairs_nc``."""
+    stacks the entries of ``pairs_c`` and then those of ``pairs_nc``, each
+    written at its image under s as well when ``cut`` (see ``_integrand``)."""
     parts = (np.zeros((4, 4)), np.zeros((4, 4)))
     for k, ((mu, nu), v) in enumerate(zip(pairs_c + pairs_nc, row)):
         m = parts[0] if k < len(pairs_c) else parts[1]
         m[mu, nu] = m[nu, mu] = v
+        if cut:
+            mu, nu = _SWAP_XY.get(mu, mu), _SWAP_XY.get(nu, nu)
+            m[mu, nu] = m[nu, mu] = v
     return parts
 
 
@@ -534,11 +536,18 @@ def _eliminated(couplings: Couplings) -> ParameterIndex:
 
 def _integrated_pairs(couplings: Couplings, pairs_c, pairs_nc):
     """The 9 of a full request's 16 pairs that are integrated: the classical
-    coupling block and the nonclassical block without ``_eliminated``."""
-    c = _eliminated(couplings)
+    coupling block and the nonclassical block without ``_eliminated``.  On
+    the cut jx == jy a pair stands for its image under s as well (``_parts``
+    writes it there): the pairs with y but not x are dropped, which leaves
+    4 + 2 at c = z and 4 + 3 at c = y."""
+    c, cut = _eliminated(couplings), couplings.jx == couplings.jy
+
+    def image(q):
+        return cut and ParameterIndex.JY in q and ParameterIndex.JX not in q
+
     return (
-        [q for q in pairs_c if ParameterIndex.BETA not in q],
-        [q for q in pairs_nc if c not in q],
+        [q for q in pairs_c if ParameterIndex.BETA not in q and not image(q)],
+        [q for q in pairs_nc if c not in q and not image(q)],
     )
 
 
@@ -623,13 +632,14 @@ def tensor_finite(tp: ThermoPoint, L: int, *, elements=None) -> BuresTensor:
     so memory grows with L, not L^2.  The integrands are even, so only the
     rows n_x <= 0 are evaluated, and on the cut jx = jy only a triangle of
     them (see ``quadrature._grid_mean``).  A full tensor sums 9 entries
-    and derives 7, as ``tensors_thermodynamic`` does.  At the
-    zero-temperature flag the grid is checked against dispersion zeros (odd
-    L avoids them in the gapless interior, but not on special commensurate
-    couplings) and the classical part is exactly zero.
+    (fewer on the cut) and derives 7, as ``tensors_thermodynamic`` does.
+    At the zero-temperature flag the grid is checked against dispersion
+    zeros (odd L avoids them in the gapless interior, but not on special
+    commensurate couplings) and the classical part is exactly zero.
     """
     L = _grid_size(L)
     pairs_c, pairs_nc = _select_pairs(elements)
+    cut = elements is None and tp.couplings.jx == tp.couplings.jy
     if elements is None:
         pairs_c, pairs_nc = _integrated_pairs(tp.couplings, pairs_c, pairs_nc)
     xs = _momentum_axis(L)
@@ -644,7 +654,7 @@ def tensor_finite(tp: ThermoPoint, L: int, *, elements=None) -> BuresTensor:
     mean = _grid_mean(_integrand([tp], pairs_c, pairs_nc, _tanh_sq_ratio), xs, L - 1)[0]
     info = EvaluationInfo({"L": L, "sites": 2 * L * L, "temperature": tp.temperature})
     # (1 / (8 L^2)) * sum = mean / 8
-    tensor = BuresTensor(*_parts(pairs_c, pairs_nc, mean[0] / 8.0), info)
+    tensor = BuresTensor(*_parts(pairs_c, pairs_nc, mean[0] / 8.0, cut), info)
     if elements is None:
         _derive_full(tp, tensor.classical, tensor.nonclassical)
     return tensor
@@ -765,6 +775,7 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, *, full=False):
     couplings = points[0].couplings
     if any(tp.couplings != couplings for tp in points):
         raise ValueError("a batch of thermal points must share one coupling")
+    cut = full and couplings.jx == couplings.jy
     if full:
         pairs_c, pairs_nc = _integrated_pairs(couplings, pairs_c, pairs_nc)
     finite_temperature = any(not tp.zero_temperature for tp in points)
@@ -784,7 +795,7 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, *, full=False):
     errors = raw_errors / THIRTY_TWO_PI_SQ
     tensors = []
     for i, (tp, vals, errs) in enumerate(zip(points, values, errors)):
-        err = _parts(stack_c, pairs_nc, errs)
+        err = _parts(stack_c, pairs_nc, errs, cut)
         info = EvaluationInfo(
             {
                 "grid": grid,
@@ -795,7 +806,7 @@ def _zone_tensors(points, grid, pairs_c, pairs_nc, nc_kernel, *, full=False):
                 "error_nonclassical": err[1],
             }
         )
-        tensor = BuresTensor(*_parts(stack_c, pairs_nc, vals), info)
+        tensor = BuresTensor(*_parts(stack_c, pairs_nc, vals, cut), info)
         if full:
             _derive_full(tp, tensor.classical, tensor.nonclassical, err)
             worst[i] = np.max(err) * THIRTY_TWO_PI_SQ
@@ -828,11 +839,12 @@ def tensors_thermodynamic(
     tolerance on its own and keeps the value of the doubling at which it
     converged; ``evaluations`` in each tensor's details counts the nodes
     actually evaluated, which the batch shares.  A full tensor
-    (``elements=None``) integrates 9 entries and derives the other 7 from
-    the null vectors (see the module docstring); each derived entry's error
-    is propagated from the computed ones by the same linear formula with
-    |J|, and the point counts as converged when its largest error over all
-    16 entries meets the tolerance against its largest entry.  Raises
+    (``elements=None``) integrates 9 entries (on the cut, one of each pair
+    that s exchanges, see ``_integrated_pairs``) and derives the other 7
+    from the null vectors (see the module docstring); each derived entry's
+    error is propagated from the computed ones by the same linear formula
+    with |J|, and the point counts as converged when its largest error over
+    all 16 entries meets the tolerance against its largest entry.  Raises
     QuadratureConvergenceError naming the temperatures whose error estimate
     misses the tolerance; its ``members`` hold the tensors of the points
     that converged and, for each failed point, an error naming that point
@@ -879,7 +891,7 @@ def nonclassical_corrections(
     tensor's nonclassical part holds the (negative) correction; the
     classical part is zero by construction.  With ``elements=None`` the
     nonclassical null vector holds for this kernel too: 3 entries are
-    integrated and 3 derived.
+    integrated (2 on the cut at c = z) and 3 derived.
     """
     if any(tp.zero_temperature for tp in points):
         raise ValueError("the thermal correction is defined for T > 0")

@@ -479,17 +479,21 @@ def test_ratio_map_names_failed_cells(tmp_path, capsys):
     for line in named:
         assert line.startswith("cell jz=0.62 T=")
         assert "did not reach the requested tolerance at T = " in line
+    # every cell is written, and the ratio field is empty at the named ones
+    assert _empty_ratio_cells(tmp_path / "map.csv") == _named_cells(named)
 
 
 def test_ratio_map_vanished_ratio_is_undefined_not_a_quadrature_failure(tmp_path, capsys):
     # at jz = 1 the figure-of-merit trajectory decouples (jx = jy = 0), so
     # nc:jz-jz is exactly 0 at every temperature of that column: every
     # cell converged, and the ratio is undefined there, which is a usage
-    # error (exit 2), not non-convergence (exit 3)
+    # error (exit 2), not non-convergence (exit 3).  The map and the
+    # contour sidecars are written from the other cells all the same
     code, _, err = run(
         capsys,
         ["ratio-map", "--res", "8x8", "--jz-min", "0.93", "--jz-max", "1.0", "--t-min", "0.2",
-         "--t-max", "0.5", "--tol", "1e-3", "--out", str(tmp_path / "map.csv")],
+         "--t-max", "0.5", "--tol", "1e-3", "--contour", "100",
+         "--out", str(tmp_path / "map.csv")],
     )
     assert code == 2
     lines = err.strip().splitlines()
@@ -498,6 +502,25 @@ def test_ratio_map_vanished_ratio_is_undefined_not_a_quadrature_failure(tmp_path
     for line in lines[:-1]:
         assert line.startswith("cell jz=1 T=")
         assert line.endswith(" failed: nonclassical element vanished")
+    assert _empty_ratio_cells(tmp_path / "map.csv") == _named_cells(lines[:-1])
+    points = (tmp_path / "map.contour.csv").read_text().splitlines()[1:]
+    assert points and all(0.93 <= float(p.split(",")[0]) <= 0.99 for p in points)
+    assert json.loads((tmp_path / "map.contour.json").read_text())["n_points"] == len(points)
+
+
+def _empty_ratio_cells(path):
+    # the (jz, temp) fields of the rows of a 64-cell map without a ratio
+    rows = path.read_text().splitlines()
+    assert rows[0] == "jz,temp,ratio" and len(rows) == 65
+    cells = [row.split(",") for row in rows[1:]]
+    assert all(len(cell) == 3 for cell in cells)
+    assert all(float(ratio) > 0.0 for _, _, ratio in cells if ratio)
+    return {(jz, t) for jz, t, ratio in cells if not ratio}
+
+
+def _named_cells(lines):
+    # the (jz, T) of each "cell jz=... T=... failed: ..." line
+    return {tuple(field.split("=")[1] for field in line.split()[1:3]) for line in lines}
 
 
 def test_scaling_critical_power_dispatch(tmp_path, capsys):

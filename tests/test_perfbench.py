@@ -44,11 +44,13 @@ def workloads():
 def test_benchmark_output_passes_its_gate(workloads, name):
     # each benchmark operation, run as the benchmark runs it, must pass its
     # own check against the stored reference: an output pushed past its
-    # gate fails here, not only in a benchmark run
+    # gate fails here, not only in a benchmark run.  A second run must
+    # give the same bytes: an output depends on its operation alone
     [op] = [op for w in workloads.WORKLOADS.values() for op in w.ops if op.name == name]
     code, text = workloads.execute(op)
     assert code == 0, text
     assert workloads.check(op, text, REFERENCE[name]["output"]) == []
+    assert workloads.execute(op) == (code, text)
 
 
 @pytest.mark.parametrize("name", ["critical", "gapped", "gapless"])

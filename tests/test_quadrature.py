@@ -138,12 +138,13 @@ def _fixed_pair(f, grid):
     # the disk pair (refine_levels, refine_levels + 1) on the masked base
     # rule, assembled from the module's own pieces: f is invariant under s
     # and the corner (0, 0) is fixed by it, so the disk is its quarter
-    # sector (sector 1) and the masked base grid is quartered too
-    from kitaev_bures.quadrature import _bump, _corner_dist, _disk_integral, _probe
+    # sector (sector 1) and the masked base grid is quartered too; the mask
+    # bumps the distance to the nearer of K and -K, one point at a corner
+    from kitaev_bures.quadrature import _bump, _disk_integral, _probe, _torus_dist
 
     radius, r_min = 0.3, 1e-5
     base = integrate_bz(
-        lambda px, py: f(px, py) * (1.0 - _bump(_corner_dist(px, py, 0.0, 0.0), radius)),
+        lambda px, py: f(px, py) * (1.0 - _bump(_torus_dist(px, py, 0.0, 0.0), radius)),
         grid,
     )
     level = grid.refine_levels
@@ -590,13 +591,15 @@ def test_no_legal_disk_masks_every_probe_node():
     # slack changes by at most 1 + 1/2 per unit move of K (distances are
     # 1-Lipschitz, |2K| / 4 is 1/2-Lipschitz), so a slack above 1.5 h /
     # sqrt(2) at every node of the grid holds for every K
-    from kitaev_bures.quadrature import _PROBE, _corner_dist, _torus_dist
+    from kitaev_bures.quadrature import _PROBE, _torus_dist
 
     (x0, y0), (x1, y1) = _PROBE
     px, py = np.array([x0, y0, x1, y1]), np.array([y0, x0, y1, x1])
-    for c in [(0.0, 0.0), (0.0, -math.pi), (-math.pi, 0.0), (-math.pi, -math.pi)]:
+    for cx, cy in [(0.0, 0.0), (0.0, -math.pi), (-math.pi, 0.0), (-math.pi, -math.pi)]:
+        # the mask's distance, to the nearer of K and -K (the same corner);
         # the nearest miss: (0, 0) at radius pi, q0 0.089 outside
-        assert np.max(_corner_dist(px, py, *c)) > 0.5 * math.pi + 0.08
+        near = np.minimum(_torus_dist(px, py, cx, cy), _torus_dist(px, py, -cx, -cy))
+        assert np.max(near) > 0.5 * math.pi + 0.08
     k = _zone_axis(64)
     kx, ky = np.meshgrid(k, k, indexing="ij")
     near = [_torus_dist(px, py, c[..., None], d[..., None]) for c, d in ((kx, ky), (-kx, -ky))]
@@ -608,6 +611,56 @@ def test_no_legal_disk_masks_every_probe_node():
     near = np.minimum(_torus_dist(px, py, kx, ky), _torus_dist(px, py, -kx, -ky))
     assert 2.0 * 1.0 < _torus_dist(kx[0], ky[0], -kx[0], -ky[0])
     assert np.all(near[:2] < 0.5) and np.all(near[2:] > 0.5)
+
+
+def _base_integrand(monkeypatch, f, disk, radius):
+    # the masked integrand that the refined rule hands its base rule
+    import kitaev_bures.quadrature as quadrature
+
+    seen, base_rule = [], quadrature.integrate_bz
+    monkeypatch.setattr(
+        quadrature, "integrate_bz", lambda g, grid: seen.append(g) or base_rule(g, grid)
+    )
+    grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
+    integrate_bz_refined(f, disk, 1e-3, grid, radius=radius)
+    return seen[0]
+
+
+def _even_not_invariant(px, py):
+    # even bit for bit, and not invariant under p_x <-> p_y: the half rule
+    return 3.0 + np.cos(px) + 2.0 * np.cos(py)
+
+
+def test_corner_mask_is_even_on_the_seam(monkeypatch):
+    # the corner (-pi, 0) lies on the seam p_x = +-pi, which p and -p reach
+    # from opposite sides.  The mask bumps the distance to the nearer of K
+    # and -K (here the same corner), and -p is as far from K as p is from
+    # -K, so the masked integrand is even bit for bit
+    masked = _base_integrand(monkeypatch, _even_not_invariant, ((-math.pi, 0.0), None), 0.4)
+    rng = np.random.default_rng(5)
+    side = rng.uniform(0.0, 0.5, 400)
+    px = np.where(np.arange(400) % 2, math.pi - side, side - math.pi)
+    py = rng.uniform(-0.5, 0.5, 400)
+    m, f = masked(px, py), _even_not_invariant(px, py)
+    assert np.array_equal(m, masked(-px, -py))
+    # nodes where the mask is 1, where it is 0, and between
+    assert np.any(m == 0.0) and np.any(m == f) and np.any((m > 0.0) & (m < f))
+
+
+def test_pair_mask_is_the_sum_of_two_bumps(monkeypatch):
+    # a +-K disk's radius is at most half the distance from K to -K, so
+    # the bumps at K and -K have disjoint supports, and the bump of the
+    # distance to the nearer one is their sum bit for bit
+    from kitaev_bures.quadrature import _bump, _torus_dist
+
+    (cx, cy), radius = (0.3, -1.1), 1.1
+    assert 2.0 * radius <= _torus_dist(cx, cy, -cx, -cy)
+    masked = _base_integrand(monkeypatch, _even_not_invariant, ((cx, cy), None), radius)
+    rng = np.random.default_rng(6)
+    px, py = rng.uniform(-math.pi, math.pi, (2, 20000))
+    w = _bump(_torus_dist(px, py, cx, cy), radius) + _bump(_torus_dist(px, py, -cx, -cy), radius)
+    assert np.array_equal(masked(px, py), _even_not_invariant(px, py) * (1.0 - w))
+    assert np.any(w == 1.0) and np.any((w > 0.0) & (w < 1.0))
 
 
 def test_odd_integrand_violates_the_contract():

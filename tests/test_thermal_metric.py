@@ -538,28 +538,56 @@ def test_quarter_zone_matches_the_half_zone_at_half_the_cost(name):
 
 
 def test_cut_integrand_is_the_mean_of_the_reflected_components():
-    # at jx = jy the zone integrand of a partner pair is the mean of the
-    # pair, computed even when only one was asked for, and every component
-    # is invariant under p_x <-> p_y bit for bit; the pointwise integrands
-    # stay the unsymmetrised closed forms
+    # at jx = jy the zone integrand of a pair that p_x <-> p_y exchanges is
+    # the mean of the pair, formed from the averaged response product, so a
+    # lone request gives one component; every component is invariant under
+    # p_x <-> p_y bit for bit, and the pointwise integrands stay the
+    # unsymmetrised closed forms
     from kitaev_bures.thermal_metric import _integrand, _tanh_sq_ratio
 
     tp = ThermoPoint.from_temperature(Couplings(0.3, 0.3, 0.4), 0.2)
     px, py = np.array([0.4, -2.1, 1.3]), np.array([1.7, 0.9, -0.2])
     full = _integrand([tp], list(CLASSICAL_PAIRS), list(NONCLASSICAL_PAIRS), _tanh_sq_ratio)
     assert np.array_equal(full(px, py), full(py, px))
-    one = _integrand([tp], [(P.BETA, P.JX)], [(P.JX, P.JZ)], _tanh_sq_ratio)(px, py)[0]
-    for value, part, pair, partner in ((one[0], "c", (P.BETA, P.JX), (P.BETA, P.JY)),
-                                       (one[1], "nc", (P.JX, P.JZ), (P.JY, P.JZ))):
+    for part, pair, partner in (("c", (P.BETA, P.JX), (P.BETA, P.JY)),
+                                ("nc", (P.JX, P.JZ), (P.JY, P.JZ))):
+        pairs = ([pair], []) if part == "c" else ([], [pair])
+        one = _integrand([tp], *pairs, _tanh_sq_ratio)(px, py)
+        assert one.shape == (1, 1, px.size)
         integrand = classical_integrand if part == "c" else nonclassical_integrand
         for k in range(px.size):
             p = Momentum(px[k], py[k])
             mean = 0.5 * (integrand(*pair, p, tp) + integrand(*partner, p, tp))
-            assert value[k] == pytest.approx(mean, rel=1e-13, abs=1e-300)
+            assert one[0, 0, k] == pytest.approx(mean, rel=1e-13, abs=1e-300)
             assert integrand(*pair, p, tp) != pytest.approx(mean, rel=1e-6)
 
 
-def _reflected_pair(pair):
+def test_full_request_on_the_cut_integrates_one_of_each_image_pair():
+    # on the cut p_x <-> p_y exchanges c bx/by, xx/yy, xz/yz and nc xx/yy,
+    # xz/yz: a full request integrates the pairs without a lone y index,
+    # 4 + 2 at c = z and 4 + 3 at c = y (whose nonclassical y row is
+    # derived), 6 + 3 off the cut; a full tensor at c = z holds each
+    # integrated value, and each error, at its image as well
+    from kitaev_bures.thermal_metric import _integrated_pairs
+
+    full = (list(CLASSICAL_PAIRS), list(NONCLASSICAL_PAIRS))
+    xx, xy, xz, zz = (P.JX, P.JX), (P.JX, P.JY), (P.JX, P.JZ), (P.JZ, P.JZ)
+    assert _integrated_pairs(Couplings(0.25, 0.25, 0.5), *full) == ([xx, xy, xz, zz], [xx, xy])
+    assert _integrated_pairs(Couplings(0.4, 0.4, 0.2), *full) == ([xx, xy, xz, zz], [xx, xz, zz])
+    off = _integrated_pairs(Couplings(0.25, 0.26, 0.49), *full)
+    assert [len(pairs) for pairs in off] == [6, 3]
+    tp = ThermoPoint.from_temperature(Couplings(0.25, 0.25, 0.5), 0.05)
+    zone = tensor_thermodynamic(tp, GridSpec(target_rel_tol=1e-6))
+    finite = tensor_finite(tp, 31)
+    details = zone.evaluation.details
+    s = np.ix_([0, 2, 1, 3], [0, 2, 1, 3])
+    for m in (zone.classical, zone.nonclassical, details["error_classical"],
+              details["error_nonclassical"], finite.classical, finite.nonclassical):
+        assert np.array_equal(m, m[s])
+        assert m[P.JX, P.JZ] != 0.0
+
+
+def _image_pair(pair):
     swap = {P.JX: P.JY, P.JY: P.JX}
     return tuple(sorted(swap.get(i, i) for i in pair))
 
@@ -606,7 +634,7 @@ def _reference_components(tp, px, py, kernel):
             v = part(*pair)
             scales.append(float(np.max(np.abs(v))))
             if on_cut:
-                w = part(*_reflected_pair(pair))
+                w = part(*_image_pair(pair))
                 scales[-1] = max(scales[-1], float(np.max(np.abs(w))))
                 v = (v + w) / 2
             values.append(v)
