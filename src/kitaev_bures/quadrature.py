@@ -222,9 +222,10 @@ def _probe(f) -> tuple[int, bool]:
     contract of every rule: ValueError when f(p0) and f(-p0) differ beyond
     rounding.  Invariance under s is detected, not required: ``f`` counts as
     invariant when f(s p) equals f(p) bit for bit at both probe nodes (a
-    coupling an ulp off jx = jy can still match there).  Both are read from
-    the output alone, so a wrapped integrand is integrated exactly as the
-    bare one is."""
+    coupling an ulp off jx = jy can still match there) and does not vanish
+    at both (a cold classical integrand underflows to 0 there whatever the
+    couplings).  Both are read from the output alone, so a wrapped
+    integrand is integrated exactly as the bare one is."""
     (x0, y0), (x1, y1) = _PROBE
     px = np.array([x0, -x0, y0, x1, y1])
     py = np.array([y0, -y0, x0, y1, x1])
@@ -239,7 +240,7 @@ def _probe(f) -> tuple[int, bool]:
             "and require f(-p) = f(p)"
         )
     invariant = np.array_equal(at_p0, vals[..., 2]) and np.array_equal(vals[..., 3], vals[..., 4])
-    return at_p0.size, invariant
+    return at_p0.size, invariant and bool(np.any(vals[..., (0, 3)]))
 
 
 def _batch_ndim(lead_ndim: int) -> int:

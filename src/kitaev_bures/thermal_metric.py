@@ -112,10 +112,6 @@ ORACLE_CLASSICAL_RTOL = 1e-3
 # gapped couplings closer to the boundary than this get local refinement
 # around the dispersion minimum, like gapless couplings do at their zeros
 NEAR_CRITICAL_GAP = 0.5
-# refinement disks always cover the integrand shoulder, not just a few T,
-# and keep the partition step (radius / 2 wide) gentle for the base grid;
-# a larger floor saves no doublings on the phase tensors
-MIN_REFINE_RADIUS = 0.5
 # a dispersion minimum whose Hessian eigenvalue ratio is below this has a
 # soft axis and gets a needle disk
 NEEDLE_RATIO_CUT = 0.05
@@ -703,20 +699,21 @@ def _refinement_plan(points: Sequence[ThermoPoint]):
     gapped beyond ``NEAR_CRITICAL_GAP``.  The dispersion zeros form one
     mirror class, so ``disk`` is one ``(centre, axis)``, from the coupling
     alone: the Dirac point ``dirac_points(c)[0]``, which stands for +-K, or
-    the exact gap corner, its own mirror, with its soft axis.  Each point
-    has a width ``w``: its temperature, floored at ``gap / 8`` for a gapped
-    coupling, and 1e-6 at T = 0 without a gap; the radius is the largest
-    ``max(8 w, MIN_REFINE_RADIUS)``, which covers every integrand shoulder,
-    capped at pi/2 and, for +-K, at 0.499 of their distance, and ``r_min =
-    min(min w / 100, radius / 64)`` resolves the coldest point.  The floor
-    also sets the width of the partition step, ``radius / 2``, that the
-    base trapezoid must resolve: the wider the step, the fewer doublings.
+    the exact gap corner, its own mirror, with its soft axis.  The radius
+    is the largest disk the geometry allows: pi/2 at a gap corner, and
+    0.499 of the distance of +-K for a Dirac pair.  The base trapezoid must
+    resolve the partition step, whose erf ramp is about radius / 28 wide,
+    so the wider the disk, the fewer doublings; a disk's nodes per level do
+    not depend on its radius, as its Gauss orders and ring angles are
+    fixed.  Each point has a width ``w``: its temperature, floored at
+    ``gap / 8`` for a gapped coupling, and 1e-6 at T = 0 without a gap;
+    ``r_min = min(min w / 100, radius / 64)`` resolves the coldest point.
     """
     couplings = points[0].couplings
-    cap = 0.5 * math.pi
+    radius = 0.5 * math.pi
     if classify_phase(couplings) is PhaseRegion.GAPLESS_B:
         zero = dirac_points(couplings)[0]
-        cap = min(cap, 0.499 * float(_torus_dist(zero.px, zero.py, -zero.px, -zero.py)))
+        radius = min(radius, 0.499 * float(_torus_dist(zero.px, zero.py, -zero.px, -zero.py)))
         floor = 0.0
     else:
         gap = fermion_gap(couplings)
@@ -737,7 +734,6 @@ def _refinement_plan(points: Sequence[ThermoPoint]):
         floor = gap / 8.0
     # 1e-6 only where nothing else sets a width: T = 0 without a gap
     widths = [max(tp.temperature, floor) or 1e-6 for tp in points]
-    radius = min(max(8.0 * max(widths), MIN_REFINE_RADIUS), cap)
     r_min = min(min(widths) / 100.0, radius / 64.0)
     return ((zero.px, zero.py), _needle_axis(couplings, zero)), radius, r_min
 

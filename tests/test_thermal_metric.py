@@ -1,17 +1,24 @@
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import entrywise_close, max_rel_dev, null_residuals, random_couplings
 from kitaev_bures.bures import EigenvalueFloorError, validate_density_matrix
-from kitaev_bures.quadrature import GridSpec, QuadratureConvergenceError, compensated_sum
+from kitaev_bures.quadrature import (
+    GridSpec,
+    QuadratureConvergenceError,
+    compensated_sum,
+    integrate_bz_refined,
+)
 from kitaev_bures.spectrum import (
     Couplings,
     Momentum,
+    PhaseRegion,
     classify_phase,
     dirac_points,
     fermion_gap,
@@ -21,12 +28,13 @@ from kitaev_bures.spectrum import (
 )
 from kitaev_bures.thermal_metric import (
     CLASSICAL_PAIRS,
-    MIN_REFINE_RADIUS,
     NONCLASSICAL_PAIRS,
     ParameterIndex as P,
     ThermoPoint,
     _eliminated,
+    _integrand,
     _refinement_plan,
+    _tanh_sq_ratio,
     classical_integrand,
     mode_density_matrix,
     nonclassical_corrections,
@@ -832,29 +840,41 @@ def test_batch_failure_names_only_the_failing_temperature():
 
 
 def test_refinement_radius_covers_every_member():
-    # near-critical gapped (gap 0.24): widths are T floored at gap / 8, the
-    # batch takes the largest max(8 w, MIN_REFINE_RADIUS), here 8 T = 0.64,
-    # and r_min from the smallest width
+    # near-critical gapped (gap 0.24): the radius is the largest disk the
+    # gap corner allows, pi / 2, whatever the temperatures, and r_min comes
+    # from the smallest width, T floored at gap / 8
     j = Couplings(0.22, 0.22, 0.56)
+    floor = fermion_gap(j) / 8.0
+    for temps in ((0.002, 0.08), (0.01,), (0.3,), (0.0,), (0.002, 0.01, 0.3, 1.0)):
+        batch = [ThermoPoint.from_temperature(j, t) for t in temps]
+        disk, radius, r_min = _refinement_plan(batch)
+        assert disk[0] == (-math.pi, -math.pi)
+        assert radius == 0.5 * math.pi
+        assert r_min == max(min(temps), floor) / 100.0
     mixed = [ThermoPoint.from_temperature(j, t) for t in (0.002, 0.08)]
     disk, radius, r_min = _refinement_plan(mixed)
-    assert disk[0] == (-math.pi, -math.pi)
-    assert radius == max(8.0 * 0.08, MIN_REFINE_RADIUS)
-    assert r_min == fermion_gap(j) / 8.0 / 100.0 == pytest.approx(3e-4)
+    assert r_min == floor / 100.0 == pytest.approx(3e-4)
     # every tensor of the batch records the plan it was integrated with
     grid = GridSpec(base_n=32, max_doublings=1, refine_levels=1, target_rel_tol=1.0)
     for t in tensors_thermodynamic(mixed, grid, elements=[("c", P.BETA, P.BETA)]):
         recorded = t.evaluation.details["refinement"]
         assert recorded == {"disk": disk, "radius": radius, "r_min": r_min}
-    # a batch of one keeps the shoulder floor when 8 T is smaller
-    _, radius, r_min = _refinement_plan([ThermoPoint.from_temperature(j, 0.01)])
-    assert radius == MIN_REFINE_RADIUS == 0.5
-    assert r_min == fermion_gap(j) / 8.0 / 100.0
+    # a Dirac pair caps the radius at 0.499 of the distance of +-K (here
+    # below pi / 2), and a gapless coupling has no floor: r_min is the
+    # coldest T / 100, and 1e-6 / 100 at T = 0
+    k, minus_k = dirac_points(SYM)
+    distance = math.hypot(*wrap_angle(np.array([k.px - minus_k.px, k.py - minus_k.py])))
+    for temps in ((0.01,), (0.002, 0.3), (0.0, 0.1)):
+        batch = [ThermoPoint.from_temperature(SYM, t) for t in temps]
+        _, radius, r_min = _refinement_plan(batch)
+        assert radius == pytest.approx(0.499 * distance, rel=1e-14)
+        assert radius == pytest.approx(1.478, abs=1e-3)
+        assert r_min == (min(temps) or 1e-6) / 100.0
 
 
 def test_refinement_radius_of_a_dirac_pair_stays_below_half_their_distance():
-    # near-critical gapless: K and -K lie about 0.795 apart, so 8 T = 0.8 is
-    # capped at 0.499 of their distance, and r_min = T / 100
+    # near-critical gapless: K and -K lie about 0.795 apart, so the radius
+    # is 0.499 of their distance, and r_min = T / 100
     j = Couplings(0.255, 0.255, 0.49)
     k, minus_k = dirac_points(j)
     ((cx, cy), _), radius, r_min = _refinement_plan([ThermoPoint.from_temperature(j, 0.1)])
@@ -864,6 +884,35 @@ def test_refinement_radius_of_a_dirac_pair_stays_below_half_their_distance():
     distance = math.hypot(*wrap_angle(np.array([2.0 * cx, 2.0 * cy])))
     assert radius == 0.499 * distance == pytest.approx(0.3966, abs=1e-4)
     assert r_min == pytest.approx(1e-3, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "couplings, temperature",
+    [
+        (SYM, 0.01),
+        (Couplings(0.25, 0.25, 0.5), 0.01),
+        (Couplings(0.3, 0.2, 0.5), 3e-3),
+        (Couplings(0.22, 0.22, 0.56), 0.01),
+    ],
+    ids=["gapless-cone", "critical-needle", "critical-off-cut", "near-critical-gapped"],
+)
+def test_refined_integral_does_not_depend_on_the_disk_radius(couplings, temperature):
+    # the partition of unity splits f exactly, whatever the disk's radius:
+    # the plan's radius (the cap) and 0.5, on the same disk and r_min, give
+    # the same zone integral within their reported errors, or 1e-13 of the
+    # largest entry (rounding).  Measured: at most 6e-15 of the largest
+    # entry apart, within 4% of that bound; a disk whose bump radius is
+    # 0.1% off the mask's misses it at every coupling here
+    tp = ThermoPoint.from_temperature(couplings, temperature)
+    disk, cap, r_min = _refinement_plan([tp])
+    assert cap > 1.4  # about three times 0.5
+    f = _integrand([tp], list(CLASSICAL_PAIRS), list(NONCLASSICAL_PAIRS), _tanh_sq_ratio)
+    grid = GridSpec(target_rel_tol=1e-11)
+    wide, narrow = (integrate_bz_refined(f, disk, r_min, grid, radius=r) for r in (cap, 0.5))
+    assert wide.converged and narrow.converged
+    scale = np.max(np.abs(wide.value))
+    bound = wide.error_estimate + narrow.error_estimate + 1e-13 * scale
+    assert np.all(np.abs(wide.value - narrow.value) <= bound)
 
 
 # couplings (j, j, jz) on the cut jx = jy: the critical gap corner, a
@@ -997,8 +1046,8 @@ TENSORS, CORRECTIONS = tensors_thermodynamic, nonclassical_corrections
         pytest.param(TENSORS, Couplings(0.2, 0.2, 0.6), [0.002], id="refined-gapped-cold"),
         pytest.param(TENSORS, Couplings(0.2, 0.2, 0.6), [0.05], id="refined-gapped"),
         pytest.param(TENSORS, GAPPED, [0.3], id="deep-gapped"),
-        # batches: each member is judged on the batch's plan (the largest
-        # radius and the smallest r_min), against a TIGHT batch on that plan
+        # batches: each member is judged on the batch's plan (the smallest
+        # r_min), against a TIGHT batch on that plan
         pytest.param(
             TENSORS, Couplings(0.255, 0.255, 0.49), [0.002, 0.01, 0.05],
             id="batch-near-critical-gapless",
@@ -1016,9 +1065,9 @@ def test_error_estimate_audit_over_the_phases(batch, couplings, temperatures):
     needle, near-critical gapless and gapped, refined gapped-``Ax``, deep
     gapped, and critical couplings; and so does every member of a
     temperature batch, of tensors and of nonclassical corrections.  This
-    guards the partition of unity (the erf step and the minimum disk
-    radius), whose steepness sets how far the base trapezoid and the disks
-    must climb.
+    guards the partition of unity (the erf step and the disk radius, the
+    largest the geometry allows), whose steepness sets how far the base
+    trapezoid and the disks must climb.
 
     The reference is a batch of the same points, so it takes the same
     refinement plan and the same ``r_min``: the needle-core truncation at
@@ -1038,6 +1087,68 @@ def assert_near(g, ref):
         reported = np.max(g.evaluation.details[f"error_{part}"])
         bound = max(reported, 1e-13 * np.max(np.abs(expected)))
         assert np.max(np.abs(getattr(g, part) - expected)) <= bound, (g, part)
+
+
+EVERY_ELEMENT = [("c", mu, nu) for mu, nu in CLASSICAL_PAIRS] + [
+    ("nc", a, b) for a, b in NONCLASSICAL_PAIRS
+]
+
+
+@st.composite
+def couplings_of_every_phase(draw):
+    """Couplings with smaller magnitudes ``a``, ``b`` and a third ``(a + b)
+    (1 + m)``: gapless for m < 0, on the critical line for m = 0, gapped
+    for m > 0; off the cut (any order and signs), on it (jx == jy), or a
+    few ulps off it."""
+    a = draw(st.floats(0.05, 0.5))
+    where = draw(st.sampled_from(["off", "cut", "near-cut"]))
+    b = draw(st.floats(0.05, 0.5)) if where == "off" else a
+    for _ in range(draw(st.integers(1, 4)) if where == "near-cut" else 0):
+        b = math.nextafter(b, math.inf)
+    m = draw(st.sampled_from([-1.0, 0.0, 1.0])) * draw(st.floats(1e-3, 0.5))
+    signs = draw(st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3))
+    if where == "off":
+        j = draw(st.permutations([signs[0] * a, signs[1] * b, signs[2] * (a + b) * (1 + m)]))
+        return Couplings(*j)
+    return Couplings(signs[0] * a, signs[0] * b, signs[2] * (a + b) * (1 + m))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    couplings=couplings_of_every_phase(),
+    temperature=st.floats(math.log(1e-3), math.log(0.3)).map(math.exp),
+    elements=st.one_of(
+        st.none(), st.lists(st.sampled_from(EVERY_ELEMENT), min_size=1, max_size=3, unique=True)
+    ),
+)
+@example(Couplings(0.3, 0.2, 0.5), 3e-3, None)
+@example(Couplings(0.25, 0.25, 0.5), 1e-3, [("c", P.JZ, P.JZ), ("nc", P.JX, P.JY)])
+@example(Couplings(0.1, 0.1, 0.20000000000000004), 0.3, None)
+# off the cut, cold: the classical integrand underflows to 0 at both probe
+# nodes of the reflection test, which must not read that as invariance
+@example(Couplings(-0.5, -0.25, -0.5625), math.exp(-6.0), [("c", P.BETA, P.BETA)])
+def test_error_estimate_audit_as_a_property(couplings, temperature, elements):
+    """The same-plan audit of ``test_error_estimate_audit_over_the_phases``
+    over drawn couplings of every phase, on and off the cut, and full
+    tensors or named elements: each part lies within its reported error,
+    or 1e-13 of the largest entry (rounding), of a ``TIGHT`` reference on
+    the same refinement plan.
+
+    Gapless couplings within 2% of ``max |J|`` of the critical line are
+    left out: there +-K approach the merge corner, the disk at K shrinks
+    with their distance, and the base trapezoid is left the valley between
+    them (ROADMAP item 14).  That is a known loud failure, not a silent
+    one: measured, the default tensor raises QuadratureConvergenceError at
+    some temperatures out to a margin of 0.7% (a +-K distance of 0.65),
+    and the ``TIGHT`` reference misses 1e-11 out to 1.2% (distance 1.05);
+    no draw at a margin of 1.4% or more failed either way.
+    """
+    magnitudes = sorted(abs(j) for j in couplings.as_array())
+    margin = magnitudes[0] + magnitudes[1] - magnitudes[2]
+    assume(classify_phase(couplings) is not PhaseRegion.GAPLESS_B or margin >= 0.02 * magnitudes[2])
+    points = [ThermoPoint.from_temperature(couplings, temperature)]
+    batch = functools.partial(tensors_thermodynamic, elements=elements)
+    assert_within_reported_error(points, batch)
 
 
 def test_smooth_gapped_tensor_stops_on_a_coarse_grid():
@@ -1153,9 +1264,6 @@ def test_batch_requires_one_coupling():
 # null vectors, and the entries a full tensor derives from them
 
 # every element named, so that nothing is derived
-EVERY_ELEMENT = [("c", mu, nu) for mu, nu in CLASSICAL_PAIRS] + [
-    ("nc", a, b) for a, b in NONCLASSICAL_PAIRS
-]
 NULL_RTOL = 1e-13
 
 
@@ -1294,21 +1402,22 @@ def test_derived_errors_are_propagated():
 
 def test_full_tensor_is_judged_over_all_16_errors():
     # on ladders that cannot climb, the errors do not depend on the
-    # tolerance: at (1/3, 1/3, 1/3), T = 0.01 the 9 integrated entries
-    # report at most 1.4e-2 of the largest entry and the derived ones 5.0e-2,
-    # so a tolerance of 3e-2 passes the 9 integrals and fails the tensor
+    # tolerance: at (1/3, 1/3, 1/3), T = 0.01, on the disk of radius 1.478
+    # the 9 integrated entries report at most 5.5e-4 of the largest entry
+    # and the derived ones 1.8e-3, so a tolerance of 1e-3 passes the 9
+    # integrals and fails the tensor
     tp = ThermoPoint.from_temperature(SYM, 0.01)
     fixed = dict(base_n=32, max_doublings=1, refine_levels=1)
     integrated = [("c", mu, nu) for mu, nu in CLASSICAL_PAIRS if P.BETA not in (mu, nu)]
     integrated += [("nc", a, b) for a, b in NONCLASSICAL_PAIRS if P.JZ not in (a, b)]
-    tensor_thermodynamic(tp, GridSpec(target_rel_tol=3e-2, **fixed), elements=integrated)
+    tensor_thermodynamic(tp, GridSpec(target_rel_tol=1e-3, **fixed), elements=integrated)
     with pytest.raises(QuadratureConvergenceError, match="T = 0.01 "):
-        tensor_thermodynamic(tp, GridSpec(target_rel_tol=3e-2, **fixed))
-    g = tensor_thermodynamic(tp, GridSpec(target_rel_tol=6e-2, **fixed))
+        tensor_thermodynamic(tp, GridSpec(target_rel_tol=1e-3, **fixed))
+    g = tensor_thermodynamic(tp, GridSpec(target_rel_tol=3e-3, **fixed))
     scale = max(np.max(np.abs(g.classical)), np.max(np.abs(g.nonclassical)))
     details = g.evaluation.details
     worst = max(np.max(details["error_classical"]), np.max(details["error_nonclassical"]))
-    assert 3e-2 * scale < worst <= 6e-2 * scale
+    assert 1e-3 * scale < worst <= 3e-3 * scale
 
 
 # ---------------------------------------------------------------------------
