@@ -28,7 +28,14 @@ The n-point trapezoid grid is the even-index subgrid of the 2n-point grid
 on both axes, so each doubling evaluates only the nodes it adds (the odd
 rows, and the odd columns of the even rows) and adds their sum to the
 previous level's (nested doublings); the default ladder runs from n = 32
-to 2048.  The refinement disk climbs a ladder of levels: it first
+to 2048.  It keeps the finer rung and reports that rung's error: the
+difference ``d_k`` of the last two rungs, times ``2 r`` where the
+differences contract at a rate ``r < 1/2``, which bounds the tail ``d_k r
+/ (1 - r)`` of a ladder that keeps contracting that fast; on a grid
+coarser than the integrand's narrowest known feature (for a refined
+integral, the partition ramp) it reports ``d_k`` (see ``integrate_bz``).
+The refinement disk climbs a ladder of levels and reports ``2 |hi - lo|``,
+the error of its coarser level of the pair: it first
 integrates the pair ``(1, 2)`` and moves one level up, at most to
 ``refine_levels + 1``, only for the integrals whose disk error ``2 |hi -
 lo|`` misses what the tolerance leaves after the base error, ``tol *
@@ -460,36 +467,62 @@ def integrate_bz(f: Callable, grid: GridSpec) -> IntegrationResult:
     ``f`` must be even under p -> -p (see the module docstring): the base
     level evaluates one node per orbit of its grid, and each doubling one
     per orbit of the nodes it adds (``_doubled_mean``), so no node is
-    evaluated twice.  The
-    rule at base_n points per axis is compared against 2*base_n (and so on,
-    up to ``max_doublings``); the difference of successive levels is the
-    reported error estimate.  Each independent integral stops at the first
-    doubling that meets ``target_rel_tol`` against its own largest
-    component; the doubling continues while any integral is open.  Failure
-    to meet the tolerance is reported through ``converged=False``, never
-    silently.
+    evaluated twice.  The rule at base_n points per axis is compared
+    against 2*base_n (and so on, up to ``max_doublings``), and each
+    integral keeps the finer level ``cur``.  Its reported error is the
+    error of ``cur``: the difference ``d_k = |cur - prev|`` of successive
+    levels, times ``2 r`` where the integral's largest difference contracts
+    at the rate ``r = max d_k / max d_{k-1} < 1/2`` (differences that keep
+    contracting that fast leave a tail of at most ``d_k r / (1 - r) <= 2 r
+    d_k``).  It is ``d_k`` itself on the first doubling, where the
+    differences do not halve, where ``max d_{k-1}`` lies at the rounding
+    floor, and where the spacing ``2 pi / n`` of ``cur`` exceeds the
+    optional attribute ``f.feature_width``, the width of the narrowest
+    feature ``f`` is known to have: grids that do not resolve a feature
+    can agree by chance (the masked integrand of ``integrate_bz_refined``
+    carries its partition ramp's width).  So no integral climbs further
+    than it would on ``d_k`` alone.
+    Each independent integral stops at the first doubling whose error
+    meets ``target_rel_tol`` against its own largest component, or whose
+    difference ``max d_k`` lies at the rounding floor; the doubling
+    continues while any integral is open.  Failure to meet the tolerance
+    is reported through ``converged=False``, never silently.
     """
     n = grid.base_n
     prev, evaluations, fmax, invariant = _grid_mean(f, _zone_axis(n), 0, track_max=True)
     nb = _batch_ndim(prev.ndim)
     value = err = np.zeros(prev.shape)
     done = np.zeros(prev.shape[:nb], dtype=bool)
+    d_prev = np.zeros(prev.shape[:nb])  # no rate on the first doubling
+    width = getattr(f, "feature_width", math.inf)
     for _ in range(grid.max_doublings):
         cur, nodes, fmax_cur = _doubled_mean(f, prev, n, invariant)
         n *= 2
         fmax = np.maximum(fmax, fmax_cur)
         evaluations += nodes
-        value = _freeze(~done, FOUR_PI_SQ * cur, value)
-        err = _freeze(~done, FOUR_PI_SQ * np.abs(cur - prev), err)
-        scale = np.maximum(_per_integral_max(value, nb), 1e-300)
+        diff = FOUR_PI_SQ * np.abs(cur - prev)
+        d = _per_integral_max(diff, nb)
         # a genuinely vanishing component can never satisfy a relative test;
-        # errors at the round-off floor of the evaluations count as converged
+        # differences at the round-off floor of the evaluations count as
+        # converged (the difference itself: an error extrapolated below the
+        # floor from a difference above it is no rounding)
         floor = 1e-13 * FOUR_PI_SQ * fmax
-        bound = np.maximum(grid.target_rel_tol * scale, floor)
-        done = done | (_per_integral_max(err, nb) <= bound)
+        # the error of cur, not of prev: differences that keep contracting at
+        # the observed rate r < 1/2 leave a tail of at most d r / (1 - r) <=
+        # 2 r d after cur; a difference that does not halve, that follows one
+        # at the rounding floor, or on a grid coarser than f's narrowest
+        # feature, is its own estimate
+        trusted = (d_prev > floor) & (TWO_PI / n <= width)
+        rate = np.divide(d, d_prev, out=np.ones(np.shape(d)), where=trusted)
+        factor = np.where(rate < 0.5, 2.0 * rate, 1.0)
+        factor = np.reshape(factor, np.shape(factor) + (1,) * (diff.ndim - nb))
+        value = _freeze(~done, FOUR_PI_SQ * cur, value)
+        err = _freeze(~done, factor * diff, err)
+        scale = np.maximum(_per_integral_max(value, nb), 1e-300)
+        done = done | (_per_integral_max(err, nb) <= grid.target_rel_tol * scale) | (d <= floor)
         if np.all(done):
             break
-        prev = cur
+        prev, d_prev = cur, d
     return IntegrationResult(
         _as_scalar_like(value), _as_scalar_like(err), evaluations, _as_scalar_like(done)
     )
@@ -756,6 +789,11 @@ def integrate_bz_refined(
     # an unfixed mask is not closed under s; its mean over p and s p is,
     # with the same sum on the zone grid, which s maps onto itself
     base_f = (lambda px, py: 0.5 * (masked(px, py) + masked(py, px))) if unfixed else masked
+    # the mask's erf ramp: a Gaussian slope of standard deviation 1 / (sqrt 2
+    # sharpness) in t, radius / 28 in r, the narrowest feature of base_f (an
+    # attribute of the integrand, as perfbench's tracer wraps integrate_bz
+    # as (f, grid) and passes f through unchanged)
+    base_f.feature_width = 0.5 * radius / (math.sqrt(2.0) * _STEP_SHARPNESS)
     base = integrate_bz(base_f, grid)
     value = np.asarray(base.value, dtype=float)
     err = np.asarray(base.error_estimate, dtype=float)

@@ -140,13 +140,18 @@ def _fixed_pair(f, grid):
     # and the corner (0, 0) is fixed by it, so the disk is its quarter
     # sector (sector 1) and the masked base grid is quartered too; the mask
     # bumps the distance to the nearer of K and -K, one point at a corner
-    from kitaev_bures.quadrature import _bump, _disk_integral, _probe, _torus_dist
+    from kitaev_bures.quadrature import (
+        _STEP_SHARPNESS, _bump, _disk_integral, _probe, _torus_dist
+    )
 
     radius, r_min = 0.3, 1e-5
-    base = integrate_bz(
-        lambda px, py: f(px, py) * (1.0 - _bump(_torus_dist(px, py, 0.0, 0.0), radius)),
-        grid,
-    )
+
+    def masked(px, py):
+        return f(px, py) * (1.0 - _bump(_torus_dist(px, py, 0.0, 0.0), radius))
+
+    # the mask's narrowest feature: its erf ramp, radius / 28 wide
+    masked.feature_width = 0.5 * radius / (math.sqrt(2.0) * _STEP_SHARPNESS)
+    base = integrate_bz(masked, grid)
     level = grid.refine_levels
     lo, n_lo = _disk_integral(f, _probe(f)[0], (0.0, 0.0), radius, r_min, level, None, True, 1)
     hi, n_hi = _disk_integral(f, _probe(f)[0], (0.0, 0.0), radius, r_min, level + 1, None, True, 1)
@@ -176,8 +181,10 @@ def test_disk_ladder_stops_early_within_its_error():
 
 
 def test_error_estimates_conservative(rng):
-    # on smooth integrands, |I(n) - I(2n)| must bound the true error of the
-    # returned value (vs a much finer reference) in at least 95% of trials
+    # on smooth integrands, the reported error of the finer rung (|I(n) -
+    # I(2n)|, times 2 r once the differences contract at a rate r < 1/2)
+    # must bound the true error of the returned value (vs a much finer
+    # reference) in at least 95% of trials
     wins = 0
     trials = 40
     for _ in range(trials):
@@ -201,6 +208,123 @@ def test_nonconvergence_reported():
         (px + 0.37) ** 2 + (py - 0.91) ** 2 + 1e-10
     )
     res = integrate_bz(f, GridSpec(base_n=16, target_rel_tol=1e-10, max_doublings=2))
+    assert not res.converged
+
+
+def _sin_power_exact(p):
+    # the zone integral of |sin p_x|^p: 2 pi times 2 int_0^pi sin^p
+    return 2 * math.pi * 2 * math.sqrt(math.pi) * math.gamma((p + 1) / 2) / math.gamma(p / 2 + 1)
+
+
+@pytest.mark.parametrize("tol", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+@pytest.mark.parametrize("p", [3, 5])
+def test_error_of_the_finer_rung_bounds_a_closed_form(p, tol):
+    # |sin p_x|^p has a kink of order p at p_x = 0 and pi, so the trapezoid
+    # differences contract algebraically, by 2^-(p + 1) per doubling: the
+    # reported error 2 r d of the rung kept still bounds its true error
+    res = integrate_bz(lambda px, py: np.abs(np.sin(px)) ** p + 0 * py, GridSpec(target_rel_tol=tol))
+    assert res.converged
+    assert abs(res.value - _sin_power_exact(p)) <= res.error_estimate
+
+
+def _ladder_means(monkeypatch, f, grid):
+    """The result of ``integrate_bz(f, grid)`` and the zone integral of
+    each level its doublings reached, finest last."""
+    from kitaev_bures import quadrature
+
+    doubled, means = quadrature._doubled_mean, []
+
+    def spy(f, mean, n, invariant):
+        out = doubled(f, mean, n, invariant)
+        means.append(FOUR_PI_SQ * out[0])
+        return out
+
+    monkeypatch.setattr(quadrature, "_doubled_mean", spy)
+    res = integrate_bz(f, grid)
+    monkeypatch.undo()
+    return res, means
+
+
+def _bessel_i0(a):
+    terms, t = [], 1.0
+    for k in range(1, 200):
+        terms.append(t)
+        t *= (a / 2) ** 2 / (k * k)
+    return math.fsum(terms)
+
+
+def test_smooth_ladder_stops_a_doubling_before_the_coarser_rungs_error(monkeypatch):
+    # exp(a (cos p_x + cos p_y)) integrates to 4 pi^2 I0(a)^2, and the
+    # trapezoid error falls like I_n(a) / I_0(a): at a = 40 the n = 32 and 64
+    # rungs miss by 1.7e-5 and 3e-15 of the value.  The difference |cur -
+    # prev| certifies n = 64 only on the doubling to 128; the contraction
+    # rate certifies it on its own doubling
+    a, tol = 40.0, 1e-8
+    f = lambda px, py: np.exp(a * (np.cos(px) + np.cos(py)))
+    exact = FOUR_PI_SQ * _bessel_i0(a) ** 2
+    res, means = _ladder_means(monkeypatch, f, GridSpec(base_n=16, target_rel_tol=tol))
+    _, ladder = _ladder_means(monkeypatch, f, GridSpec(base_n=16, target_rel_tol=1e-300))
+    old_stop = next(
+        k for k in range(1, len(ladder)) if abs(ladder[k] - ladder[k - 1]) <= tol * abs(ladder[k])
+    )
+    assert res.converged
+    assert len(means) <= old_stop  # doublings taken, against old_stop + 1
+    assert abs(res.value - exact) <= max(res.error_estimate, 1e-14 * exact)
+
+
+@pytest.mark.parametrize(
+    "rate, width, factor",
+    [(0.6, None, 1.0), (0.25, None, 0.5), (0.25, 2 * math.pi / 256, 0.5), (0.25, math.pi / 256, 1.0)],
+    ids=["not-halving", "contracting", "width-resolved", "width-unresolved"],
+)
+def test_ladder_reports_twice_its_rate_only_where_it_contracts(monkeypatch, rate, width, factor):
+    # a synthetic ladder on the constant integrand from n = 16 to 256:
+    # successive levels differ by rate^k.  At rate 0.6 the differences do not
+    # halve, so the last doubling reports its own difference; at rate 1/4 it
+    # reports 2 (1/4) of it, unless the integrand's feature_width is finer
+    # than the last grid's spacing 2 pi / 256
+    from kitaev_bures import quadrature
+
+    doubled, means = quadrature._doubled_mean, [1.0]
+
+    def spy(f, mean, n, invariant):
+        _, nodes, fmax = doubled(f, mean, n, invariant)
+        means.append(means[-1] + rate ** len(means))
+        return np.float64(means[-1]), nodes, fmax
+
+    def f(px, py):
+        return np.ones_like(px + py)
+
+    if width is not None:
+        f.feature_width = width
+    monkeypatch.setattr(quadrature, "_doubled_mean", spy)
+    res = integrate_bz(f, GridSpec(base_n=16, target_rel_tol=1e-300, max_doublings=4))
+    last = FOUR_PI_SQ * abs(means[-1] - means[-2])
+    assert not res.converged and len(means) == 5
+    assert res.error_estimate == pytest.approx(factor * last, rel=1e-12)
+    if factor == 1.0:
+        assert res.error_estimate == last
+
+
+def test_error_extrapolated_below_the_rounding_floor_is_no_convergence(monkeypatch):
+    # a synthetic ladder on the constant integrand (rounding floor 1e-13 *
+    # 4 pi^2): the differences 4 pi^2 1e-3 and 4 pi^2 1e-9 contract at
+    # 1e-6, so the second doubling reports 2e-6 of its difference, below the
+    # floor; the difference itself is far above it, and the error misses
+    # the 1e-15 tolerance, so the integral has not converged
+    from kitaev_bures import quadrature
+
+    doubled, steps = quadrature._doubled_mean, iter([1e-3, 1e-9])
+
+    def spy(f, mean, n, invariant):
+        _, nodes, fmax = doubled(f, mean, n, invariant)
+        return mean + next(steps), nodes, fmax
+
+    monkeypatch.setattr(quadrature, "_doubled_mean", spy)
+    grid = GridSpec(base_n=16, target_rel_tol=1e-15, max_doublings=2)
+    res = integrate_bz(lambda px, py: np.ones_like(px + py), grid)
+    floor = 1e-13 * FOUR_PI_SQ
+    assert res.error_estimate < floor < FOUR_PI_SQ * 1e-9
     assert not res.converged
 
 

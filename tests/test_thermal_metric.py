@@ -1164,8 +1164,9 @@ def test_smooth_gapped_tensor_stops_on_a_coarse_grid():
 
 def test_default_ladders_still_reach_their_top_rungs(monkeypatch):
     # on the near-critical cut at jz = 0.4975 the +-K cap shrinks the disk
-    # to radius 0.199, and at T = 0.002 and tol 1e-4 the base trapezoid
-    # climbs from n = 32 to the finest grid of the default ladder, 2048;
+    # to radius 0.199, and at T = 0.002 and the default tol 1e-6 the base
+    # trapezoid climbs from n = 32 to the finest grid of the default ladder,
+    # 2048 (at tol 1e-4 the error of the finer rung certifies n = 1024);
     # the disk climbs to (3, 4) in test_disk_ladder_that_misses_gives_the_fixed_pair
     from kitaev_bures import quadrature
     from kitaev_bures.scaling import figure_of_merit_trajectory
@@ -1180,11 +1181,36 @@ def test_default_ladders_still_reach_their_top_rungs(monkeypatch):
     els = [("c", P.JZ, P.JZ), ("nc", P.JZ, P.JZ)]
     with monkeypatch.context() as m:
         m.setattr(quadrature, "_doubled_mean", spy)
-        g = tensor_thermodynamic(tp, GridSpec(target_rel_tol=1e-4), elements=els)
+        g = tensor_thermodynamic(tp, GridSpec(), elements=els)
     default = GridSpec()
     assert max(reached) == default.base_n * 2**default.max_doublings == 2048
     ref = GridSpec(refine_levels=5, target_rel_tol=1e-11, max_doublings=7)
     assert_near(g, tensor_thermodynamic(tp, ref, elements=els))
+
+
+@pytest.mark.parametrize("jz", [0.4950, 0.4975])
+def test_near_cut_map_columns_meet_their_tolerance(jz):
+    # the two columns of the 17x12 acceptance map whose +-K cap shrinks the
+    # disk most (radius 0.28 and 0.20, a partition ramp 0.010 and 0.007
+    # wide): where the base grid does not resolve the ramp, two coarse rungs
+    # can agree by chance, so the ladder trusts its contraction rate only
+    # from the grid that does.  Every cell, at the map's temperatures and
+    # tolerance, lies within that tolerance and its reported error of a
+    # tight reference
+    from kitaev_bures.scaling import figure_of_merit_trajectory, map_axes
+
+    tol = 1e-4
+    _, temperatures = map_axes((0.48, 0.52), (0.002, 0.05), (17, 12))
+    couplings = figure_of_merit_trajectory(jz)
+    points = [ThermoPoint.from_temperature(couplings, float(t)) for t in temperatures]
+    els = [("c", P.JZ, P.JZ), ("nc", P.JZ, P.JZ)]
+    ref = GridSpec(refine_levels=5, target_rel_tol=1e-11, max_doublings=7)
+    cells = tensors_thermodynamic(points, GridSpec(target_rel_tol=tol), elements=els)
+    for g, exact in zip(cells, tensors_thermodynamic(points, ref, elements=els), strict=True):
+        assert_near(g, exact)
+        for part in ("classical", "nonclassical"):
+            expected = getattr(exact, part)
+            assert np.max(np.abs(getattr(g, part) - expected)) <= tol * np.max(np.abs(expected))
 
 
 SCALING_CASES = [
