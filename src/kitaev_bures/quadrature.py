@@ -568,6 +568,12 @@ def _erf_step(t):
     return out
 
 
+def _ramp_width(radius: float) -> float:
+    """Width of the partition step's erf ramp: its Gaussian slope has the
+    standard deviation 1 / (sqrt 2 sharpness) in t, radius / 28 in r."""
+    return 0.5 * radius / (math.sqrt(2.0) * _STEP_SHARPNESS)
+
+
 def _bump(r, radius: float):
     """Radial weight: 1 inside radius/2, 0 outside radius, smooth between."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
@@ -789,11 +795,10 @@ def integrate_bz_refined(
     # an unfixed mask is not closed under s; its mean over p and s p is,
     # with the same sum on the zone grid, which s maps onto itself
     base_f = (lambda px, py: 0.5 * (masked(px, py) + masked(py, px))) if unfixed else masked
-    # the mask's erf ramp: a Gaussian slope of standard deviation 1 / (sqrt 2
-    # sharpness) in t, radius / 28 in r, the narrowest feature of base_f (an
-    # attribute of the integrand, as perfbench's tracer wraps integrate_bz
-    # as (f, grid) and passes f through unchanged)
-    base_f.feature_width = 0.5 * radius / (math.sqrt(2.0) * _STEP_SHARPNESS)
+    # the narrowest feature of base_f (an attribute of the integrand, as
+    # perfbench's tracer wraps integrate_bz as (f, grid) and passes f
+    # through unchanged)
+    base_f.feature_width = _ramp_width(radius)
     base = integrate_bz(base_f, grid)
     value = np.asarray(base.value, dtype=float)
     err = np.asarray(base.error_estimate, dtype=float)

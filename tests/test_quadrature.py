@@ -140,17 +140,14 @@ def _fixed_pair(f, grid):
     # and the corner (0, 0) is fixed by it, so the disk is its quarter
     # sector (sector 1) and the masked base grid is quartered too; the mask
     # bumps the distance to the nearer of K and -K, one point at a corner
-    from kitaev_bures.quadrature import (
-        _STEP_SHARPNESS, _bump, _disk_integral, _probe, _torus_dist
-    )
+    from kitaev_bures.quadrature import _bump, _disk_integral, _probe, _ramp_width, _torus_dist
 
     radius, r_min = 0.3, 1e-5
 
     def masked(px, py):
         return f(px, py) * (1.0 - _bump(_torus_dist(px, py, 0.0, 0.0), radius))
 
-    # the mask's narrowest feature: its erf ramp, radius / 28 wide
-    masked.feature_width = 0.5 * radius / (math.sqrt(2.0) * _STEP_SHARPNESS)
+    masked.feature_width = _ramp_width(radius)
     base = integrate_bz(masked, grid)
     level = grid.refine_levels
     lo, n_lo = _disk_integral(f, _probe(f)[0], (0.0, 0.0), radius, r_min, level, None, True, 1)
@@ -272,24 +269,19 @@ def test_smooth_ladder_stops_a_doubling_before_the_coarser_rungs_error(monkeypat
     assert abs(res.value - exact) <= max(res.error_estimate, 1e-14 * exact)
 
 
-@pytest.mark.parametrize(
-    "rate, width, factor",
-    [(0.6, None, 1.0), (0.25, None, 0.5), (0.25, 2 * math.pi / 256, 0.5), (0.25, math.pi / 256, 1.0)],
-    ids=["not-halving", "contracting", "width-resolved", "width-unresolved"],
-)
-def test_ladder_reports_twice_its_rate_only_where_it_contracts(monkeypatch, rate, width, factor):
-    # a synthetic ladder on the constant integrand from n = 16 to 256:
-    # successive levels differ by rate^k.  At rate 0.6 the differences do not
-    # halve, so the last doubling reports its own difference; at rate 1/4 it
-    # reports 2 (1/4) of it, unless the integrand's feature_width is finer
-    # than the last grid's spacing 2 pi / 256
+def _synthetic_ladder(monkeypatch, steps, grid, width=None):
+    """``integrate_bz`` of the constant integrand (rounding floor 1e-13 *
+    4 pi^2), each doubling's mean replaced by the previous one plus the
+    next of ``steps``; the integrand carries ``width`` as its
+    feature_width.  Returns the result and the last difference."""
     from kitaev_bures import quadrature
 
     doubled, means = quadrature._doubled_mean, [1.0]
+    steps = iter(steps)
 
     def spy(f, mean, n, invariant):
         _, nodes, fmax = doubled(f, mean, n, invariant)
-        means.append(means[-1] + rate ** len(means))
+        means.append(means[-1] + next(steps))
         return np.float64(means[-1]), nodes, fmax
 
     def f(px, py):
@@ -298,33 +290,35 @@ def test_ladder_reports_twice_its_rate_only_where_it_contracts(monkeypatch, rate
     if width is not None:
         f.feature_width = width
     monkeypatch.setattr(quadrature, "_doubled_mean", spy)
-    res = integrate_bz(f, GridSpec(base_n=16, target_rel_tol=1e-300, max_doublings=4))
-    last = FOUR_PI_SQ * abs(means[-1] - means[-2])
-    assert not res.converged and len(means) == 5
+    return integrate_bz(f, grid), FOUR_PI_SQ * abs(means[-1] - means[-2])
+
+
+@pytest.mark.parametrize(
+    "rate, width, factor",
+    [(0.6, None, 1.0), (0.25, None, 0.5), (0.25, 2 * math.pi / 256, 0.5), (0.25, math.pi / 256, 1.0)],
+    ids=["not-halving", "contracting", "width-resolved", "width-unresolved"],
+)
+def test_ladder_reports_twice_its_rate_only_where_it_contracts(monkeypatch, rate, width, factor):
+    # from n = 16 to 256, successive levels differ by rate^k.  At rate 0.6
+    # the differences do not halve, so the last doubling reports its own
+    # difference; at rate 1/4 it reports 2 (1/4) of it, unless the
+    # integrand's feature_width is finer than the last grid's spacing
+    grid = GridSpec(base_n=16, target_rel_tol=1e-300, max_doublings=4)
+    res, last = _synthetic_ladder(monkeypatch, [rate**k for k in range(1, 5)], grid, width)
+    assert not res.converged
     assert res.error_estimate == pytest.approx(factor * last, rel=1e-12)
     if factor == 1.0:
         assert res.error_estimate == last
 
 
 def test_error_extrapolated_below_the_rounding_floor_is_no_convergence(monkeypatch):
-    # a synthetic ladder on the constant integrand (rounding floor 1e-13 *
-    # 4 pi^2): the differences 4 pi^2 1e-3 and 4 pi^2 1e-9 contract at
-    # 1e-6, so the second doubling reports 2e-6 of its difference, below the
+    # the differences 4 pi^2 1e-3 and 4 pi^2 1e-9 contract at 1e-6, so the
+    # second doubling reports 2e-6 of its difference, below the rounding
     # floor; the difference itself is far above it, and the error misses
     # the 1e-15 tolerance, so the integral has not converged
-    from kitaev_bures import quadrature
-
-    doubled, steps = quadrature._doubled_mean, iter([1e-3, 1e-9])
-
-    def spy(f, mean, n, invariant):
-        _, nodes, fmax = doubled(f, mean, n, invariant)
-        return mean + next(steps), nodes, fmax
-
-    monkeypatch.setattr(quadrature, "_doubled_mean", spy)
     grid = GridSpec(base_n=16, target_rel_tol=1e-15, max_doublings=2)
-    res = integrate_bz(lambda px, py: np.ones_like(px + py), grid)
-    floor = 1e-13 * FOUR_PI_SQ
-    assert res.error_estimate < floor < FOUR_PI_SQ * 1e-9
+    res, last = _synthetic_ladder(monkeypatch, [1e-3, 1e-9], grid)
+    assert res.error_estimate < 1e-13 * FOUR_PI_SQ < last
     assert not res.converged
 
 
