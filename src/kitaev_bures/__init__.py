@@ -51,10 +51,7 @@ from .thermal_metric import (
     BuresTensor,
     ParameterIndex,
     ThermoPoint,
-    classical_integrand,
-    mode_density_matrix,
     nonclassical_corrections,
-    nonclassical_integrand,
     tensor_finite,
     tensor_oracle,
     tensor_thermodynamic,

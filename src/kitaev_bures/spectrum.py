@@ -85,9 +85,6 @@ class Couplings:
     def abs_max(self) -> float:
         return max(abs(self.jx), abs(self.jy), abs(self.jz))
 
-    def swapped_xy(self) -> "Couplings":
-        return Couplings(self.jy, self.jx, self.jz)
-
 
 @dataclass(frozen=True)
 class Momentum:

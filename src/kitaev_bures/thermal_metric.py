@@ -15,19 +15,18 @@ with the closed-form integrands (no prefactor) given by
 
 where omega_a, theta_a are the coupling responses from `spectrum`
 (omega_z = 2 epsilon unifies the z row).  One builder, ``_integrand``,
-assembles them for the zone quadrature, the finite sums and the pointwise
-``classical_integrand``/``nonclassical_integrand``.  Every integrand is even
-under p -> -p (epsilon, lam and omega_a are even; delta and every theta_a
-are odd and enter in pairs), which lets the quadrature and the finite sums
-evaluate half the zone.  On the paper's cut jx = jy the zone integrand is
-also made invariant under the reflection s: (p_x, p_y) -> (p_y, p_x) by
-averaging each response product with its image under s (see
-``_integrand``), and the quadrature and the finite sums, which detect
-that, evaluate a quarter.  ``tensor_finite`` takes the mean of the same
-integrands over the L x L momentum grid p = 2 pi n / L (L odd), the
-periodic trapezoid rule on the lattice's own grid, reduced in the
-quadrature's fixed row blocks; normalized per site, the momentum sum is
-4 pi^2 / (32 pi^2 L^2) = 1 / (8 L^2) times the sum, i.e. the mean over 8.
+assembles them for the zone quadrature and the finite sums.  Every
+integrand is even under p -> -p (epsilon, lam and omega_a are even; delta
+and every theta_a are odd and enter in pairs), which lets the quadrature
+and the finite sums evaluate half the zone.  On the paper's cut jx = jy
+the zone integrand is also made invariant under the reflection s:
+(p_x, p_y) -> (p_y, p_x) by averaging each response product with its
+image under s (see ``_integrand``), and the quadrature and the finite
+sums, which detect that, evaluate a quarter.  ``tensor_finite`` takes the
+mean of the same integrands over the L x L momentum grid p = 2 pi n / L
+(L odd), the periodic trapezoid rule on the lattice's own grid, reduced in
+the quadrature's fixed row blocks; normalized per site, the momentum sum
+is 4 pi^2 / (32 pi^2 L^2) = 1 / (8 L^2) times the sum, i.e. the mean over 8.
 
 Full tensors: H is linear in J, so the Gibbs state depends on beta J alone,
 and the metric has two exact null vectors, g^c (-beta, J) = 0 and g^nc_JJ J
@@ -45,7 +44,7 @@ Oracle and normalization calibration
 ------------------------------------
 ``tensor_oracle`` rebuilds the tensor with no reference to the closed forms
 and on the full L x L grid, without the symmetries the other routes assume:
-each momentum hosts a thermal qubit (``mode_density_matrix``) and the bures
+each momentum hosts a thermal qubit (``_mode_matrix``) and the bures
 module differentiates it, by finite-difference fidelities and by the
 analytic eigen-decomposition formula.  Summed per site (N = 2 L^2), the
 qubit construction reproduces the nonclassical closed form exactly.  Its
@@ -63,7 +62,8 @@ Thermal weights are evaluated in overflow-safe form (1/(cosh x + 1) as
 
 Mode convention: the thermal qubit at momentum p has eigenvalues
 exp(+-beta lam / 2) / (2 cosh(beta lam / 2)) and Bloch vector
-tanh(beta lam / 2) * (sin theta, cos theta, 0) in the fixed reference basis.
+tanh(beta lam / 2) * (sin theta, cos theta, 0) in the fixed reference basis
+(``_mode_bloch`` gives r and theta, ``_mode_matrix`` builds the state).
 The plane is a fixed convention; only the rotation angle theta matters for
 the metric, and the oracle equivalence test certifies the choice.
 """
@@ -125,9 +125,6 @@ __all__ = [
     "ThermoPoint",
     "EvaluationInfo",
     "BuresTensor",
-    "classical_integrand",
-    "nonclassical_integrand",
-    "mode_density_matrix",
     "tensor_finite",
     "tensor_thermodynamic",
     "tensors_thermodynamic",
@@ -274,7 +271,7 @@ _THETA = {ParameterIndex.JX: "theta_x", ParameterIndex.JY: "theta_y", ParameterI
 _SWAP_XY = {ParameterIndex.JX: ParameterIndex.JY, ParameterIndex.JY: ParameterIndex.JX}
 
 
-def _components(fields, points, pairs_c, pairs_nc, nc_kernel, cut=False):
+def _components(fields, points, pairs_c, pairs_nc, nc_kernel, cut):
     """Every point's thermal kernels applied to one evaluation of the
     spectral fields: leading axes (point, component), the classical pairs,
     then the nonclassical pairs under ``nc_kernel(beta, lam)``.  A
@@ -410,31 +407,6 @@ def _integrand(points, pairs_c, pairs_nc, nc_kernel):
     )
 
 
-def _integrand_at(p: Momentum, tp: ThermoPoint, element) -> float:
-    pairs_c, pairs_nc = _select_pairs([element])
-    fields = spectral_arrays(p.px, p.py, tp.couplings)
-    return float(_components(fields, [tp], pairs_c, pairs_nc, _tanh_sq_ratio)[0, 0])
-
-
-def classical_integrand(
-    mu: ParameterIndex, nu: ParameterIndex, p: Momentum, tp: ThermoPoint
-) -> float:
-    """Classical closed-form integrand at one momentum, without the
-    1/(32 pi^2) prefactor.  Zero temperature returns 0 (frozen eigenvalues)."""
-    return _integrand_at(p, tp, ("c", mu, nu))
-
-
-def nonclassical_integrand(
-    a: ParameterIndex, b: ParameterIndex, p: Momentum, tp: ThermoPoint
-) -> float:
-    """Nonclassical closed-form integrand at one momentum (no prefactor).
-
-    Only coupling indices are admitted; the beta row of the nonclassical
-    part vanishes identically.
-    """
-    return _integrand_at(p, tp, ("nc", a, b))
-
-
 # ---------------------------------------------------------------------------
 # per-mode thermal qubit
 
@@ -459,21 +431,6 @@ def _mode_matrix(r, theta) -> np.ndarray:
     rho[..., 0, 1] = -0.5j * r * phase
     rho[..., 1, 0] = np.conj(rho[..., 0, 1])
     return rho
-
-
-def mode_density_matrix(p: Momentum, tp: ThermoPoint) -> np.ndarray:
-    """Thermal 2x2 state of the quasiparticle mode at momentum p.
-
-    Eigenvalues exp(+-beta lam / 2) / (2 cosh(beta lam / 2)); eigenbasis
-    rotated from the fixed reference basis by theta in a fixed plane, i.e.
-    Bloch vector tanh(beta lam / 2) * (sin theta, cos theta, 0).  At lam = 0
-    this is the maximally mixed state; at T = 0 the pure mode ground state.
-    """
-    px, py = np.asarray(p.px), np.asarray(p.py)
-    if tp.zero_temperature:
-        fields = spectral_arrays(px, py, tp.couplings)
-        return _mode_matrix(np.where(fields.lam > 0.0, 1.0, 0.0), mode_angle(fields))
-    return _mode_matrix(*_mode_bloch(px, py, (tp.beta, *tp.couplings.as_array()))[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -971,7 +928,7 @@ def tensor_oracle(tp: ThermoPoint, L: int) -> BuresTensor:
 
     For every momentum of the L x L grid (the broadcast grid
     ``xs[:, None], xs[None, :]``, every node, no symmetry used) the thermal
-    qubit family (beta, jx, jy, jz) -> mode_density_matrix is differentiated
+    qubit family (beta, jx, jy, jz) -> _mode_matrix is differentiated
     twice over:
 
     * one finite-difference pass (Richardson-refined central differences,

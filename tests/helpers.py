@@ -56,6 +56,17 @@ def random_couplings(rng, region=None, lo=0.1, hi=0.9):
             return j
 
 
+def integrand_at(part, mu, nu, p, tp):
+    """The closed-form integrand of element (part, mu, nu) at momentum p,
+    without the 1/(32 pi^2) prefactor and without the cut's average."""
+    from kitaev_bures.spectrum import spectral_arrays
+    from kitaev_bures.thermal_metric import _components, _tanh_sq_ratio
+
+    pairs = ([(mu, nu)], []) if part == "c" else ([], [(mu, nu)])
+    fields = spectral_arrays(p.px, p.py, tp.couplings)
+    return float(_components(fields, [tp], *pairs, _tanh_sq_ratio, cut=False)[0, 0])
+
+
 def random_density_matrix(rng, dim, lead=()):
     a = rng.normal(size=lead + (dim, dim)) + 1j * rng.normal(size=lead + (dim, dim))
     rho = a @ a.conj().swapaxes(-1, -2)

@@ -430,7 +430,7 @@ def test_criterion_9_property_suite(rng):
     j = Couplings(0.25, 0.45, 0.3)
     perm = [0, 2, 1, 3]
     a = tensor_finite(ThermoPoint(j, 1.1), 41)
-    b = tensor_finite(ThermoPoint(j.swapped_xy(), 1.1), 41)
+    b = tensor_finite(ThermoPoint(Couplings(j.jy, j.jx, j.jz), 1.1), 41)
     swap_dev = max(
         float(np.max(np.abs(a.classical - b.classical[np.ix_(perm, perm)]))),
         float(np.max(np.abs(a.nonclassical - b.nonclassical[np.ix_(perm, perm)]))),

@@ -16,6 +16,7 @@ from kitaev_bures.bures import (
     analytic_metric,
     classical_fidelity,
     finite_difference_metric,
+    finite_difference_metric_pairs,
     spectral_decomposition,
     uhlmann_fidelity,
     validate_density_matrix,
@@ -93,6 +94,27 @@ def test_fidelity_validation_errors(rng):
         validate_density_matrix(np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex))
     with pytest.raises(DensityMatrixError):
         validate_density_matrix(0.9 * np.eye(2, dtype=complex))
+
+
+def test_refusals_name_the_faulty_input():
+    rho = np.diag([0.75, 0.25]).astype(complex)
+    with pytest.raises(DensityMatrixError, match=r"rho must have shape \(\.\.\., d, d\)"):
+        validate_density_matrix(np.ones(3))
+    # unvalidated, a negative eigenvalue is still refused by the square root
+    with pytest.raises(DensityMatrixError, match="cannot take PSD square root"):
+        uhlmann_fidelity(np.diag([1.2, -0.2]), rho, validate=False)
+    # eigh reads one triangle: a non-Hermitian matrix does not reconstruct
+    with pytest.raises(DensityMatrixError, match="reconstruction error"):
+        spectral_decomposition(np.array([[0.5, 0.3], [0.1, 0.5]]), validate=False)
+    decomp = spectral_decomposition(rho)
+    with pytest.raises(ValueError, match="drho must contain at least one direction"):
+        analytic_metric(decomp, [])
+    with pytest.raises(ValueError, match=r"drho\[0\] not Hermitian"):
+        analytic_metric(decomp, [np.array([[0.0, 1.0], [0.0, 0.0]])])
+    with pytest.raises(ValueError, match=r"drho\[1\] not traceless"):
+        analytic_metric(decomp, [np.zeros((2, 2)), np.eye(2)])
+    with pytest.raises(ValueError, match="lambda0 must be a 1-d parameter vector"):
+        finite_difference_metric_pairs(lambda a, b: 1.0, np.zeros((1, 1)), 1e-4)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +227,13 @@ def test_eigenvalue_floor_error():
     bad = [np.diag([-1.0, 1.0]).astype(complex)]
     with pytest.raises(EigenvalueFloorError):
         analytic_metric(decomp, bad)
+    # two zero eigenvalues joined by a non-zero element of drho: the
+    # nonclassical weight 1 / (p_i + p_j) of the pair has no limit
+    decomp = spectral_decomposition(np.diag([1.0, 0.0, 0.0]).astype(complex))
+    joined = np.zeros((3, 3), dtype=complex)
+    joined[1, 2] = joined[2, 1] = 1.0
+    with pytest.raises(EigenvalueFloorError, match="vanishing eigenvalue pair"):
+        analytic_metric(decomp, [joined])
 
 
 def _random_traceless_hermitian(rng, dim, lead=()):

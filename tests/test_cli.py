@@ -685,6 +685,49 @@ def test_config_multi_value_flag_splits_on_whitespace(tmp_path, capsys):
     assert "path" in err
 
 
+SWEEP = ["sweep", "--path", "start=0.2,0.2,0.6", "end=0.6,0.2,0.2", "--steps", "2",
+         "--size", "5", "--temp", "0.5"]
+SCALING = ["scaling", "--jx", "0.1", "--jy", "0.1", "--jz", "0.8", "--tmin", "0.1",
+           "--tmax", "0.2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (SWEEP + ["--elements", "jz-qq"], "invalid element 'jz-qq'"),
+        (["phase", "--config", "{cfg}"], "run.cfg:2: expected 'key = value'"),
+        (SWEEP + ["--path", "start=a,0.2,0.6", "end=0.6,0.2,0.2"],
+         "invalid path coordinates in 'start=a,0.2,0.6'"),
+        (SWEEP + ["--path", "start=0.2,0.2,0.6", "start=0.6,0.2,0.2"],
+         "path requires both start= and end="),
+        (SWEEP + ["--steps", "0"], "steps must be >= 1"),
+        (SWEEP + ["--temp", "0.1,warm"], "invalid temp list '0.1,warm'"),
+        (SCALING + ["--points", "5"], "points must be >= 6 for the fits"),
+        (SCALING + ["--element", "jz-jz"], "element must look like part:pair"),
+        (["ratio-map", "--res", "8by8"], "invalid res '8by8', expected NxM"),
+    ],
+    ids=["element-token", "config-line", "path-coordinates", "path-missing-end", "steps-0",
+         "temp-list", "points-5", "element-without-part", "res"],
+)
+def test_malformed_values_are_named_usage_errors(tmp_path, capsys, argv, message):
+    # refused before anything is computed: exit 2 and one error line that
+    # names the value
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("jx = 0.1\njy 0.1\n")
+    code, out, err = run(capsys, [str(cfg) if a == "{cfg}" else a for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+def test_usage_without_a_command(capsys):
+    code, out, _ = run(capsys, [])
+    assert code == 2
+    assert out == cli._USAGE
+    code, out, _ = run(capsys, ["--help"])
+    assert code == 0
+    assert out == cli._USAGE
+
+
 # ---------------------------------------------------------------------------
 # output layout
 

@@ -31,6 +31,8 @@ def test_gridspec_validation():
     # level 0 is no ladder: the lowest highest pair is (1, 2)
     with pytest.raises(ValueError, match="refine_levels must be >= 1"):
         GridSpec(refine_levels=0)
+    with pytest.raises(ValueError, match="max_doublings must be >= 1"):
+        GridSpec(max_doublings=0)
     # the disk radius is the caller's, checked where it is used
     with pytest.raises(ValueError, match="radius must be positive"):
         integrate_bz_refined(_even_pair, OFF_CORNER, 5e-4, GridSpec(), radius=0.0)
@@ -66,6 +68,25 @@ def test_integrand_of_p_x_alone_broadcasts_over_its_block():
     assert (res.value, res.error_estimate, res.evaluations) == (
         twin.value, twin.error_estimate, twin.evaluations
     )
+
+
+def test_refined_mask_copies_a_read_only_integrand():
+    # the partition mask scales the values near the disk in place: an
+    # integrand that returns a read-only broadcast view is copied first, and
+    # integrates as its twin that owns its values does
+    def view(px, py):
+        return np.broadcast_to(np.exp(np.cos(px)), np.broadcast(px, py).shape)
+
+    grid = GridSpec(target_rel_tol=1e-10)
+    res = integrate_bz_refined(view, CORNER, 5e-4, grid, radius=1.0)
+    twin = integrate_bz_refined(
+        lambda px, py: np.exp(np.cos(px)) + 0 * py, CORNER, 5e-4, grid, radius=1.0
+    )
+    assert res.converged
+    assert (res.value, res.evaluations) == (twin.value, twin.evaluations)
+    # 4 pi^2 I_0(1)
+    i0 = math.fsum(0.25**k / math.factorial(k) ** 2 for k in range(20))
+    assert res.value == pytest.approx(FOUR_PI_SQ * i0, rel=1e-10)
 
 
 def test_cos_cos_orthogonality():

@@ -95,6 +95,28 @@ def test_fit_validation_errors():
     degenerate = np.stack([[0.1, 1.0]] * 6)
     with pytest.raises(ValueError):
         fit_log_divergence(degenerate)
+    gapped = samples_from(lambda t: t * np.exp(-1.2 / t), 0.05, 0.2)
+    with pytest.raises(ValueError, match=r"samples must be a sequence of \(T, g\) pairs"):
+        fit_power_law(gapped[:, 0])
+    with pytest.raises(ValueError, match="gapped-classical fit requires positive sample values"):
+        fit_gapped_classical(np.stack([gapped[:, 0], -gapped[:, 1]], axis=1))
+    with pytest.raises(ValueError, match="known_gap must be positive"):
+        fit_gapped_classical(gapped, known_gap=0.0)
+    with pytest.raises(ValueError, match="gap must be positive"):
+        fit_gapped_nonclassical(gapped, gap=-1.0, zero_temperature_value=0.0)
+    with pytest.raises(ValueError, match="correction samples must be nonzero"):
+        fit_gapped_nonclassical(np.stack([gapped[:, 0], 0.0 * gapped[:, 1]], axis=1),
+                                gap=1.2, zero_temperature_value=0.0)
+    with pytest.raises(ValueError, match="level must be positive"):
+        crossover_contour(synthetic_map(), 0.0)
+
+
+def test_constant_samples_fit_exactly():
+    # a constant g has no variance to explain: r_squared is 1, not 0 / 0
+    res = fit_log_divergence(samples_from(lambda t: 0.0 * t + 2.0, 1e-3, 1e-1))
+    assert res.r_squared == 1.0
+    assert res.model.a == pytest.approx(0.0, abs=1e-12)
+    assert res.model.b == pytest.approx(2.0, rel=1e-12)
 
 
 def test_fit_whose_prefactor_overflows_is_a_value_error():

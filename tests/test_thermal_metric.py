@@ -7,7 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import entrywise_close, max_rel_dev, null_residuals, random_couplings
+from helpers import (
+    entrywise_close,
+    integrand_at,
+    max_rel_dev,
+    null_residuals,
+    random_couplings,
+)
 from kitaev_bures.bures import EigenvalueFloorError, validate_density_matrix
 from kitaev_bures.quadrature import (
     GridSpec,
@@ -33,12 +39,11 @@ from kitaev_bures.thermal_metric import (
     ThermoPoint,
     _eliminated,
     _integrand,
+    _mode_bloch,
+    _mode_matrix,
     _refinement_plan,
     _tanh_sq_ratio,
-    classical_integrand,
-    mode_density_matrix,
     nonclassical_corrections,
-    nonclassical_integrand,
     tensor_finite,
     tensor_oracle,
     tensor_thermodynamic,
@@ -84,7 +89,7 @@ def test_classical_integrand_beta_beta_decoupled(rng):
     tp = ThermoPoint(DECOUPLED, 1.3)
     for _ in range(5):
         p = Momentum(*rng.uniform(-math.pi, math.pi, size=2))
-        val = classical_integrand(P.BETA, P.BETA, p, tp)
+        val = integrand_at("c", P.BETA, P.BETA, p, tp)
         assert val == pytest.approx(4.0 / (math.cosh(2 * 1.3) + 1.0), rel=1e-13)
 
 
@@ -95,14 +100,14 @@ def test_classical_integrand_jxjy_decoupled_averages_to_zero():
         0.81 * 16.0 * math.cos(0.7) * math.cos(-1.2) / 4.0
         / (math.cosh(1.8) + 1.0)
     )
-    assert classical_integrand(P.JX, P.JY, p, tp) == pytest.approx(expected, rel=1e-12)
+    assert integrand_at("c", P.JX, P.JY, p, tp) == pytest.approx(expected, rel=1e-12)
     t = tensor_finite(tp, 31, elements=[("c", P.JX, P.JY)])
     assert abs(t.element("classical", P.JX, P.JY)) < 1e-15
 
 
 def test_classical_integrand_jzjz_symmetric_corner():
     tp = ThermoPoint(SYM, 1.0)
-    val = classical_integrand(P.JZ, P.JZ, Momentum(math.pi, math.pi), tp)
+    val = integrand_at("c", P.JZ, P.JZ, Momentum(math.pi, math.pi), tp)
     assert val == pytest.approx(4.0 / (math.cosh(2 / 3) + 1.0), rel=1e-12)
 
 
@@ -110,29 +115,29 @@ def test_nonclassical_integrand_decoupled():
     tp = ThermoPoint(DECOUPLED, 0.8)
     p = Momentum(0.4, 2.0)
     expected = math.tanh(0.8) ** 2 * math.sin(0.4) ** 2
-    assert nonclassical_integrand(P.JX, P.JX, p, tp) == pytest.approx(expected, rel=1e-12)
+    assert integrand_at("nc", P.JX, P.JX, p, tp) == pytest.approx(expected, rel=1e-12)
 
 
 def test_nonclassical_integrand_zero_when_delta_vanishes():
     # delta = 0 exactly at the decoupled point, so theta_z = -2 delta = 0
     tp = ThermoPoint(DECOUPLED, 2.0)
-    assert nonclassical_integrand(P.JZ, P.JZ, Momentum(0.7, -0.2), tp) == 0.0
+    assert integrand_at("nc", P.JZ, P.JZ, Momentum(0.7, -0.2), tp) == 0.0
     # at the symmetric zone corner delta only vanishes to rounding
-    corner = nonclassical_integrand(P.JZ, P.JZ, Momentum(math.pi, math.pi), ThermoPoint(SYM, 2.0))
+    corner = integrand_at("nc", P.JZ, P.JZ, Momentum(math.pi, math.pi), ThermoPoint(SYM, 2.0))
     assert abs(corner) < 1e-30
 
 
 def test_nonclassical_integrand_zero_temperature_ratio_is_one(rng):
     j = Couplings(0.2, 0.3, 0.4)
     p = Momentum(0.9, -0.3)
-    cold = nonclassical_integrand(P.JZ, P.JZ, p, ThermoPoint(j, 5000.0))
-    frozen = nonclassical_integrand(P.JZ, P.JZ, p, ThermoPoint.from_temperature(j, 0.0))
+    cold = integrand_at("nc", P.JZ, P.JZ, p, ThermoPoint(j, 5000.0))
+    frozen = integrand_at("nc", P.JZ, P.JZ, p, ThermoPoint.from_temperature(j, 0.0))
     assert cold == pytest.approx(frozen, rel=1e-8)
 
 
-def test_nonclassical_integrand_rejects_beta():
-    with pytest.raises(ValueError):
-        nonclassical_integrand(P.BETA, P.JZ, Momentum(0.1, 0.2), ThermoPoint(SYM, 1.0))
+def test_nonclassical_element_rejects_beta():
+    with pytest.raises(ValueError, match="coupling indices"):
+        tensor_finite(ThermoPoint(SYM, 1.0), 5, elements=[("nc", P.BETA, P.JZ)])
 
 
 def test_diagonal_integrands_nonnegative(rng):
@@ -141,29 +146,28 @@ def test_diagonal_integrands_nonnegative(rng):
         tp = ThermoPoint(j, float(rng.uniform(0.2, 5.0)))
         p = Momentum(*rng.uniform(-math.pi, math.pi, size=2))
         for mu in (P.BETA, P.JX, P.JY, P.JZ):
-            assert classical_integrand(mu, mu, p, tp) >= 0.0
+            assert integrand_at("c", mu, mu, p, tp) >= 0.0
         for a in (P.JX, P.JY, P.JZ):
-            assert nonclassical_integrand(a, a, p, tp) >= 0.0
+            assert integrand_at("nc", a, a, p, tp) >= 0.0
 
 
 # ---------------------------------------------------------------------------
 # mode density matrix
 
 
+def mode_state(p, tp):
+    """The thermal qubit at momentum p, as the oracle builds it."""
+    lam = (tp.beta, *tp.couplings.as_array())
+    return _mode_matrix(*_mode_bloch(np.asarray(p.px), np.asarray(p.py), lam)[:2])
+
+
 def test_mode_state_maximally_mixed_at_zero():
-    rho = mode_density_matrix(Momentum(0.0, 0.0), ThermoPoint(Couplings(0.5, 0.5, -1.0), 2.0))
+    rho = mode_state(Momentum(0.0, 0.0), ThermoPoint(Couplings(0.5, 0.5, -1.0), 2.0))
     assert np.allclose(rho, 0.5 * np.eye(2), atol=1e-15)
 
 
-def test_mode_state_pure_at_zero_temperature():
-    rho = mode_density_matrix(Momentum(0.3, 0.4), ThermoPoint.from_temperature(SYM, 0.0))
-    w = np.linalg.eigvalsh(rho)
-    assert w[0] == pytest.approx(0.0, abs=1e-12)
-    assert w[1] == pytest.approx(1.0, abs=1e-12)
-
-
 def test_mode_state_thermal_occupations():
-    rho = mode_density_matrix(Momentum(0.0, 0.0), ThermoPoint(DECOUPLED, 1.0))
+    rho = mode_state(Momentum(0.0, 0.0), ThermoPoint(DECOUPLED, 1.0))
     validate_density_matrix(rho)
     w = np.sort(np.linalg.eigvalsh(rho))
     z = 2.0 * math.cosh(1.0)
@@ -176,7 +180,7 @@ def test_mode_state_bloch_vector_convention(rng):
     p = Momentum(1.1, -0.7)
     tp = ThermoPoint(j, 1.7)
     sp = spectral_arrays(p.px, p.py, j)
-    rho = mode_density_matrix(p, tp)
+    rho = mode_state(p, tp)
     r = math.tanh(0.5 * 1.7 * sp.lam)
     theta = mode_angle(sp)
     sx = np.array([[0, 1], [1, 0]])
@@ -289,7 +293,7 @@ def test_nonclassical_beta_row_identically_zero(rng):
 def test_xy_swap_covariance(rng):
     j = Couplings(0.2, 0.5, 0.3)
     tp = ThermoPoint(j, 1.2)
-    tp_swapped = ThermoPoint(j.swapped_xy(), 1.2)
+    tp_swapped = ThermoPoint(Couplings(j.jy, j.jx, j.jz), 1.2)
     a = tensor_finite(tp, 41)
     b = tensor_finite(tp_swapped, 41)
     assert np.max(np.abs(a.classical - swap_xy_indices(b.classical))) < 1e-10
@@ -424,7 +428,7 @@ def test_thermodynamic_xy_swap_covariance():
     j = Couplings(0.25, 0.4, 0.35)
     grid = GridSpec(base_n=64, target_rel_tol=1e-9)
     a = tensor_thermodynamic(ThermoPoint(j, 1.5), grid)
-    b = tensor_thermodynamic(ThermoPoint(j.swapped_xy(), 1.5), grid)
+    b = tensor_thermodynamic(ThermoPoint(Couplings(j.jy, j.jx, j.jz), 1.5), grid)
     assert np.max(np.abs(a.classical - swap_xy_indices(b.classical))) < 1e-10
     assert np.max(np.abs(a.nonclassical - swap_xy_indices(b.nonclassical))) < 1e-10
 
@@ -549,8 +553,8 @@ def test_cut_integrand_is_the_mean_of_the_reflected_components():
     # at jx = jy the zone integrand of a pair that p_x <-> p_y exchanges is
     # the mean of the pair, formed from the averaged response product, so a
     # lone request gives one component; every component is invariant under
-    # p_x <-> p_y bit for bit, and the pointwise integrands stay the
-    # unsymmetrised closed forms
+    # p_x <-> p_y bit for bit, and the components without the average
+    # (cut=False) stay the unsymmetrised closed forms
     from kitaev_bures.thermal_metric import _integrand, _tanh_sq_ratio
 
     tp = ThermoPoint.from_temperature(Couplings(0.3, 0.3, 0.4), 0.2)
@@ -562,12 +566,12 @@ def test_cut_integrand_is_the_mean_of_the_reflected_components():
         pairs = ([pair], []) if part == "c" else ([], [pair])
         one = _integrand([tp], *pairs, _tanh_sq_ratio)(px, py)
         assert one.shape == (1, 1, px.size)
-        integrand = classical_integrand if part == "c" else nonclassical_integrand
         for k in range(px.size):
             p = Momentum(px[k], py[k])
-            mean = 0.5 * (integrand(*pair, p, tp) + integrand(*partner, p, tp))
+            own = integrand_at(part, *pair, p, tp)
+            mean = 0.5 * (own + integrand_at(part, *partner, p, tp))
             assert one[0, 0, k] == pytest.approx(mean, rel=1e-13, abs=1e-300)
-            assert integrand(*pair, p, tp) != pytest.approx(mean, rel=1e-6)
+            assert own != pytest.approx(mean, rel=1e-6)
 
 
 def test_full_request_on_the_cut_integrates_one_of_each_image_pair():
